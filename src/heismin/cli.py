@@ -25,6 +25,8 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_PARSE = 3
 
+INTEGRABILITY_TOL = 1e-6
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
@@ -37,6 +39,29 @@ class _UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return v
+
+
+def _count_at_least(lo: int):
+    def count(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            v = lo - 1
+        if v < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {lo}, got {text!r}")
+        return v
+    return count
 
 
 def _worker_count() -> int:
@@ -220,7 +245,8 @@ def cmd_integrability(args):
     _emit_json({
         "max": {f"r{i}": v for i, v in stats.max.items()},
         "mean": {f"r{i}": v for i, v in stats.mean.items()},
-        "tolerance": 1e-6,
+        "tolerance": INTEGRABILITY_TOL,
+        "passed": stats.overall_max() <= INTEGRABILITY_TOL,
     })
     return EXIT_OK
 
@@ -312,7 +338,7 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--v0", type=float, required=True)
     s.add_argument("--x0", type=float, default=0.0)
     s.add_argument("--x1", type=float, default=3.0)
-    s.add_argument("--step", type=float, default=1e-3)
+    s.add_argument("--step", type=_positive_float, default=1e-3)
     s.add_argument("--hconst", type=float, default=0.0)
     s.add_argument("--fit", action="store_true",
                    help="print the fitted closed-form family as JSON "
@@ -325,8 +351,8 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--alpha-max", type=float, default=2.0)
     s.add_argument("--v-min", type=float, default=-2.0)
     s.add_argument("--v-max", type=float, default=2.0)
-    s.add_argument("--nx", type=int, default=21)
-    s.add_argument("--nv", type=int, default=21)
+    s.add_argument("--nx", type=_count_at_least(2), default=21)
+    s.add_argument("--nv", type=_count_at_least(2), default=21)
     s.add_argument("--out")
     s.set_defaults(func=cmd_phase_field)
 
@@ -365,8 +391,8 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--v0", type=float, default=0.0)
     s.add_argument("--x-min", type=float, default=0.5)
     s.add_argument("--x-max", type=float, default=2.5)
-    s.add_argument("--nx", type=int, default=25)
-    s.add_argument("--ny", type=int, default=10)
+    s.add_argument("--nx", type=_count_at_least(1), default=25)
+    s.add_argument("--ny", type=_count_at_least(1), default=10)
     s.set_defaults(func=cmd_integrability)
 
     s = sub.add_parser("construct", help="ruled surface from a curve or zetas")
@@ -379,8 +405,8 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--theta-max", type=float, default=2.0 * math.pi)
     s.add_argument("--r-min", type=float, default=0.5)
     s.add_argument("--r-max", type=float, default=2.0)
-    s.add_argument("--nr", type=int, default=16)
-    s.add_argument("--ntheta", type=int, default=48)
+    s.add_argument("--nr", type=_count_at_least(1), default=16)
+    s.add_argument("--ntheta", type=_count_at_least(1), default=48)
     s.add_argument("--obj")
     s.set_defaults(func=cmd_construct)
 
@@ -397,8 +423,8 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--x-max", type=float, default=3.0)
     s.add_argument("--y-min", type=float, default=-3.0)
     s.add_argument("--y-max", type=float, default=3.0)
-    s.add_argument("--nx", type=int, default=21)
-    s.add_argument("--ny", type=int, default=21)
+    s.add_argument("--nx", type=_count_at_least(1), default=21)
+    s.add_argument("--ny", type=_count_at_least(1), default=21)
     s.set_defaults(func=cmd_verify_graph)
 
     s = sub.add_parser("go-through", help="characteristic go-through limits")

@@ -21,39 +21,47 @@ import numpy as np
 from .errors import BadRotation, DegenerateChart, SingularPoint
 from .heis import HPoint
 from .models import YFunction
-from .numerics import CumulativeIntegral, central_d1
+from .numerics import CumulativeIntegral, central_d1, central_d2, memoized
 
 EPS_DEN = 1e-12
 
 
 class GeneratingCurve:
-    """A curve t -> (x(t), y(t), z(t)) with first and second derivatives."""
+    """A curve t -> (x(t), y(t), z(t)) with first and second derivatives.
+
+    Missing derivatives fall back to central differences.  The point, C'
+    and C'' are each evaluated once per t and memoized, and every
+    invariant below is derived from those values.
+    """
 
     def __init__(self, fns, d1=None, d2=None, interval=(0.0, 2.0 * math.pi),
                  fd_step: float = 1e-6):
         self.fns = fns
         self.interval = interval
-        self._fd = fd_step
-        self._d1 = d1
-        self._d2 = d2
+        h = fd_step
+        if d2 is None:
+            if d1 is not None:
+                d2 = [lambda t, f=f: central_d1(f, t, h) for f in d1]
+            else:
+                d2 = [lambda t, f=f: central_d2(f, t, h) for f in fns]
+        if d1 is None:
+            d1 = [lambda t, f=f: central_d1(f, t, h) for f in fns]
+        self._jets = tuple(
+            memoized(lambda t, fs=fs: tuple([float(f(t)) for f in fs]))
+            for fs in (fns, d1, d2))
+
+    def _jet(self, order: int, t: float):
+        """(x, y, z) differentiated `order` times, at t."""
+        return self._jets[order](t)
 
     def point(self, t: float) -> HPoint:
-        x, y, z = self.fns
-        return HPoint(x(t), y(t), z(t))
+        return HPoint(*self._jet(0, t))
 
     def d1(self, t: float) -> np.ndarray:
-        if self._d1 is not None:
-            return np.array([f(t) for f in self._d1], dtype=float)
-        return np.array([central_d1(f, t, self._fd) for f in self.fns])
+        return np.array(self._jet(1, t))
 
     def d2(self, t: float) -> np.ndarray:
-        if self._d2 is not None:
-            return np.array([f(t) for f in self._d2], dtype=float)
-        if self._d1 is not None:
-            return np.array([central_d1(f, t, self._fd) for f in self._d1])
-        h = self._fd
-        return np.array(
-            [(f(t + h) - 2.0 * f(t) + f(t - h)) / (h * h) for f in self.fns])
+        return np.array(self._jet(2, t))
 
     @staticmethod
     def from_exprs(x_src: str, y_src: str, z_src: str, var: str = "theta",
@@ -73,19 +81,19 @@ class GeneratingCurve:
     # scalar invariants of the curve at angle t
     def D(self, t: float) -> float:
         """D = y' cos t - x' sin t."""
-        xp, yp, _ = self.d1(t)
+        xp, yp, _ = self._jet(1, t)
         return yp * math.cos(t) - xp * math.sin(t)
 
     def Q(self, t: float) -> float:
         """Q = x' cos t + y' sin t."""
-        xp, yp, _ = self.d1(t)
+        xp, yp, _ = self._jet(1, t)
         return xp * math.cos(t) + yp * math.sin(t)
 
     def contact_speed(self, t: float) -> float:
         """Theta(C'(t)) = z' + x y' - y x'."""
-        p = self.point(t)
-        xp, yp, zp = self.d1(t)
-        return zp + p.x * yp - p.y * xp
+        x, y, _ = self._jet(0, t)
+        xp, yp, zp = self._jet(1, t)
+        return zp + x * yp - y * xp
 
 
 @dataclass
@@ -130,7 +138,7 @@ def ruled_surface(c: GeneratingCurve,
 
     def d_t(r, t):
         p = c.point(t)
-        xp, yp, zp = c.d1(t)
+        xp, yp, zp = c._jet(1, t)
         ct, st = math.cos(t), math.sin(t)
         return np.array([
             xp - r * st,
@@ -183,17 +191,16 @@ def zeta_from_curve(c: GeneratingCurve, theta_base: Optional[float] = None,
         return c.D(t) - gamma(t)
 
     def dz1(t):
-        xpp, ypp, _ = c.d2(t)
+        xpp, ypp, _ = c._jet(2, t)
         return ypp * math.cos(t) - xpp * math.sin(t) - 2.0 * c.Q(t)
 
     def z2(t):
         return c.contact_speed(t) - c.D(t) ** 2
 
     def dz2(t):
-        p = c.point(t)
-        xp, yp, _ = c.d1(t)
-        xpp, ypp, zpp = c.d2(t)
-        dtc = zpp + p.x * ypp - p.y * xpp
+        x, y, _ = c._jet(0, t)
+        xpp, ypp, zpp = c._jet(2, t)
+        dtc = zpp + x * ypp - y * xpp
         dD = ypp * math.cos(t) - xpp * math.sin(t) - c.Q(t)
         return dtc - 2.0 * c.D(t) * dD
 
@@ -233,18 +240,20 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     translation, which the invariants ignore.
     """
     t0 = theta_interval[0]
+    # x', y' and z' all need zeta1 at the same t, over three lattices
+    z1 = memoized(zeta1)
 
     def xp(t):
-        return -zeta1(t) * math.sin(t)
+        return -z1(t) * math.sin(t)
 
     def yp(t):
-        return zeta1(t) * math.cos(t)
+        return z1(t) * math.cos(t)
 
     x_int = CumulativeIntegral(xp, t0, panels_per_unit)
     y_int = CumulativeIntegral(yp, t0, panels_per_unit)
 
     def zp(t):
-        return (zeta2(t) + zeta1(t) ** 2
+        return (zeta2(t) + z1(t) ** 2
                 + y_int(t) * xp(t) - x_int(t) * yp(t))
 
     z_int = CumulativeIntegral(zp, t0, panels_per_unit)

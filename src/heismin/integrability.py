@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 from .models import MetricRep, YFunction
-from .numerics import CumulativeIntegral, central_d1
+from .numerics import CumulativeIntegral, central_d1, memoized
 
 
 @dataclass
@@ -25,20 +25,23 @@ class Field2D:
     """A scalar field on a rectangle, with optional analytic partials.
 
     When a partial is absent the residual checkers fall back to central
-    finite differences of the plain callable.
+    finite differences of the plain callable.  y_free marks a field that
+    does not depend on y, so quadrature along x can share one line.
     """
 
     f: Callable[[float, float], float]
     dx: Optional[Callable[[float, float], float]] = None
     dy: Optional[Callable[[float, float], float]] = None
     domain: Optional[tuple] = None  # ((x_lo, x_hi), (y_lo, y_hi))
+    y_free: bool = False
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.f(x, y))
 
     @staticmethod
     def constant(c: float) -> "Field2D":
-        return Field2D(lambda x, y: c, dx=lambda x, y: 0.0, dy=lambda x, y: 0.0)
+        return Field2D(lambda x, y: c, dx=lambda x, y: 0.0, dy=lambda x, y: 0.0,
+                       y_free=True)
 
     @staticmethod
     def from_model(m) -> "Field2D":
@@ -56,6 +59,7 @@ class Field2D:
             f=lambda x, y: alpha_of_x(x),
             dx=(lambda x, y: alpha_x_of_x(x)) if alpha_x_of_x else None,
             dy=lambda x, y: 0.0,
+            y_free=True,
         )
 
 
@@ -68,34 +72,40 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
         a = e^{-int 2 alpha dx} / sqrt(1 + alpha^2)
             * (h(y) - int H alpha e^{int 2 alpha dx} dx)
 
-    with both anti-derivatives cumulative from x_base (composite Simpson,
-    cached per y-line).
+    with both anti-derivatives cumulative from x_base (lattice Simpson,
+    one pair of lattices per y-line).  When neither alpha nor H depends on
+    y, every y shares a single line.
     """
     cache = {}
+    shared = alpha.y_free and H.y_free
 
     def line(y: float):
-        if y not in cache:
-            I = CumulativeIntegral(lambda x: 2.0 * alpha(x, y),
+        """The y-line's e^{-I} / sqrt(1 + alpha^2) and J, each memoized in
+        x: a and b and their x-differences revisit the same points."""
+        key = None if shared else y
+        if key not in cache:
+            al = memoized(lambda x: alpha(x, y))
+            I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base, panels_per_unit)
+            J = CumulativeIntegral(lambda x: H(x, y) * al(x) * math.exp(I(x)),
                                    x_base, panels_per_unit)
-            J = CumulativeIntegral(lambda x: H(x, y) * alpha(x, y) * math.exp(I(x)),
-                                   x_base, panels_per_unit)
-            cache[y] = (I, J)
-        return cache[y]
 
-    def common(x, y):
-        I, _ = line(y)
-        al = alpha(x, y)
-        val = math.exp(-I(x)) / math.sqrt(1.0 + al * al)
-        if not math.isfinite(val):
-            raise QuadratureFailure(f"non-finite integrand at ({x}, {y})")
-        return val
+            def common(x):
+                a = al(x)
+                val = math.exp(-I(x)) / math.sqrt(1.0 + a * a)
+                if not math.isfinite(val):
+                    raise QuadratureFailure(f"non-finite integrand at ({x}, {y})")
+                return val
+
+            cache[key] = (memoized(common), memoized(J))
+        return cache[key]
 
     def b_fn(x, y):
-        return math.exp(k(y)) * common(x, y)
+        common, _ = line(y)
+        return math.exp(k(y)) * common(x)
 
     def a_fn(x, y):
-        _, J = line(y)
-        return common(x, y) * (h(y) - J(x))
+        common, J = line(y)
+        return common(x) * (h(y) - J(x))
 
     return MetricRep(a=a_fn, b=b_fn, k=k, h=h)
 

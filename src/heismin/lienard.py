@@ -147,11 +147,6 @@ class General(AlphaSolution):
         return (-self.c1 - r, -self.c1 + r)
 
 
-def eval_alpha(s: AlphaSolution, x: float):
-    """Closed-form value and analytic first derivative at x."""
-    return s.alpha(x), s.alpha_x(x)
-
-
 def lienard_residual(f, x: float, H_const: float = 0.0,
                      fd_step: float = 1e-4) -> float:
     """Residual f'' + 6 f f' + 4 f^3 + H_const^2 f at x.

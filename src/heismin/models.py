@@ -15,7 +15,7 @@ import numpy as np
 from . import expr as expr_mod
 from . import lienard
 from .errors import MixedType, SingularPoint
-from .numerics import CumulativeIntegral, central_d1, invert_monotone
+from .numerics import CumulativeIntegral, central_d1, invert_monotone, memoized
 
 EPS_DEN = 1e-12
 
@@ -113,10 +113,6 @@ class AlphaModel:
 
 def eval_model(m: AlphaModel, x: float, y: float) -> float:
     return m.slice_at(y).alpha(x)
-
-
-def eval_model_dx(m: AlphaModel, x: float, y: float) -> float:
-    return m.slice_at(y).alpha_x(x)
 
 
 def _general_region(c1: float, c2: float, x: float) -> SurfaceType:
@@ -340,9 +336,8 @@ def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
     psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), y_lo, panels_per_unit)
     psi = YFunction(lambda y: y_lo + psi_int(y), lambda y: math.exp(-k(y)))
     change = CoordChange(gamma=gamma, psi=psi)
-
-    def pull_y(y_new):
-        return change.invert_y(y_new)
+    # zeta1 and zeta2 at the same y_new share one inversion of Psi
+    pull_y = memoized(change.invert_y)
 
     if m.kind is ModelKind.VERTICAL:
         nf = NormalForm(SurfaceType.VERTICAL, None, None, x_window, m.y_domain)

@@ -1,5 +1,6 @@
-"""Shared numerical utilities: cumulative Simpson antiderivatives and
-finite-difference derivatives."""
+"""Shared numerical utilities: cumulative Simpson antiderivatives on a
+lattice, memoization, finite-difference derivatives and monotone
+inversion."""
 from __future__ import annotations
 
 import math
@@ -9,55 +10,93 @@ import numpy as np
 from .errors import QuadratureFailure
 
 
-def simpson_panel(f, lo: float, hi: float) -> float:
+def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
+    """Simpson's rule on [lo, hi], given f_lo = f(lo)."""
     mid = 0.5 * (lo + hi)
-    return (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi))
+    return (hi - lo) / 6.0 * (f_lo + 4.0 * f(mid) + f(hi))
+
+
+def memoized(f):
+    """The one-argument callable f, evaluated once per distinct argument."""
+    memo = {}
+
+    def once(t):
+        v = memo.get(t)
+        if v is None:
+            v = memo[t] = f(t)
+        return v
+
+    return once
 
 
 class CumulativeIntegral:
-    """Antiderivative F(x) = int_{x_base}^{x} f, by composite Simpson.
+    """Antiderivative F(x) = int_{x_base}^{x} f, by composite Simpson on
+    the lattice x_base + n h, h = 1 / panels_per_unit.
 
-    Node values are cached on a regular lattice; an arbitrary x is handled
-    by one extra Simpson panel over the residual subinterval, so F stays
-    smooth to quadrature order and repeated calls are cheap.
+    The lattice grows on demand, in either direction, just far enough to
+    hold the node below each query.  Every new node and panel midpoint is
+    evaluated exactly once and the panel sums are accumulated by
+    np.cumsum.  A query on a node returns its cumulative sum; any other x
+    costs one residual Simpson panel from the node below, whose integrand
+    value is cached.
     """
 
     def __init__(self, f, x_base: float, panels_per_unit: int = 512):
         self.f = f
         self.x_base = float(x_base)
         self.h = 1.0 / float(panels_per_unit)
-        # cumulative sums indexed by signed node count from x_base
-        self._cum = {0: 0.0}
-        self._lo = 0
-        self._hi = 0
-        # memo of finished evaluations: nested antiderivatives hit the
-        # same lattice points over and over
-        self._memo = {}
+        # node i of side 0 sits at x_base + i h, of side 1 at x_base - i h;
+        # both hold F and f at their nodes, from node 0 = x_base on
+        self._F = ([], [])
+        self._fx = ([], [])
 
-    def _extend(self, n: int) -> None:
-        while self._hi < n:
-            a = self.x_base + self._hi * self.h
-            val = self._cum[self._hi] + simpson_panel(self.f, a, a + self.h)
-            self._hi += 1
-            self._cum[self._hi] = val
-        while self._lo > n:
-            a = self.x_base + self._lo * self.h
-            val = self._cum[self._lo] - simpson_panel(self.f, a - self.h, a)
-            self._lo -= 1
-            self._cum[self._lo] = val
+    def _grow(self, n: int) -> None:
+        """Extend the lattice to node n (signed)."""
+        if not self._F[0]:
+            f0 = float(self.f(self.x_base))
+            if not math.isfinite(f0):
+                raise QuadratureFailure(
+                    f"non-finite integrand at x = {self.x_base}")
+            for side in (0, 1):
+                self._F[side].append(0.0)
+                self._fx[side].append(f0)
+        side = 0 if n >= 0 else 1
+        F, fx = self._F[side], self._fx[side]
+        k, m = len(F) - 1, abs(n)
+        if m <= k:
+            return
+        step = self.h if side == 0 else -self.h
+        nodes = self.x_base + np.arange(k, m + 1) * step
+        pts = np.empty(2 * (m - k))
+        pts[0::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        pts[1::2] = nodes[1:]
+        # far end first: a lattice that the integrand queries in turn then
+        # grows once instead of once per point
+        f = self.f
+        vals = np.array([f(t) for t in reversed(pts.tolist())], dtype=float)[::-1]
+        f_mid, f_node = vals[0::2], vals[1::2]
+        f_near = np.concatenate(([fx[k]], f_node[:-1]))
+        panels = (self.h / 6.0) * (f_near + 4.0 * f_mid + f_node)
+        cum = np.cumsum(np.concatenate(([F[k]], panels if side == 0 else -panels)))
+        if not np.isfinite(cum).all():
+            raise QuadratureFailure(
+                f"non-finite antiderivative between x = {nodes[0]} and "
+                f"x = {nodes[-1]}")
+        F.extend(cum[1:].tolist())
+        fx.extend(f_node.tolist())
 
     def __call__(self, x: float) -> float:
-        hit = self._memo.get(x)
-        if hit is not None:
-            return hit
-        t = (x - self.x_base) / self.h
-        n = math.floor(t)
-        self._extend(n)
+        n = math.floor((x - self.x_base) / self.h)
+        side, i = (0, n) if n >= 0 else (1, -n)
+        F = self._F[side]
+        if i >= len(F):
+            self._grow(n)
         a = self.x_base + n * self.h
-        out = self._cum[n] + simpson_panel(self.f, a, x)
+        if x == a:
+            return F[i]
+        out = F[i] + simpson_panel(self.f, a, x, self._fx[side][i])
         if not math.isfinite(out):
             raise QuadratureFailure(f"non-finite antiderivative at x = {x}")
-        self._memo[x] = out
         return out
 
 
@@ -67,14 +106,6 @@ def central_d1(f, x: float, h: float) -> float:
 
 def central_d2(f, x: float, h: float) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def partial_x(f, x: float, y: float, h: float) -> float:
-    return (f(x + h, y) - f(x - h, y)) / (2.0 * h)
-
-
-def partial_y(f, x: float, y: float, h: float) -> float:
-    return (f(x, y + h) - f(x, y - h)) / (2.0 * h)
 
 
 def invert_monotone(g, target: float, lo: float, hi: float,

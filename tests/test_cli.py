@@ -96,6 +96,34 @@ def test_integrability_json(capsys):
     payload = json.loads(out)
     assert payload["max"]["r1"] <= 1e-6
     assert payload["tolerance"] == 1e-6
+    assert payload["passed"] is True
+
+
+def test_integrability_verdict_fails_over_tolerance(capsys):
+    # alpha = 1/x sampled at x = 0.001: the finite-difference alpha_xx
+    # there is far outside 1e-6
+    code, out = run_cli(["integrability", "--alpha", "special1", "--c1", "0",
+                         "--x-min", "0.001", "--x-max", "0.5",
+                         "--nx", "5", "--ny", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max"]["r3"] > 1e-6
+    assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve-lienard", "--alpha0", "0.2", "--v0", "0", "--step", "0"], "--step"),
+    (["phase-field", "--nx", "1"], "--nx"),
+    (["verify-graph", "--u", "x*y", "--nx", "0"], "--nx"),
+    (["construct", "--zeta1", "0", "--zeta2", "1", "--ntheta", "0"], "--ntheta"),
+    (["integrability", "--alpha", "vertical", "--ny", "0"], "--ny"),
+], ids=["solve-lienard", "phase-field", "verify-graph", "construct",
+        "integrability"])
+def test_bad_step_or_grid_size_is_usage_error(argv, flag, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and flag in err
 
 
 def test_construct_from_zeta(tmp_path, capsys):
