@@ -8,6 +8,7 @@ from .errors import (
     BlowUp,
     DegenerateBranch,
     DegenerateChart,
+    EvaluationError,
     ExprSyntaxError,
     HeisminError,
     MixedType,
@@ -64,7 +65,6 @@ from .integrability import (
 )
 from .construct import (
     GeneratingCurve,
-    RuledChart,
     SurfaceChart,
     bernstein_plane,
     bernstein_saddle,

@@ -1,18 +1,16 @@
 """Command-line front end: expression-driven model building, one
 subcommand per pipeline, and CSV / OBJ / JSON exporters.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 expression
-parse error.  The environment variable HEISMIN_THREADS caps the worker
-pool used for grid evaluation (default 1, serial).
+Exit codes: 0 success, 1 usage error (including a grid size or step out
+of range), 2 numeric failure (including an expression evaluated outside
+its domain or beyond the float range), 3 expression parse error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,6 +24,7 @@ EXIT_NUMERIC = 2
 EXIT_PARSE = 3
 
 INTEGRABILITY_TOL = 1e-6
+PMGE_TOL = 1e-8
 
 
 def _fmt(v: float) -> str:
@@ -62,24 +61,6 @@ def _count_at_least(lo: int):
                 f"must be an integer >= {lo}, got {text!r}")
         return v
     return count
-
-
-def _worker_count() -> int:
-    try:
-        n = int(os.environ.get("HEISMIN_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _grid_map(fn, items):
-    """Evaluate fn over items, fanning out to a thread pool when
-    HEISMIN_THREADS > 1; output order always matches input order."""
-    n = _worker_count()
-    if n <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_text(path, text):
@@ -119,10 +100,6 @@ def mesh_obj(chart, nu: int, nv: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _yfun(src: str, var: str = "y") -> YFunction:
-    return YFunction.from_expr(src, var=var)
-
-
 def _build_model(args) -> AlphaModel:
     y_domain = (args.y_min, args.y_max)
     kind = args.alpha
@@ -130,14 +107,14 @@ def _build_model(args) -> AlphaModel:
         return AlphaModel.vertical(y_domain)
     if args.c1 is None:
         raise _UsageError(f"--alpha {kind} requires --c1")
-    c1 = _yfun(args.c1)
+    c1 = YFunction.from_expr(args.c1)
     if kind == "special1":
         return AlphaModel.special_i(c1, y_domain)
     if kind == "special2":
         return AlphaModel.special_ii(c1, y_domain)
     if args.c2 is None:
         raise _UsageError("--alpha general requires --c2")
-    return AlphaModel.general(c1, _yfun(args.c2), y_domain)
+    return AlphaModel.general(c1, YFunction.from_expr(args.c2), y_domain)
 
 
 def _add_model_flags(p):
@@ -190,23 +167,18 @@ def cmd_classify(args):
 
 def cmd_metric(args):
     m = _build_model(args)
-    rep = models.metric_rep(m, _yfun(args.k), _yfun(args.h))
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
-    ys = np.linspace(args.y_min, args.y_max, args.ny)
-    pts = [(float(x), float(y)) for y in ys for x in xs]
-
-    def row(pt):
-        x, y = pt
-        return (x, y, models.eval_model(m, x, y), rep.a(x, y), rep.b(x, y))
-
-    _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"],
-                               _grid_map(row, pts)))
+    rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
+    xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()
+    ys = np.linspace(args.y_min, args.y_max, args.ny).tolist()
+    rows = [(x, y, models.eval_model(m, x, y), rep.a(x, y), rep.b(x, y))
+            for y in ys for x in xs]
+    _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], rows))
     return EXIT_OK
 
 
 def cmd_normalize(args):
     m = _build_model(args)
-    rep = models.metric_rep(m, _yfun(args.k), _yfun(args.h))
+    rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
     window = tuple(args.x_window) if args.x_window else None
     nf, change = models.normalize(m, rep, x_window=window)
     ys = np.linspace(args.y_min, args.y_max, args.samples)
@@ -225,7 +197,7 @@ def cmd_normalize(args):
 
 def cmd_integrability(args):
     H = integrability.Field2D.constant(args.hconst)
-    k, h = _yfun(args.k), _yfun(args.h)
+    k, h = YFunction.from_expr(args.k), YFunction.from_expr(args.h)
     if args.alpha0 is not None:
         # no closed form for constant H != 0: integrate the profile ODE
         curve = lienard.OdeSolutionCurve(args.alpha0, args.v0,
@@ -259,8 +231,8 @@ def cmd_construct(args):
         curve = construct.GeneratingCurve.from_exprs(
             args.curve_x, args.curve_y, args.curve_z, interval=interval)
     elif args.zeta1 is not None and args.zeta2 is not None:
-        curve = construct.curve_from_zeta(_yfun(args.zeta1, "theta"),
-                                          _yfun(args.zeta2, "theta"),
+        curve = construct.curve_from_zeta(YFunction.from_expr(args.zeta1, "theta"),
+                                          YFunction.from_expr(args.zeta2, "theta"),
                                           interval)
     else:
         raise _UsageError("give either --curve-x/y/z or --zeta1 and --zeta2")
@@ -302,15 +274,15 @@ def cmd_examples(args):
 def cmd_verify_graph(args):
     window = ((args.x_min, args.x_max), (args.y_min, args.y_max))
     g = verify.GraphSurface.from_expr(args.u, window)
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
-    ys = np.linspace(args.y_min, args.y_max, args.ny)
-    residuals = _grid_map(
-        lambda pt: abs(verify.pmge_residual(g, pt[0], pt[1])),
-        [(float(x), float(y)) for y in ys for x in xs])
+    xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()
+    ys = np.linspace(args.y_min, args.y_max, args.ny).tolist()
+    residuals = [abs(verify.pmge_residual(g, x, y)) for y in ys for x in xs]
     report = verify.singular_set(g)
+    max_residual = float(max(residuals))
     _emit_json({
-        "max_pmge_residual": float(max(residuals)),
-        "pmge_tolerance": 1e-8,
+        "max_pmge_residual": max_residual,
+        "pmge_tolerance": PMGE_TOL,
+        "passed": max_residual <= PMGE_TOL,
         "singular": report.to_json_dict(),
     })
     return EXIT_OK
@@ -367,8 +339,8 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--h", default="0")
     s.add_argument("--x-min", type=float, default=0.5)
     s.add_argument("--x-max", type=float, default=2.5)
-    s.add_argument("--nx", type=int, default=21)
-    s.add_argument("--ny", type=int, default=11)
+    s.add_argument("--nx", type=_count_at_least(1), default=21)
+    s.add_argument("--ny", type=_count_at_least(1), default=11)
     s.add_argument("--out")
     s.set_defaults(func=cmd_metric)
 
@@ -377,7 +349,7 @@ def build_parser() -> _ArgumentParser:
     _add_window_flag(s)
     s.add_argument("--k", default="0")
     s.add_argument("--h", default="0")
-    s.add_argument("--samples", type=int, default=9)
+    s.add_argument("--samples", type=_count_at_least(1), default=9)
     s.set_defaults(func=cmd_normalize)
 
     s = sub.add_parser("integrability", help="integrability residual stats")
@@ -412,8 +384,8 @@ def build_parser() -> _ArgumentParser:
 
     s = sub.add_parser("examples", help="built-in example surfaces")
     s.add_argument("name", choices=["plane", "saddle", "helicoid", "conicoid"])
-    s.add_argument("--nu", type=int, default=24)
-    s.add_argument("--nv", type=int, default=24)
+    s.add_argument("--nu", type=_count_at_least(1), default=24)
+    s.add_argument("--nv", type=_count_at_least(1), default=24)
     s.add_argument("--obj")
     s.set_defaults(func=cmd_examples)
 

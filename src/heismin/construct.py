@@ -18,12 +18,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadRotation, DegenerateChart, SingularPoint
+from .errors import BadRotation, DegenerateChart, EvaluationError, SingularPoint
 from .heis import HPoint
 from .models import YFunction
-from .numerics import CumulativeIntegral, central_d1, central_d2, memoized
-
-EPS_DEN = 1e-12
+from .numerics import (EPS_DEN, FD_STEP, CumulativeIntegral, central_d1,
+                       central_d2, memoized)
+from .verify import GraphSurface
 
 
 class GeneratingCurve:
@@ -31,28 +31,29 @@ class GeneratingCurve:
 
     Missing derivatives fall back to central differences.  The point, C'
     and C'' are each evaluated once per t and memoized, and every
-    invariant below is derived from those values.
+    invariant below is derived from those values.  A domain or overflow
+    error of a component raises EvaluationError naming t.
     """
 
-    def __init__(self, fns, d1=None, d2=None, interval=(0.0, 2.0 * math.pi),
-                 fd_step: float = 1e-6):
-        self.fns = fns
+    def __init__(self, fns, d1=None, d2=None, interval=(0.0, 2.0 * math.pi)):
         self.interval = interval
-        h = fd_step
         if d2 is None:
             if d1 is not None:
-                d2 = [lambda t, f=f: central_d1(f, t, h) for f in d1]
+                d2 = [lambda t, f=f: central_d1(f, t, FD_STEP) for f in d1]
             else:
-                d2 = [lambda t, f=f: central_d2(f, t, h) for f in fns]
+                d2 = [lambda t, f=f: central_d2(f, t, FD_STEP) for f in fns]
         if d1 is None:
-            d1 = [lambda t, f=f: central_d1(f, t, h) for f in fns]
+            d1 = [lambda t, f=f: central_d1(f, t, FD_STEP) for f in fns]
         self._jets = tuple(
             memoized(lambda t, fs=fs: tuple([float(f(t)) for f in fs]))
             for fs in (fns, d1, d2))
 
     def _jet(self, order: int, t: float):
         """(x, y, z) differentiated `order` times, at t."""
-        return self._jets[order](t)
+        try:
+            return self._jets[order](t)
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"theta = {t}", exc) from exc
 
     def point(self, t: float) -> HPoint:
         return HPoint(*self._jet(0, t))
@@ -115,13 +116,8 @@ class SurfaceChart:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass
-class RuledChart(SurfaceChart):
-    curve: Optional[GeneratingCurve] = None
-
-
 def ruled_surface(c: GeneratingCurve,
-                  r_range=(-2.0, 2.0)) -> RuledChart:
+                  r_range=(-2.0, 2.0)) -> SurfaceChart:
     """The ruled chart Y(r, t) over the generating curve; Y_r is the unit
     horizontal vector cos t e1* + sin t e2*."""
 
@@ -146,9 +142,9 @@ def ruled_surface(c: GeneratingCurve,
             zp + r * (yp * ct - p.y * st - xp * st - p.x * ct),
         ])
 
-    return RuledChart(point=pt, du=d_r, dv=d_t,
-                      domain=(r_range, c.interval),
-                      e1_index=0, name="ruled", curve=c)
+    return SurfaceChart(point=pt, du=d_r, dv=d_t,
+                        domain=(r_range, c.interval),
+                        e1_index=0, name="ruled")
 
 
 def curve_invariants(c: GeneratingCurve, r: float, t: float):
@@ -277,38 +273,18 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     )
 
 
-def _graph_chart(u, u_x, u_y, domain, name, graph_u=None,
-                 extras=None) -> SurfaceChart:
-    def pt(x, y):
-        return HPoint(x, y, u(x, y))
-
-    def dx_(x, y):
-        return np.array([1.0, 0.0, u_x(x, y)])
-
-    def dy_(x, y):
-        return np.array([0.0, 1.0, u_y(x, y)])
-
-    return SurfaceChart(point=pt, du=dx_, dv=dy_, domain=domain,
-                        name=name, graph_u=graph_u, extras=extras or {})
-
-
 def bernstein_plane(A: float, B: float, C: float,
                     domain=((-3.0, 3.0), (-3.0, 3.0))) -> SurfaceChart:
     """The entire graph u = Ax + By + C; its unique singular point is
     (x, y) = (-B, A), and the left translation by (B, -A, -C) maps the
     graph onto u = 0."""
-    from .verify import GraphSurface
-
-    g = GraphSurface.from_callables(
+    g = GraphSurface(
         u=lambda x, y: A * x + B * y + C,
         u_x=lambda x, y: A, u_y=lambda x, y: B,
         u_xx=lambda x, y: 0.0, u_xy=lambda x, y: 0.0, u_yy=lambda x, y: 0.0,
         window=domain,
     )
-    chart = _graph_chart(g.u, g.u_x, g.u_y, domain, "plane", graph_u=g,
-                         extras={"singular_point": (-B, A),
-                                 "coeffs": (A, B, C)})
-    return chart
+    return g.chart("plane", {"singular_point": (-B, A), "coeffs": (A, B, C)})
 
 
 def bernstein_saddle(A: float, B: float, g: YFunction,
@@ -318,7 +294,6 @@ def bernstein_saddle(A: float, B: float, g: YFunction,
     with A^2 + B^2 = 1; the (A, B) rotation maps it onto u = XY + g(Y)."""
     if abs(A * A + B * B - 1.0) > tol:
         raise BadRotation(f"A^2 + B^2 = {A * A + B * B} != 1")
-    from .verify import GraphSurface
 
     def u(x, y):
         w = -B * x + A * y
@@ -330,21 +305,17 @@ def bernstein_saddle(A: float, B: float, g: YFunction,
     def u_y(x, y):
         return (A * A - B * B) * x + 2.0 * A * B * y + A * g.d(-B * x + A * y)
 
-    fd = 1e-6
-
     def u_xx(x, y):
-        return -2.0 * A * B + B * B * central_d1(g.d, -B * x + A * y, fd)
+        return -2.0 * A * B + B * B * central_d1(g.d, -B * x + A * y, FD_STEP)
 
     def u_xy(x, y):
-        return (A * A - B * B) - A * B * central_d1(g.d, -B * x + A * y, fd)
+        return (A * A - B * B) - A * B * central_d1(g.d, -B * x + A * y, FD_STEP)
 
     def u_yy(x, y):
-        return 2.0 * A * B + A * A * central_d1(g.d, -B * x + A * y, fd)
+        return 2.0 * A * B + A * A * central_d1(g.d, -B * x + A * y, FD_STEP)
 
-    gs = GraphSurface.from_callables(u, u_x, u_y, u_xx, u_xy, u_yy,
-                                     window=domain)
-    return _graph_chart(u, u_x, u_y, domain, "saddle", graph_u=gs,
-                        extras={"rotation": (A, B), "g": g})
+    gs = GraphSurface(u, u_x, u_y, u_xx, u_xy, u_yy, window=domain)
+    return gs.chart("saddle", {"rotation": (A, B), "g": g})
 
 
 def helicoid_chart(theta_of_t: YFunction,

@@ -47,6 +47,14 @@ class NewtonDivergence(HeisminError):
     """Newton refinement failed to converge from the given seed."""
 
 
+class EvaluationError(HeisminError):
+    """A function evaluated outside its domain or beyond the float range;
+    the message names the point, such as "y = 0.5"."""
+
+    def __init__(self, point, cause):
+        super().__init__(f"cannot evaluate at {point}: {cause}")
+
+
 class ExprSyntaxError(HeisminError):
     """Malformed expression source.
 

@@ -128,7 +128,9 @@ class BinOp(Node):
         if self.op == "/":
             return a / b
         if self.op == "^":
-            return a**b
+            # a negative base with a non-integer exponent raises ValueError
+            # here, where a**b would return a complex number
+            return math.pow(a, b)
         raise AssertionError(self.op)
 
     def deriv(self, var=None):

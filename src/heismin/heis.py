@@ -34,10 +34,6 @@ class HPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @staticmethod
-    def from_array(v) -> "HPoint":
-        return HPoint(float(v[0]), float(v[1]), float(v[2]))
-
 
 @dataclass(frozen=True)
 class FrameVector:
@@ -55,9 +51,6 @@ class FrameVector:
     @property
     def norm(self) -> float:
         return math.sqrt(self.c1**2 + self.c2**2 + self.cT**2)
-
-    def is_horizontal(self, tol: float = 0.0) -> bool:
-        return abs(self.cT) <= tol
 
     def to_coord(self) -> np.ndarray:
         """Coordinate components of the same tangent vector."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 from .models import MetricRep, YFunction
-from .numerics import CumulativeIntegral, central_d1, memoized
+from .numerics import CumulativeIntegral, central_d1, central_d2, memoized, partial
 
 
 @dataclass
@@ -32,7 +32,6 @@ class Field2D:
     f: Callable[[float, float], float]
     dx: Optional[Callable[[float, float], float]] = None
     dy: Optional[Callable[[float, float], float]] = None
-    domain: Optional[tuple] = None  # ((x_lo, x_hi), (y_lo, y_hi))
     y_free: bool = False
 
     def __call__(self, x: float, y: float) -> float:
@@ -52,12 +51,12 @@ class Field2D:
         )
 
     @staticmethod
-    def from_x_profile(alpha_of_x, alpha_x_of_x=None) -> "Field2D":
+    def from_x_profile(alpha_of_x, alpha_x_of_x) -> "Field2D":
         """A y-independent field from an x-profile (e.g. an RK4 solution
         curve for the constant-H case with no closed form)."""
         return Field2D(
             f=lambda x, y: alpha_of_x(x),
-            dx=(lambda x, y: alpha_x_of_x(x)) if alpha_x_of_x else None,
+            dx=lambda x, y: alpha_x_of_x(x),
             dy=lambda x, y: 0.0,
             y_free=True,
         )
@@ -110,24 +109,12 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
     return MetricRep(a=a_fn, b=b_fn, k=k, h=h)
 
 
-def _d_x(field: Field2D, x, y, h):
-    if field.dx is not None:
-        return field.dx(x, y)
-    return central_d1(lambda s: field(s, y), x, h)
-
-
-def _d_y(field: Field2D, x, y, h):
-    if field.dy is not None:
-        return field.dy(x, y)
-    return central_d1(lambda s: field(x, s), y, h)
-
-
 def _dd_x(field: Field2D, x, y, h):
     # second x-derivative: differentiate the best available first
     # derivative, which keeps the FD noise floor at first-derivative level
     if field.dx is not None:
         return central_d1(lambda s: field.dx(s, y), x, h)
-    return (field(x + h, y) - 2.0 * field(x, y) + field(x - h, y)) / (h * h)
+    return central_d2(lambda s: field(s, y), x, h)
 
 
 def expand_grid(grid):
@@ -141,7 +128,8 @@ def expand_grid(grid):
     return [(float(p[0]), float(p[1])) for p in grid]
 
 
-def default_fd_step(points) -> float:
+def grid_step(points) -> float:
+    """The residual checkers' finite-difference step, from the x-extent."""
     xs = [p[0] for p in points]
     extent = max(xs) - min(xs) if len(xs) > 1 else 1.0
     return 1e-5 * max(1.0, extent)
@@ -157,30 +145,24 @@ class ResidualStats:
 
 
 def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
-                           grid, fd_step: Optional[float] = None) -> ResidualStats:
+                           grid) -> ResidualStats:
     """Max and mean absolute residuals of the three integrability
     equations over the grid.  The grid must stay a couple of
     finite-difference steps away from singular loci."""
     pts = expand_grid(grid)
-    h = fd_step if fd_step is not None else default_fd_step(pts)
+    h = grid_step(pts)
     r = {1: [], 2: [], 3: []}
     for x, y in pts:
         al = alpha(x, y)
-        al_x = _d_x(alpha, x, y, h)
+        al_x = partial(alpha, alpha.dx, x, y, h)
         al_xx = _dd_x(alpha, x, y, h)
         Hv = H(x, y)
         a = rep.a(x, y)
         b = rep.b(x, y)
-        if rep.a_x is not None:
-            a_x = rep.a_x(x, y)
-        else:
-            a_x = central_d1(lambda s: rep.a(s, y), x, h)
-        if rep.b_x is not None:
-            b_x = rep.b_x(x, y)
-        else:
-            b_x = central_d1(lambda s: rep.b(s, y), x, h)
-        H_x = _d_x(H, x, y, h)
-        H_y = _d_y(H, x, y, h)
+        a_x = partial(rep.a, rep.a_x, x, y, h)
+        b_x = partial(rep.b, rep.b_x, x, y, h)
+        H_x = partial(H, H.dx, x, y, h)
+        H_y = partial(H, H.dy, x, y, h, axis=1)
         root = math.sqrt(1.0 + al * al)
         r[1].append(-a_x + a * b_x / b - Hv * al / root)
         r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
@@ -192,16 +174,15 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     )
 
 
-def codazzi_residual_2d(alpha: Field2D, c: float, grid,
-                        fd_step: Optional[float] = None) -> ResidualStats:
+def codazzi_residual_2d(alpha: Field2D, c: float, grid) -> ResidualStats:
     """Per-point residual of alpha_xx + 6 alpha alpha_x + 4 alpha^3
     + c^2 alpha over the grid (y enters only as a parameter)."""
     pts = expand_grid(grid)
-    h = fd_step if fd_step is not None else default_fd_step(pts)
+    h = grid_step(pts)
     vals = []
     for x, y in pts:
         al = alpha(x, y)
-        al_x = _d_x(alpha, x, y, h)
+        al_x = partial(alpha, alpha.dx, x, y, h)
         al_xx = _dd_x(alpha, x, y, h)
         vals.append(al_xx + 6.0 * al * al_x + 4.0 * al**3 + c * c * al)
     return ResidualStats(

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import BlowUp, DegenerateBranch, SingularPoint
-from .numerics import central_d1, central_d2
+from .numerics import EPS_DEN, FD_STEP_D2, central_d1, central_d2
 
-EPS_DEN = 1e-12   # singular-denominator guard
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
+PROFILE_STEP = 1e-4   # RK4 lattice spacing of an OdeSolutionCurve
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ class General(AlphaSolution):
         return (-self.c1 - r, -self.c1 + r)
 
 
-def lienard_residual(f, x: float, H_const: float = 0.0,
-                     fd_step: float = 1e-4) -> float:
+def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
     """Residual f'' + 6 f f' + 4 f^3 + H_const^2 f at x.
 
     Derivatives are analytic when f is an AlphaSolution, otherwise
@@ -158,8 +157,8 @@ def lienard_residual(f, x: float, H_const: float = 0.0,
         a, da, dda = f.alpha(x), f.alpha_x(x), f.alpha_xx(x)
     else:
         a = f(x)
-        da = central_d1(f, x, fd_step)
-        dda = central_d2(f, x, fd_step)
+        da = central_d1(f, x, FD_STEP_D2)
+        dda = central_d2(f, x, FD_STEP_D2)
     return dda + 6.0 * a * da + 4.0 * a**3 + H_const**2 * a
 
 
@@ -178,6 +177,23 @@ def _rk4_step(alpha: float, v: float, h: float, H_const: float):
     )
 
 
+def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
+           H_const: float, guard: float = BLOWUP_GUARD):
+    """(h, states): the RK4 states (alpha, v) at x0 + i h, i = 0..n, where
+    h is the nearest step to `step` that divides [x0, x1]; raises BlowUp at
+    the first non-finite state or state beyond the guard."""
+    n = max(1, round(abs(x1 - x0) / step))
+    h = (x1 - x0) / n
+    states = [(alpha0, v0)]
+    a, v = alpha0, v0
+    for i in range(n):
+        a, v = _rk4_step(a, v, h, H_const)
+        if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
+            raise BlowUp(x0 + (i + 1) * h)
+        states.append((a, v))
+    return h, states
+
+
 def integrate_ivp(alpha0: float, v0: float, x0: float, x1: float,
                   step: float, H_const: float = 0.0,
                   guard: float = BLOWUP_GUARD):
@@ -189,17 +205,9 @@ def integrate_ivp(alpha0: float, v0: float, x0: float, x1: float,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    n = max(1, round(abs(x1 - x0) / step))
-    h = (x1 - x0) / n
-    out = [(x0, PhaseState(alpha0, v0))]
-    a, v = alpha0, v0
-    for i in range(n):
-        a, v = _rk4_step(a, v, h, H_const)
-        x = x0 + (i + 1) * h
-        if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
-            raise BlowUp(x)
-        out.append((x, PhaseState(a, v)))
-    return out
+    h, states = _sweep(alpha0, v0, x0, x1, step, H_const, guard)
+    return [(x0 + i * h if i else x0, PhaseState(a, v))
+            for i, (a, v) in enumerate(states)]
 
 
 class OdeSolutionCurve:
@@ -213,19 +221,10 @@ class OdeSolutionCurve:
     where no closed form exists.
     """
 
-    def __init__(self, alpha0, v0, x0, x1, H_const=0.0, substep=1e-4):
+    def __init__(self, alpha0, v0, x0, x1, H_const=0.0):
         self.x0, self.x1 = float(x0), float(x1)
         self.H_const = float(H_const)
-        n = max(1, round(abs(x1 - x0) / substep))
-        self.h = (x1 - x0) / n
-        states = [(alpha0, v0)]
-        a, v = alpha0, v0
-        for _ in range(n):
-            a, v = _rk4_step(a, v, self.h, H_const)
-            if abs(a) > BLOWUP_GUARD or abs(v) > BLOWUP_GUARD:
-                raise BlowUp(x0 + len(states) * self.h)
-            states.append((a, v))
-        self._states = states
+        self.h, self._states = _sweep(alpha0, v0, x0, x1, PROFILE_STEP, H_const)
 
     def state(self, x: float):
         t = (x - self.x0) / self.h

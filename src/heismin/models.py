@@ -14,29 +14,36 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import lienard
-from .errors import MixedType, SingularPoint
-from .numerics import CumulativeIntegral, central_d1, invert_monotone, memoized
-
-EPS_DEN = 1e-12
+from .errors import EvaluationError, MixedType, SingularPoint
+from .numerics import EPS_DEN, CumulativeIntegral, invert_monotone, memoized, partial
 
 
 class YFunction:
-    """A real function of one variable with a first derivative.
+    """A real function of one variable with its first derivative.
 
     Built from closures, a parsed expression, or a constant; evaluation
-    must be re-entrant (no internal mutable state beyond caches)."""
+    must be re-entrant (no internal mutable state beyond caches).  A
+    domain or overflow error of either raises EvaluationError naming the
+    point; var is the variable's name in that message."""
+
+    var = "y"
 
     def __init__(self, f: Callable[[float], float],
-                 df: Optional[Callable[[float], float]] = None,
-                 fd_step: float = 1e-6):
+                 df: Callable[[float], float]):
         self.f = f
-        self.df = df if df is not None else (lambda y: central_d1(f, y, fd_step))
+        self.df = df
 
     def __call__(self, y: float) -> float:
-        return float(self.f(y))
+        try:
+            return float(self.f(y))
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"{self.var} = {y}", exc) from exc
 
     def d(self, y: float) -> float:
-        return float(self.df(y))
+        try:
+            return float(self.df(y))
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"{self.var} = {y}", exc) from exc
 
     @staticmethod
     def constant(c: float) -> "YFunction":
@@ -46,7 +53,9 @@ class YFunction:
     def from_expr(src: str, var: str = "y") -> "YFunction":
         ast = expr_mod.parse_expr(src, var=var)
         dast = ast.deriv()
-        return YFunction(ast.eval, dast.eval)
+        fn = YFunction(ast.eval, dast.eval)
+        fn.var = var
+        return fn
 
 
 class SurfaceType(enum.Enum):
@@ -103,7 +112,10 @@ class AlphaModel:
             return lienard.SpecialI(self.c1(y))
         if self.kind is ModelKind.SPECIAL_II:
             return lienard.SpecialII(self.c1(y))
-        return lienard.General(self.c1(y), self.c2(y))
+        try:
+            return lienard.General(self.c1(y), self.c2(y))
+        except ValueError as exc:
+            raise SingularPoint(f"c2 vanishes at y = {y}: {exc}") from exc
 
     def y_samples(self, n: int = 33):
         c, d = self.y_domain
@@ -133,7 +145,7 @@ def classify(m: AlphaModel, x_window=None, n_samples: int = 33) -> SurfaceType:
     sign of c2 decides type I versus II/III, and the position of the
     window relative to the singular curves decides between II and III.
     Raises MixedType when the window straddles the singular curves or c2
-    changes sign over the y-domain.
+    vanishes or changes sign over the y-domain.
     """
     if m.kind is ModelKind.VERTICAL:
         return SurfaceType.VERTICAL
@@ -146,6 +158,8 @@ def classify(m: AlphaModel, x_window=None, n_samples: int = 33) -> SurfaceType:
     c2s = np.array([m.c2(y) for y in ys])
     if np.any(c2s > 0) and np.any(c2s < 0):
         raise MixedType("c2(y) changes sign on the domain")
+    if np.any(c2s == 0):
+        raise MixedType("c2(y) vanishes on the domain")
     if np.all(c2s > 0):
         return SurfaceType.TYPE_I
     if x_window is None:
@@ -179,13 +193,10 @@ class MetricRep:
 
     a: Callable[[float, float], float]
     b: Callable[[float, float], float]
-    orientation: int = 1
     a_x: Optional[Callable[[float, float], float]] = None
     b_x: Optional[Callable[[float, float], float]] = None
     k: Optional[YFunction] = None
     h: Optional[YFunction] = None
-    model: Optional[AlphaModel] = None
-    flipped: bool = False
 
 
 def _family_prefactor(m: AlphaModel, x: float, y: float) -> float:
@@ -219,7 +230,7 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
             b=lambda x, y: math.exp(k(y)),
             a_x=lambda x, y: 0.0,
             b_x=lambda x, y: 0.0,
-            k=k, h=h, model=m,
+            k=k, h=h,
         )
 
     def a_fn(x, y):
@@ -238,7 +249,7 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
         b=b_fn,
         a_x=lambda x, y: a_fn(x, y) * log_deriv(x, y),
         b_x=lambda x, y: b_fn(x, y) * log_deriv(x, y),
-        k=k, h=h, model=m,
+        k=k, h=h,
     )
 
 
@@ -255,22 +266,12 @@ class CoordChange:
             return self.psi_inv(y_new)
         return invert_monotone(self.psi, y_new, y_new - 1.0, y_new + 1.0)
 
-    @staticmethod
-    def identity() -> "CoordChange":
-        return CoordChange(
-            gamma=YFunction.constant(0.0),
-            psi=YFunction(lambda y: y, lambda y: 1.0),
-            psi_inv=lambda y: y,
-        )
-
 
 @dataclass
 class NormalForm:
     surface_type: SurfaceType
     zeta1: Optional[YFunction]
     zeta2: Optional[YFunction]
-    x_window: Optional[tuple] = None
-    y_domain: Optional[tuple] = None
 
 
 def apply_coord_change(rep: MetricRep, change: CoordChange) -> MetricRep:
@@ -290,7 +291,7 @@ def apply_coord_change(rep: MetricRep, change: CoordChange) -> MetricRep:
         x, y = pull(x_new, y_new)
         return rep.b(x, y) * change.psi.d(y)
 
-    return MetricRep(a=a_new, b=b_new, model=rep.model)
+    return MetricRep(a=a_new, b=b_new)
 
 
 def inverse_coord_change(change: CoordChange) -> CoordChange:
@@ -340,34 +341,25 @@ def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
     pull_y = memoized(change.invert_y)
 
     if m.kind is ModelKind.VERTICAL:
-        nf = NormalForm(SurfaceType.VERTICAL, None, None, x_window, m.y_domain)
+        nf = NormalForm(SurfaceType.VERTICAL, None, None)
         return nf, change
 
-    if m.kind is ModelKind.SPECIAL_II:
-        def z1(y_new):
-            y = pull_y(y_new)
-            return m.c1(y) - 2.0 * gamma(y)
-
-        def dz1(y_new):
-            y = pull_y(y_new)
-            return (m.c1.d(y) - 2.0 * gamma.d(y)) / psi.d(y)
-
-        nf = NormalForm(SurfaceType.SPECIAL_II, YFunction(z1, dz1), None,
-                        x_window, m.y_domain)
-        return nf, change
+    # the special II family is 1/(2x + c1), so x -> x + Gamma moves c1 by 2 Gamma
+    s = 2.0 if m.kind is ModelKind.SPECIAL_II else 1.0
 
     def z1(y_new):
         y = pull_y(y_new)
-        return m.c1(y) - gamma(y)
+        return m.c1(y) - s * gamma(y)
 
     def dz1(y_new):
         y = pull_y(y_new)
-        return (m.c1.d(y) - gamma.d(y)) / psi.d(y)
+        return (m.c1.d(y) - s * gamma.d(y)) / psi.d(y)
 
     zeta1 = YFunction(z1, dz1)
 
-    if m.kind is ModelKind.SPECIAL_I:
-        nf = NormalForm(SurfaceType.SPECIAL_I, zeta1, None, x_window, m.y_domain)
+    if m.kind is not ModelKind.GENERAL:
+        stype = SurfaceType(m.kind.value)   # SpecialI or SpecialII
+        nf = NormalForm(stype, zeta1, None)
         return nf, change
 
     def z2(y_new):
@@ -379,7 +371,7 @@ def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
 
     zeta2 = YFunction(z2, dz2)
     stype = classify(m, x_window)
-    nf = NormalForm(stype, zeta1, zeta2, x_window, m.y_domain)
+    nf = NormalForm(stype, zeta1, zeta2)
     return nf, change
 
 
@@ -398,8 +390,7 @@ def first_fundamental_form(nf: NormalForm, x: float, y: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, g22]])
 
 
-def connection_form(rep: MetricRep, x: float, y: float,
-                    fd_step: float = 1e-6):
+def connection_form(rep: MetricRep, x: float, y: float):
     """Coefficients (w1, w2) of the connection form w2^1 in dx, dy:
 
         w1 = (b a_x - a b_x)/b
@@ -412,14 +403,8 @@ def connection_form(rep: MetricRep, x: float, y: float,
     b = rep.b(x, y)
     if b <= 0.0:
         raise SingularPoint("connection form requires b > 0")
-    if rep.a_x is not None:
-        ax = rep.a_x(x, y)
-    else:
-        ax = central_d1(lambda s: rep.a(s, y), x, fd_step)
-    if rep.b_x is not None:
-        bx = rep.b_x(x, y)
-    else:
-        bx = central_d1(lambda s: rep.b(s, y), x, fd_step)
+    ax = partial(rep.a, rep.a_x, x, y)
+    bx = partial(rep.b, rep.b_x, x, y)
     w1 = (b * ax - a * bx) / b
     w2 = bx / b**2 - a * ax / b + a * a * bx / b**2
     return w1, w2
@@ -433,31 +418,24 @@ class MaximalDomain:
     surface_type: SurfaceType
     pieces: dict
     boundaries: list = field(default_factory=list)
-    y_domain: Optional[tuple] = None
 
 
 def maximal_domain(zeta1: Optional[YFunction],
                    zeta2: Optional[YFunction],
-                   surface_type: SurfaceType,
-                   y_domain=(0.0, 1.0)) -> MaximalDomain:
+                   surface_type: SurfaceType) -> MaximalDomain:
     """The maximal domains per type: half-planes bounded by x = -zeta1(y)
     (special I) or 2x = -zeta1(y) (special II); the whole strip for type I;
     the outer/inner regions of the two singular curves for types II/III."""
     if surface_type is SurfaceType.VERTICAL or surface_type is SurfaceType.TYPE_I:
         return MaximalDomain(surface_type, {"all": lambda x, y: True},
-                             [], y_domain)
-    if surface_type is SurfaceType.SPECIAL_I:
+                             [])
+    if surface_type in (SurfaceType.SPECIAL_I, SurfaceType.SPECIAL_II):
+        s = 2.0 if surface_type is SurfaceType.SPECIAL_II else 1.0
         return MaximalDomain(
             surface_type,
-            {"plus": lambda x, y: x + zeta1(y) > 0,
-             "minus": lambda x, y: x + zeta1(y) < 0},
-            [lambda y: -zeta1(y)], y_domain)
-    if surface_type is SurfaceType.SPECIAL_II:
-        return MaximalDomain(
-            surface_type,
-            {"plus": lambda x, y: 2.0 * x + zeta1(y) > 0,
-             "minus": lambda x, y: 2.0 * x + zeta1(y) < 0},
-            [lambda y: -zeta1(y) / 2.0], y_domain)
+            {"plus": lambda x, y: s * x + zeta1(y) > 0,
+             "minus": lambda x, y: s * x + zeta1(y) < 0},
+            [lambda y: -zeta1(y) / s])
 
     def left(y):
         return -zeta1(y) - math.sqrt(-zeta2(y))
@@ -470,8 +448,8 @@ def maximal_domain(zeta1: Optional[YFunction],
             surface_type,
             {"minus": lambda x, y: x < left(y),
              "plus": lambda x, y: x > right(y)},
-            [left, right], y_domain)
+            [left, right])
     return MaximalDomain(
         SurfaceType.TYPE_III,
         {"between": lambda x, y: left(y) < x < right(y)},
-        [left, right], y_domain)
+        [left, right])

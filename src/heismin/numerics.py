@@ -1,6 +1,8 @@
 """Shared numerical utilities: cumulative Simpson antiderivatives on a
 lattice, memoization, finite-difference derivatives and monotone
-inversion."""
+inversion.  Its central differences and step constants are the only
+finite-difference fallback; callers use analytic derivatives when they
+have them."""
 from __future__ import annotations
 
 import math
@@ -8,6 +10,10 @@ import math
 import numpy as np
 
 from .errors import QuadratureFailure
+
+EPS_DEN = 1e-12      # singular-denominator guard
+FD_STEP = 1e-6       # central first differences
+FD_STEP_D2 = 1e-4    # second differences (lienard_residual): error ~ eps / h^2
 
 
 def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
@@ -106,6 +112,17 @@ def central_d1(f, x: float, h: float) -> float:
 
 def central_d2(f, x: float, h: float) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def partial(f, analytic, x: float, y: float, h: float = FD_STEP,
+            axis: int = 0) -> float:
+    """The partial of f(x, y) in x (axis 0) or y (axis 1) at (x, y): the
+    analytic partial when one is given, else a central difference."""
+    if analytic is not None:
+        return analytic(x, y)
+    if axis == 0:
+        return central_d1(lambda s: f(s, y), x, h)
+    return central_d1(lambda s: f(x, s), y, h)
 
 
 def invert_monotone(g, target: float, lo: float, hi: float,

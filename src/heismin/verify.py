@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as expr_mod
-from .errors import NewtonDivergence, PreconditionFailed, SingularPoint
+from .errors import EvaluationError, NewtonDivergence, PreconditionFailed, SingularPoint
 from .heis import HPoint, contact_value
 from .numerics import central_d1, richardson_limit
 
@@ -35,34 +35,21 @@ class GraphSurface:
     window: tuple = ((-3.0, 3.0), (-3.0, 3.0))
 
     @staticmethod
-    def from_callables(u, u_x=None, u_y=None, u_xx=None, u_xy=None,
-                       u_yy=None, window=((-3.0, 3.0), (-3.0, 3.0)),
-                       fd_step: float = 1e-5) -> "GraphSurface":
-        h = fd_step
-        if u_x is None:
-            u_x = lambda x, y: (u(x + h, y) - u(x - h, y)) / (2 * h)
-        if u_y is None:
-            u_y = lambda x, y: (u(x, y + h) - u(x, y - h)) / (2 * h)
-        # second partials differentiate the first partials, keeping the
-        # finite-difference noise at first-derivative level
-        if u_xx is None:
-            u_xx = lambda x, y: (u_x(x + h, y) - u_x(x - h, y)) / (2 * h)
-        if u_xy is None:
-            u_xy = lambda x, y: (u_x(x, y + h) - u_x(x, y - h)) / (2 * h)
-        if u_yy is None:
-            u_yy = lambda x, y: (u_y(x, y + h) - u_y(x, y - h)) / (2 * h)
-        return GraphSurface(u, u_x, u_y, u_xx, u_xy, u_yy, window)
-
-    @staticmethod
     def from_expr(src: str, window=((-3.0, 3.0), (-3.0, 3.0))) -> "GraphSurface":
         """Graph from a two-variable expression in x and y; all partials
-        are symbolic."""
+        are symbolic.  A domain or overflow error raises EvaluationError
+        naming (x, y)."""
         ast = expr_mod.parse_expr_multi(src, ("x", "y"))
         dx = ast.deriv("x")
         dy = ast.deriv("y")
 
         def ev(node):
-            return lambda x, y: node.eval({"x": x, "y": y})
+            def at(x, y):
+                try:
+                    return node.eval({"x": x, "y": y})
+                except (ValueError, ArithmeticError) as exc:
+                    raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
+            return at
 
         return GraphSurface(ev(ast), ev(dx), ev(dy), ev(dx.deriv("x")),
                             ev(dx.deriv("y")), ev(dy.deriv("y")), window)
@@ -81,7 +68,7 @@ class GraphSurface:
             [self.u_xy(x, y) + 1.0, self.u_yy(x, y)],
         ])
 
-    def chart(self):
+    def chart(self, name: str = "graph", extras: Optional[dict] = None):
         from .construct import SurfaceChart
 
         def pt(x, y):
@@ -94,7 +81,7 @@ class GraphSurface:
             return np.array([0.0, 1.0, self.u_y(x, y)])
 
         return SurfaceChart(point=pt, du=dx_, dv=dy_, domain=self.window,
-                            name="graph", graph_u=self)
+                            name=name, graph_u=self, extras=extras or {})
 
 
 def pmge_residual(g: GraphSurface, x: float, y: float) -> float:
@@ -222,7 +209,7 @@ def numeric_H_on_chart(chart, u: float, v: float,
             e2s = -e2s
         return e2s
 
-    de2 = (e2_at(step) - e2_at(-step)) / (2.0 * step)
+    de2 = central_d1(e2_at, 0.0, step)
     return float(-(de2 @ e1))
 
 

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import heismin
 from heismin import cli
 
 
@@ -117,13 +119,49 @@ def test_integrability_verdict_fails_over_tolerance(capsys):
     (["verify-graph", "--u", "x*y", "--nx", "0"], "--nx"),
     (["construct", "--zeta1", "0", "--zeta2", "1", "--ntheta", "0"], "--ntheta"),
     (["integrability", "--alpha", "vertical", "--ny", "0"], "--ny"),
+    (["metric", "--alpha", "vertical", "--nx", "-2"], "--nx"),
+    (["metric", "--alpha", "vertical", "--nx", "0"], "--nx"),
+    (["metric", "--alpha", "vertical", "--ny", "0"], "--ny"),
+    (["normalize", "--alpha", "vertical", "--samples", "-1"], "--samples"),
+    (["examples", "conicoid", "--nu", "-3"], "--nu"),
+    (["examples", "conicoid", "--nu", "0"], "--nu"),
+    (["examples", "conicoid", "--nv", "0"], "--nv"),
 ], ids=["solve-lienard", "phase-field", "verify-graph", "construct",
-        "integrability"])
+        "integrability", "metric-nx-negative", "metric-nx-zero", "metric-ny",
+        "normalize", "examples-nu-negative", "examples-nu-zero", "examples-nv"])
 def test_bad_step_or_grid_size_is_usage_error(argv, flag, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--alpha", "special1", "--c1", "log(y-5)"],
+    ["metric", "--alpha", "special1", "--c1", "10^1000"],
+    ["metric", "--alpha", "special1", "--c1", "(0-1)^0.5"],
+    ["verify-graph", "--u", "sqrt(x)"],
+    ["verify-graph", "--u", "(x-5)^0.5"],
+    ["construct", "--zeta1", "1/theta", "--zeta2", "1"],
+], ids=["domain", "overflow", "negative-base-power", "graph-domain",
+        "graph-negative-base-power", "zero-division"])
+def test_evaluation_error_is_numeric_failure(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: cannot evaluate at ")
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--x-window", "1", "2"],
+    ["metric"],
+], ids=["classify", "metric"])
+def test_general_model_with_vanishing_c2_is_numeric_failure(command, capsys):
+    code = cli.main(command + ["--alpha", "general", "--c1", "0", "--c2", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "c2" in err
 
 
 def test_construct_from_zeta(tmp_path, capsys):
@@ -177,6 +215,8 @@ def test_verify_graph_saddle(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["max_pmge_residual"] == 0.0
+    assert payload["pmge_tolerance"] == 1e-8
+    assert payload["passed"] is True
     kinds = [f["kind"] for f in payload["singular"]["features"]]
     assert kinds == ["Curve"]
 
@@ -196,8 +236,12 @@ def test_go_through_precondition_is_numeric_failure(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same heismin as this test, installed or not
+    src = os.path.dirname(os.path.dirname(heismin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "heismin.cli",
                            "classify", "--alpha", "vertical"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["type"] == "Vertical"

@@ -108,6 +108,13 @@ def test_rk4_blowup_near_pole():
                               1.0, -0.5, 1e-4, guard=1e3)
 
 
+def test_ode_solution_curve_rejects_non_finite_start():
+    # the profile shares integrate_ivp's sweep, so a NaN start is a
+    # blow-up, not a lattice of NaN states
+    with pytest.raises(BlowUp):
+        lienard.OdeSolutionCurve(math.nan, 0.0, 0.0, 1.0)
+
+
 def test_ode_solution_curve_interpolates_smoothly():
     sol = lienard.General(c1=0.3, c2=2.0)
     curve = lienard.OdeSolutionCurve(sol.alpha(0.0), sol.alpha_x(0.0),
