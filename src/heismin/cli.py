@@ -117,8 +117,8 @@ def _build_model(args) -> AlphaModel:
     return AlphaModel.general(c1, YFunction.from_expr(args.c2), y_domain)
 
 
-def _add_model_flags(p):
-    p.add_argument("--alpha", required=True,
+def _add_model_flags(p, required=True):
+    p.add_argument("--alpha", required=required,
                    choices=["vertical", "special1", "special2", "general"])
     p.add_argument("--c1", help="expression in y")
     p.add_argument("--c2", help="expression in y")
@@ -208,6 +208,8 @@ def cmd_integrability(args):
                                                      curve.alpha_x)
         rep = integrability.metric_from_alpha_H(alpha, H, k, h, args.x_min)
     else:
+        if args.alpha is None:
+            raise _UsageError("integrability requires --alpha or --alpha0")
         m = _build_model(args)
         alpha = integrability.Field2D.from_model(m)
         rep = models.metric_rep(m, k, h)
@@ -353,13 +355,14 @@ def build_parser() -> _ArgumentParser:
     s.set_defaults(func=cmd_normalize)
 
     s = sub.add_parser("integrability", help="integrability residual stats")
-    _add_model_flags(s)
+    _add_model_flags(s, required=False)
     s.add_argument("--k", default="0")
     s.add_argument("--h", default="0")
     s.add_argument("--hconst", type=float, default=0.0)
     s.add_argument("--alpha0", type=float,
                    help="integrate the profile ODE from this initial "
-                        "value instead of a closed-form model")
+                        "value instead of a closed-form model; --alpha "
+                        "is then not needed")
     s.add_argument("--v0", type=float, default=0.0)
     s.add_argument("--x-min", type=float, default=0.5)
     s.add_argument("--x-max", type=float, default=2.5)

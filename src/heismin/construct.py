@@ -18,42 +18,32 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadRotation, DegenerateChart, EvaluationError, SingularPoint
+from .errors import BadRotation, DegenerateChart, SingularPoint
 from .heis import HPoint
-from .models import YFunction
-from .numerics import (EPS_DEN, FD_STEP, CumulativeIntegral, central_d1,
-                       central_d2, memoized)
+from .numerics import EPS_DEN, CumulativeIntegral, YFunction, memoized
 from .verify import GraphSurface
 
 
 class GeneratingCurve:
     """A curve t -> (x(t), y(t), z(t)) with first and second derivatives.
 
-    Missing derivatives fall back to central differences.  The point, C'
-    and C'' are each evaluated once per t and memoized, and every
-    invariant below is derived from those values.  A domain or overflow
-    error of a component raises EvaluationError naming t.
+    Each component is a YFunction in theta built from fns, d1 and d2, so a
+    derivative that is not given comes from its finite-difference
+    fallback.  The point, C' and C'' are each evaluated once per t and
+    memoized, and every invariant below is derived from those values.
     """
 
     def __init__(self, fns, d1=None, d2=None, interval=(0.0, 2.0 * math.pi)):
         self.interval = interval
-        if d2 is None:
-            if d1 is not None:
-                d2 = [lambda t, f=f: central_d1(f, t, FD_STEP) for f in d1]
-            else:
-                d2 = [lambda t, f=f: central_d2(f, t, FD_STEP) for f in fns]
-        if d1 is None:
-            d1 = [lambda t, f=f: central_d1(f, t, FD_STEP) for f in fns]
+        comps = [YFunction(f, df, d2f, "theta")
+                 for f, df, d2f in zip(fns, d1 or [None] * 3, d2 or [None] * 3)]
         self._jets = tuple(
-            memoized(lambda t, fs=fs: tuple([float(f(t)) for f in fs]))
-            for fs in (fns, d1, d2))
+            memoized(lambda t, evals=evals: tuple([ev(t) for ev in evals]))
+            for evals in (comps, [c.d for c in comps], [c.d2 for c in comps]))
 
     def _jet(self, order: int, t: float):
         """(x, y, z) differentiated `order` times, at t."""
-        try:
-            return self._jets[order](t)
-        except (ValueError, ArithmeticError) as exc:
-            raise EvaluationError(f"theta = {t}", exc) from exc
+        return self._jets[order](t)
 
     def point(self, t: float) -> HPoint:
         return HPoint(*self._jet(0, t))
@@ -67,17 +57,11 @@ class GeneratingCurve:
     @staticmethod
     def from_exprs(x_src: str, y_src: str, z_src: str, var: str = "theta",
                    interval=(0.0, 2.0 * math.pi)) -> "GeneratingCurve":
-        from . import expr as expr_mod
-
-        asts = [expr_mod.parse_expr(s, var=var) for s in (x_src, y_src, z_src)]
-        d1 = [a.deriv() for a in asts]
-        d2 = [a.deriv() for a in d1]
-        return GeneratingCurve(
-            fns=[a.eval for a in asts],
-            d1=[a.eval for a in d1],
-            d2=[a.eval for a in d2],
-            interval=interval,
-        )
+        comps = [YFunction.from_expr(s, var) for s in (x_src, y_src, z_src)]
+        return GeneratingCurve(fns=[c.f for c in comps],
+                               d1=[c.df for c in comps],
+                               d2=[c.d2f for c in comps],
+                               interval=interval)
 
     # scalar invariants of the curve at angle t
     def D(self, t: float) -> float:
@@ -200,7 +184,7 @@ def zeta_from_curve(c: GeneratingCurve, theta_base: Optional[float] = None,
         dD = ypp * math.cos(t) - xpp * math.sin(t) - c.Q(t)
         return dtc - 2.0 * c.D(t) * dD
 
-    return YFunction(z1, dz1), YFunction(z2, dz2)
+    return YFunction(z1, dz1, var="theta"), YFunction(z2, dz2, var="theta")
 
 
 @dataclass
@@ -306,13 +290,13 @@ def bernstein_saddle(A: float, B: float, g: YFunction,
         return (A * A - B * B) * x + 2.0 * A * B * y + A * g.d(-B * x + A * y)
 
     def u_xx(x, y):
-        return -2.0 * A * B + B * B * central_d1(g.d, -B * x + A * y, FD_STEP)
+        return -2.0 * A * B + B * B * g.d2(-B * x + A * y)
 
     def u_xy(x, y):
-        return (A * A - B * B) - A * B * central_d1(g.d, -B * x + A * y, FD_STEP)
+        return (A * A - B * B) - A * B * g.d2(-B * x + A * y)
 
     def u_yy(x, y):
-        return 2.0 * A * B + A * A * central_d1(g.d, -B * x + A * y, FD_STEP)
+        return 2.0 * A * B + A * A * g.d2(-B * x + A * y)
 
     gs = GraphSurface(u, u_x, u_y, u_xx, u_xy, u_yy, window=domain)
     return gs.chart("saddle", {"rotation": (A, B), "g": g})

@@ -16,23 +16,30 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import QuadratureFailure
-from .models import MetricRep, YFunction
-from .numerics import CumulativeIntegral, central_d1, central_d2, memoized, partial
+from .models import MetricRep
+from .numerics import (FD_STEP, CumulativeIntegral, YFunction, central_d1,
+                       fd_partial, memoized)
 
 
 @dataclass
 class Field2D:
-    """A scalar field on a rectangle, with optional analytic partials.
+    """A scalar field on a rectangle with its first partials.
 
-    When a partial is absent the residual checkers fall back to central
-    finite differences of the plain callable.  y_free marks a field that
-    does not depend on y, so quadrature along x can share one line.
+    A partial that is not given is set, when the field is built, to a
+    central difference of the field.  y_free marks a field that does not
+    depend on y, so quadrature along x can share one line.
     """
 
     f: Callable[[float, float], float]
     dx: Optional[Callable[[float, float], float]] = None
     dy: Optional[Callable[[float, float], float]] = None
     y_free: bool = False
+
+    def __post_init__(self):
+        if self.dx is None:
+            self.dx = fd_partial(self.f, 0)
+        if self.dy is None:
+            self.dy = fd_partial(self.f, 1)
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.f(x, y))
@@ -77,6 +84,7 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
     """
     cache = {}
     shared = alpha.y_free and H.y_free
+    ek = YFunction(lambda y: math.exp(k(y)))
 
     def line(y: float):
         """The y-line's e^{-I} / sqrt(1 + alpha^2) and J, each memoized in
@@ -100,7 +108,7 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
 
     def b_fn(x, y):
         common, _ = line(y)
-        return math.exp(k(y)) * common(x)
+        return ek(y) * common(x)
 
     def a_fn(x, y):
         common, J = line(y)
@@ -109,12 +117,10 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
     return MetricRep(a=a_fn, b=b_fn, k=k, h=h)
 
 
-def _dd_x(field: Field2D, x, y, h):
-    # second x-derivative: differentiate the best available first
-    # derivative, which keeps the FD noise floor at first-derivative level
-    if field.dx is not None:
-        return central_d1(lambda s: field.dx(s, y), x, h)
-    return central_d2(lambda s: field(s, y), x, h)
+def _dd_x(field: Field2D, x, y):
+    # the checkers' own alpha_xx, independent of any closed form; for a
+    # field built without dx it nests two differences (noise eps / FD_STEP^2)
+    return central_d1(lambda s: field.dx(s, y), x, FD_STEP)
 
 
 def expand_grid(grid):
@@ -126,13 +132,6 @@ def expand_grid(grid):
         xs, ys = grid
         return [(float(x), float(y)) for y in ys for x in xs]
     return [(float(p[0]), float(p[1])) for p in grid]
-
-
-def grid_step(points) -> float:
-    """The residual checkers' finite-difference step, from the x-extent."""
-    xs = [p[0] for p in points]
-    extent = max(xs) - min(xs) if len(xs) > 1 else 1.0
-    return 1e-5 * max(1.0, extent)
 
 
 @dataclass
@@ -149,20 +148,18 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     """Max and mean absolute residuals of the three integrability
     equations over the grid.  The grid must stay a couple of
     finite-difference steps away from singular loci."""
-    pts = expand_grid(grid)
-    h = grid_step(pts)
     r = {1: [], 2: [], 3: []}
-    for x, y in pts:
+    for x, y in expand_grid(grid):
         al = alpha(x, y)
-        al_x = partial(alpha, alpha.dx, x, y, h)
-        al_xx = _dd_x(alpha, x, y, h)
+        al_x = alpha.dx(x, y)
+        al_xx = _dd_x(alpha, x, y)
         Hv = H(x, y)
         a = rep.a(x, y)
         b = rep.b(x, y)
-        a_x = partial(rep.a, rep.a_x, x, y, h)
-        b_x = partial(rep.b, rep.b_x, x, y, h)
-        H_x = partial(H, H.dx, x, y, h)
-        H_y = partial(H, H.dy, x, y, h, axis=1)
+        a_x = rep.a_x(x, y)
+        b_x = rep.b_x(x, y)
+        H_x = H.dx(x, y)
+        H_y = H.dy(x, y)
         root = math.sqrt(1.0 + al * al)
         r[1].append(-a_x + a * b_x / b - Hv * al / root)
         r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
@@ -177,13 +174,11 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
 def codazzi_residual_2d(alpha: Field2D, c: float, grid) -> ResidualStats:
     """Per-point residual of alpha_xx + 6 alpha alpha_x + 4 alpha^3
     + c^2 alpha over the grid (y enters only as a parameter)."""
-    pts = expand_grid(grid)
-    h = grid_step(pts)
     vals = []
-    for x, y in pts:
+    for x, y in expand_grid(grid):
         al = alpha(x, y)
-        al_x = partial(alpha, alpha.dx, x, y, h)
-        al_xx = _dd_x(alpha, x, y, h)
+        al_x = alpha.dx(x, y)
+        al_xx = _dd_x(alpha, x, y)
         vals.append(al_xx + 6.0 * al * al_x + 4.0 * al**3 + c * c * al)
     return ResidualStats(
         max={1: float(np.max(np.abs(vals)))},

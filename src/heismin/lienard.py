@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BlowUp, DegenerateBranch, SingularPoint
-from .numerics import EPS_DEN, FD_STEP_D2, central_d1, central_d2
+from .numerics import EPS_DEN, YFunction
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
@@ -150,15 +150,14 @@ class General(AlphaSolution):
 def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
     """Residual f'' + 6 f f' + 4 f^3 + H_const^2 f at x.
 
-    Derivatives are analytic when f is an AlphaSolution, otherwise
-    central finite differences of the plain callable.
+    f is an AlphaSolution (analytic derivatives), a YFunction, or a plain
+    callable, made a YFunction and so differenced by its fallback.
     """
     if isinstance(f, AlphaSolution):
         a, da, dda = f.alpha(x), f.alpha_x(x), f.alpha_xx(x)
     else:
-        a = f(x)
-        da = central_d1(f, x, FD_STEP_D2)
-        dda = central_d2(f, x, FD_STEP_D2)
+        g = f if isinstance(f, YFunction) else YFunction(f, var="x")
+        a, da, dda = g(x), g.d(x), g.d2(x)
     return dda + 6.0 * a * da + 4.0 * a**3 + H_const**2 * a
 
 

@@ -7,55 +7,16 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import expr as expr_mod
 from . import lienard
-from .errors import EvaluationError, MixedType, SingularPoint
-from .numerics import EPS_DEN, CumulativeIntegral, invert_monotone, memoized, partial
-
-
-class YFunction:
-    """A real function of one variable with its first derivative.
-
-    Built from closures, a parsed expression, or a constant; evaluation
-    must be re-entrant (no internal mutable state beyond caches).  A
-    domain or overflow error of either raises EvaluationError naming the
-    point; var is the variable's name in that message."""
-
-    var = "y"
-
-    def __init__(self, f: Callable[[float], float],
-                 df: Callable[[float], float]):
-        self.f = f
-        self.df = df
-
-    def __call__(self, y: float) -> float:
-        try:
-            return float(self.f(y))
-        except (ValueError, ArithmeticError) as exc:
-            raise EvaluationError(f"{self.var} = {y}", exc) from exc
-
-    def d(self, y: float) -> float:
-        try:
-            return float(self.df(y))
-        except (ValueError, ArithmeticError) as exc:
-            raise EvaluationError(f"{self.var} = {y}", exc) from exc
-
-    @staticmethod
-    def constant(c: float) -> "YFunction":
-        return YFunction(lambda y: c, lambda y: 0.0)
-
-    @staticmethod
-    def from_expr(src: str, var: str = "y") -> "YFunction":
-        ast = expr_mod.parse_expr(src, var=var)
-        dast = ast.deriv()
-        fn = YFunction(ast.eval, dast.eval)
-        fn.var = var
-        return fn
+from .errors import MixedType, SingularPoint
+from .numerics import (EPS_DEN, CumulativeIntegral, YFunction, fd_partial,
+                       invert_monotone, memoized)
 
 
 class SurfaceType(enum.Enum):
@@ -187,8 +148,9 @@ def classify(m: AlphaModel, x_window=None, n_samples: int = 33) -> SurfaceType:
 class MetricRep:
     """The induced-metric representation e2^ = a d/dx + b d/dy, b > 0.
 
-    Carries optional analytic x-partials and the gauge functions (k, h)
-    used to build it, when known.
+    Carries the x-partials, and the gauge functions (k, h) used to build
+    it when known.  An x-partial that is not given becomes a central
+    difference of a or b as the rep holds them when it is called.
     """
 
     a: Callable[[float, float], float]
@@ -197,6 +159,15 @@ class MetricRep:
     b_x: Optional[Callable[[float, float], float]] = None
     k: Optional[YFunction] = None
     h: Optional[YFunction] = None
+
+    def __post_init__(self):
+        # weak, so no cycle holds the rep's lattices until the cyclic
+        # collector runs; once the rep is gone, the original a, b are used
+        me, a, b = weakref.ref(self), self.a, self.b
+        if self.a_x is None:
+            self.a_x = fd_partial(lambda x, y: getattr(me(), "a", a)(x, y), 0)
+        if self.b_x is None:
+            self.b_x = fd_partial(lambda x, y: getattr(me(), "b", b)(x, y), 0)
 
 
 def _family_prefactor(m: AlphaModel, x: float, y: float) -> float:
@@ -224,10 +195,11 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
     Both a and b share the x-profile, so a_x and b_x follow analytically
     from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).
     """
+    ek = YFunction(lambda y: math.exp(k(y)))
     if m.kind is ModelKind.VERTICAL:
         return MetricRep(
             a=lambda x, y: h(y),
-            b=lambda x, y: math.exp(k(y)),
+            b=lambda x, y: ek(y),
             a_x=lambda x, y: 0.0,
             b_x=lambda x, y: 0.0,
             k=k, h=h,
@@ -237,7 +209,7 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
         return _family_prefactor(m, x, y) * h(y)
 
     def b_fn(x, y):
-        return _family_prefactor(m, x, y) * math.exp(k(y))
+        return _family_prefactor(m, x, y) * ek(y)
 
     def log_deriv(x, y):
         sol = m.slice_at(y)
@@ -302,15 +274,12 @@ def inverse_coord_change(change: CoordChange) -> CoordChange:
         y = change.invert_y(y_new)
         return -change.gamma.d(y) / change.psi.d(y)
 
-    def psi_inv(y_new):
-        return change.invert_y(y_new)
-
     def dpsi_inv(y_new):
         return 1.0 / change.psi.d(change.invert_y(y_new))
 
     return CoordChange(
         gamma=YFunction(gamma_inv, dgamma_inv),
-        psi=YFunction(psi_inv, dpsi_inv),
+        psi=YFunction(change.invert_y, dpsi_inv),
         psi_inv=change.psi,
     )
 
@@ -395,16 +364,13 @@ def connection_form(rep: MetricRep, x: float, y: float):
 
         w1 = (b a_x - a b_x)/b
         w2 = b_x/b^2 - a a_x/b + a^2 b_x/b^2
-
-    Analytic x-partials are used when the rep carries them, otherwise
-    central differences.
     """
     a = rep.a(x, y)
     b = rep.b(x, y)
     if b <= 0.0:
         raise SingularPoint("connection form requires b > 0")
-    ax = partial(rep.a, rep.a_x, x, y)
-    bx = partial(rep.b, rep.b_x, x, y)
+    ax = rep.a_x(x, y)
+    bx = rep.b_x(x, y)
     w1 = (b * ax - a * bx) / b
     w2 = bx / b**2 - a * ax / b + a * a * bx / b**2
     return w1, w2

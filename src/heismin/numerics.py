@@ -1,15 +1,17 @@
-"""Shared numerical utilities: cumulative Simpson antiderivatives on a
-lattice, memoization, finite-difference derivatives and monotone
-inversion.  Its central differences and step constants are the only
-finite-difference fallback; callers use analytic derivatives when they
-have them."""
+"""Shared numerical utilities: the smooth function of one variable
+YFunction, cumulative Simpson antiderivatives on a lattice, memoization,
+finite-difference derivatives and monotone inversion.  Its central
+differences and steps are the only finite-difference fallback: a
+YFunction, Field2D or MetricRep built without a derivative gets one from
+here when it is built, and callers read the derivatives they are given."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from . import expr as expr_mod
+from .errors import EvaluationError, QuadratureFailure
 
 EPS_DEN = 1e-12      # singular-denominator guard
 FD_STEP = 1e-6       # central first differences
@@ -114,15 +116,61 @@ def central_d2(f, x: float, h: float) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def partial(f, analytic, x: float, y: float, h: float = FD_STEP,
-            axis: int = 0) -> float:
-    """The partial of f(x, y) in x (axis 0) or y (axis 1) at (x, y): the
-    analytic partial when one is given, else a central difference."""
-    if analytic is not None:
-        return analytic(x, y)
+def fd_partial(f, axis: int):
+    """The partial of f(x, y) in x (axis 0) or y (axis 1), as a central
+    difference at FD_STEP."""
     if axis == 0:
-        return central_d1(lambda s: f(s, y), x, h)
-    return central_d1(lambda s: f(x, s), y, h)
+        return lambda x, y: central_d1(lambda s: f(s, y), x, FD_STEP)
+    return lambda x, y: central_d1(lambda s: f(x, s), y, FD_STEP)
+
+
+class YFunction:
+    """A smooth real function of one variable with its first and second
+    derivatives, .d and .d2.
+
+    A derivative that is not given is settled when the function is built:
+    d by a central difference of f at FD_STEP; d2 by a central difference
+    of d at FD_STEP when d is given, else of f at FD_STEP_D2.  A domain or
+    overflow error raises EvaluationError naming the point ("y = 0.5")."""
+
+    def __init__(self, f, df=None, d2f=None, var: str = "y"):
+        self.f = f
+        self.var = var
+        # the fallbacks close over f and df, not self: a cycle would keep
+        # each function and its lattices alive until the cyclic collector runs
+        if d2f is None:
+            d2f = ((lambda y: central_d1(df, y, FD_STEP)) if df is not None
+                   else (lambda y: central_d2(f, y, FD_STEP_D2)))
+        if df is None:
+            df = lambda y: central_d1(f, y, FD_STEP)
+        self.df = df
+        self.d2f = d2f
+
+    def _at(self, fn, y: float) -> float:
+        try:
+            return float(fn(y))
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"{self.var} = {y}", exc) from exc
+
+    def __call__(self, y: float) -> float:
+        return self._at(self.f, y)
+
+    def d(self, y: float) -> float:
+        return self._at(self.df, y)
+
+    def d2(self, y: float) -> float:
+        return self._at(self.d2f, y)
+
+    @staticmethod
+    def constant(c: float) -> "YFunction":
+        return YFunction(lambda y: c, lambda y: 0.0, lambda y: 0.0)
+
+    @staticmethod
+    def from_expr(src: str, var: str = "y") -> "YFunction":
+        """The parsed expression, with symbolic first and second derivatives."""
+        ast = expr_mod.parse_expr(src, var=var)
+        dast = ast.deriv()
+        return YFunction(ast.eval, dast.eval, dast.deriv().eval, var)
 
 
 def invert_monotone(g, target: float, lo: float, hi: float,

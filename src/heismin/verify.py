@@ -435,7 +435,10 @@ def go_through_check(g: GraphSurface, p: tuple,
         t = vt[-1]
         direction = (-t[1], t[0])
     d = np.asarray(direction, dtype=float)
-    d /= math.hypot(d[0], d[1])
+    norm = math.hypot(d[0], d[1])
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise PreconditionFailed(f"direction {tuple(direction)} is zero or not finite")
+    d /= norm
 
     def limit(sign):
         vals = [_cos_zeta(g, x0 + sign * 0.1 * 2.0**-k * d[0],

@@ -40,6 +40,8 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     code, _ = run_cli(["no-such-command"], capsys)
     assert code == 1
+    code, _ = run_cli(["integrability"], capsys)  # neither --alpha nor --alpha0
+    assert code == 1
 
 
 def test_solve_lienard_fit(capsys):
@@ -113,6 +115,13 @@ def test_integrability_verdict_fails_over_tolerance(capsys):
     assert payload["passed"] is False
 
 
+def test_integrability_alpha0_needs_no_model(capsys):
+    code, out = run_cli(["integrability", "--alpha0", "0.3", "--v0", "0.1",
+                         "--hconst", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["solve-lienard", "--alpha0", "0.2", "--v0", "0", "--step", "0"], "--step"),
     (["phase-field", "--nx", "1"], "--nx"),
@@ -143,8 +152,11 @@ def test_bad_step_or_grid_size_is_usage_error(argv, flag, capsys):
     ["verify-graph", "--u", "sqrt(x)"],
     ["verify-graph", "--u", "(x-5)^0.5"],
     ["construct", "--zeta1", "1/theta", "--zeta2", "1"],
+    ["metric", "--alpha", "special1", "--c1", "0.4", "--k", "1000*y"],
+    ["integrability", "--alpha", "special1", "--c1", "0.4", "--k=800*y"],
 ], ids=["domain", "overflow", "negative-base-power", "graph-domain",
-        "graph-negative-base-power", "zero-division"])
+        "graph-negative-base-power", "zero-division", "metric-exp-k-overflow",
+        "integrability-exp-k-overflow"])
 def test_evaluation_error_is_numeric_failure(argv, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -229,9 +241,13 @@ def test_go_through_cli(capsys):
     assert payload["flip_detected"] is True
 
 
-def test_go_through_precondition_is_numeric_failure(capsys):
-    code, _ = run_cli(["go-through", "--u", "0",
-                       "--px", "0", "--py", "0"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["--u", "0", "--px", "0", "--py", "0"],
+    ["--u", "x*y+y^2/2", "--px", "0", "--py", "0", "--direction", "0", "0"],
+    ["--u", "x*y+y^2/2", "--px", "0", "--py", "0", "--direction", "nan", "1"],
+], ids=["isolated-point", "zero-direction", "non-finite-direction"])
+def test_go_through_precondition_is_numeric_failure(argv, capsys):
+    code, _ = run_cli(["go-through"] + argv, capsys)
     assert code == 2
 
 

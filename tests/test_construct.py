@@ -131,9 +131,11 @@ def test_curve_derivative_consistency_from_exprs():
 
 def test_generating_curve_fd_fallback():
     c = construct.GeneratingCurve(
-        fns=[lambda t: math.sin(t), lambda t: t * t, lambda t: 1.0])
+        fns=[lambda t: math.sin(t), lambda t: t * t, lambda t: math.exp(t)])
     assert c.d1(0.5)[0] == pytest.approx(math.cos(0.5), abs=1e-8)
-    assert c.d2(0.5)[1] == pytest.approx(2.0, abs=1e-4)
+    for t in (0.5, 1.3, 2.9):
+        exact = np.array([-math.sin(t), 2.0, math.exp(t)])
+        assert np.max(np.abs(c.d2(t) - exact)) <= 1e-6
 
 
 def test_bernstein_plane_chart():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from heismin import expr
 from heismin.errors import ExprSyntaxError
-from heismin.numerics import central_d1
+from heismin.numerics import FD_STEP_D2, YFunction, central_d1, central_d2
 
 
 def ev(src, x):
@@ -58,9 +58,12 @@ def test_pretty_round_trip(src):
 def test_symbolic_derivative_matches_fd(src):
     ast = expr.parse_expr(src)
     dast = ast.deriv()
+    fn = YFunction.from_expr(src, "x")
     for x in (-1.1, 0.4, 1.3, 2.2):
         fd = central_d1(ast.eval, x, 1e-6)
         assert dast.eval(x) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        fd2 = central_d2(ast.eval, x, FD_STEP_D2)
+        assert fn.d2(x) == pytest.approx(fd2, rel=1e-5, abs=1e-5)
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.5, 3))

@@ -174,6 +174,15 @@ def test_connection_form_matches_fd_path():
     assert w2a == pytest.approx(w2b, abs=1e-6)
 
 
+def test_fallback_partials_difference_the_current_a():
+    rep = models.MetricRep(a=lambda x, y: x * x, b=lambda x, y: 1.0)
+    rep.a = lambda x, y: 3.0 * x  # replaced after the rep is built
+    assert rep.a_x(1.0, 0.0) == pytest.approx(3.0)
+    # the rep is gone: the fallback differences the a it was built with
+    a_x = models.MetricRep(a=lambda x, y: x * x, b=lambda x, y: 1.0).a_x
+    assert a_x(1.0, 0.0) == pytest.approx(2.0)
+
+
 def test_connection_form_requires_positive_b():
     rep = models.MetricRep(a=lambda x, y: 0.0, b=lambda x, y: 0.0)
     with pytest.raises(SingularPoint):
