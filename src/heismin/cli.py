@@ -2,12 +2,14 @@
 subcommand per pipeline, and CSV / OBJ / JSON exporters.
 
 Exit codes: 0 success, 1 usage error (including a grid size or step out
-of range), 2 numeric failure (including an expression evaluated outside
-its domain or beyond the float range), 3 expression parse error.
+of range and a float flag that is not finite), 2 numeric failure
+(including an expression evaluated outside its domain or beyond the
+float range), 3 expression parse error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -40,14 +42,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        v = math.nan
-    if not (math.isfinite(v) and v > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return v
+def _float_where(what: str, ok):
+    """argparse type: a finite float for which ok holds."""
+    def number(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not (math.isfinite(v) and ok(v)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return v
+    return number
+
+
+_finite_float = _float_where("a finite number", lambda v: True)
+_positive_float = _float_where("a positive number", lambda v: v > 0.0)
 
 
 def _count_at_least(lo: int):
@@ -100,34 +109,32 @@ def mesh_obj(chart, nu: int, nv: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --alpha's names of the lienard families; a family's constants c1, c2
+# are its dataclass fields
+_FAMILIES = {"vertical": lienard.Zero, "special1": lienard.SpecialI,
+             "special2": lienard.SpecialII, "general": lienard.General}
+
+
 def _build_model(args) -> AlphaModel:
-    y_domain = (args.y_min, args.y_max)
-    kind = args.alpha
-    if kind == "vertical":
-        return AlphaModel.vertical(y_domain)
-    if args.c1 is None:
-        raise _UsageError(f"--alpha {kind} requires --c1")
-    c1 = YFunction.from_expr(args.c1)
-    if kind == "special1":
-        return AlphaModel.special_i(c1, y_domain)
-    if kind == "special2":
-        return AlphaModel.special_ii(c1, y_domain)
-    if args.c2 is None:
-        raise _UsageError("--alpha general requires --c2")
-    return AlphaModel.general(c1, YFunction.from_expr(args.c2), y_domain)
+    family = _FAMILIES[args.alpha]
+    cs = []
+    for name in (f.name for f in dataclasses.fields(family)):
+        if getattr(args, name) is None:
+            raise _UsageError(f"--alpha {args.alpha} requires --{name}")
+        cs.append(YFunction.from_expr(getattr(args, name)))
+    return AlphaModel(family, *cs, y_domain=(args.y_min, args.y_max))
 
 
 def _add_model_flags(p, required=True):
-    p.add_argument("--alpha", required=required,
-                   choices=["vertical", "special1", "special2", "general"])
+    p.add_argument("--alpha", required=required, choices=list(_FAMILIES))
     p.add_argument("--c1", help="expression in y")
     p.add_argument("--c2", help="expression in y")
-    p.add_argument("--y-min", type=float, default=0.0)
-    p.add_argument("--y-max", type=float, default=1.0)
+    p.add_argument("--y-min", type=_finite_float, default=0.0)
+    p.add_argument("--y-max", type=_finite_float, default=1.0)
 
 
 def _add_window_flag(p):
-    p.add_argument("--x-window", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--x-window", type=_finite_float, nargs=2, metavar=("LO", "HI"))
 
 
 # ---------------------------------------------------------------- commands
@@ -159,8 +166,7 @@ def cmd_phase_field(args):
 
 def cmd_classify(args):
     m = _build_model(args)
-    window = tuple(args.x_window) if args.x_window else None
-    stype = models.classify(m, x_window=window)
+    stype = models.classify(m, x_window=args.x_window)
     _emit_json({"type": stype.value})
     return EXIT_OK
 
@@ -179,8 +185,7 @@ def cmd_metric(args):
 def cmd_normalize(args):
     m = _build_model(args)
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
-    window = tuple(args.x_window) if args.x_window else None
-    nf, change = models.normalize(m, rep, x_window=window)
+    nf, change = models.normalize(m, rep, x_window=args.x_window)
     ys = np.linspace(args.y_min, args.y_max, args.samples)
     y_new = [float(change.psi(y)) for y in ys]
     payload = {
@@ -293,9 +298,8 @@ def cmd_verify_graph(args):
 def cmd_go_through(args):
     window = ((args.px - 2.0, args.px + 2.0), (args.py - 2.0, args.py + 2.0))
     g = verify.GraphSurface.from_expr(args.u, window)
-    direction = tuple(args.direction) if args.direction else None
-    result = verify.go_through_check(g, (args.px, args.py), direction)
-    _emit_json(result.to_json_dict())
+    result = verify.go_through_check(g, (args.px, args.py), args.direction)
+    _emit_json(dataclasses.asdict(result))
     return EXIT_OK
 
 
@@ -308,12 +312,12 @@ def build_parser() -> _ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve-lienard", help="fit or integrate the ODE")
-    s.add_argument("--alpha0", type=float, required=True)
-    s.add_argument("--v0", type=float, required=True)
-    s.add_argument("--x0", type=float, default=0.0)
-    s.add_argument("--x1", type=float, default=3.0)
+    s.add_argument("--alpha0", type=_finite_float, required=True)
+    s.add_argument("--v0", type=_finite_float, required=True)
+    s.add_argument("--x0", type=_finite_float, default=0.0)
+    s.add_argument("--x1", type=_finite_float, default=3.0)
     s.add_argument("--step", type=_positive_float, default=1e-3)
-    s.add_argument("--hconst", type=float, default=0.0)
+    s.add_argument("--hconst", type=_finite_float, default=0.0)
     s.add_argument("--fit", action="store_true",
                    help="print the fitted closed-form family as JSON "
                         "instead of a trajectory")
@@ -321,10 +325,10 @@ def build_parser() -> _ArgumentParser:
     s.set_defaults(func=cmd_solve_lienard)
 
     s = sub.add_parser("phase-field", help="sample the phase-plane field")
-    s.add_argument("--alpha-min", type=float, default=-2.0)
-    s.add_argument("--alpha-max", type=float, default=2.0)
-    s.add_argument("--v-min", type=float, default=-2.0)
-    s.add_argument("--v-max", type=float, default=2.0)
+    s.add_argument("--alpha-min", type=_finite_float, default=-2.0)
+    s.add_argument("--alpha-max", type=_finite_float, default=2.0)
+    s.add_argument("--v-min", type=_finite_float, default=-2.0)
+    s.add_argument("--v-max", type=_finite_float, default=2.0)
     s.add_argument("--nx", type=_count_at_least(2), default=21)
     s.add_argument("--nv", type=_count_at_least(2), default=21)
     s.add_argument("--out")
@@ -339,8 +343,8 @@ def build_parser() -> _ArgumentParser:
     _add_model_flags(s)
     s.add_argument("--k", default="0")
     s.add_argument("--h", default="0")
-    s.add_argument("--x-min", type=float, default=0.5)
-    s.add_argument("--x-max", type=float, default=2.5)
+    s.add_argument("--x-min", type=_finite_float, default=0.5)
+    s.add_argument("--x-max", type=_finite_float, default=2.5)
     s.add_argument("--nx", type=_count_at_least(1), default=21)
     s.add_argument("--ny", type=_count_at_least(1), default=11)
     s.add_argument("--out")
@@ -358,14 +362,14 @@ def build_parser() -> _ArgumentParser:
     _add_model_flags(s, required=False)
     s.add_argument("--k", default="0")
     s.add_argument("--h", default="0")
-    s.add_argument("--hconst", type=float, default=0.0)
-    s.add_argument("--alpha0", type=float,
+    s.add_argument("--hconst", type=_finite_float, default=0.0)
+    s.add_argument("--alpha0", type=_finite_float,
                    help="integrate the profile ODE from this initial "
                         "value instead of a closed-form model; --alpha "
                         "is then not needed")
-    s.add_argument("--v0", type=float, default=0.0)
-    s.add_argument("--x-min", type=float, default=0.5)
-    s.add_argument("--x-max", type=float, default=2.5)
+    s.add_argument("--v0", type=_finite_float, default=0.0)
+    s.add_argument("--x-min", type=_finite_float, default=0.5)
+    s.add_argument("--x-max", type=_finite_float, default=2.5)
     s.add_argument("--nx", type=_count_at_least(1), default=25)
     s.add_argument("--ny", type=_count_at_least(1), default=10)
     s.set_defaults(func=cmd_integrability)
@@ -376,10 +380,10 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--curve-z", help="expression in theta")
     s.add_argument("--zeta1", help="expression in theta")
     s.add_argument("--zeta2", help="expression in theta")
-    s.add_argument("--theta-min", type=float, default=0.0)
-    s.add_argument("--theta-max", type=float, default=2.0 * math.pi)
-    s.add_argument("--r-min", type=float, default=0.5)
-    s.add_argument("--r-max", type=float, default=2.0)
+    s.add_argument("--theta-min", type=_finite_float, default=0.0)
+    s.add_argument("--theta-max", type=_finite_float, default=2.0 * math.pi)
+    s.add_argument("--r-min", type=_finite_float, default=0.5)
+    s.add_argument("--r-max", type=_finite_float, default=2.0)
     s.add_argument("--nr", type=_count_at_least(1), default=16)
     s.add_argument("--ntheta", type=_count_at_least(1), default=48)
     s.add_argument("--obj")
@@ -394,19 +398,19 @@ def build_parser() -> _ArgumentParser:
 
     s = sub.add_parser("verify-graph", help="graph PDE residual + singular set")
     s.add_argument("--u", required=True, help="expression in x and y")
-    s.add_argument("--x-min", type=float, default=-3.0)
-    s.add_argument("--x-max", type=float, default=3.0)
-    s.add_argument("--y-min", type=float, default=-3.0)
-    s.add_argument("--y-max", type=float, default=3.0)
+    s.add_argument("--x-min", type=_finite_float, default=-3.0)
+    s.add_argument("--x-max", type=_finite_float, default=3.0)
+    s.add_argument("--y-min", type=_finite_float, default=-3.0)
+    s.add_argument("--y-max", type=_finite_float, default=3.0)
     s.add_argument("--nx", type=_count_at_least(1), default=21)
     s.add_argument("--ny", type=_count_at_least(1), default=21)
     s.set_defaults(func=cmd_verify_graph)
 
     s = sub.add_parser("go-through", help="characteristic go-through limits")
     s.add_argument("--u", required=True, help="expression in x and y")
-    s.add_argument("--px", type=float, required=True)
-    s.add_argument("--py", type=float, required=True)
-    s.add_argument("--direction", type=float, nargs=2, metavar=("DX", "DY"))
+    s.add_argument("--px", type=_finite_float, required=True)
+    s.add_argument("--py", type=_finite_float, required=True)
+    s.add_argument("--direction", type=_finite_float, nargs=2, metavar=("DX", "DY"))
     s.set_defaults(func=cmd_go_through)
 
     return p

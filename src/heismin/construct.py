@@ -23,6 +23,9 @@ from .heis import HPoint
 from .numerics import EPS_DEN, CumulativeIntegral, YFunction, memoized
 from .verify import GraphSurface
 
+IMMERSION_TOL = 1e-10   # |Theta(C') - D^2| at or below this fails immersion
+ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
+
 
 class GeneratingCurve:
     """A curve t -> (x(t), y(t), z(t)) with first and second derivatives.
@@ -154,18 +157,15 @@ def curve_invariants(c: GeneratingCurve, r: float, t: float):
     return alpha, -Q / (E * root), 1.0 / (E * root)
 
 
-def zeta_from_curve(c: GeneratingCurve, theta_base: Optional[float] = None,
-                    panels_per_unit: int = 512):
+def zeta_from_curve(c: GeneratingCurve, panels_per_unit: int = 512):
     """The invariants of the ruled surface over c:
 
-        zeta1(t) = D(t) - int Q dt      (cumulative from theta_base)
+        zeta1(t) = D(t) - int Q dt      (cumulative from the interval's start)
         zeta2(t) = Theta(C'(t)) - D(t)^2
 
     zeta2 == 0 identifies special type I.
     """
-    if theta_base is None:
-        theta_base = c.interval[0]
-    gamma = CumulativeIntegral(c.Q, theta_base, panels_per_unit)
+    gamma = CumulativeIntegral(c.Q, c.interval[0], panels_per_unit)
 
     def z1(t):
         return c.D(t) - gamma(t)
@@ -194,13 +194,13 @@ class ImmersionReport:
     bad_radius: Optional[float] = None
 
 
-def immersion_locus(c: GeneratingCurve, theta_grid, tol: float = 1e-10):
+def immersion_locus(c: GeneratingCurve, theta_grid):
     """Per angle: the chart is an immersion for all r iff
     Theta(C') - D^2 != 0; otherwise it degenerates exactly at r = -D."""
     out = []
     for t in theta_grid:
         crit = c.contact_speed(t) - c.D(t) ** 2
-        if abs(crit) > tol:
+        if abs(crit) > IMMERSION_TOL:
             out.append(ImmersionReport(float(t), True))
         else:
             out.append(ImmersionReport(float(t), False, bad_radius=-c.D(t)))
@@ -272,11 +272,10 @@ def bernstein_plane(A: float, B: float, C: float,
 
 
 def bernstein_saddle(A: float, B: float, g: YFunction,
-                     domain=((-3.0, 3.0), (-3.0, 3.0)),
-                     tol: float = 1e-12) -> SurfaceChart:
+                     domain=((-3.0, 3.0), (-3.0, 3.0))) -> SurfaceChart:
     """The entire graph u = -AB x^2 + (A^2 - B^2) xy + AB y^2 + g(-Bx + Ay)
     with A^2 + B^2 = 1; the (A, B) rotation maps it onto u = XY + g(Y)."""
-    if abs(A * A + B * B - 1.0) > tol:
+    if abs(A * A + B * B - 1.0) > ROTATION_TOL:
         raise BadRotation(f"A^2 + B^2 = {A * A + B * B} != 1")
 
     def u(x, y):

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import SingularPoint
 
+HORIZONTAL_TOL = 1e-12   # |cT| up to which J_rotate takes a vector as horizontal
+
 
 @dataclass(frozen=True)
 class HPoint:
@@ -106,9 +108,9 @@ def coord_to_frame(p: HPoint, v) -> FrameVector:
     return FrameVector(float(v[0]), float(v[1]), contact_value(p, v), p)
 
 
-def J_rotate(v: FrameVector, tol: float = 1e-12) -> FrameVector:
+def J_rotate(v: FrameVector) -> FrameVector:
     """The CR rotation J on horizontal vectors: (c1,c2,0) -> (-c2,c1,0)."""
-    if abs(v.cT) > tol:
+    if abs(v.cT) > HORIZONTAL_TOL:
         raise SingularPoint(f"J is only defined on horizontal vectors (cT={v.cT})")
     return FrameVector(-v.c2, v.c1, 0.0, v.base)
 
@@ -146,8 +148,5 @@ def compose(m2: RigidMotion, m1: RigidMotion) -> RigidMotion:
     """The motion acting as m2 after m1."""
     # m2(m1(p)) = t2 o R2 (t1 o R1 p) = (t2 o R2 t1) o (R2 R1) p,
     # since the z-rotation is a group automorphism.
-    c, s = math.cos(m2.rotation_angle), math.sin(m2.rotation_angle)
-    t1 = m2.translation, m1.translation
-    r2t1 = HPoint(c * t1[1].x - s * t1[1].y, s * t1[1].x + c * t1[1].y, t1[1].z)
-    return RigidMotion(group_mul(m2.translation, r2t1),
+    return RigidMotion(apply_motion(m2, m1.translation),
                        m2.rotation_angle + m1.rotation_angle)

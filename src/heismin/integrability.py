@@ -10,36 +10,46 @@ coordinate integrability equations numerically,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import QuadratureFailure
-from .models import MetricRep
-from .numerics import (FD_STEP, CumulativeIntegral, YFunction, central_d1,
-                       fd_partial, memoized)
+from .lienard import _rhs
+from .models import MetricRep, eval_model, exp_of
+from .numerics import CumulativeIntegral, YFunction, fd_partial, memoized
 
 
 @dataclass
 class Field2D:
-    """A scalar field on a rectangle with its first partials.
+    """A scalar field on a rectangle with its first partials and dxx, the
+    second x-partial that the residual checkers read.
 
     A partial that is not given is set, when the field is built, to a
-    central difference of the field.  y_free marks a field that does not
-    depend on y, so quadrature along x can share one line.
+    central difference of the field; dxx is always a difference, by
+    YFunction's rule (of dx when dx is given, else a second difference of
+    the field), so the checkers never take it from a closed form.  y_free
+    marks a field that does not depend on y, so quadrature along x can
+    share one line.
     """
 
     f: Callable[[float, float], float]
     dx: Optional[Callable[[float, float], float]] = None
     dy: Optional[Callable[[float, float], float]] = None
     y_free: bool = False
+    dxx: Callable[[float, float], float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        f, dx = self.f, self.dx
+        self.dxx = lambda x, y: YFunction(
+            lambda s: f(s, y), None if dx is None else (lambda s: dx(s, y)),
+            var="x").d2(x)
         if self.dx is None:
-            self.dx = fd_partial(self.f, 0)
+            self.dx = fd_partial(f, 0)
         if self.dy is None:
-            self.dy = fd_partial(self.f, 1)
+            self.dy = fd_partial(f, 1)
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.f(x, y))
@@ -52,10 +62,8 @@ class Field2D:
     @staticmethod
     def from_model(m) -> "Field2D":
         """Field view of an AlphaModel, with analytic x-partial."""
-        return Field2D(
-            f=lambda x, y: m.slice_at(y).alpha(x),
-            dx=lambda x, y: m.slice_at(y).alpha_x(x),
-        )
+        return Field2D(f=partial(eval_model, m),
+                       dx=lambda x, y: m.slice_at(y).alpha_x(x))
 
     @staticmethod
     def from_x_profile(alpha_of_x, alpha_x_of_x) -> "Field2D":
@@ -84,7 +92,7 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
     """
     cache = {}
     shared = alpha.y_free and H.y_free
-    ek = YFunction(lambda y: math.exp(k(y)))
+    ek = exp_of(k)
 
     def line(y: float):
         """The y-line's e^{-I} / sqrt(1 + alpha^2) and J, each memoized in
@@ -117,12 +125,6 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
     return MetricRep(a=a_fn, b=b_fn, k=k, h=h)
 
 
-def _dd_x(field: Field2D, x, y):
-    # the checkers' own alpha_xx, independent of any closed form; for a
-    # field built without dx it nests two differences (noise eps / FD_STEP^2)
-    return central_d1(lambda s: field.dx(s, y), x, FD_STEP)
-
-
 def expand_grid(grid):
     """Accept either an iterable of (x, y) pairs or a pair (xs, ys) to be
     meshed; return a flat list of points."""
@@ -152,7 +154,7 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     for x, y in expand_grid(grid):
         al = alpha(x, y)
         al_x = alpha.dx(x, y)
-        al_xx = _dd_x(alpha, x, y)
+        al_xx = alpha.dxx(x, y)
         Hv = H(x, y)
         a = rep.a(x, y)
         b = rep.b(x, y)
@@ -163,8 +165,7 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
         root = math.sqrt(1.0 + al * al)
         r[1].append(-a_x + a * b_x / b - Hv * al / root)
         r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
-        r[3].append(a * H_x + b * H_y
-                    - (al_xx + 6.0 * al * al_x + 4.0 * al**3 + al * Hv**2) / root)
+        r[3].append(a * H_x + b * H_y - (al_xx - _rhs(al, al_x, Hv)[1]) / root)
     return ResidualStats(
         max={i: float(np.max(np.abs(v))) for i, v in r.items()},
         mean={i: float(np.mean(np.abs(v))) for i, v in r.items()},
@@ -178,8 +179,7 @@ def codazzi_residual_2d(alpha: Field2D, c: float, grid) -> ResidualStats:
     for x, y in expand_grid(grid):
         al = alpha(x, y)
         al_x = alpha.dx(x, y)
-        al_xx = _dd_x(alpha, x, y)
-        vals.append(al_xx + 6.0 * al * al_x + 4.0 * al**3 + c * c * al)
+        vals.append(alpha.dxx(x, y) - _rhs(al, al_x, c)[1])
     return ResidualStats(
         max={1: float(np.max(np.abs(vals)))},
         mean={1: float(np.mean(np.abs(vals)))},

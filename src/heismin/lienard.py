@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BlowUp, DegenerateBranch, SingularPoint
+from .errors import BlowUp, DegenerateBranch, EvaluationError, SingularPoint
 from .numerics import EPS_DEN, YFunction
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
@@ -32,7 +32,10 @@ class PhaseState:
 
 
 class AlphaSolution:
-    """Base class of the closed-form solution families (c = 0)."""
+    """Base class of the closed-form solution families (c = 0).  scale is
+    the coefficient of x next to c1, so x -> x + g moves c1 by scale * g."""
+
+    scale = 1.0
 
     def alpha(self, x: float) -> float:
         raise NotImplementedError
@@ -61,53 +64,43 @@ class Zero(AlphaSolution):
 
 
 @dataclass(frozen=True)
-class SpecialI(AlphaSolution):
-    """alpha = 1/(x + c1); characterized by alpha' = -alpha^2."""
+class _Special(AlphaSolution):
+    """alpha = 1/(s x + c1), s = scale; characterized by alpha' = -s alpha^2."""
 
     c1: float
 
     def _den(self, x):
-        d = x + self.c1
+        d = self.scale * x + self.c1
         if abs(d) <= EPS_DEN:
-            raise SingularPoint(f"special I solution singular at x = {x}")
+            raise SingularPoint(f"special {self._roman} solution singular at x = {x}")
         return d
 
     def alpha(self, x):
         return 1.0 / self._den(x)
 
     def alpha_x(self, x):
-        return -self.alpha(x) ** 2
+        return -self.scale * self.alpha(x) ** 2
 
     def alpha_xx(self, x):
-        return 2.0 * self.alpha(x) ** 3
+        return 2.0 * self.scale * self.scale * self.alpha(x) ** 3
 
     def singular_x(self):
-        return (-self.c1,)
+        return (-self.c1 / self.scale,)
 
 
 @dataclass(frozen=True)
-class SpecialII(AlphaSolution):
+class SpecialI(_Special):
+    """alpha = 1/(x + c1); characterized by alpha' = -alpha^2."""
+
+    _roman = "I"
+
+
+@dataclass(frozen=True)
+class SpecialII(_Special):
     """alpha = 1/(2x + c1); characterized by alpha' = -2 alpha^2."""
 
-    c1: float
-
-    def _den(self, x):
-        d = 2.0 * x + self.c1
-        if abs(d) <= EPS_DEN:
-            raise SingularPoint(f"special II solution singular at x = {x}")
-        return d
-
-    def alpha(self, x):
-        return 1.0 / self._den(x)
-
-    def alpha_x(self, x):
-        return -2.0 * self.alpha(x) ** 2
-
-    def alpha_xx(self, x):
-        return 8.0 * self.alpha(x) ** 3
-
-    def singular_x(self):
-        return (-self.c1 / 2.0,)
+    scale = 2.0
+    _roman = "II"
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,7 @@ def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
     else:
         g = f if isinstance(f, YFunction) else YFunction(f, var="x")
         a, da, dda = g(x), g.d(x), g.d2(x)
-    return dda + 6.0 * a * da + 4.0 * a**3 + H_const**2 * a
+    return dda - _rhs(a, da, H_const)[1]
 
 
 def _rhs(alpha: float, v: float, H_const: float):
@@ -185,11 +178,14 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
     h = (x1 - x0) / n
     states = [(alpha0, v0)]
     a, v = alpha0, v0
-    for i in range(n):
-        a, v = _rk4_step(a, v, h, H_const)
-        if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
-            raise BlowUp(x0 + (i + 1) * h)
-        states.append((a, v))
+    try:
+        for i in range(n):
+            a, v = _rk4_step(a, v, h, H_const)
+            if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
+                raise BlowUp(x0 + (i + 1) * h)
+            states.append((a, v))
+    except OverflowError:   # ** raises where * overflows quietly to inf
+        raise BlowUp(x0 + (i + 1) * h) from None
     return h, states
 
 
@@ -241,16 +237,21 @@ class OdeSolutionCurve:
         return self.state(x)[1]
 
 
-def fit_solution(alpha0: float, v0: float, x0: float,
-                 eps_fit: float = EPS_FIT) -> AlphaSolution:
+def fit_solution(alpha0: float, v0: float, x0: float) -> AlphaSolution:
     """The unique closed-form family member with alpha(x0) = alpha0 and
-    alpha'(x0) = v0.  Total on the phase plane."""
-    if alpha0 == 0.0 and abs(v0) <= eps_fit:
+    alpha'(x0) = v0.  Total on the phase plane; raises EvaluationError
+    when alpha0^2 overflows."""
+    if alpha0 == 0.0 and abs(v0) <= EPS_FIT:
         return Zero()
-    den = v0 + 2.0 * alpha0**2
-    if abs(den) <= eps_fit * max(1.0, alpha0**2):
+    try:
+        a2 = alpha0**2
+    except OverflowError as exc:
+        raise EvaluationError(f"(alpha, v) = ({alpha0}, {v0})", exc) from exc
+    s = SpecialII.scale
+    den = v0 + s * a2
+    if abs(den) <= EPS_FIT * max(1.0, a2):
         # alpha' = -2 alpha^2 characterizes special type II
-        return SpecialII(c1=1.0 / alpha0 - 2.0 * x0)
+        return SpecialII(c1=1.0 / alpha0 - s * x0)
     if alpha0 == 0.0:
         # zero crossing of a general solution: X(x0) = 0
         return General(c1=-x0, c2=1.0 / v0)
@@ -258,7 +259,7 @@ def fit_solution(alpha0: float, v0: float, x0: float,
     c1 = X0 - x0
     # X0/alpha0 simplifies to 1/den, which stays accurate when alpha0 is tiny
     c2 = 1.0 / den - X0 * X0
-    if abs(c2) <= eps_fit * max(1.0, X0 * X0):
+    if abs(c2) <= EPS_FIT * max(1.0, X0 * X0):
         return SpecialI(c1=c1)
     return General(c1=c1, c2=c2)
 
@@ -282,13 +283,10 @@ def conserved_quantity(s: PhaseState) -> float:
     return w * (3.0 * w + 2.0) / denom
 
 
-def phase_vector(alpha: float, v: float):
-    """The phase-plane direction field V = (v, -(6 alpha v + 4 alpha^3))."""
-    return v, -(6.0 * alpha * v + 4.0 * alpha**3)
-
-
 def phase_field(alpha_range, v_range, nx: int, nv: int):
-    """Sample V on a regular nx x nv grid; (0, 0) is its only zero.
+    """Sample the phase-plane direction field V = (v, -(6 alpha v + 4 alpha^3)),
+    the Lienard operator at c = 0, on a regular nx x nv grid; (0, 0) is its
+    only zero.
 
     Returns a row-major list of (PhaseState, (dalpha, dv)).
     """
@@ -297,9 +295,12 @@ def phase_field(alpha_range, v_range, nx: int, nv: int):
     a_lo, a_hi = alpha_range
     v_lo, v_hi = v_range
     out = []
-    for i in range(nx):
-        a = a_lo + (a_hi - a_lo) * i / (nx - 1)
-        for j in range(nv):
-            v = v_lo + (v_hi - v_lo) * j / (nv - 1)
-            out.append((PhaseState(a, v), phase_vector(a, v)))
+    try:
+        for i in range(nx):
+            a = a_lo + (a_hi - a_lo) * i / (nx - 1)
+            for j in range(nv):
+                v = v_lo + (v_hi - v_lo) * j / (nv - 1)
+                out.append((PhaseState(a, v), _rhs(a, v, 0.0)))
+    except OverflowError as exc:
+        raise EvaluationError(f"(alpha, v) = ({a}, {v})", exc) from exc
     return out

@@ -28,94 +28,85 @@ class SurfaceType(enum.Enum):
     TYPE_III = "TypeIII"
 
 
-class ModelKind(enum.Enum):
-    VERTICAL = "Vertical"
-    SPECIAL_I = "SpecialI"
-    SPECIAL_II = "SpecialII"
-    GENERAL = "General"
+Y_SAMPLES = 33   # y-samples of a model's domain on which classify checks c2
+# the surface type of each family whose type does not depend on the window
+_FAMILY_TYPE = {lienard.Zero: SurfaceType.VERTICAL,
+                lienard.SpecialI: SurfaceType.SPECIAL_I,
+                lienard.SpecialII: SurfaceType.SPECIAL_II}
 
 
 @dataclass
 class AlphaModel:
-    """A solution family whose constants are functions of y.
+    """A lienard solution family whose constants are functions of y.
 
-    Families: Vertical (alpha == 0), special I  1/(x + c1(y)),
-    special II  1/(2x + c1(y)), general  (x + c1(y))/((x + c1(y))^2 + c2(y))
-    with c2(y) != 0 on the domain.
+    Families: Zero (the vertical model, alpha == 0), special I
+    1/(x + c1(y)), special II  1/(2x + c1(y)), general
+    (x + c1(y))/((x + c1(y))^2 + c2(y)) with c2(y) != 0 on the domain.
     """
 
-    kind: ModelKind
+    family: type
     c1: Optional[YFunction] = None
     c2: Optional[YFunction] = None
     y_domain: tuple = (0.0, 1.0)
 
     @staticmethod
     def vertical(y_domain=(0.0, 1.0)):
-        return AlphaModel(ModelKind.VERTICAL, y_domain=y_domain)
+        return AlphaModel(lienard.Zero, y_domain=y_domain)
 
     @staticmethod
     def special_i(c1: YFunction, y_domain=(0.0, 1.0)):
-        return AlphaModel(ModelKind.SPECIAL_I, c1=c1, y_domain=y_domain)
+        return AlphaModel(lienard.SpecialI, c1=c1, y_domain=y_domain)
 
     @staticmethod
     def special_ii(c1: YFunction, y_domain=(0.0, 1.0)):
-        return AlphaModel(ModelKind.SPECIAL_II, c1=c1, y_domain=y_domain)
+        return AlphaModel(lienard.SpecialII, c1=c1, y_domain=y_domain)
 
     @staticmethod
     def general(c1: YFunction, c2: YFunction, y_domain=(0.0, 1.0)):
-        return AlphaModel(ModelKind.GENERAL, c1=c1, c2=c2, y_domain=y_domain)
+        return AlphaModel(lienard.General, c1=c1, c2=c2, y_domain=y_domain)
 
     def slice_at(self, y: float) -> lienard.AlphaSolution:
         """The x-solution obtained by freezing y."""
-        if self.kind is ModelKind.VERTICAL:
-            return lienard.Zero()
-        if self.kind is ModelKind.SPECIAL_I:
-            return lienard.SpecialI(self.c1(y))
-        if self.kind is ModelKind.SPECIAL_II:
-            return lienard.SpecialII(self.c1(y))
+        family = self.family
+        if family is lienard.Zero:
+            return family()
+        if family is not lienard.General:
+            return family(self.c1(y))
         try:
-            return lienard.General(self.c1(y), self.c2(y))
+            return family(self.c1(y), self.c2(y))
         except ValueError as exc:
             raise SingularPoint(f"c2 vanishes at y = {y}: {exc}") from exc
-
-    def y_samples(self, n: int = 33):
-        c, d = self.y_domain
-        pad = 1e-9 * max(1.0, abs(c), abs(d))
-        return np.linspace(c + pad, d - pad, n)
 
 
 def eval_model(m: AlphaModel, x: float, y: float) -> float:
     return m.slice_at(y).alpha(x)
 
 
-def _general_region(c1: float, c2: float, x: float) -> SurfaceType:
-    if c2 > 0:
-        return SurfaceType.TYPE_I
-    r = math.sqrt(-c2)
-    if x < -c1 - r or x > -c1 + r:
+def _general_region(lo: float, hi: float, x: float) -> SurfaceType:
+    """The type at x of a c2 < 0 general solution with singular curves
+    x = lo < hi: type II outside them, type III between."""
+    if x < lo or x > hi:
         return SurfaceType.TYPE_II
-    if -c1 - r < x < -c1 + r:
+    if lo < x < hi:
         return SurfaceType.TYPE_III
     raise MixedType(f"window touches the singular curve at x = {x}")
 
 
-def classify(m: AlphaModel, x_window=None, n_samples: int = 33) -> SurfaceType:
+def classify(m: AlphaModel, x_window=None) -> SurfaceType:
     """The surface type of the model over the given x-window.
 
-    Vertical and special kinds pass through.  For the general kind the
+    Vertical and special families pass through.  For the general family the
     sign of c2 decides type I versus II/III, and the position of the
     window relative to the singular curves decides between II and III.
     Raises MixedType when the window straddles the singular curves or c2
     vanishes or changes sign over the y-domain.
     """
-    if m.kind is ModelKind.VERTICAL:
-        return SurfaceType.VERTICAL
-    if m.kind is ModelKind.SPECIAL_I:
-        return SurfaceType.SPECIAL_I
-    if m.kind is ModelKind.SPECIAL_II:
-        return SurfaceType.SPECIAL_II
+    if m.family in _FAMILY_TYPE:
+        return _FAMILY_TYPE[m.family]
 
-    ys = m.y_samples(n_samples)
+    c, d = m.y_domain
+    pad = 1e-9 * max(1.0, abs(c), abs(d))
+    ys = np.linspace(c + pad, d - pad, Y_SAMPLES)
     c2s = np.array([m.c2(y) for y in ys])
     if np.any(c2s > 0) and np.any(c2s < 0):
         raise MixedType("c2(y) changes sign on the domain")
@@ -128,15 +119,14 @@ def classify(m: AlphaModel, x_window=None, n_samples: int = 33) -> SurfaceType:
     x_lo, x_hi = x_window
     labels = set()
     for y in ys:
-        c1, c2 = m.c1(y), m.c2(y)
-        lo_lab = _general_region(c1, c2, x_lo)
-        hi_lab = _general_region(c1, c2, x_hi)
+        lo, hi = m.slice_at(y).singular_x()
+        lo_lab = _general_region(lo, hi, x_lo)
+        hi_lab = _general_region(lo, hi, x_hi)
         if lo_lab is not hi_lab:
             raise MixedType("x-window straddles a singular curve")
         if lo_lab is SurfaceType.TYPE_II:
             # both endpoints outside: reject a window spanning the gap
-            r = math.sqrt(-c2)
-            if x_lo < -c1 - r and x_hi > -c1 + r:
+            if x_lo < lo and x_hi > hi:
                 raise MixedType("x-window spans the type III gap")
         labels.add(lo_lab)
     if len(labels) != 1:
@@ -174,14 +164,19 @@ def _family_prefactor(m: AlphaModel, x: float, y: float) -> float:
     sol = m.slice_at(y)
     alpha = sol.alpha(x)
     root = math.sqrt(1.0 + alpha * alpha)
-    if m.kind is ModelKind.SPECIAL_I:
+    if m.family is lienard.SpecialI:
         return alpha * alpha / root
-    if m.kind is ModelKind.SPECIAL_II:
+    if m.family is lienard.SpecialII:
         return abs(alpha) / root
     den = abs(x + m.c1(y))
     if den <= EPS_DEN:
         raise SingularPoint(f"metric prefactor singular at x = {x}")
     return abs(alpha) / (den * root)
+
+
+def exp_of(k: YFunction) -> YFunction:
+    """e^k as a YFunction, so an overflow names its y."""
+    return YFunction(lambda y: math.exp(k(y)))
 
 
 def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
@@ -195,8 +190,8 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
     Both a and b share the x-profile, so a_x and b_x follow analytically
     from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).
     """
-    ek = YFunction(lambda y: math.exp(k(y)))
-    if m.kind is ModelKind.VERTICAL:
+    ek = exp_of(k)
+    if m.family is lienard.Zero:
         return MetricRep(
             a=lambda x, y: h(y),
             b=lambda x, y: ek(y),
@@ -309,12 +304,12 @@ def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
     # zeta1 and zeta2 at the same y_new share one inversion of Psi
     pull_y = memoized(change.invert_y)
 
-    if m.kind is ModelKind.VERTICAL:
+    if m.family is lienard.Zero:
         nf = NormalForm(SurfaceType.VERTICAL, None, None)
         return nf, change
 
-    # the special II family is 1/(2x + c1), so x -> x + Gamma moves c1 by 2 Gamma
-    s = 2.0 if m.kind is ModelKind.SPECIAL_II else 1.0
+    # x -> x + Gamma moves c1 by scale * Gamma (2 Gamma for special II)
+    s = m.family.scale
 
     def z1(y_new):
         y = pull_y(y_new)
@@ -326,10 +321,8 @@ def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
 
     zeta1 = YFunction(z1, dz1)
 
-    if m.kind is not ModelKind.GENERAL:
-        stype = SurfaceType(m.kind.value)   # SpecialI or SpecialII
-        nf = NormalForm(stype, zeta1, None)
-        return nf, change
+    if m.family is not lienard.General:
+        return NormalForm(_FAMILY_TYPE[m.family], zeta1, None), change
 
     def z2(y_new):
         return m.c2(pull_y(y_new))
@@ -352,7 +345,7 @@ def first_fundamental_form(nf: NormalForm, x: float, y: float) -> np.ndarray:
         X = x + nf.zeta1(y)
         g22 = X**2 + X**4
     elif nf.surface_type is SurfaceType.SPECIAL_II:
-        g22 = 1.0 + (2.0 * x + nf.zeta1(y)) ** 2
+        g22 = 1.0 + (lienard.SpecialII.scale * x + nf.zeta1(y)) ** 2
     else:
         X = x + nf.zeta1(y)
         g22 = X**2 + (X**2 + nf.zeta2(y)) ** 2
@@ -396,7 +389,8 @@ def maximal_domain(zeta1: Optional[YFunction],
         return MaximalDomain(surface_type, {"all": lambda x, y: True},
                              [])
     if surface_type in (SurfaceType.SPECIAL_I, SurfaceType.SPECIAL_II):
-        s = 2.0 if surface_type is SurfaceType.SPECIAL_II else 1.0
+        s = (lienard.SpecialII if surface_type is SurfaceType.SPECIAL_II
+             else lienard.SpecialI).scale
         return MaximalDomain(
             surface_type,
             {"plus": lambda x, y: s * x + zeta1(y) > 0,

@@ -16,6 +16,9 @@ from .errors import EvaluationError, QuadratureFailure
 EPS_DEN = 1e-12      # singular-denominator guard
 FD_STEP = 1e-6       # central first differences
 FD_STEP_D2 = 1e-4    # second differences (lienard_residual): error ~ eps / h^2
+INVERT_TOL = 1e-13   # relative bracket width at which bisection stops
+INVERT_MAX_EXPAND = 60
+RICHARDSON_RATIO = 2.0   # offset ratio of richardson_limit's sequences
 
 
 def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
@@ -173,8 +176,7 @@ class YFunction:
         return YFunction(ast.eval, dast.eval, dast.deriv().eval, var)
 
 
-def invert_monotone(g, target: float, lo: float, hi: float,
-                    tol: float = 1e-13, max_expand: int = 60):
+def invert_monotone(g, target: float, lo: float, hi: float):
     """Solve g(s) = target for strictly monotone g, expanding the bracket
     as needed, then bisecting."""
     glo, ghi = g(lo), g(hi)
@@ -190,12 +192,12 @@ def invert_monotone(g, target: float, lo: float, hi: float,
             glo = g(lo)
         span *= 2.0
         k += 1
-        if k > max_expand:
+        if k > INVERT_MAX_EXPAND:
             raise ValueError("failed to bracket monotone inverse")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if abs(hi - lo) < tol * max(1.0, abs(mid)):
+        if abs(hi - lo) < INVERT_TOL * max(1.0, abs(mid)):
             return mid
         if (gm < target) == increasing:
             lo = mid
@@ -204,14 +206,14 @@ def invert_monotone(g, target: float, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def richardson_limit(values, ratio: float = 2.0):
+def richardson_limit(values):
     """Extrapolate the limit of a geometrically-refined sequence.
 
-    values[k] corresponds to offsets shrinking by `ratio` each step; one
-    round of Richardson extrapolation per column.
+    values[k] corresponds to offsets shrinking by RICHARDSON_RATIO each
+    step; one round of Richardson extrapolation per column.
     """
     tab = [np.asarray(values, dtype=float)]
     while len(tab[-1]) > 1:
         prev = tab[-1]
-        tab.append((ratio * prev[1:] - prev[:-1]) / (ratio - 1.0))
+        tab.append((RICHARDSON_RATIO * prev[1:] - prev[:-1]) / (RICHARDSON_RATIO - 1.0))
     return float(tab[-1][0])

@@ -6,19 +6,27 @@ go-through limits across singular curves, and Legendrian-ruling checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import expr as expr_mod
 from .errors import EvaluationError, NewtonDivergence, PreconditionFailed, SingularPoint
-from .heis import HPoint, contact_value
+from .heis import FrameVector, HPoint, contact_value
 from .numerics import central_d1, richardson_limit
 
 EPS_SINGULAR = 1e-10   # characteristic direction exists when D > this
 NEWTON_TOL = 1e-12
+NEWTON_ACCEPT = 1e-8   # a point with max |F| below this counts as a zero of F
 NEWTON_MAX_ITER = 50
+JACOBIAN_RANK_TOL = 1e-6   # relative |det J| below which J counts as singular
+SEED_GRID = 41         # Newton seeds per axis of singular_set's window
+DEDUPE_TOL = 1e-6      # zeros closer than this times the window are one point
+TRACE_MAX_STEPS = 4000   # predictor-corrector steps per direction of a curve
+FLIP_TOL = 1e-3        # go-through: limits opposite to within this
+H_STEP = 1e-4          # numeric_H_on_chart's central-difference step
+RULING_STEP = 0.1      # legendrian_line_check's second-difference step in r
 
 
 @dataclass
@@ -54,13 +62,14 @@ class GraphSurface:
         return GraphSurface(ev(ast), ev(dx), ev(dy), ev(dx.deriv("x")),
                             ev(dx.deriv("y")), ev(dy.deriv("y")), window)
 
-    def D(self, x: float, y: float) -> float:
-        """sqrt((u_x - y)^2 + (u_y + x)^2); zero exactly at singular points."""
-        return math.hypot(self.u_x(x, y) - y, self.u_y(x, y) + x)
+    def pq(self, x: float, y: float):
+        """(p, q) = (u_x - y, u_y + x): the horizontal gradient, whose zeros
+        are the singular points; e1 = (q, -p)/D with D = |(p, q)|."""
+        return self.u_x(x, y) - y, self.u_y(x, y) + x
 
     def F(self, x: float, y: float) -> np.ndarray:
-        """The singular-set defining map (u_x - y, u_y + x)."""
-        return np.array([self.u_x(x, y) - y, self.u_y(x, y) + x])
+        """The singular-set defining map (p, q) as an array."""
+        return np.array(self.pq(x, y))
 
     def F_jacobian(self, x: float, y: float) -> np.ndarray:
         return np.array([
@@ -90,22 +99,17 @@ def pmge_residual(g: GraphSurface, x: float, y: float) -> float:
         (u_y + x)^2 u_xx - 2 (u_y + x)(u_x - y) u_xy + (u_x - y)^2 u_yy;
 
     zero exactly on p-minimal graphs."""
-    p = g.u_x(x, y) - y
-    q = g.u_y(x, y) + x
+    p, q = g.pq(x, y)
     return (q * q * g.u_xx(x, y) - 2.0 * q * p * g.u_xy(x, y)
             + p * p * g.u_yy(x, y))
 
 
-def characteristic_direction(g: GraphSurface, x: float, y: float,
-                             eps: float = EPS_SINGULAR):
+def characteristic_direction(g: GraphSurface, x: float, y: float):
     """The unit horizontal tangent e1 = ((u_y + x) e1* - (u_x - y) e2*)/D
     at a regular point of the graph, as a FrameVector."""
-    from .heis import FrameVector
-
-    p = g.u_x(x, y) - y
-    q = g.u_y(x, y) + x
+    p, q = g.pq(x, y)
     D = math.hypot(p, q)
-    if D <= eps:
+    if D <= EPS_SINGULAR:
         raise SingularPoint(f"singular point of the graph at ({x}, {y})")
     return FrameVector(q / D, -p / D, 0.0, HPoint(x, y, g.u(x, y)))
 
@@ -115,10 +119,10 @@ def _frame_coords(p: HPoint, v: np.ndarray) -> np.ndarray:
     return np.array([v[0], v[1], contact_value(p, v)])
 
 
-def chart_frame(chart, u: float, v: float, eps: float = EPS_SINGULAR):
-    """(e1, e2, basepoint) at a regular chart point: e1 spans the
-    horizontal tangent line, e2 = J e1; both as horizontal frame pairs
-    (c1, c2).
+def chart_frame(chart, u: float, v: float):
+    """(e1, e2, basepoint, Xu, Xv) at a regular chart point: e1 spans the
+    horizontal tangent line, e2 = J e1, both as horizontal frame pairs
+    (c1, c2); Xu and Xv are the chart partials' (e1*, e2*, T)-coefficients.
 
     Orientation: e1 is aligned with the chart's declared characteristic
     parameter when e1_index is set, with the graph convention
@@ -130,7 +134,7 @@ def chart_frame(chart, u: float, v: float, eps: float = EPS_SINGULAR):
     Xv = _frame_coords(p, chart.dv(u, v))
     h = Xv[2] * Xu - Xu[2] * Xv  # horizontal: its T-coefficient vanishes
     nh = math.hypot(h[0], h[1])
-    if nh <= eps:
+    if nh <= EPS_SINGULAR:
         raise SingularPoint(
             f"tangent plane equals the contact plane at ({u}, {v})")
     e1 = np.array([h[0] / nh, h[1] / nh])
@@ -139,21 +143,22 @@ def chart_frame(chart, u: float, v: float, eps: float = EPS_SINGULAR):
         if e1[0] * ref[0] + e1[1] * ref[1] < 0:
             e1 = -e1
     elif getattr(chart, "graph_u", None) is not None:
-        g = chart.graph_u
-        ref = np.array([g.u_y(u, v) + u, -(g.u_x(u, v) - v)])
-        if e1 @ ref < 0:
+        gp, gq = chart.graph_u.pq(u, v)
+        if e1 @ np.array([gq, -gp]) < 0:
             e1 = -e1
     e2 = np.array([-e1[1], e1[0]])
-    return e1, e2, p
+    return e1, e2, p, Xu, Xv
 
 
 def numeric_alpha_on_chart(chart, u: float, v: float) -> float:
     """alpha from first principles: the unique scalar making
     alpha e2 + T tangent to the chart, by a 3x3 linear solve in the
     left-invariant frame."""
-    _, e2, p = chart_frame(chart, u, v)
-    Xu = _frame_coords(p, chart.du(u, v))
-    Xv = _frame_coords(p, chart.dv(u, v))
+    return _alpha_in_frame(chart_frame(chart, u, v), u, v)
+
+
+def _alpha_in_frame(frame, u: float, v: float) -> float:
+    _, e2, _, Xu, Xv = frame
     # E Xu + F Xv - alpha e2 = T, unknowns (E, F, alpha)
     A = np.array([
         [Xu[0], Xv[0], -e2[0]],
@@ -173,20 +178,18 @@ def numeric_ab_on_chart(chart, u: float, v: float):
     (alpha e2 + T)/sqrt(1 + alpha^2) in the chart partials."""
     if getattr(chart, "e1_index", None) is None:
         raise PreconditionFailed("(a, b) needs compatible chart coordinates")
-    al = numeric_alpha_on_chart(chart, u, v)
-    _, e2, p = chart_frame(chart, u, v)
+    frame = chart_frame(chart, u, v)
+    _, e2, _, Xu, Xv = frame
+    al = _alpha_in_frame(frame, u, v)
     root = math.sqrt(1.0 + al * al)
     target = np.array([al * e2[0], al * e2[1], 1.0]) / root
-    Xu = _frame_coords(p, chart.du(u, v))
-    Xv = _frame_coords(p, chart.dv(u, v))
     cols = (Xu, Xv) if chart.e1_index == 0 else (Xv, Xu)
     M = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(M, target, rcond=None)
     return float(coef[0]), float(coef[1])
 
 
-def numeric_H_on_chart(chart, u: float, v: float,
-                       step: float = 1e-4) -> float:
+def numeric_H_on_chart(chart, u: float, v: float) -> float:
     """The p-mean curvature from first principles: H = -<grad_{e1} e2, e1>.
 
     The left-invariant frame is parallel, so the covariant derivative
@@ -194,22 +197,20 @@ def numeric_H_on_chart(chart, u: float, v: float,
     along the characteristic flow, taken by central differences in
     parameter space along the direction pushing forward to e1.
     """
-    e1, _, p = chart_frame(chart, u, v)
-    Xu = _frame_coords(p, chart.du(u, v))
-    Xv = _frame_coords(p, chart.dv(u, v))
+    e1, _, _, Xu, Xv = chart_frame(chart, u, v)
     # parameter direction with pushforward e1 (horizontal, so the frame
     # T-row is consistent); least squares over the 3 frame rows
     M = np.column_stack([Xu, Xv])
     d, *_ = np.linalg.lstsq(M, np.array([e1[0], e1[1], 0.0]), rcond=None)
 
     def e2_at(s):
-        _, e2s, _ = chart_frame(chart, u + s * d[0], v + s * d[1])
+        e2s = chart_frame(chart, u + s * d[0], v + s * d[1])[1]
         e1s = np.array([e2s[1], -e2s[0]])  # J^{-1} e2
         if e1s @ e1 < 0:  # keep the frame orientation continuous
             e2s = -e2s
         return e2s
 
-    de2 = central_d1(e2_at, 0.0, step)
+    de2 = central_d1(e2_at, 0.0, H_STEP)
     return float(-(de2 @ e1))
 
 
@@ -246,13 +247,15 @@ class SingularReport:
         }
 
 
-def _newton_zero(g: GraphSurface, x0, y0, tol=NEWTON_TOL,
-                 max_iter=NEWTON_MAX_ITER):
-    x, y = float(x0), float(y0)
-    for _ in range(max_iter):
+def _gauss_newton(g: GraphSurface, x, y):
+    """Gauss-Newton on F = 0 from (x, y): (x, y, converged) after at most
+    NEWTON_MAX_ITER steps, the last iterate when it did not converge.
+    Raises NewtonDivergence when a step fails or leaves the finite plane."""
+    x0, y0 = x, y
+    for _ in range(NEWTON_MAX_ITER):
         Fv = g.F(x, y)
-        if np.max(np.abs(Fv)) <= tol:
-            return x, y
+        if np.max(np.abs(Fv)) <= NEWTON_TOL:
+            return x, y, True
         J = g.F_jacobian(x, y)
         try:
             dx, dy = np.linalg.lstsq(J, -Fv, rcond=None)[0]
@@ -261,54 +264,49 @@ def _newton_zero(g: GraphSurface, x0, y0, tol=NEWTON_TOL,
         x, y = x + dx, y + dy
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NewtonDivergence(f"iterates diverged from ({x0}, {y0})")
-    Fv = g.F(x, y)
-    if np.max(np.abs(Fv)) <= 1e-8:
+    return x, y, False
+
+
+def _newton_zero(g: GraphSurface, x0, y0):
+    """The zero of F that Gauss-Newton reaches from the seed (x0, y0)."""
+    x, y, converged = _gauss_newton(g, float(x0), float(y0))
+    if converged or np.max(np.abs(g.F(x, y))) <= NEWTON_ACCEPT:
         return x, y
     raise NewtonDivergence(f"no convergence from ({x0}, {y0})")
 
 
-def _jacobian_is_singular(J: np.ndarray, rel_tol: float = 1e-6) -> bool:
+def _kernel(J: np.ndarray) -> np.ndarray:
+    """The unit kernel direction of a rank-one 2x2 Jacobian."""
+    return np.linalg.svd(J)[2][-1]
+
+
+def _jacobian_is_singular(J: np.ndarray) -> bool:
     scale = float(np.max(np.abs(J)))
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    return abs(det) <= rel_tol * max(1.0, scale * scale)
+    return abs(det) <= JACOBIAN_RANK_TOL * max(1.0, scale * scale)
 
 
-def _trace_curve(g: GraphSurface, x0, y0, step, window, max_steps=4000):
+def _trace_curve(g: GraphSurface, x0, y0, step):
     """Predictor-corrector trace of a singular curve through (x0, y0):
     predict along the kernel direction of the Jacobian, correct by
     Gauss-Newton back onto F = 0."""
-    (x_lo, x_hi), (y_lo, y_hi) = window
+    (x_lo, x_hi), (y_lo, y_hi) = g.window
 
     def inside(x, y):
         margin = step
         return (x_lo - margin <= x <= x_hi + margin
                 and y_lo - margin <= y <= y_hi + margin)
 
-    def tangent(x, y):
-        J = g.F_jacobian(x, y)
-        _, _, vt = np.linalg.svd(J)
-        return vt[-1]
-
-    def correct(x, y):
-        for _ in range(NEWTON_MAX_ITER):
-            Fv = g.F(x, y)
-            if np.max(np.abs(Fv)) <= NEWTON_TOL:
-                return x, y
-            J = g.F_jacobian(x, y)
-            dx, dy = np.linalg.lstsq(J, -Fv, rcond=None)[0]
-            x, y = x + dx, y + dy
-        return x, y
-
     halves = []
     for sgn in (1.0, -1.0):
         pts = []
         x, y = x0, y0
-        t_prev = sgn * tangent(x, y)
-        for _ in range(max_steps):
-            t = tangent(x, y)
+        t_prev = sgn * _kernel(g.F_jacobian(x, y))
+        for _ in range(TRACE_MAX_STEPS):
+            t = _kernel(g.F_jacobian(x, y))
             if t @ t_prev < 0:
                 t = -t
-            xn, yn = correct(x + step * t[0], y + step * t[1])
+            xn, yn, _ = _gauss_newton(g, x + step * t[0], y + step * t[1])
             if not inside(xn, yn):
                 break
             pts.append((xn, yn))
@@ -318,17 +316,16 @@ def _trace_curve(g: GraphSurface, x0, y0, step, window, max_steps=4000):
     return list(reversed(halves[1])) + [(x0, y0)] + halves[0]
 
 
-def singular_set(g: GraphSurface, nx: int = 41, ny: int = 41,
-                 dedupe_tol: float = 1e-6) -> SingularReport:
+def singular_set(g: GraphSurface) -> SingularReport:
     """Locate and classify the zero set of F = (u_x - y, u_y + x) on the
     window: Newton from every grid seed, deduplicate the converged zeros,
     then classify each by the Jacobian rank — nonsingular Jacobian means
     an isolated singular point, singular Jacobian means a singular curve
     (traced as a polyline)."""
     (x_lo, x_hi), (y_lo, y_hi) = g.window
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(y_lo, y_hi, ny)
-    step = max(x_hi - x_lo, y_hi - y_lo) / max(nx, ny)
+    xs = np.linspace(x_lo, x_hi, SEED_GRID)
+    ys = np.linspace(y_lo, y_hi, SEED_GRID)
+    step = max(x_hi - x_lo, y_hi - y_lo) / SEED_GRID
 
     zeros = []
     failures = 0
@@ -356,10 +353,10 @@ def singular_set(g: GraphSurface, nx: int = 41, ny: int = 41,
             features.append(SingularFeature("IsolatedPoint", (x, y),
                                             residual=res))
             for j, (xj, yj) in enumerate(zeros):
-                if math.hypot(xj - x, yj - y) <= dedupe_tol * scale:
+                if math.hypot(xj - x, yj - y) <= DEDUPE_TOL * scale:
                     consumed[j] = True
         else:
-            poly = _trace_curve(g, x, y, step, g.window)
+            poly = _trace_curve(g, x, y, step)
             res = float(max(np.max(np.abs(g.F(px, py))) for px, py in poly))
             features.append(SingularFeature("Curve", (x, y), poly, res))
             arr = np.asarray(poly)
@@ -382,22 +379,11 @@ class GoThroughResult:
     flip_detected: bool
     tolerance: float
 
-    def to_json_dict(self):
-        return {
-            "cos_limit_plus": self.cos_limit_plus,
-            "cos_limit_minus": self.cos_limit_minus,
-            "expected_plus": self.expected_plus,
-            "expected_minus": self.expected_minus,
-            "flip_detected": self.flip_detected,
-            "tolerance": self.tolerance,
-        }
-
 
 def _cos_zeta(g: GraphSurface, x: float, y: float) -> float:
     """cos of the angle between e1 and the coordinate direction X_x
     = (1, 0, u_x) at a regular point, in the adapted metric."""
-    p = g.u_x(x, y) - y
-    q = g.u_y(x, y) + x
+    p, q = g.pq(x, y)
     D = math.hypot(p, q)
     if D <= EPS_SINGULAR:
         raise SingularPoint(f"({x}, {y}) is singular")
@@ -406,8 +392,7 @@ def _cos_zeta(g: GraphSurface, x: float, y: float) -> float:
 
 
 def go_through_check(g: GraphSurface, p: tuple,
-                     direction: Optional[tuple] = None,
-                     flip_tol: float = 1e-3) -> GoThroughResult:
+                     direction: Optional[tuple] = None) -> GoThroughResult:
     """Approach a point of a singular curve from both sides along a
     transversal and report the two limits of cos(angle(e1, X_x)).
 
@@ -418,7 +403,7 @@ def go_through_check(g: GraphSurface, p: tuple,
     the two limits are opposite.
     """
     x0, y0 = float(p[0]), float(p[1])
-    if float(np.max(np.abs(g.F(x0, y0)))) > 1e-8:
+    if float(np.max(np.abs(g.F(x0, y0)))) > NEWTON_ACCEPT:
         raise PreconditionFailed(f"({x0}, {y0}) is not a singular point")
     J = g.F_jacobian(x0, y0)
     if not _jacobian_is_singular(J):
@@ -431,8 +416,7 @@ def go_through_check(g: GraphSurface, p: tuple,
             "both u_xx and u_xy + 1 vanish; the limit analysis degenerates")
     if direction is None:
         # transversal: perpendicular to the curve tangent (Jacobian kernel)
-        _, _, vt = np.linalg.svd(J)
-        t = vt[-1]
+        t = _kernel(J)
         direction = (-t[1], t[0])
     d = np.asarray(direction, dtype=float)
     norm = math.hypot(d[0], d[1])
@@ -449,12 +433,12 @@ def go_through_check(g: GraphSurface, p: tuple,
     plus = limit(+1.0)
     minus = limit(-1.0)
     expected = uxy1 / math.hypot(uxx, uxy1)
-    flip = (abs(plus + minus) <= flip_tol
-            and min(abs(plus), abs(minus)) > flip_tol)
-    return GoThroughResult(plus, minus, expected, -expected, flip, flip_tol)
+    flip = (abs(plus + minus) <= FLIP_TOL
+            and min(abs(plus), abs(minus)) > FLIP_TOL)
+    return GoThroughResult(plus, minus, expected, -expected, flip, FLIP_TOL)
 
 
-def legendrian_line_check(chart, samples, r_step: float = 0.1):
+def legendrian_line_check(chart, samples):
     """Max |Theta(Y_r)| and max straightness defect (second difference of
     the ruling in r) over the sample points (r, theta)."""
     max_theta = 0.0
@@ -463,8 +447,8 @@ def legendrian_line_check(chart, samples, r_step: float = 0.1):
         p = chart.point(r, t)
         max_theta = max(max_theta,
                         abs(contact_value(p, chart.du(r, t))))
-        second = (chart.point(r + r_step, t).as_array()
+        second = (chart.point(r + RULING_STEP, t).as_array()
                   - 2.0 * p.as_array()
-                  + chart.point(r - r_step, t).as_array())
+                  + chart.point(r - RULING_STEP, t).as_array())
         max_bend = max(max_bend, float(np.max(np.abs(second))))
     return max_theta, max_bend

@@ -135,9 +135,19 @@ def test_integrability_alpha0_needs_no_model(capsys):
     (["examples", "conicoid", "--nu", "-3"], "--nu"),
     (["examples", "conicoid", "--nu", "0"], "--nu"),
     (["examples", "conicoid", "--nv", "0"], "--nv"),
+    (["solve-lienard", "--alpha0", "nan", "--v0", "0", "--fit"], "--alpha0"),
+    (["solve-lienard", "--alpha0", "1", "--v0", "inf", "--fit"], "--v0"),
+    (["solve-lienard", "--alpha0", "1", "--v0", "0", "--x1", "nan"], "--x1"),
+    (["solve-lienard", "--alpha0", "1", "--v0", "0", "--x1", "inf"], "--x1"),
+    (["phase-field", "--alpha-min", "nan"], "--alpha-min"),
+    (["metric", "--alpha", "special1", "--c1", "1", "--y-min", "nan"], "--y-min"),
+    (["go-through", "--u", "x*y", "--px", "0", "--py", "0.5",
+      "--direction", "nan", "1"], "--direction"),
 ], ids=["solve-lienard", "phase-field", "verify-graph", "construct",
         "integrability", "metric-nx-negative", "metric-nx-zero", "metric-ny",
-        "normalize", "examples-nu-negative", "examples-nu-zero", "examples-nv"])
+        "normalize", "examples-nu-negative", "examples-nu-zero", "examples-nv",
+        "fit-nan-alpha0", "fit-inf-v0", "nan-x1", "inf-x1", "phase-field-nan",
+        "metric-nan-y-min", "go-through-nan-direction"])
 def test_bad_step_or_grid_size_is_usage_error(argv, flag, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -145,24 +155,33 @@ def test_bad_step_or_grid_size_is_usage_error(argv, flag, capsys):
     assert err.count("\n") == 1 and flag in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["metric", "--alpha", "special1", "--c1", "log(y-5)"],
-    ["metric", "--alpha", "special1", "--c1", "10^1000"],
-    ["metric", "--alpha", "special1", "--c1", "(0-1)^0.5"],
-    ["verify-graph", "--u", "sqrt(x)"],
-    ["verify-graph", "--u", "(x-5)^0.5"],
-    ["construct", "--zeta1", "1/theta", "--zeta2", "1"],
-    ["metric", "--alpha", "special1", "--c1", "0.4", "--k", "1000*y"],
-    ["integrability", "--alpha", "special1", "--c1", "0.4", "--k=800*y"],
+EVAL = "error: cannot evaluate at "
+BLOWUP = "error: trajectory blow-up near x = "
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["metric", "--alpha", "special1", "--c1", "log(y-5)"], EVAL),
+    (["metric", "--alpha", "special1", "--c1", "10^1000"], EVAL),
+    (["metric", "--alpha", "special1", "--c1", "(0-1)^0.5"], EVAL),
+    (["verify-graph", "--u", "sqrt(x)"], EVAL),
+    (["verify-graph", "--u", "(x-5)^0.5"], EVAL),
+    (["construct", "--zeta1", "1/theta", "--zeta2", "1"], EVAL),
+    (["metric", "--alpha", "special1", "--c1", "0.4", "--k", "1000*y"], EVAL),
+    (["integrability", "--alpha", "special1", "--c1", "0.4", "--k=800*y"], EVAL),
+    (["solve-lienard", "--alpha0", "1e200", "--v0", "0"], BLOWUP),
+    (["solve-lienard", "--alpha0", "1e200", "--v0", "0", "--fit"], EVAL),
+    (["integrability", "--alpha0", "0.3", "--hconst", "1e200"], BLOWUP),
+    (["phase-field", "--alpha-min", "1e300", "--alpha-max", "1e-300"], EVAL),
 ], ids=["domain", "overflow", "negative-base-power", "graph-domain",
         "graph-negative-base-power", "zero-division", "metric-exp-k-overflow",
-        "integrability-exp-k-overflow"])
-def test_evaluation_error_is_numeric_failure(argv, capsys):
+        "integrability-exp-k-overflow", "ivp-overflow", "fit-overflow",
+        "profile-overflow", "phase-field-overflow"])
+def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("error: cannot evaluate at ")
+    assert err.startswith(prefix)
 
 
 @pytest.mark.parametrize("command", [
@@ -244,7 +263,8 @@ def test_go_through_cli(capsys):
 @pytest.mark.parametrize("argv", [
     ["--u", "0", "--px", "0", "--py", "0"],
     ["--u", "x*y+y^2/2", "--px", "0", "--py", "0", "--direction", "0", "0"],
-    ["--u", "x*y+y^2/2", "--px", "0", "--py", "0", "--direction", "nan", "1"],
+    # finite flags whose length overflows; a nan flag is a usage error
+    ["--u", "x*y+y^2/2", "--px", "0", "--py", "0", "--direction", "1.7e308", "1.7e308"],
 ], ids=["isolated-point", "zero-direction", "non-finite-direction"])
 def test_go_through_precondition_is_numeric_failure(argv, capsys):
     code, _ = run_cli(["go-through"] + argv, capsys)
@@ -261,3 +281,17 @@ def test_console_script_entry_point():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["type"] == "Vertical"
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # bench/spans.py wraps program functions by name; a renamed one would
+    # only show up as an AttributeError in a traced benchmark run.  A child
+    # process, because install() patches the modules for good.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(heismin.__file__))
+    path = os.pathsep.join([src, os.path.join(root, "bench")])
+    proc = subprocess.run([sys.executable, "-c",
+                           "import spans; spans.install(spans.Tracer())"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

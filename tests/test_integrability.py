@@ -100,6 +100,16 @@ def test_codazzi_residual_2d():
     assert stats.overall_max() <= 1e-7
 
 
+def test_codazzi_residual_2d_value_only_field():
+    # without dx, alpha_xx is one second difference of the field, not a
+    # difference of a difference (which reads about 4e-5 here)
+    m = AlphaModel.general(yconst(0.0), yconst(1.0))
+    field = Field2D(lambda x, y: models.eval_model(m, x, y))
+    stats = integrability.codazzi_residual_2d(
+        field, 0.0, (np.linspace(0.3, 2.0, 25), np.linspace(0.0, 1.0, 5)))
+    assert stats.overall_max() <= 1e-7
+
+
 def test_residual_stats_reductions():
     s = integrability.ResidualStats(max={1: 0.5, 2: 0.25}, mean={1: 0.1, 2: 0.2})
     assert s.overall_max() == 0.5
