@@ -2,9 +2,10 @@
 subcommand per pipeline, and CSV / OBJ / JSON exporters.
 
 Exit codes: 0 success, 1 usage error (including a grid size or step out
-of range and a float flag that is not finite), 2 numeric failure
-(including an expression evaluated outside its domain or beyond the
-float range), 3 expression parse error.
+of range, a float flag that is not finite and a phase-field window of
+infinite width), 2 numeric failure (including an expression evaluated
+outside its domain or beyond the float range, and a JSON report figure
+that is not finite), 3 expression parse error.
 """
 from __future__ import annotations
 
@@ -13,11 +14,12 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import chain, islice
 
 import numpy as np
 
 from . import construct, integrability, lienard, models, verify
-from .errors import ExprSyntaxError, HeisminError
+from .errors import ExprSyntaxError, HeisminError, NonFiniteResult
 from .models import AlphaModel, YFunction
 
 EXIT_OK = 0
@@ -27,10 +29,7 @@ EXIT_PARSE = 3
 
 INTEGRABILITY_TOL = 1e-6
 PMGE_TOL = 1e-8
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+_BLOCK_ROWS = 1024   # rows per % call of the CSV/OBJ writer
 
 
 class _UsageError(Exception):
@@ -80,33 +79,56 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _non_finite(obj, key=""):
+    """(key, value) of the first nan or infinite float in a JSON payload,
+    or None; key is the path to it, such as "singular.window[0][1]"."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (key, obj)
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
+
+
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        key, value = _non_finite(payload)
+        raise NonFiniteResult(f"{key} = {value} is not finite") from None
+    sys.stdout.write(text + "\n")
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _format_rows(row_format: str, rows) -> str:
+    """The rows formatted by row_format, a %-format with one field per
+    value and a trailing newline; each block of rows is one % call."""
+    rows = iter(rows)
+    parts = []
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        parts.append((row_format * len(block)) % tuple(chain.from_iterable(block)))
+    return "".join(parts)
+
+
+def _csv(header, columns) -> str:
+    """CSV text of equally long columns, 17 significant digits a value."""
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + _format_rows(row_format, zip(*columns))
 
 
 def mesh_obj(chart, nu: int, nv: int) -> str:
     """Wavefront OBJ of the chart: vertices in world coordinates over the
     (u, v) grid in row-major order, quad faces, no normals."""
     (u_lo, u_hi), (v_lo, v_hi) = chart.domain
-    us = np.linspace(u_lo, u_hi, nu)
-    vs = np.linspace(v_lo, v_hi, nv)
-    lines = []
-    for u in us:
-        for v in vs:
-            p = chart.point(float(u), float(v))
-            lines.append(f"v {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
-    return "\n".join(lines) + "\n"
+    us = np.linspace(u_lo, u_hi, nu).tolist()
+    vs = np.linspace(v_lo, v_hi, nv).tolist()
+    points = (chart.point(u, v) for u in us for v in vs)
+    faces = ((a, a + nv, a + nv + 1, a + 1)
+             for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)))
+    return (_format_rows("v %.17g %.17g %.17g\n", ((p.x, p.y, p.z) for p in points))
+            + _format_rows("f %d %d %d %d\n", faces))
 
 
 # --alpha's names of the lienard families; a family's constants c1, c2
@@ -150,17 +172,19 @@ def cmd_solve_lienard(args):
         return EXIT_OK
     traj = lienard.integrate_ivp(args.alpha0, args.v0, args.x0, args.x1,
                                  args.step, H_const=args.hconst)
-    rows = [(x, s.alpha, s.v) for x, s in traj]
-    _write_text(args.out, _csv(["x", "alpha", "v"], rows))
+    _write_text(args.out, _csv(["x", "alpha", "v"], traj.columns()))
     return EXIT_OK
 
 
 def cmd_phase_field(args):
-    samples = lienard.phase_field((args.alpha_min, args.alpha_max),
-                                  (args.v_min, args.v_max),
-                                  args.nx, args.nv)
-    rows = [(s.alpha, s.v, dx, dv) for s, (dx, dv) in samples]
-    _write_text(args.out, _csv(["x", "v", "dx", "dv"], rows))
+    if not (math.isfinite(args.alpha_max - args.alpha_min)
+            and math.isfinite(args.v_max - args.v_min)):
+        raise _UsageError("phase-field: the alpha and v windows must have "
+                          "a finite width")
+    field = lienard.phase_field((args.alpha_min, args.alpha_max),
+                                (args.v_min, args.v_max),
+                                args.nx, args.nv)
+    _write_text(args.out, _csv(["x", "v", "dx", "dv"], field.columns()))
     return EXIT_OK
 
 
@@ -178,7 +202,7 @@ def cmd_metric(args):
     ys = np.linspace(args.y_min, args.y_max, args.ny).tolist()
     rows = [(x, y, models.eval_model(m, x, y), rep.a(x, y), rep.b(x, y))
             for y in ys for x in xs]
-    _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], rows))
+    _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], zip(*rows)))
     return EXIT_OK
 
 

@@ -55,6 +55,10 @@ class EvaluationError(HeisminError):
         super().__init__(f"cannot evaluate at {point}: {cause}")
 
 
+class NonFiniteResult(HeisminError):
+    """A figure of a report is nan or infinite, which JSON cannot hold."""
+
+
 class ExprSyntaxError(HeisminError):
     """Malformed expression source.
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, SingularPoint
 from .lienard import _rhs
 from .models import MetricRep, eval_model, exp_of
 from .numerics import CumulativeIntegral, YFunction, fd_partial, memoized
@@ -158,6 +158,8 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
         Hv = H(x, y)
         a = rep.a(x, y)
         b = rep.b(x, y)
+        if b == 0.0:
+            raise SingularPoint(f"metric coefficient b = 0 at (x, y) = ({x}, {y})")
         a_x = rep.a_x(x, y)
         b_x = rep.b_x(x, y)
         H_x = H.dx(x, y)

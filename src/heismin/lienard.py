@@ -13,7 +13,11 @@ equivalent form 1/(2(x + c1)) differs only by rescaling the constant.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BlowUp, DegenerateBranch, EvaluationError, SingularPoint
 from .numerics import EPS_DEN, YFunction
@@ -170,39 +174,73 @@ def _rk4_step(alpha: float, v: float, h: float, H_const: float):
 
 
 def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
-           H_const: float, guard: float = BLOWUP_GUARD):
-    """(h, states): the RK4 states (alpha, v) at x0 + i h, i = 0..n, where
-    h is the nearest step to `step` that divides [x0, x1]; raises BlowUp at
-    the first non-finite state or state beyond the guard."""
+           H_const: float, guard: float = BLOWUP_GUARD) -> Trajectory:
+    """The RK4 states (alpha, v) at x0 + i h, i = 0..n, where h is the
+    nearest step to `step` that divides [x0, x1]; raises BlowUp at the
+    first non-finite state or state beyond the guard."""
     n = max(1, round(abs(x1 - x0) / step))
     h = (x1 - x0) / n
-    states = [(alpha0, v0)]
+    alphas, vs = array("d", [alpha0]), array("d", [v0])
     a, v = alpha0, v0
     try:
         for i in range(n):
             a, v = _rk4_step(a, v, h, H_const)
             if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
                 raise BlowUp(x0 + (i + 1) * h)
-            states.append((a, v))
+            alphas.append(a)
+            vs.append(v)
     except OverflowError:   # ** raises where * overflows quietly to inf
         raise BlowUp(x0 + (i + 1) * h) from None
-    return h, states
+    return Trajectory(x0, h, alphas, vs)
+
+
+class _Rows(Sequence):
+    """A read-only sequence of rows computed on demand from columns."""
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._row(k) for k in range(*i.indices(n))]
+        k = i + n if i < 0 else i
+        if not 0 <= k < n:
+            raise IndexError(i)
+        return self._row(k)
+
+
+class Trajectory(_Rows):
+    """The states of one RK4 sweep, kept as the columns alpha and v;
+    [i] is (x_i, PhaseState) with x_i = x0 + i h (x0 itself at i = 0)."""
+
+    def __init__(self, x0: float, h: float, alpha: array, v: array):
+        self.x0, self.h, self.alpha, self.v = x0, h, alpha, v
+
+    def __len__(self):
+        return len(self.alpha)
+
+    def _row(self, i):
+        return (self.x0 + i * self.h if i else self.x0,
+                PhaseState(self.alpha[i], self.v[i]))
+
+    def columns(self):
+        """The columns x, alpha, v."""
+        xs = array("d", (self.x0 + i * self.h for i in range(len(self))))
+        xs[0] = self.x0
+        return xs, self.alpha, self.v
 
 
 def integrate_ivp(alpha0: float, v0: float, x0: float, x1: float,
                   step: float, H_const: float = 0.0,
-                  guard: float = BLOWUP_GUARD):
+                  guard: float = BLOWUP_GUARD) -> Trajectory:
     """Classical RK4 on (alpha' = v, v' = -(6 alpha v + 4 alpha^3 + c^2 alpha)).
 
-    Returns the trajectory as a list of (x, PhaseState) covering [x0, x1].
-    Raises BlowUp when |alpha| or |v| exceeds the overflow guard, which
-    signals approach to a singular x of the underlying solution.
+    Returns the trajectory covering [x0, x1], a sequence of
+    (x, PhaseState).  Raises BlowUp when |alpha| or |v| exceeds the
+    overflow guard, which signals approach to a singular x of the
+    underlying solution.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    h, states = _sweep(alpha0, v0, x0, x1, step, H_const, guard)
-    return [(x0 + i * h if i else x0, PhaseState(a, v))
-            for i, (a, v) in enumerate(states)]
+    return _sweep(alpha0, v0, x0, x1, step, H_const, guard)
 
 
 class OdeSolutionCurve:
@@ -219,12 +257,13 @@ class OdeSolutionCurve:
     def __init__(self, alpha0, v0, x0, x1, H_const=0.0):
         self.x0, self.x1 = float(x0), float(x1)
         self.H_const = float(H_const)
-        self.h, self._states = _sweep(alpha0, v0, x0, x1, PROFILE_STEP, H_const)
+        traj = _sweep(alpha0, v0, x0, x1, PROFILE_STEP, H_const)
+        self.h, self._alpha, self._v = traj.h, traj.alpha, traj.v
 
     def state(self, x: float):
         t = (x - self.x0) / self.h
-        k = min(len(self._states) - 1, max(0, math.floor(t)))
-        a, v = self._states[k]
+        k = min(len(self._alpha) - 1, max(0, math.floor(t)))
+        a, v = self._alpha[k], self._v[k]
         dx = x - (self.x0 + k * self.h)
         if dx != 0.0:
             a, v = _rk4_step(a, v, dx, self.H_const)
@@ -283,24 +322,52 @@ def conserved_quantity(s: PhaseState) -> float:
     return w * (3.0 * w + 2.0) / denom
 
 
-def phase_field(alpha_range, v_range, nx: int, nv: int):
+class PhaseField(_Rows):
+    """The direction field on a grid, kept as the columns alpha, v and dv;
+    [k] is (PhaseState, (dalpha, dv)) with dalpha = v."""
+
+    def __init__(self, alpha: list, v: list, dv: list):
+        self.alpha, self.v, self.dv = alpha, v, dv
+
+    def __len__(self):
+        return len(self.alpha)
+
+    def _row(self, k):
+        return PhaseState(self.alpha[k], self.v[k]), (self.v[k], self.dv[k])
+
+    def columns(self):
+        """The columns alpha, v, dalpha, dv."""
+        return self.alpha, self.v, self.v, self.dv
+
+
+def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
     """Sample the phase-plane direction field V = (v, -(6 alpha v + 4 alpha^3)),
     the Lienard operator at c = 0, on a regular nx x nv grid; (0, 0) is its
-    only zero.
+    only zero.  One _rhs call per alpha row evaluates the whole v column.
 
-    Returns a row-major list of (PhaseState, (dalpha, dv)).
+    Returns a row-major sequence of (PhaseState, (dalpha, dv)).  Raises
+    EvaluationError, naming the first (alpha, v) in row-major order, where
+    a value overflows or is not finite.
     """
     if nx < 2 or nv < 2:
         raise ValueError("need at least a 2 x 2 grid")
     a_lo, a_hi = alpha_range
     v_lo, v_hi = v_range
-    out = []
-    try:
-        for i in range(nx):
-            a = a_lo + (a_hi - a_lo) * i / (nx - 1)
-            for j in range(nv):
-                v = v_lo + (v_hi - v_lo) * j / (nv - 1)
-                out.append((PhaseState(a, v), _rhs(a, v, 0.0)))
-    except OverflowError as exc:
-        raise EvaluationError(f"(alpha, v) = ({a}, {v})", exc) from exc
-    return out
+    alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
+    vs = [v_lo + (v_hi - v_lo) * j / (nv - 1) for j in range(nv)]
+    v_column = np.array(vs)
+    v_finite = np.isfinite(v_column)
+    dvs = []
+    for a in alphas:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dv = _rhs(a, v_column, 0.0)[1]
+        except OverflowError as exc:
+            raise EvaluationError(f"(alpha, v) = ({a}, {vs[0]})", exc) from exc
+        bad = ~(v_finite & np.isfinite(dv))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise EvaluationError(f"(alpha, v) = ({a}, {vs[j]})",
+                                  "the field value is not finite")
+        dvs += dv.tolist()
+    return PhaseField([a for a in alphas for _ in vs], vs * nx, dvs)

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import heismin
-from heismin import cli
+from heismin import cli, construct, lienard
+from heismin.errors import NonFiniteResult
+from heismin.numerics import YFunction
 
 
 def run_cli(argv, capsys):
@@ -68,6 +71,72 @@ def test_phase_field_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,v,dx,dv"
     assert len(lines) == 10
+
+
+def reference_csv(header, rows):
+    """Reference: the earlier writer, one f-string per value."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_obj(chart, nu, nv):
+    """Reference: the earlier OBJ writer, one line at a time."""
+    (u_lo, u_hi), (v_lo, v_hi) = chart.domain
+    lines = []
+    for u in np.linspace(u_lo, u_hi, nu):
+        for v in np.linspace(v_lo, v_hi, nv):
+            p = chart.point(float(u), float(v))
+            lines.append(f"v {p.x:.17g} {p.y:.17g} {p.z:.17g}")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            b = (i + 1) * nv + j + 1
+            lines.append(f"f {a} {b} {b + 1} {a + 1}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+           -1e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e22,
+           0.1, 1.0 / 3.0, math.pi, -2.718281828459045, 123456789.01234567,
+           math.inf, -math.inf, math.nan, 0]
+
+
+def test_csv_matches_per_value_writer():
+    rng = np.random.default_rng(5)
+    # more rows than one block, so block edges are crossed
+    n = 2 * cli._BLOCK_ROWS + 7
+    cols = [(SPECIAL * (n // len(SPECIAL) + 1))[k:k + n] for k in range(3)]
+    cols.append((rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist())
+    header = ["x", "alpha", "v", "w"]
+    assert cli._csv(header, cols) == reference_csv(header, zip(*cols))
+    one = [[v] for v in SPECIAL[:1]]
+    assert cli._csv(["x"], one) == reference_csv(["x"], zip(*one))
+
+
+@pytest.mark.parametrize("name", ["conicoid", "helicoid", "plane"])
+def test_obj_matches_per_line_writer(name):
+    chart = {"conicoid": construct.conicoid_chart,
+             "helicoid": lambda: construct.helicoid_chart(
+                 YFunction(lambda t: t, lambda t: 1.0)),
+             "plane": lambda: construct.bernstein_plane(0.0, 0.0, 0.0)}[name]()
+    for nu, nv in ((1, 1), (5, 3), (40, 31)):
+        assert cli.mesh_obj(chart, nu, nv) == reference_obj(chart, nu, nv)
+
+
+def test_trajectory_and_field_csv_match_per_value_writer(capsys):
+    argv = ["solve-lienard", "--alpha0", "0.3", "--v0", "-0.1", "--x0=-0.0",
+            "--x1=-1", "--step", "1e-3", "--hconst", "1.5"]
+    _, out = run_cli(argv, capsys)
+    traj = lienard.integrate_ivp(0.3, -0.1, -0.0, -1.0, 1e-3, H_const=1.5)
+    assert out == reference_csv(["x", "alpha", "v"],
+                                [(x, s.alpha, s.v) for x, s in traj])
+    assert out.splitlines()[1].startswith("-0,")
+    _, out = run_cli(["phase-field", "--nx", "7", "--nv", "5",
+                      "--alpha-min=-1e100", "--alpha-max=1e100"], capsys)
+    field = lienard.phase_field((-1e100, 1e100), (-2.0, 2.0), 7, 5)
+    assert out == reference_csv(["x", "v", "dx", "dv"],
+                                [(s.alpha, s.v, da, dv) for s, (da, dv) in field])
 
 
 def test_metric_deterministic_and_threaded(tmp_path, monkeypatch, capsys):
@@ -182,6 +251,34 @@ def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    # a window whose width overflows is a usage error
+    (["phase-field", "--alpha-min=-1e308", "--alpha-max=1e308"], 1, "finite width"),
+    (["phase-field", "--v-min=-1e308", "--v-max=1e308"], 1, "finite width"),
+    # a finite window whose field value is not
+    (["phase-field", "--alpha-max=1e100", "--v-max=1e300", "--nx", "3", "--nv", "3"],
+     2, "(alpha, v) = (5e+99, 5e+299): the field value is not finite"),
+    # a report figure that is not finite is not printed as NaN
+    (["verify-graph", "--u", "x*y", "--x-min=-1e300", "--x-max=1e300"],
+     2, "max_pmge_residual = nan is not finite"),
+    # b underflows to 0 far out on the grid
+    (["integrability", "--alpha", "special1", "--c1", "0.3",
+      "--x-min", "0", "--x-max", "1e200"], 2, "metric coefficient b = 0 at"),
+], ids=["phase-field-alpha-width", "phase-field-v-width", "phase-field-inf-value",
+        "strict-json", "integrability-b-zero"])
+def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsys):
+    assert cli.main(argv) == code
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
+    assert needle in cap.err
+
+
+def test_emit_json_names_the_non_finite_figure():
+    with pytest.raises(NonFiniteResult, match=r"^singular\.window\[1\]\[0\] = -inf"):
+        cli._emit_json({"passed": True, "singular": {"window": [[0.0, 1.0], [-math.inf, 1.0]]}})
 
 
 @pytest.mark.parametrize("command", [

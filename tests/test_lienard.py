@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heismin import lienard
-from heismin.errors import BlowUp, DegenerateBranch, SingularPoint
+from heismin.errors import BlowUp, DegenerateBranch, EvaluationError, SingularPoint
 
 
 def safe_xs(sol, lo=-3.0, hi=3.0, n=30, margin=0.2):
@@ -176,3 +177,88 @@ def test_phase_field_layout_and_zero():
 def test_phase_field_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         lienard.phase_field((-1, 1), (-1, 1), 1, 5)
+
+
+def reference_ivp(alpha0, v0, x0, x1, step, H_const=0.0, guard=lienard.BLOWUP_GUARD):
+    """Reference: the earlier trajectory, a list of (x, PhaseState) built
+    one _rk4_step at a time."""
+    n = max(1, round(abs(x1 - x0) / step))
+    h = (x1 - x0) / n
+    out = [(x0, lienard.PhaseState(alpha0, v0))]
+    a, v = alpha0, v0
+    for i in range(n):
+        try:
+            a, v = lienard._rk4_step(a, v, h, H_const)
+        except OverflowError:
+            raise BlowUp(x0 + (i + 1) * h) from None
+        if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
+            raise BlowUp(x0 + (i + 1) * h)
+        out.append((x0 + (i + 1) * h, lienard.PhaseState(a, v)))
+    return out
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("args", [
+    (0.3, -0.1, -0.0, 1.0, 1e-3),
+    (0.3, -0.1, 2.0, -0.5, 1e-3),            # negative direction
+    (0.3, 0.1, 0.3, 2.8, 1e-3, 1.5),         # H != 0
+    (-0.0, -0.0, -0.0, -0.3, 0.1),
+    (1e-310, 5e-324, 0.0, 0.01, 1e-3),
+])
+def test_trajectory_columns_match_list_of_tuples(args):
+    traj = lienard.integrate_ivp(*args)
+    ref = reference_ivp(*args)
+    assert len(traj) == len(ref)
+    for (x, s), (rx, rs) in zip(traj, ref, strict=True):
+        assert same_float(x, rx)
+        assert same_float(s.alpha, rs.alpha) and same_float(s.v, rs.v)
+    for i in (0, 1, -1, -2, -len(ref)):
+        assert traj[i][0] == ref[i][0] and traj[i][1] == ref[i][1]
+    assert same_float(traj[0][0], args[2])
+    xs, alphas, vs = traj.columns()
+    assert [(x, lienard.PhaseState(a, v)) for x, a, v in zip(xs, alphas, vs)] == ref
+    assert same_float(xs[0], args[2])
+    with pytest.raises(IndexError):
+        traj[len(ref)]
+    with pytest.raises(IndexError):
+        traj[-len(ref) - 1]
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.0, 0.0, 1.0, 1e-3),
+    (1e200, 0.0, 0.0, 1.0, 1e-3),            # ** overflows on the first step
+    (1.0, -1.0, 1.0, -0.5, 1e-4, 0.0, 1e3),  # 1/x toward its pole at 0
+])
+def test_trajectory_blowup_x_matches_list_of_tuples(args):
+    with pytest.raises(BlowUp) as ref:
+        reference_ivp(*args)
+    with pytest.raises(BlowUp) as got:
+        lienard.integrate_ivp(*args)
+    assert got.value.x == ref.value.x
+
+
+def test_phase_field_matches_per_cell_rhs():
+    # the row form (one _rhs call over the v column) gives each cell the
+    # same bits as a scalar _rhs call, also on a +-1e100 window
+    for window in ((-2.0, 2.0), (-1e100, 1e100)):
+        field = lienard.phase_field(window, window, 31, 29)
+        for s, (da, dv) in field:
+            ref = lienard._rhs(s.alpha, s.v, 0.0)
+            assert same_float(da, ref[0]) and same_float(dv, ref[1])
+        alphas, vs, das, dvs = field.columns()
+        assert list(zip(alphas, vs, das, dvs)) == [
+            (s.alpha, s.v, da, dv) for s, (da, dv) in field]
+
+
+@pytest.mark.parametrize("window, point", [
+    (((0.0, 1e100), (0.0, 1e300)), "(5e+99, 5e+299)"),     # 6 alpha v is inf
+    (((0.0, 1e308), (-2.0, 2.0)), "(5e+307, -2.0)"),       # alpha^3 overflows
+    (((0.0, 1.0), (0.0, 1e308)), "(0.0, inf)"),            # (v_hi - v_lo) * j is inf
+])
+def test_phase_field_non_finite_value_raises(window, point):
+    # RuntimeWarnings are errors under pytest, so numpy stays quiet too
+    with pytest.raises(EvaluationError, match=re.escape(f"(alpha, v) = {point}")):
+        lienard.phase_field(*window, 3, 3)
