@@ -2,8 +2,8 @@
 subcommand per pipeline, and CSV / OBJ / JSON exporters.
 
 Exit codes: 0 success, 1 usage error (including a grid size or step out
-of range, a float flag that is not finite and a phase-field window of
-infinite width), 2 numeric failure (including an expression evaluated
+of range, a float flag that is not finite and a grid window of infinite
+width), 2 numeric failure (including an expression evaluated
 outside its domain or beyond the float range, and a JSON report figure
 that is not finite), 3 expression parse error.
 """
@@ -155,6 +155,14 @@ def _add_model_flags(p, required=True):
     p.add_argument("--y-max", type=_finite_float, default=1.0)
 
 
+def _require_finite_width(args, *axes):
+    """A usage error unless each window --AXIS-min .. --AXIS-max has a finite width."""
+    if not all(math.isfinite(getattr(args, f"{a}_max") - getattr(args, f"{a}_min"))
+               for a in axes):
+        raise _UsageError(f"{args.command}: the {' and '.join(axes)} window"
+                          f"{'s' * (len(axes) > 1)} must have a finite width")
+
+
 def _add_window_flag(p):
     p.add_argument("--x-window", type=_finite_float, nargs=2, metavar=("LO", "HI"))
 
@@ -177,10 +185,7 @@ def cmd_solve_lienard(args):
 
 
 def cmd_phase_field(args):
-    if not (math.isfinite(args.alpha_max - args.alpha_min)
-            and math.isfinite(args.v_max - args.v_min)):
-        raise _UsageError("phase-field: the alpha and v windows must have "
-                          "a finite width")
+    _require_finite_width(args, "alpha", "v")
     field = lienard.phase_field((args.alpha_min, args.alpha_max),
                                 (args.v_min, args.v_max),
                                 args.nx, args.nv)
@@ -196,6 +201,7 @@ def cmd_classify(args):
 
 
 def cmd_metric(args):
+    _require_finite_width(args, "x", "y")
     m = _build_model(args)
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
     xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()
@@ -207,6 +213,7 @@ def cmd_metric(args):
 
 
 def cmd_normalize(args):
+    _require_finite_width(args, "y")
     m = _build_model(args)
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
     nf, change = models.normalize(m, rep, x_window=args.x_window)
@@ -225,6 +232,7 @@ def cmd_normalize(args):
 
 
 def cmd_integrability(args):
+    _require_finite_width(args, "x", "y")
     H = integrability.Field2D.constant(args.hconst)
     k, h = YFunction.from_expr(args.k), YFunction.from_expr(args.h)
     if args.alpha0 is not None:
@@ -303,6 +311,7 @@ def cmd_examples(args):
 
 
 def cmd_verify_graph(args):
+    _require_finite_width(args, "x", "y")
     window = ((args.x_min, args.x_max), (args.y_min, args.y_max))
     g = verify.GraphSurface.from_expr(args.u, window)
     xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()

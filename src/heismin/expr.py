@@ -9,55 +9,64 @@ Grammar (whitespace insignificant):
     atom   := NUMBER | VARIABLE | "pi" | "e"
             | FUNC "(" expr ")" | "(" expr ")"
 
-with FUNC in {sin, cos, tan, exp, log, sqrt, abs}.  ASTs evaluate
-numerically, differentiate symbolically (forward mode on the tree), and
-pretty-print back to parseable source.
+with FUNC in {sin, cos, tan, exp, log, sqrt, abs}, and trees at most
+MAX_DEPTH deep.  An AST compiles to straight-line Python on its first eval,
+differentiates symbolically (forward mode), and pretty-prints back to source.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ExprSyntaxError
 
+# FUNC name -> (the function, its derivative d func(u)/du as a tree in u)
 FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
+    "sin": (math.sin, lambda u: Call("cos", u)),
+    "cos": (math.cos, lambda u: Neg(Call("sin", u))),
+    "tan": (math.tan, lambda u: BinOp("/", Num(1.0), BinOp("^", Call("cos", u), Num(2.0)))),
+    "exp": (math.exp, lambda u: Call("exp", u)),
+    "log": (math.log, lambda u: BinOp("/", Num(1.0), u)),
+    "sqrt": (math.sqrt, lambda u: BinOp("/", Num(1.0), BinOp("*", Num(2.0), Call("sqrt", u)))),
+    "abs": (abs, lambda u: Sign(u)),   # sign(0) = 0 by convention
 }
 
 CONSTS = {"pi": math.pi, "e": math.e}
+MAX_DEPTH = 1000   # deepest tree that parse_expr accepts
+
+# names compiled code calls: math.pow raises ValueError for a negative base and a
+# fractional power, where ** gives a complex; sign is an int for numpy scalars too
+_CALLS = {"pow": math.pow, "sign": lambda v: int(v > 0) - int(v < 0),
+          **{name: fn for name, (fn, _) in FUNCS.items()}}
 
 
 class Node:
-    """AST node.  eval accepts either a plain number (single-variable
-    expressions) or a dict name -> value (multi-variable); deriv(var)
-    differentiates with respect to the named variable, defaulting to the
-    unique variable of a single-variable expression."""
+    """AST node.  eval, compiled on first use and kept on the node, takes a
+    number (one variable) or a dict name -> value; deriv(var) differentiates
+    in the named variable, by default the only one."""
 
-    def eval(self, x) -> float:
-        raise NotImplementedError
+    @cached_property
+    def eval(self):
+        return _compile(self)
 
     def deriv(self, var=None) -> "Node":
-        raise NotImplementedError
+        d = {}
+        for node in _postorder(self):
+            d[id(node)] = node._d(var, *(d[id(k)] for k in node.children()))
+        return d[id(self)]
 
-    def pretty(self) -> str:
-        raise NotImplementedError
+    def _d(self, var, *dkids) -> "Node":
+        """The derivative of this node, given those of its children."""
+        return Num(0.0)
+
+    def children(self) -> list:
+        return [v for v in vars(self).values() if isinstance(v, Node)]
 
 
 @dataclass(frozen=True)
 class Num(Node):
     value: float
-
-    def eval(self, x):
-        return self.value
-
-    def deriv(self, var=None):
-        return Num(0.0)
 
     def pretty(self):
         if self.value == int(self.value) and abs(self.value) < 1e16:
@@ -69,15 +78,8 @@ class Num(Node):
 class Var(Node):
     name: str
 
-    def eval(self, x):
-        if isinstance(x, dict):
-            return x[self.name]
-        return x
-
-    def deriv(self, var=None):
-        if var is None or var == self.name:
-            return Num(1.0)
-        return Num(0.0)
+    def _d(self, var):
+        return Num(1.0 if var is None or var == self.name else 0.0)
 
     def pretty(self):
         return self.name
@@ -86,26 +88,15 @@ class Var(Node):
 @dataclass(frozen=True)
 class Const(Node):
     name: str
-
-    def eval(self, x):
-        return CONSTS[self.name]
-
-    def deriv(self, var=None):
-        return Num(0.0)
-
-    def pretty(self):
-        return self.name
+    pretty = Var.pretty
 
 
 @dataclass(frozen=True)
 class Neg(Node):
     arg: Node
 
-    def eval(self, x):
-        return -self.arg.eval(x)
-
-    def deriv(self, var=None):
-        return Neg(self.arg.deriv(var))
+    def _d(self, var, da):
+        return Neg(da)
 
     def pretty(self):
         return f"(-{self.arg.pretty()})"
@@ -117,25 +108,8 @@ class BinOp(Node):
     left: Node
     right: Node
 
-    def eval(self, x):
-        a, b = self.left.eval(x), self.right.eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        if self.op == "^":
-            # a negative base with a non-integer exponent raises ValueError
-            # here, where a**b would return a complex number
-            return math.pow(a, b)
-        raise AssertionError(self.op)
-
-    def deriv(self, var=None):
+    def _d(self, var, df, dg):
         f, g = self.left, self.right
-        df, dg = f.deriv(var), g.deriv(var)
         if self.op in "+-":
             return BinOp(self.op, df, dg)
         if self.op == "*":
@@ -143,23 +117,12 @@ class BinOp(Node):
         if self.op == "/":
             num = BinOp("-", BinOp("*", df, g), BinOp("*", f, dg))
             return BinOp("/", num, BinOp("^", g, Num(2.0)))
-        if self.op == "^":
-            # General case d(f^g) = f^g * (dg*log f + g*df/f); the common
-            # constant-exponent case keeps the simpler power-rule form so
-            # it stays valid for negative bases.
-            if isinstance(g, Num):
-                return BinOp(
-                    "*",
-                    BinOp("*", g, BinOp("^", f, Num(g.value - 1.0))),
-                    df,
-                )
-            inner = BinOp(
-                "+",
-                BinOp("*", dg, Call("log", f)),
-                BinOp("/", BinOp("*", g, df), f),
-            )
-            return BinOp("*", BinOp("^", f, g), inner)
-        raise AssertionError(self.op)
+        if isinstance(g, Num):
+            # a constant exponent keeps the power rule, valid for negative bases
+            return BinOp("*", BinOp("*", g, BinOp("^", f, Num(g.value - 1.0))), df)
+        # d(f^g) = f^g * (dg*log f + g*df/f)
+        inner = BinOp("+", BinOp("*", dg, Call("log", f)), BinOp("/", BinOp("*", g, df), f))
+        return BinOp("*", BinOp("^", f, g), inner)
 
     def pretty(self):
         return f"({self.left.pretty()} {self.op} {self.right.pretty()})"
@@ -170,29 +133,8 @@ class Call(Node):
     func: str
     arg: Node
 
-    def eval(self, x):
-        return FUNCS[self.func](self.arg.eval(x))
-
-    def deriv(self, var=None):
-        u, du = self.arg, self.arg.deriv(var)
-        if self.func == "sin":
-            outer = Call("cos", u)
-        elif self.func == "cos":
-            outer = Neg(Call("sin", u))
-        elif self.func == "tan":
-            outer = BinOp("/", Num(1.0), BinOp("^", Call("cos", u), Num(2.0)))
-        elif self.func == "exp":
-            outer = Call("exp", u)
-        elif self.func == "log":
-            outer = BinOp("/", Num(1.0), u)
-        elif self.func == "sqrt":
-            outer = BinOp("/", Num(1.0), BinOp("*", Num(2.0), Call("sqrt", u)))
-        elif self.func == "abs":
-            # d|u|/du = sign(u), with sign(0) = 0 by convention
-            outer = Sign(u)
-        else:
-            raise AssertionError(self.func)
-        return BinOp("*", outer, du)
+    def _d(self, var, du):
+        return BinOp("*", FUNCS[self.func][1](self.arg), du)
 
     def pretty(self):
         return f"{self.func}({self.arg.pretty()})"
@@ -203,18 +145,57 @@ class Sign(Node):
     """sign(u); appears only as the derivative of abs."""
 
     arg: Node
+    func = "sign"   # printed and compiled as sign(u), which parse_expr need not accept
+    pretty = Call.pretty
 
-    def eval(self, x):
-        v = self.arg.eval(x)
-        return (v > 0) - (v < 0)
 
-    def deriv(self, var=None):
-        return Num(0.0)
+def _postorder(root: Node) -> list:
+    """The distinct nodes under root, children first and left before right,
+    as a recursive walk finishes them; iterative, so any depth is safe."""
+    done, stack = {}, [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        kids = node.children()
+        if expanded or not kids:
+            done[id(node)] = node
+        else:
+            stack += [(node, True)] + [(k, False) for k in reversed(kids)]
+    return list(done.values())
 
-    def pretty(self):
-        # printed as a subtraction of step functions is overkill; keep a
-        # dedicated spelling that parse_expr does not need to accept
-        return f"sign({self.arg.pretty()})"
+
+def _compile(root: Node):
+    """root as a function of a number or a dict name -> value: one assignment
+    per distinct subtree in _postorder's order, so it computes the walk's values
+    and raises its first error; no line nests parentheses, so any size is safe."""
+    env = dict(_CALLS)
+    variables, names, assigned = {}, {}, {}
+    for node in _postorder(root):
+        a = [names[id(k)] for k in node.children()]
+        if isinstance(node, Var):
+            text = variables.setdefault(node.name, f"v{len(variables)}")
+        elif isinstance(node, (Num, Const)):
+            value = node.value if isinstance(node, Num) else CONSTS[node.name]
+            text = repr(value)   # keeps the sign of -0.0
+            if not (type(value) is float and math.isfinite(value)):
+                text = f"k{len(env)}"
+                env[text] = value
+        else:
+            if isinstance(node, BinOp):
+                rhs = f"pow({a[0]}, {a[1]})" if node.op == "^" else f"{a[0]} {node.op} {a[1]}"
+            else:
+                rhs = f"-{a[0]}" if isinstance(node, Neg) else f"{node.func}({a[0]})"
+            text = assigned.setdefault(rhs, f"t{len(assigned)}")
+        names[id(node)] = text
+    src = ["def f(arg):"]
+    if variables:
+        src += ["    if isinstance(arg, dict):",
+                *(f"        {v} = arg[{n!r}]" for n, v in variables.items()),
+                f"    else:\n        {' = '.join(variables.values())} = arg"]
+    src += [f"    {t} = {rhs}" for rhs, t in assigned.items()]
+    exec("\n".join(src + [f"    return {names[id(root)]}"]), env)
+    return env["f"]
 
 
 class _Parser:
@@ -222,6 +203,7 @@ class _Parser:
         self.src = src
         self.variables = tuple(variables)
         self.pos = 0
+        self.depth = {}   # id(node) -> depth of its tree, leaves 1
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -235,8 +217,18 @@ class _Parser:
         self._skip_ws()
         raise ExprSyntaxError(self.pos, expected)
 
+    def _shallow(self, node: Node) -> Node:
+        depth = 1 + max(self.depth.get(id(k), 1) for k in node.children())
+        if depth > MAX_DEPTH:
+            self._fail(f"an expression at most {MAX_DEPTH} levels deep")
+        self.depth[id(node)] = depth
+        return node
+
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            self._fail("fewer nested parentheses, signs or powers")
         self._skip_ws()
         if self.pos != len(self.src):
             self._fail("end of input")
@@ -247,7 +239,7 @@ class _Parser:
         while self._peek() in ("+", "-"):
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.term())
+            node = self._shallow(BinOp(op, node, self.term()))
         return node
 
     def term(self) -> Node:
@@ -255,20 +247,20 @@ class _Parser:
         while self._peek() in ("*", "/"):
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.factor())
+            node = self._shallow(BinOp(op, node, self.factor()))
         return node
 
     def factor(self) -> Node:
         if self._peek() == "-":
             self.pos += 1
-            return Neg(self.factor())
+            return self._shallow(Neg(self.factor()))
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
         if self._peek() == "^":
             self.pos += 1
-            return BinOp("^", base, self.factor())
+            return self._shallow(BinOp("^", base, self.factor()))
         return base
 
     def atom(self) -> Node:
@@ -323,7 +315,7 @@ class _Parser:
             if self._peek() != ")":
                 self._fail("')'")
             self.pos += 1
-            return Call(name, arg)
+            return self._shallow(Call(name, arg))
         if name in self.variables:
             return Var(name)
         self.pos = start

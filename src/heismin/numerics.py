@@ -16,7 +16,7 @@ from .errors import EvaluationError, QuadratureFailure
 EPS_DEN = 1e-12      # singular-denominator guard
 FD_STEP = 1e-6       # central first differences
 FD_STEP_D2 = 1e-4    # second differences (lienard_residual): error ~ eps / h^2
-INVERT_TOL = 1e-13   # relative bracket width at which bisection stops
+INVERT_TOL = 1e-13   # relative Newton step at which inversion stops
 INVERT_MAX_EXPAND = 60
 RICHARDSON_RATIO = 2.0   # offset ratio of richardson_limit's sequences
 
@@ -177,8 +177,8 @@ class YFunction:
 
 
 def invert_monotone(g, target: float, lo: float, hi: float):
-    """Solve g(s) = target for strictly monotone g, expanding the bracket
-    as needed, then bisecting."""
+    """Solve g(s) = target for strictly monotone g with derivative g.d: expand
+    the bracket as needed, then take Newton steps, bisecting where one leaves it."""
     glo, ghi = g(lo), g(hi)
     increasing = ghi >= glo
     span = hi - lo
@@ -194,16 +194,15 @@ def invert_monotone(g, target: float, lo: float, hi: float):
         k += 1
         if k > INVERT_MAX_EXPAND:
             raise ValueError("failed to bracket monotone inverse")
+    s = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(hi - lo) < INVERT_TOL * max(1.0, abs(mid)):
-            return mid
-        if (gm < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        gs, slope = g(s), g.d(s)
+        step = (gs - target) / slope if slope else math.inf
+        if abs(step) < INVERT_TOL * max(1.0, abs(s)):
+            return s - step
+        lo, hi = (s, hi) if (gs < target) == increasing else (lo, s)
+        s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+    return s
 
 
 def richardson_limit(values):

@@ -266,8 +266,18 @@ def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     # b underflows to 0 far out on the grid
     (["integrability", "--alpha", "special1", "--c1", "0.3",
       "--x-min", "0", "--x-max", "1e200"], 2, "metric coefficient b = 0 at"),
+    # every grid command shares the window check
+    (["metric", "--alpha", "special1", "--c1", "0.4", "--x-min=-1e308", "--x-max=1e308",
+      "--nx", "3", "--ny", "2"], 1, "metric: the x and y windows must have a finite width"),
+    (["integrability", "--alpha", "special1", "--c1", "0.4", "--y-min=-1e308",
+      "--y-max=1e308"], 1, "integrability: the x and y windows must have a finite width"),
+    (["normalize", "--alpha", "special1", "--c1", "0.4", "--y-min=-1e308", "--y-max=1e308",
+      "--samples", "3"], 1, "normalize: the y window must have a finite width"),
+    (["verify-graph", "--u", "x*y", "--x-min=-1e308", "--x-max=1e308"],
+     1, "verify-graph: the x and y windows must have a finite width"),
 ], ids=["phase-field-alpha-width", "phase-field-v-width", "phase-field-inf-value",
-        "strict-json", "integrability-b-zero"])
+        "strict-json", "integrability-b-zero", "metric-width", "integrability-width",
+        "normalize-width", "verify-graph-width"])
 def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsys):
     assert cli.main(argv) == code
     cap = capsys.readouterr()
@@ -347,6 +357,28 @@ def test_verify_graph_saddle(capsys):
     assert payload["passed"] is True
     kinds = [f["kind"] for f in payload["singular"]["features"]]
     assert kinds == ["Curve"]
+
+
+def test_verify_graph_with_abs(capsys):
+    # the sign of abs' derivative at numpy grid and Newton points
+    code, out = run_cli(["verify-graph", "--u", "abs(x-y)", "--nx", "5", "--ny", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["max_pmge_residual"] == 0.0
+
+
+DEEP_SUM = "+0.001*y" * 1199
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-graph", "--u", "x*y" + DEEP_SUM, "--nx", "3", "--ny", "3"],
+    ["metric", "--alpha", "special1", "--c1", "y" + DEEP_SUM, "--nx", "3", "--ny", "2"],
+    ["verify-graph", "--u", "(" * 400 + "x*y" + ")" * 400],
+], ids=["graph-deep-sum", "c1-deep-sum", "graph-deep-parentheses"])
+def test_too_deep_expression_is_one_line_parse_error(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("error: syntax error at offset ")
 
 
 def test_go_through_cli(capsys):

@@ -1,10 +1,12 @@
 import math
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from heismin import expr
-from heismin.errors import ExprSyntaxError
+from heismin import expr, verify
+from heismin.errors import EvaluationError, ExprSyntaxError
 from heismin.numerics import FD_STEP_D2, YFunction, central_d1, central_d2
 
 
@@ -97,3 +99,243 @@ def test_multi_variable_parse_and_partials():
 def test_unknown_variable_in_multi():
     with pytest.raises(ExprSyntaxError):
         expr.parse_expr_multi("x + z", ("x", "y"))
+
+
+def test_abs_derivative_of_numpy_scalars_is_an_int_sign():
+    # grid and Newton points are numpy scalars; np.bool_ - np.bool_ raises
+    d = expr.parse_expr_multi("abs(x-y)").deriv("x")
+    for x, sign in ((np.float64(2.0), 1.0), (np.float64(-2.0), -1.0), (np.float64(0.0), 0.0)):
+        assert d.eval({"x": x, "y": np.float64(0.0)}) == sign
+    assert expr.parse_expr("abs(x)").deriv().eval(np.float64(-0.5)) == -1.0
+
+
+# ------------------------------------------------- the tree walk as reference
+
+REF_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+             "log": math.log, "sqrt": math.sqrt, "abs": abs}
+
+
+def walk(node, x):
+    """Reference: the recursive tree walk that eval was before expressions
+    compiled, one Python call per node (Sign on Python floats only)."""
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Var):
+        return x[node.name] if isinstance(x, dict) else x
+    if isinstance(node, expr.Const):
+        return expr.CONSTS[node.name]
+    if isinstance(node, expr.Neg):
+        return -walk(node.arg, x)
+    if isinstance(node, expr.BinOp):
+        a, b = walk(node.left, x), walk(node.right, x)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        return math.pow(a, b)
+    if isinstance(node, expr.Call):
+        return REF_FUNCS[node.func](walk(node.arg, x))
+    v = walk(node.arg, x)
+    return (v > 0) - (v < 0)
+
+
+def rderiv(node, var=None):
+    """Reference: the recursive derivative that deriv was before it walked
+    the tree iteratively."""
+    Num, BinOp, Call, Neg = expr.Num, expr.BinOp, expr.Call, expr.Neg
+    if isinstance(node, (Num, expr.Const, expr.Sign)):
+        return Num(0.0)
+    if isinstance(node, expr.Var):
+        return Num(1.0) if var is None or var == node.name else Num(0.0)
+    if isinstance(node, Neg):
+        return Neg(rderiv(node.arg, var))
+    if isinstance(node, BinOp):
+        f, g = node.left, node.right
+        df, dg = rderiv(f, var), rderiv(g, var)
+        if node.op in "+-":
+            return BinOp(node.op, df, dg)
+        if node.op == "*":
+            return BinOp("+", BinOp("*", df, g), BinOp("*", f, dg))
+        if node.op == "/":
+            num = BinOp("-", BinOp("*", df, g), BinOp("*", f, dg))
+            return BinOp("/", num, BinOp("^", g, Num(2.0)))
+        if isinstance(g, Num):
+            return BinOp("*", BinOp("*", g, BinOp("^", f, Num(g.value - 1.0))), df)
+        inner = BinOp("+", BinOp("*", dg, Call("log", f)),
+                      BinOp("/", BinOp("*", g, df), f))
+        return BinOp("*", BinOp("^", f, g), inner)
+    u, du = node.arg, rderiv(node.arg, var)
+    outer = {"sin": lambda: Call("cos", u), "cos": lambda: Neg(Call("sin", u)),
+             "tan": lambda: BinOp("/", Num(1.0), BinOp("^", Call("cos", u), Num(2.0))),
+             "exp": lambda: Call("exp", u), "log": lambda: BinOp("/", Num(1.0), u),
+             "sqrt": lambda: BinOp("/", Num(1.0), BinOp("*", Num(2.0), Call("sqrt", u))),
+             "abs": lambda: expr.Sign(u)}[node.func]()
+    return BinOp("*", outer, du)
+
+
+def outcome(fn, x):
+    """The value's type and bits (the sign of a zero included), or the class
+    of the exception raised.  Every nan is one outcome: the sign CPython
+    gives nan * -nan changes once the multiplication is specialized, so a
+    nan's bits differ between two calls of one function."""
+    try:
+        v = fn(x)
+    except Exception as exc:   # the class is the outcome compared
+        return ("raises", type(exc))
+    if isinstance(v, float):
+        return (float, "nan" if math.isnan(v) else struct.pack("<d", v))
+    return (type(v), v)
+
+
+SPECIALS = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, math.inf, -math.inf, math.nan,
+            1e308, 5e-324, 710.0]
+LEAVES = st.one_of(
+    st.sampled_from(SPECIALS).map(expr.Num),
+    st.floats(-1e3, 1e3).map(expr.Num),
+    st.sampled_from(["x", "y"]).map(expr.Var),
+    st.sampled_from(["pi", "e"]).map(expr.Const),
+)
+
+
+def _grow(kids):
+    return st.one_of(
+        kids.map(expr.Neg),
+        st.builds(expr.BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(expr.Call, st.sampled_from(sorted(REF_FUNCS)), kids),
+        kids.map(expr.Sign),
+    )
+
+
+TREES = st.recursive(LEAVES, _grow, max_leaves=10)
+POINTS = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_nan=True))
+
+
+N, V, B, C = expr.Num, expr.Var, expr.BinOp, expr.Call
+
+
+@given(TREES, POINTS, POINTS, st.sampled_from([None, "x", "y"]))
+@example(N(-0.0), 1.0, 1.0, None)
+@example(B("+", B("*", N(-0.0), V("x")), B("*", N(0.0), V("x"))), 2.0, 1.0, "x")
+@example(B("-", N(math.inf), V("y")), -0.0, math.inf, "y")
+@example(B("*", N(math.nan), C("sin", V("x"))), math.nan, 0.0, "x")
+@example(C("log", N(-1.0)), 0.0, 0.0, None)
+@example(B("/", N(1.0), B("-", V("x"), V("x"))), 3.0, 3.0, "x")
+@example(B("^", V("x"), N(400.0)), 1e3, 0.0, "x")
+@example(C("abs", B("-", V("x"), V("y"))), 0.5, -0.5, "y")
+@settings(max_examples=400, deadline=None)
+def test_compiled_eval_matches_tree_walk(tree, x, y, var):
+    # a derivative shares subtrees between its terms, which the compiled
+    # code computes once; a point given as a float feeds every variable
+    d = tree.deriv(var)
+    assert repr(d) == repr(rderiv(tree, var))
+    for node in (tree, d, d.deriv("x")):
+        for point in (x, {"x": x, "y": y}):
+            assert outcome(node.eval, point) == outcome(lambda p: walk(node, p), point)
+
+
+@pytest.mark.parametrize("src, x, error", [
+    ("log(x-5)", 1.0, ValueError),           # math domain error
+    ("10^1000 + x", 0.5, OverflowError),     # math.pow overflow
+    ("exp(1000*x)", 1.0, OverflowError),
+    ("(0-1)^0.5", 0.0, ValueError),          # negative base, fractional power
+    ("1/(x-2) + log(x-5)", 2.0, ZeroDivisionError),   # the first error raised
+    ("log(x-5) + 1/(x-2)", 2.0, ValueError),
+    ("1/0", 0.0, ZeroDivisionError),
+])
+def test_compiled_eval_raises_the_walks_first_error(src, x, error):
+    ast = expr.parse_expr(src)
+    with pytest.raises(error) as got:
+        ast.eval(x)
+    with pytest.raises(error) as want:
+        walk(ast, x)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("src, y, which, message", [
+    ("log(y-5)", 1.0, "f", "cannot evaluate at y = 1.0: math domain error"),
+    ("10^1000", 0.5, "d", "cannot evaluate at y = 0.5: math range error"),
+    ("(0-1)^0.5", 0.5, "d2", "cannot evaluate at y = 0.5: math domain error"),
+    ("exp(1000*y)", 1.0, "d2", "cannot evaluate at y = 1.0: math range error"),
+    ("1/(y-2)", 2.0, "d", "cannot evaluate at y = 2.0: float division by zero"),
+    ("(y-1)^(-1)", 1.0, "f", "cannot evaluate at y = 1.0: math domain error"),
+])
+def test_evaluation_error_messages(src, y, which, message):
+    fn = YFunction.from_expr(src)
+    with pytest.raises(EvaluationError) as got:
+        {"f": fn, "d": fn.d, "d2": fn.d2}[which](y)
+    assert str(got.value) == message
+
+
+def test_graph_evaluation_error_messages():
+    g = verify.GraphSurface.from_expr("1/(x-y) + log(x)")
+    with pytest.raises(EvaluationError, match=r"^cannot evaluate at \(x, y\) = "
+                       r"\(1\.0, 1\.0\): float division by zero$"):
+        g.u_yy(1.0, 1.0)
+    with pytest.raises(EvaluationError, match=r"^cannot evaluate at \(x, y\) = "
+                       r"\(-1\.0, 0\.0\): math domain error$"):
+        g.u(-1.0, 0.0)
+
+
+# ----------------------------------------------------------- sympy oracle
+
+SAFE = st.recursive(
+    st.one_of(st.floats(0.25, 3.0).map(expr.Num), st.sampled_from(["x", "y"]).map(expr.Var),
+              st.just(expr.Const("pi")), st.just(expr.Const("e"))),
+    lambda kids: st.one_of(
+        kids.map(expr.Neg),
+        st.builds(expr.BinOp, st.sampled_from("+-*/"), kids, kids),
+        st.builds(expr.BinOp, st.just("^"), kids, st.sampled_from([2.0, 3.0, -1.0, 0.5]).map(expr.Num)),
+        st.builds(expr.Call, st.sampled_from(["sin", "cos", "exp", "abs", "tan"]), kids),
+    ),
+    max_leaves=8)
+
+
+@given(SAFE, st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.sampled_from(["x", "y"]))
+@settings(max_examples=60, deadline=None)
+def test_derivative_matches_sympy(tree, x, y, var):
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y", real=True)
+    want_expr = sympy.diff(sympy.sympify(tree.pretty(), locals={"x": sx, "y": sy, "e": sympy.E}),
+                           {"x": sx, "y": sy}[var])
+    try:
+        got = tree.deriv(var).eval({"x": x, "y": y})
+        want = complex(want_expr.evalf(30, subs={sx: x, sy: y}))
+    except (ValueError, ArithmeticError, TypeError):
+        assume(False)
+    assume(math.isfinite(got) and math.isfinite(want.real) and abs(want.real) < 1e12)
+    assert want.imag == 0.0
+    assert got == pytest.approx(want.real, rel=1e-8, abs=1e-8)
+
+
+# ------------------------------------------------------------- tree depth
+
+def _sum(n):
+    return "x*y" + "+0.001*y" * (n - 2)   # a left-deep sum n levels deep
+
+
+def test_deepest_accepted_tree_compiles_and_differentiates():
+    ast = expr.parse_expr_multi(_sum(expr.MAX_DEPTH))
+    dxy = ast.deriv("y").deriv("y")
+    assert dxy.eval({"x": 1.0, "y": 2.0}) == 0.0
+    assert ast.deriv("x").eval({"x": 1.0, "y": 2.0}) == 2.0
+    assert ast.eval({"x": 2.0, "y": 1.0}) == pytest.approx(2.0 + 0.001 * (expr.MAX_DEPTH - 2))
+
+
+def test_deeper_tree_is_a_syntax_error_with_its_offset():
+    src = _sum(expr.MAX_DEPTH + 200)
+    with pytest.raises(ExprSyntaxError) as ei:
+        expr.parse_expr_multi(src)
+    # the term that made the tree one level too deep ends here
+    assert ei.value.offset == len(_sum(expr.MAX_DEPTH + 1))
+    assert "1000 levels deep" in str(ei.value)
+
+
+def test_nesting_beyond_the_parser_is_a_syntax_error():
+    src = "(" * 400 + "x" + ")" * 400
+    with pytest.raises(ExprSyntaxError):
+        expr.parse_expr(src)
+    assert expr.parse_expr("(" * 100 + "x" + ")" * 100).eval(3.0) == 3.0

@@ -1,6 +1,7 @@
 """The lattice CumulativeIntegral against the dict-extending Simpson it
 replaced, against scipy's cumulative Simpson, and the callers that share
-its work: memoized curve jets and the single y-line of y-free fields."""
+its work: memoized curve jets and the single y-line of y-free fields; and
+the safeguarded Newton inversion of a monotone function."""
 import math
 from collections import Counter
 
@@ -11,7 +12,7 @@ from heismin import construct, integrability, lienard
 from heismin.errors import QuadratureFailure
 from heismin.integrability import Field2D
 from heismin.models import YFunction
-from heismin.numerics import CumulativeIntegral
+from heismin.numerics import CumulativeIntegral, YFunction, invert_monotone
 
 
 class DictSimpson:
@@ -211,3 +212,32 @@ def test_shared_y_line_matches_dict_reference(monkeypatch):
     new = values()
     monkeypatch.setattr(integrability, "CumulativeIntegral", DictSimpson)
     assert np.max(np.abs(new - values())) <= 1e-12
+
+
+@pytest.mark.parametrize("slope", [lambda s: 3.0 * s * s + 1.0, lambda s: 1e-6, lambda s: 0.0],
+                         ids=["exact", "too-small", "zero"])
+def test_invert_monotone_bisects_where_newton_leaves_the_bracket(slope):
+    calls = []
+
+    def g(s):
+        calls.append(s)
+        return s ** 3 + s
+
+    root = invert_monotone(YFunction(g, slope), 5.0, 10.0, 12.0)   # expands down first
+    assert abs(root ** 3 + root - 5.0) <= 1e-14
+    assert all(-30.0 <= s <= 12.0 for s in calls)
+
+
+def test_invert_monotone_newton_needs_few_evaluations():
+    calls = []
+
+    def g(s):
+        calls.append(s)
+        return s + 0.3 * math.sin(s)
+
+    for target in (-2.0, 0.1, 0.7, 3.5):
+        calls.clear()
+        s = invert_monotone(YFunction(g, lambda s: 1.0 + 0.3 * math.cos(s)), target,
+                            target - 1.0, target + 1.0)
+        assert len(calls) <= 7   # two bracket ends, then Newton steps (bisection: ~45)
+        assert abs(g(s) - target) <= 1e-15
