@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from itertools import chain, islice
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import construct, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult
 from .models import AlphaModel, YFunction
+from .numerics import PANELS_PER_UNIT
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,6 +39,12 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 and -.5E+2 are values, as -0.001 is, not flags
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
 
@@ -215,8 +223,8 @@ def cmd_metric(args):
 def cmd_normalize(args):
     _require_finite_width(args, "y")
     m = _build_model(args)
-    rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
-    nf, change = models.normalize(m, rep, x_window=args.x_window)
+    nf, change = models.normalize(m, YFunction.from_expr(args.k),
+                                  YFunction.from_expr(args.h), x_window=args.x_window)
     ys = np.linspace(args.y_min, args.y_max, args.samples)
     y_new = [float(change.psi(y)) for y in ys]
     payload = {
@@ -225,7 +233,7 @@ def cmd_normalize(args):
                   if nf.zeta1 is not None else None),
         "zeta2": ([[yn, nf.zeta2(yn)] for yn in y_new]
                   if nf.zeta2 is not None else None),
-        "panels_per_unit": 512,
+        "panels_per_unit": PANELS_PER_UNIT,
     }
     _emit_json(payload)
     return EXIT_OK

@@ -157,7 +157,7 @@ def curve_invariants(c: GeneratingCurve, r: float, t: float):
     return alpha, -Q / (E * root), 1.0 / (E * root)
 
 
-def zeta_from_curve(c: GeneratingCurve, panels_per_unit: int = 512):
+def zeta_from_curve(c: GeneratingCurve):
     """The invariants of the ruled surface over c:
 
         zeta1(t) = D(t) - int Q dt      (cumulative from the interval's start)
@@ -165,7 +165,7 @@ def zeta_from_curve(c: GeneratingCurve, panels_per_unit: int = 512):
 
     zeta2 == 0 identifies special type I.
     """
-    gamma = CumulativeIntegral(c.Q, c.interval[0], panels_per_unit)
+    gamma = CumulativeIntegral(c.Q, c.interval[0])
 
     def z1(t):
         return c.D(t) - gamma(t)
@@ -208,8 +208,7 @@ def immersion_locus(c: GeneratingCurve, theta_grid):
 
 
 def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
-                    theta_interval=(0.0, 2.0 * math.pi),
-                    panels_per_unit: int = 512) -> GeneratingCurve:
+                    theta_interval=(0.0, 2.0 * math.pi)) -> GeneratingCurve:
     """The particular generating curve with gauge Q == 0, so P = zeta1:
 
         x' = -zeta1 sin t,   y' = zeta1 cos t,
@@ -229,14 +228,14 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     def yp(t):
         return z1(t) * math.cos(t)
 
-    x_int = CumulativeIntegral(xp, t0, panels_per_unit)
-    y_int = CumulativeIntegral(yp, t0, panels_per_unit)
+    x_int = CumulativeIntegral(xp, t0)
+    y_int = CumulativeIntegral(yp, t0)
 
     def zp(t):
         return (zeta2(t) + z1(t) ** 2
                 + y_int(t) * xp(t) - x_int(t) * yp(t))
 
-    z_int = CumulativeIntegral(zp, t0, panels_per_unit)
+    z_int = CumulativeIntegral(zp, t0)
 
     def xpp(t):
         return -zeta1.d(t) * math.sin(t) - zeta1(t) * math.cos(t)

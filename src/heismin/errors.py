@@ -18,6 +18,10 @@ class BlowUp(HeisminError):
         super().__init__(message or f"trajectory blow-up near x = {x}")
 
 
+class StepLimit(HeisminError):
+    """An RK4 sweep would take more steps than the library allows."""
+
+
 class DegenerateBranch(HeisminError):
     """The conserved quantity is undefined on this solution branch."""
 

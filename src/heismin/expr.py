@@ -69,6 +69,8 @@ class Num(Node):
     value: float
 
     def pretty(self):
+        if self.value == math.inf:   # the only non-finite Num parse and deriv make
+            return "1e999"
         if self.value == int(self.value) and abs(self.value) < 1e16:
             return str(int(self.value))
         return repr(self.value)

@@ -78,8 +78,7 @@ class Field2D:
 
 
 def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
-                        h: YFunction, x_base: float,
-                        panels_per_unit: int = 512) -> MetricRep:
+                        h: YFunction, x_base: float) -> MetricRep:
     """Solve the first two integrability equations by quadrature:
 
         b = e^{k(y)} e^{-int 2 alpha dx} / sqrt(1 + alpha^2)
@@ -100,9 +99,8 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
         key = None if shared else y
         if key not in cache:
             al = memoized(lambda x: alpha(x, y))
-            I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base, panels_per_unit)
-            J = CumulativeIntegral(lambda x: H(x, y) * al(x) * math.exp(I(x)),
-                                   x_base, panels_per_unit)
+            I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base)
+            J = CumulativeIntegral(lambda x: H(x, y) * al(x) * math.exp(I(x)), x_base)
 
             def common(x):
                 a = al(x)
@@ -122,7 +120,7 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
         common, J = line(y)
         return common(x) * (h(y) - J(x))
 
-    return MetricRep(a=a_fn, b=b_fn, k=k, h=h)
+    return MetricRep(a=a_fn, b=b_fn)
 
 
 def expand_grid(grid):

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, DegenerateBranch, EvaluationError, SingularPoint
+from .errors import (BlowUp, DegenerateBranch, EvaluationError, SingularPoint,
+                     StepLimit)
 from .numerics import EPS_DEN, YFunction
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
 PROFILE_STEP = 1e-4   # RK4 lattice spacing of an OdeSolutionCurve
+MAX_RK4_STEPS = 2_000_000   # steps one sweep may take (16 MB a column)
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,9 @@ class PhaseState:
 
 class AlphaSolution:
     """Base class of the closed-form solution families (c = 0).  scale is
-    the coefficient of x next to c1, so x -> x + g moves c1 by scale * g."""
+    the coefficient of x next to c1, so x -> x + g moves c1 by scale * g.
+    metric_factor(x) = e^{-int 2 alpha dx} / sqrt(1 + alpha^2) is the
+    x-profile that the induced-metric coefficients a and b share."""
 
     scale = 1.0
 
@@ -65,6 +69,9 @@ class Zero(AlphaSolution):
 
     def alpha_xx(self, x):
         return 0.0
+
+    def metric_factor(self, x):
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,10 @@ class SpecialI(_Special):
 
     _roman = "I"
 
+    def metric_factor(self, x):
+        a = self.alpha(x)   # e^{-int 2 alpha} = 1/(x + c1)^2
+        return a * a / math.sqrt(1.0 + a * a)
+
 
 @dataclass(frozen=True)
 class SpecialII(_Special):
@@ -105,6 +116,10 @@ class SpecialII(_Special):
 
     scale = 2.0
     _roman = "II"
+
+    def metric_factor(self, x):
+        a = self.alpha(x)   # e^{-int 2 alpha} = 1/|2x + c1|
+        return abs(a) / math.sqrt(1.0 + a * a)
 
 
 @dataclass(frozen=True)
@@ -136,6 +151,11 @@ class General(AlphaSolution):
     def alpha_xx(self, x):
         X, den = self._parts(x)
         return 2.0 * X * (X * X - 3.0 * self.c2) / den**3
+
+    def metric_factor(self, x):
+        X, den = self._parts(x)   # e^{-int 2 alpha} = 1/|den|
+        a = X / den
+        return 1.0 / (abs(den) * math.sqrt(1.0 + a * a))
 
     def singular_x(self):
         if self.c2 > 0:
@@ -176,9 +196,14 @@ def _rk4_step(alpha: float, v: float, h: float, H_const: float):
 def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
            H_const: float, guard: float = BLOWUP_GUARD) -> Trajectory:
     """The RK4 states (alpha, v) at x0 + i h, i = 0..n, where h is the
-    nearest step to `step` that divides [x0, x1]; raises BlowUp at the
-    first non-finite state or state beyond the guard."""
-    n = max(1, round(abs(x1 - x0) / step))
+    nearest step to `step` that divides [x0, x1]; raises StepLimit, before
+    the first step, when that takes more than MAX_RK4_STEPS steps, and
+    BlowUp at the first non-finite state or state beyond the guard."""
+    steps = abs(x1 - x0) / step
+    if not steps <= MAX_RK4_STEPS:
+        raise StepLimit(f"the window needs {steps:.6g} RK4 steps, more than "
+                        f"the limit of {MAX_RK4_STEPS}")
+    n = max(1, round(steps))
     h = (x1 - x0) / n
     alphas, vs = array("d", [alpha0]), array("d", [v0])
     a, v = alpha0, v0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lienard
 from .errors import MixedType, SingularPoint
-from .numerics import (EPS_DEN, CumulativeIntegral, YFunction, fd_partial,
+from .numerics import (CumulativeIntegral, YFunction, fd_partial,
                        invert_monotone, memoized)
 
 
@@ -136,10 +136,8 @@ def classify(m: AlphaModel, x_window=None) -> SurfaceType:
 
 @dataclass
 class MetricRep:
-    """The induced-metric representation e2^ = a d/dx + b d/dy, b > 0.
-
-    Carries the x-partials, and the gauge functions (k, h) used to build
-    it when known.  An x-partial that is not given becomes a central
+    """The induced-metric representation e2^ = a d/dx + b d/dy, b > 0,
+    with its x-partials.  An x-partial that is not given becomes a central
     difference of a or b as the rep holds them when it is called.
     """
 
@@ -147,8 +145,6 @@ class MetricRep:
     b: Callable[[float, float], float]
     a_x: Optional[Callable[[float, float], float]] = None
     b_x: Optional[Callable[[float, float], float]] = None
-    k: Optional[YFunction] = None
-    h: Optional[YFunction] = None
 
     def __post_init__(self):
         # weak, so no cycle holds the rep's lattices until the cyclic
@@ -160,51 +156,24 @@ class MetricRep:
             self.b_x = fd_partial(lambda x, y: getattr(me(), "b", b)(x, y), 0)
 
 
-def _family_prefactor(m: AlphaModel, x: float, y: float) -> float:
-    sol = m.slice_at(y)
-    alpha = sol.alpha(x)
-    root = math.sqrt(1.0 + alpha * alpha)
-    if m.family is lienard.SpecialI:
-        return alpha * alpha / root
-    if m.family is lienard.SpecialII:
-        return abs(alpha) / root
-    den = abs(x + m.c1(y))
-    if den <= EPS_DEN:
-        raise SingularPoint(f"metric prefactor singular at x = {x}")
-    return abs(alpha) / (den * root)
-
-
 def exp_of(k: YFunction) -> YFunction:
     """e^k as a YFunction, so an overflow names its y."""
     return YFunction(lambda y: math.exp(k(y)))
 
 
 def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
-    """Closed-form (a, b) for the model, per family:
-
-        general:     a = |alpha| h / (|x + c1| sqrt(1 + alpha^2)),  b likewise with e^k
-        special I:   a = alpha^2 h / sqrt(1 + alpha^2)
-        special II:  a = |alpha| h / sqrt(1 + alpha^2)
-
-    The vertical family is the degenerate branch a = h, b = e^k.
-    Both a and b share the x-profile, so a_x and b_x follow analytically
+    """Closed-form (a, b) = (h(y), e^{k(y)}) times the family's
+    metric_factor(x), e^{-int 2 alpha dx} / sqrt(1 + alpha^2).
+    Both a and b share that x-profile, so a_x and b_x follow analytically
     from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).
     """
     ek = exp_of(k)
-    if m.family is lienard.Zero:
-        return MetricRep(
-            a=lambda x, y: h(y),
-            b=lambda x, y: ek(y),
-            a_x=lambda x, y: 0.0,
-            b_x=lambda x, y: 0.0,
-            k=k, h=h,
-        )
 
     def a_fn(x, y):
-        return _family_prefactor(m, x, y) * h(y)
+        return m.slice_at(y).metric_factor(x) * h(y)
 
     def b_fn(x, y):
-        return _family_prefactor(m, x, y) * ek(y)
+        return m.slice_at(y).metric_factor(x) * ek(y)
 
     def log_deriv(x, y):
         sol = m.slice_at(y)
@@ -216,7 +185,6 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
         b=b_fn,
         a_x=lambda x, y: a_fn(x, y) * log_deriv(x, y),
         b_x=lambda x, y: b_fn(x, y) * log_deriv(x, y),
-        k=k, h=h,
     )
 
 
@@ -279,34 +247,28 @@ def inverse_coord_change(change: CoordChange) -> CoordChange:
     )
 
 
-def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
-              panels_per_unit: int = 512):
-    """Normalize to normal coordinates: Gamma' = -a/b = -h e^{-k} kills a,
-    Psi' = e^{-k} fixes the b-gauge; returns the (type, zeta1, zeta2)
-    normal form and the coordinate change that realizes it.
+def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
+    """Normalize metric_rep(m, k, h) to normal coordinates: Gamma' = -a/b
+    = -h e^{-k} kills a, Psi' = e^{-k} fixes the b-gauge; returns the
+    (type, zeta1, zeta2) normal form and the coordinate change that
+    realizes it.
 
-    Requires rep to carry its gauge functions (k, h), as metric_rep
-    provides.  Idempotent: for k = h = 0 the change is the identity and
-    the zetas coincide with the model's c-functions.
+    Idempotent: for k = h = 0 the change is the identity and the zetas
+    coincide with the model's c-functions.
     """
-    if rep.k is None or rep.h is None:
-        raise ValueError("normalize needs the rep's gauge functions k and h")
-    k, h = rep.k, rep.h
     y_lo = m.y_domain[0]
 
-    gamma_int = CumulativeIntegral(
-        lambda y: -h(y) * math.exp(-k(y)), y_lo, panels_per_unit)
+    gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), y_lo)
     gamma = YFunction(gamma_int, lambda y: -h(y) * math.exp(-k(y)))
 
-    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), y_lo, panels_per_unit)
+    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), y_lo)
     psi = YFunction(lambda y: y_lo + psi_int(y), lambda y: math.exp(-k(y)))
     change = CoordChange(gamma=gamma, psi=psi)
     # zeta1 and zeta2 at the same y_new share one inversion of Psi
     pull_y = memoized(change.invert_y)
 
     if m.family is lienard.Zero:
-        nf = NormalForm(SurfaceType.VERTICAL, None, None)
-        return nf, change
+        return NormalForm(SurfaceType.VERTICAL, None, None), change
 
     # x -> x + Gamma moves c1 by scale * Gamma (2 Gamma for special II)
     s = m.family.scale
@@ -332,9 +294,7 @@ def normalize(m: AlphaModel, rep: MetricRep, x_window=None,
         return m.c2.d(y) / psi.d(y)
 
     zeta2 = YFunction(z2, dz2)
-    stype = classify(m, x_window)
-    nf = NormalForm(stype, zeta1, zeta2)
-    return nf, change
+    return NormalForm(classify(m, x_window), zeta1, zeta2), change
 
 
 def first_fundamental_form(nf: NormalForm, x: float, y: float) -> np.ndarray:

@@ -19,6 +19,7 @@ FD_STEP_D2 = 1e-4    # second differences (lienard_residual): error ~ eps / h^2
 INVERT_TOL = 1e-13   # relative Newton step at which inversion stops
 INVERT_MAX_EXPAND = 60
 RICHARDSON_RATIO = 2.0   # offset ratio of richardson_limit's sequences
+PANELS_PER_UNIT = 512    # Simpson panels per unit length of every quadrature lattice
 
 
 def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
@@ -52,7 +53,7 @@ class CumulativeIntegral:
     value is cached.
     """
 
-    def __init__(self, f, x_base: float, panels_per_unit: int = 512):
+    def __init__(self, f, x_base: float, panels_per_unit: int = PANELS_PER_UNIT):
         self.f = f
         self.x_base = float(x_base)
         self.h = 1.0 / float(panels_per_unit)

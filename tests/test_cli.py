@@ -139,16 +139,32 @@ def test_trajectory_and_field_csv_match_per_value_writer(capsys):
                                 [(s.alpha, s.v, da, dv) for s, (da, dv) in field])
 
 
-def test_metric_deterministic_and_threaded(tmp_path, monkeypatch, capsys):
+def test_metric_deterministic(capsys):
     argv = ["metric", "--alpha", "general", "--c1", "0.1", "--c2", "1.5",
             "--k", "0.1*y", "--h", "0.3", "--nx", "5", "--ny", "3"]
     _, out1 = run_cli(argv, capsys)
     _, out2 = run_cli(argv, capsys)
     assert out1 == out2
-    monkeypatch.setenv("HEISMIN_THREADS", "4")
-    _, out3 = run_cli(argv, capsys)
-    assert out3 == out1
     assert out1.splitlines()[0] == "x,y,alpha,a,b"
+
+
+GENERAL_THROUGH_ALPHA_ZERO = ["--alpha", "general", "--c1=-1", "--c2", "1"]
+
+
+def test_metric_regular_where_alpha_vanishes(capsys):
+    # alpha = 0 at x = 1 on the default window, where b = e^k = 1
+    code, out = run_cli(["metric", *GENERAL_THROUGH_ALPHA_ZERO], capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    at_one = [r for r in rows if r[0] == 1.0]
+    assert len(at_one) == 11
+    assert all(r[2] == 0.0 and r[4] == 1.0 for r in at_one)
+
+
+def test_integrability_passes_through_alpha_zero(capsys):
+    code, out = run_cli(["integrability", *GENERAL_THROUGH_ALPHA_ZERO], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_normalize_json(capsys):
@@ -226,6 +242,7 @@ def test_bad_step_or_grid_size_is_usage_error(argv, flag, capsys):
 
 EVAL = "error: cannot evaluate at "
 BLOWUP = "error: trajectory blow-up near x = "
+STEPS = "error: the window needs "
 
 
 @pytest.mark.parametrize("argv, prefix", [
@@ -241,10 +258,13 @@ BLOWUP = "error: trajectory blow-up near x = "
     (["solve-lienard", "--alpha0", "1e200", "--v0", "0", "--fit"], EVAL),
     (["integrability", "--alpha0", "0.3", "--hconst", "1e200"], BLOWUP),
     (["phase-field", "--alpha-min", "1e300", "--alpha-max", "1e-300"], EVAL),
+    (["solve-lienard", "--alpha0", "0.1", "--v0", "0", "--x1", "1e300"], STEPS),
+    (["integrability", "--alpha0", "0.3", "--x-max", "1e200"], STEPS),
 ], ids=["domain", "overflow", "negative-base-power", "graph-domain",
         "graph-negative-base-power", "zero-division", "metric-exp-k-overflow",
         "integrability-exp-k-overflow", "ivp-overflow", "fit-overflow",
-        "profile-overflow", "phase-field-overflow"])
+        "profile-overflow", "phase-field-overflow", "ivp-step-limit",
+        "profile-step-limit"])
 def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -284,6 +304,21 @@ def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsy
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
     assert needle in cap.err
+
+
+@pytest.mark.parametrize("argv, exponent_form", [
+    (["classify", "--alpha", "general", "--c1", "0", "--c2", "1", "--x-window"],
+     ["-1e-3", "1"]),
+    (["go-through", "--u", "x*y", "--px", "0", "--py", "0.5", "--direction"],
+     ["-1e-3", "1"]),
+    (["go-through", "--u", "x*y", "--px", "0", "--py", "0.5", "--direction"],
+     ["-1E+3", "-.5e2"]),
+], ids=["classify-window", "go-through-direction", "upper-case-and-no-integer-part"])
+def test_negative_number_in_exponent_form_is_a_value(argv, exponent_form, capsys):
+    decimal = [repr(float(v)) for v in exponent_form]   # -0.001, -1000.0, -50.0
+    code, out = run_cli(argv + exponent_form, capsys)
+    assert code == 0
+    assert (code, out) == run_cli(argv + decimal, capsys)
 
 
 def test_emit_json_names_the_non_finite_figure():

@@ -56,6 +56,17 @@ def test_pretty_round_trip(src):
         assert again.eval(x) == ast.eval(x)
 
 
+@pytest.mark.parametrize("ast", [expr.parse_expr("1e999"),
+                                 expr.parse_expr("x^1e999").deriv()],
+                         ids=["1e999", "d/dx x^1e999"])
+def test_pretty_round_trip_of_infinity(ast):
+    # +inf prints as 1e999, which parses back to +inf
+    again = expr.parse_expr(ast.pretty())
+    assert "1e999" in ast.pretty() and again.pretty() == ast.pretty()
+    for x in (-1.5, -0.3, 0.7, 2.0):
+        assert repr(again.eval(x)) == repr(ast.eval(x))
+
+
 @pytest.mark.parametrize("src", SOURCES)
 def test_symbolic_derivative_matches_fd(src):
     ast = expr.parse_expr(src)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heismin import integrability, lienard, models
 from heismin.errors import QuadratureFailure, SingularPoint
@@ -67,6 +68,26 @@ def test_quadrature_metric_matches_closed_form_up_to_gauge():
     for y in (0.2, 0.8):
         ratios = [quad.b(x, y) / closed.b(x, y) for x in (0.6, 1.1, 1.9, 2.4)]
         assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c1=st.floats(-2.0, 2.0), c2=st.floats(0.05, 3.0), lo=st.floats(0.05, 1.5),
+       hi=st.floats(0.05, 1.5), base=st.floats(-1.5, 1.5))
+def test_closed_form_metric_over_quadrature_is_constant_through_alpha_zero(
+        c1, c2, lo, hi, base):
+    # the window holds x = -c1, where alpha = 0: the closed forms are
+    # regular there, and their ratio to the quadrature stays constant
+    m = AlphaModel.general(yconst(c1), yconst(c2))
+    k, h = YFunction.from_expr("0.1*y"), yconst(0.7)
+    closed = models.metric_rep(m, k, h)
+    quad = integrability.metric_from_alpha_H(
+        Field2D.from_model(m), Field2D.constant(0.0), k, h, x_base=-c1 + base)
+    xs = [-c1 - lo, -c1 - 0.5 * lo, -c1, -c1 + hi / 3.0, -c1 + hi]
+    for y in (0.2, 0.8):
+        for coef in ("a", "b"):
+            ratios = [getattr(closed, coef)(x, y) / getattr(quad, coef)(x, y)
+                      for x in xs]
+            assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
 
 
 def test_quadrature_metric_with_nonzero_H_satisfies_equations():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heismin import lienard
-from heismin.errors import BlowUp, DegenerateBranch, EvaluationError, SingularPoint
+from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, SingularPoint,
+                            StepLimit)
+from heismin.numerics import central_d1
 
 
 def safe_xs(sol, lo=-3.0, hi=3.0, n=30, margin=0.2):
@@ -28,6 +30,17 @@ FAMILIES = [
 def test_closed_forms_solve_the_ode(sol):
     for x in safe_xs(sol):
         assert abs(lienard.lienard_residual(sol, x)) <= 1e-9
+
+
+@pytest.mark.parametrize("sol", FAMILIES, ids=lambda s: type(s).__name__)
+def test_metric_factor_is_the_shared_x_profile(sol):
+    # metric_factor * sqrt(1 + alpha^2) = e^{-int 2 alpha}: log-derivative -2 alpha
+    def log_profile(x):
+        return math.log(sol.metric_factor(x) * math.sqrt(1.0 + sol.alpha(x) ** 2))
+
+    for x in safe_xs(sol):
+        assert central_d1(log_profile, x, 1e-6) == pytest.approx(
+            -2.0 * sol.alpha(x), abs=1e-8)
 
 
 def test_residual_with_fd_fallback():
@@ -107,6 +120,18 @@ def test_rk4_blowup_near_pole():
     with pytest.raises(BlowUp):
         lienard.integrate_ivp(sol.alpha(1.0), sol.alpha_x(1.0),
                               1.0, -0.5, 1e-4, guard=1e3)
+
+
+def test_sweep_over_the_step_limit_raises_before_the_first_step(monkeypatch):
+    monkeypatch.setattr(lienard, "MAX_RK4_STEPS", 100)
+    assert len(lienard.integrate_ivp(0.1, 0.0, 0.0, 0.1, 1e-3)) == 101
+    steps = []
+    monkeypatch.setattr(lienard, "_rk4_step", lambda *a: steps.append(a))
+    with pytest.raises(StepLimit, match=r"needs 200 RK4 steps, more than the limit of 100"):
+        lienard.integrate_ivp(0.1, 0.0, 0.0, 0.2, 1e-3)
+    with pytest.raises(StepLimit):
+        lienard.OdeSolutionCurve(0.1, 0.0, 0.0, 0.2)
+    assert steps == []
 
 
 def test_ode_solution_curve_rejects_non_finite_start():

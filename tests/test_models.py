@@ -84,18 +84,29 @@ def test_metric_rep_analytic_x_partials():
         assert rep.b_x(x, 0.5) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
-def test_metric_prefactor_singularity():
+def test_metric_regular_where_alpha_vanishes():
+    # c1 = 0, c2 = -1: alpha = 0 at x = 0, where the general factor
+    # 1/(|x^2 + c2| sqrt(1 + alpha^2)) is 1
+    m = AlphaModel.general(yconst(0.0), yconst(-1.0))
+    rep = models.metric_rep(m, yconst(0.3), yconst(0.7))
+    assert rep.a(0.0, 0.5) == 0.7
+    assert rep.b(0.0, 0.5) == math.exp(0.3)
+
+
+@pytest.mark.parametrize("x", [-1.0, 1.0])
+def test_metric_singular_on_the_singular_curves(x):
     m = AlphaModel.general(yconst(0.0), yconst(-1.0))
     rep = models.metric_rep(m, yconst(0.0), yconst(1.0))
     with pytest.raises(SingularPoint):
-        rep.a(0.0, 0.5)  # x + c1 = 0
+        rep.a(x, 0.5)  # x^2 + c2 = 0
+    with pytest.raises(SingularPoint):
+        rep.b(x, 0.5)
 
 
 def test_normalize_identity_gauge():
     m = AlphaModel.general(YFunction.from_expr("sin(y)"), yconst(1.0),
                            (0.0, 1.0))
-    rep = models.metric_rep(m, yconst(0.0), yconst(0.0))
-    nf, change = models.normalize(m, rep)
+    nf, change = models.normalize(m, yconst(0.0), yconst(0.0))
     assert nf.surface_type is SurfaceType.TYPE_I
     for y in (0.1, 0.5, 0.9):
         assert change.gamma(y) == pytest.approx(0.0, abs=1e-12)
@@ -110,7 +121,7 @@ def test_normalize_kills_a():
     k = YFunction.from_expr("0.1*y")
     h = YFunction.from_expr("0.4 + 0.2*y")
     rep = models.metric_rep(m, k, h)
-    nf, change = models.normalize(m, rep)
+    nf, change = models.normalize(m, k, h)
     new_rep = models.apply_coord_change(rep, change)
     for y in (0.15, 0.5, 0.85):
         y_new = change.psi(y)
@@ -125,8 +136,7 @@ def test_normalize_zeta_against_direct_alpha():
                            (0.0, 1.0))
     k = YFunction.from_expr("0.2*y")
     h = YFunction.from_expr("0.5")
-    rep = models.metric_rep(m, k, h)
-    nf, change = models.normalize(m, rep)
+    nf, change = models.normalize(m, k, h)
     for y in (0.2, 0.7):
         y_new = change.psi(y)
         for x in (0.6, 1.4):

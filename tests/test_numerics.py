@@ -136,9 +136,9 @@ def round_trip(rng):
                   lambda t, a=a, b=b: -a * math.sin(t) - b * math.cos(t)))
     curve = construct.GeneratingCurve(fns=[p[0] for p in c], d1=[p[1] for p in c],
                                       d2=[p[2] for p in c])
-    z1, z2 = construct.zeta_from_curve(curve, panels_per_unit=PPU)
-    c2 = construct.curve_from_zeta(z1, z2, panels_per_unit=PPU)
-    z1b, z2b = construct.zeta_from_curve(c2, panels_per_unit=PPU)
+    z1, z2 = construct.zeta_from_curve(curve)
+    c2 = construct.curve_from_zeta(z1, z2)
+    z1b, z2b = construct.zeta_from_curve(c2)
     ts = np.linspace(0.1, 2.0 * math.pi - 0.1, 25).tolist()
     return np.array([[f(t) for t in ts] for f in (z1, z2, z1b, z2b, z1.d, z1b.d)])
 
@@ -162,7 +162,7 @@ def test_curve_callables_evaluated_once_per_t():
     fns = [counted(math.sin), counted(math.cos), counted(lambda t: 0.1 * t)]
     d1 = [counted(math.cos), counted(lambda t: -math.sin(t)), counted(lambda t: 0.1)]
     curve = construct.GeneratingCurve(fns=fns, d1=d1)
-    z1, z2 = construct.zeta_from_curve(curve, panels_per_unit=PPU)
+    z1, z2 = construct.zeta_from_curve(curve)
     for t in np.linspace(0.2, 3.0, 9).tolist():
         z1(t), z2(t), curve.D(t), curve.Q(t), curve.contact_speed(t)
     assert max(calls.values()) == 1
@@ -171,8 +171,7 @@ def test_curve_callables_evaluated_once_per_t():
 def h2_metric(alpha, H):
     k = YFunction(lambda y: 0.1 * y, lambda y: 0.1)
     h = YFunction(lambda y: 0.3 + 0.1 * y, lambda y: 0.1)
-    return integrability.metric_from_alpha_H(alpha, H, k, h, x_base=0.5,
-                                             panels_per_unit=PPU)
+    return integrability.metric_from_alpha_H(alpha, H, k, h, x_base=0.5)
 
 
 def test_shared_y_line_matches_per_y_path(monkeypatch):
