@@ -4,8 +4,9 @@ subcommand per pipeline, and CSV / OBJ / JSON exporters.
 Exit codes: 0 success, 1 usage error (including a grid size or step out
 of range, a float flag that is not finite and a grid window of infinite
 width), 2 numeric failure (including an expression evaluated
-outside its domain or beyond the float range, and a JSON report figure
-that is not finite), 3 expression parse error.
+outside its domain or beyond the float range, a quadrature query past
+the lattice's node limit and a JSON report figure that is not finite),
+3 expression parse error.
 """
 from __future__ import annotations
 
@@ -180,11 +181,7 @@ def _add_window_flag(p):
 def cmd_solve_lienard(args):
     if args.fit:
         sol = lienard.fit_solution(args.alpha0, args.v0, args.x0)
-        payload = {"family": type(sol).__name__}
-        for name in ("c1", "c2"):
-            if hasattr(sol, name):
-                payload[name] = getattr(sol, name)
-        _emit_json(payload)
+        _emit_json({"family": type(sol).__name__, **dataclasses.asdict(sol)})
         return EXIT_OK
     traj = lienard.integrate_ivp(args.alpha0, args.v0, args.x0, args.x1,
                                  args.step, H_const=args.hconst)
@@ -202,6 +199,7 @@ def cmd_phase_field(args):
 
 
 def cmd_classify(args):
+    _require_finite_width(args, "y")
     m = _build_model(args)
     stype = models.classify(m, x_window=args.x_window)
     _emit_json({"type": stype.value})
@@ -225,8 +223,8 @@ def cmd_normalize(args):
     m = _build_model(args)
     nf, change = models.normalize(m, YFunction.from_expr(args.k),
                                   YFunction.from_expr(args.h), x_window=args.x_window)
-    ys = np.linspace(args.y_min, args.y_max, args.samples)
-    y_new = [float(change.psi(y)) for y in ys]
+    ys = np.linspace(args.y_min, args.y_max, args.samples).tolist()
+    y_new = [change.psi(y) for y in ys]
     payload = {
         "type": nf.surface_type.value,
         "zeta1": ([[yn, nf.zeta1(yn)] for yn in y_new]
@@ -271,6 +269,7 @@ def cmd_integrability(args):
 
 
 def cmd_construct(args):
+    _require_finite_width(args, "theta", "r")
     interval = (args.theta_min, args.theta_max)
     if args.curve_x is not None:
         if args.curve_y is None or args.curve_z is None:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import QuadratureFailure, SingularPoint
+from .errors import EvaluationError, QuadratureFailure, SingularPoint
 from .lienard import _rhs
 from .models import MetricRep, eval_model, exp_of
 from .numerics import CumulativeIntegral, YFunction, fd_partial, memoized
@@ -149,23 +149,26 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     equations over the grid.  The grid must stay a couple of
     finite-difference steps away from singular loci."""
     r = {1: [], 2: [], 3: []}
-    for x, y in expand_grid(grid):
-        al = alpha(x, y)
-        al_x = alpha.dx(x, y)
-        al_xx = alpha.dxx(x, y)
-        Hv = H(x, y)
-        a = rep.a(x, y)
-        b = rep.b(x, y)
-        if b == 0.0:
-            raise SingularPoint(f"metric coefficient b = 0 at (x, y) = ({x}, {y})")
-        a_x = rep.a_x(x, y)
-        b_x = rep.b_x(x, y)
-        H_x = H.dx(x, y)
-        H_y = H.dy(x, y)
-        root = math.sqrt(1.0 + al * al)
-        r[1].append(-a_x + a * b_x / b - Hv * al / root)
-        r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
-        r[3].append(a * H_x + b * H_y - (al_xx - _rhs(al, al_x, Hv)[1]) / root)
+    try:
+        for x, y in expand_grid(grid):
+            al = alpha(x, y)
+            al_x = alpha.dx(x, y)
+            al_xx = alpha.dxx(x, y)
+            Hv = H(x, y)
+            a = rep.a(x, y)
+            b = rep.b(x, y)
+            if b == 0.0:
+                raise SingularPoint(f"metric coefficient b = 0 at (x, y) = ({x}, {y})")
+            a_x = rep.a_x(x, y)
+            b_x = rep.b_x(x, y)
+            H_x = H.dx(x, y)
+            H_y = H.dy(x, y)
+            root = math.sqrt(1.0 + al * al)
+            r[1].append(-a_x + a * b_x / b - Hv * al / root)
+            r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
+            r[3].append(a * H_x + b * H_y - (al_xx - _rhs(al, al_x, Hv)[1]) / root)
+    except OverflowError as exc:   # ** raises where * overflows quietly to inf
+        raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
     return ResidualStats(
         max={i: float(np.max(np.abs(v))) for i, v in r.items()},
         mean={i: float(np.mean(np.abs(v))) for i, v in r.items()},

@@ -40,8 +40,10 @@ class PhaseState:
 class AlphaSolution:
     """Base class of the closed-form solution families (c = 0).  scale is
     the coefficient of x next to c1, so x -> x + g moves c1 by scale * g.
-    metric_factor(x) = e^{-int 2 alpha dx} / sqrt(1 + alpha^2) is the
-    x-profile that the induced-metric coefficients a and b share."""
+    Each family writes its geometry once, as y_speed(x) = sqrt(g22): the
+    first fundamental form in normal coordinates is diag(1, y_speed^2),
+    and metric_factor = 1/y_speed is the x-profile that the
+    induced-metric coefficients a and b share."""
 
     scale = 1.0
 
@@ -53,6 +55,17 @@ class AlphaSolution:
 
     def alpha_xx(self, x: float) -> float:
         raise NotImplementedError
+
+    def y_speed(self, x: float) -> float:
+        """sqrt(g22) = sqrt(1 + alpha^2) e^{int 2 alpha dx}.  Raises nothing:
+        it is 0 on the special I singular line and |x + c1| on the general
+        singular curves."""
+        raise NotImplementedError
+
+    def metric_factor(self, x: float) -> float:
+        """e^{-int 2 alpha dx} / sqrt(1 + alpha^2), where alpha exists."""
+        self.alpha(x)   # the family's guard: (a, b) exists only where alpha does
+        return 1.0 / self.y_speed(x)
 
     def singular_x(self):
         """x-values where the closed form blows up (possibly empty)."""
@@ -70,7 +83,7 @@ class Zero(AlphaSolution):
     def alpha_xx(self, x):
         return 0.0
 
-    def metric_factor(self, x):
+    def y_speed(self, x):
         return 1.0
 
 
@@ -105,9 +118,9 @@ class SpecialI(_Special):
 
     _roman = "I"
 
-    def metric_factor(self, x):
-        a = self.alpha(x)   # e^{-int 2 alpha} = 1/(x + c1)^2
-        return a * a / math.sqrt(1.0 + a * a)
+    def y_speed(self, x):
+        X = x + self.c1   # e^{int 2 alpha} = X^2
+        return abs(X) * math.hypot(1.0, X)
 
 
 @dataclass(frozen=True)
@@ -117,9 +130,9 @@ class SpecialII(_Special):
     scale = 2.0
     _roman = "II"
 
-    def metric_factor(self, x):
-        a = self.alpha(x)   # e^{-int 2 alpha} = 1/|2x + c1|
-        return abs(a) / math.sqrt(1.0 + a * a)
+    def y_speed(self, x):
+        # e^{int 2 alpha} = |2x + c1|
+        return math.hypot(1.0, self.scale * x + self.c1)
 
 
 @dataclass(frozen=True)
@@ -152,10 +165,9 @@ class General(AlphaSolution):
         X, den = self._parts(x)
         return 2.0 * X * (X * X - 3.0 * self.c2) / den**3
 
-    def metric_factor(self, x):
-        X, den = self._parts(x)   # e^{-int 2 alpha} = 1/|den|
-        a = X / den
-        return 1.0 / (abs(den) * math.sqrt(1.0 + a * a))
+    def y_speed(self, x):
+        X = x + self.c1   # e^{int 2 alpha} = |X^2 + c2|
+        return math.hypot(X, X * X + self.c2)
 
     def singular_x(self):
         if self.c2 > 0:
@@ -286,7 +298,7 @@ class OdeSolutionCurve:
         self.h, self._alpha, self._v = traj.h, traj.alpha, traj.v
 
     def state(self, x: float):
-        t = (x - self.x0) / self.h
+        t = (x - self.x0) / self.h if self.h else 0.0   # x0 == x1: one node
         k = min(len(self._alpha) - 1, max(0, math.floor(t)))
         a, v = self._alpha[k], self._v[k]
         dx = x - (self.x0 + k * self.h)

@@ -106,7 +106,7 @@ def classify(m: AlphaModel, x_window=None) -> SurfaceType:
 
     c, d = m.y_domain
     pad = 1e-9 * max(1.0, abs(c), abs(d))
-    ys = np.linspace(c + pad, d - pad, Y_SAMPLES)
+    ys = np.linspace(c + pad, d - pad, Y_SAMPLES).tolist()
     c2s = np.array([m.c2(y) for y in ys])
     if np.any(c2s > 0) and np.any(c2s < 0):
         raise MixedType("c2(y) changes sign on the domain")
@@ -267,9 +267,6 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     # zeta1 and zeta2 at the same y_new share one inversion of Psi
     pull_y = memoized(change.invert_y)
 
-    if m.family is lienard.Zero:
-        return NormalForm(SurfaceType.VERTICAL, None, None), change
-
     # x -> x + Gamma moves c1 by scale * Gamma (2 Gamma for special II)
     s = m.family.scale
 
@@ -281,11 +278,6 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
         y = pull_y(y_new)
         return (m.c1.d(y) - s * gamma.d(y)) / psi.d(y)
 
-    zeta1 = YFunction(z1, dz1)
-
-    if m.family is not lienard.General:
-        return NormalForm(_FAMILY_TYPE[m.family], zeta1, None), change
-
     def z2(y_new):
         return m.c2(pull_y(y_new))
 
@@ -293,23 +285,24 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
         y = pull_y(y_new)
         return m.c2.d(y) / psi.d(y)
 
-    zeta2 = YFunction(z2, dz2)
+    zeta1 = YFunction(z1, dz1) if m.c1 is not None else None
+    zeta2 = YFunction(z2, dz2) if m.c2 is not None else None
     return NormalForm(classify(m, x_window), zeta1, zeta2), change
 
 
+def _normal_model(surface_type: SurfaceType, zeta1, zeta2) -> AlphaModel:
+    """The model in normal coordinates: the type's family with constants
+    (zeta1, zeta2)."""
+    family = next((f for f, t in _FAMILY_TYPE.items() if t is surface_type),
+                  lienard.General)
+    return AlphaModel(family, zeta1, zeta2)
+
+
 def first_fundamental_form(nf: NormalForm, x: float, y: float) -> np.ndarray:
-    """diag(1, 1/b^2) in normal coordinates; may degenerate on singular loci."""
-    if nf.surface_type is SurfaceType.VERTICAL:
-        g22 = 1.0
-    elif nf.surface_type is SurfaceType.SPECIAL_I:
-        X = x + nf.zeta1(y)
-        g22 = X**2 + X**4
-    elif nf.surface_type is SurfaceType.SPECIAL_II:
-        g22 = 1.0 + (lienard.SpecialII.scale * x + nf.zeta1(y)) ** 2
-    else:
-        X = x + nf.zeta1(y)
-        g22 = X**2 + (X**2 + nf.zeta2(y)) ** 2
-    return np.array([[1.0, 0.0], [0.0, g22]])
+    """diag(1, 1/b^2) in normal coordinates, 1/b^2 = y_speed(x)^2 of the
+    family at (zeta1(y), zeta2(y)); degenerates on the special I singular line."""
+    sol = _normal_model(nf.surface_type, nf.zeta1, nf.zeta2).slice_at(y)
+    return np.array([[1.0, 0.0], [0.0, sol.y_speed(x) ** 2]])
 
 
 def connection_form(rep: MetricRep, x: float, y: float):
@@ -342,34 +335,24 @@ class MaximalDomain:
 def maximal_domain(zeta1: Optional[YFunction],
                    zeta2: Optional[YFunction],
                    surface_type: SurfaceType) -> MaximalDomain:
-    """The maximal domains per type: half-planes bounded by x = -zeta1(y)
-    (special I) or 2x = -zeta1(y) (special II); the whole strip for type I;
-    the outer/inner regions of the two singular curves for types II/III."""
+    """The maximal domains per type, bounded by the family's singular
+    curves: the whole strip for vertical and type I; the half-planes either
+    side of x = -zeta1(y) (special I) or 2x = -zeta1(y) (special II); the
+    outer/inner regions of the two singular curves for types II/III."""
     if surface_type is SurfaceType.VERTICAL or surface_type is SurfaceType.TYPE_I:
-        return MaximalDomain(surface_type, {"all": lambda x, y: True},
-                             [])
-    if surface_type in (SurfaceType.SPECIAL_I, SurfaceType.SPECIAL_II):
-        s = (lienard.SpecialII if surface_type is SurfaceType.SPECIAL_II
-             else lienard.SpecialI).scale
-        return MaximalDomain(
-            surface_type,
-            {"plus": lambda x, y: s * x + zeta1(y) > 0,
-             "minus": lambda x, y: s * x + zeta1(y) < 0},
-            [lambda y: -zeta1(y) / s])
+        return MaximalDomain(surface_type, {"all": lambda x, y: True}, [])
+    slice_at = _normal_model(surface_type, zeta1, zeta2).slice_at
 
-    def left(y):
-        return -zeta1(y) - math.sqrt(-zeta2(y))
+    def lo(y):
+        return slice_at(y).singular_x()[0]
 
-    def right(y):
-        return -zeta1(y) + math.sqrt(-zeta2(y))
+    def hi(y):
+        return slice_at(y).singular_x()[-1]
 
-    if surface_type is SurfaceType.TYPE_II:
-        return MaximalDomain(
-            surface_type,
-            {"minus": lambda x, y: x < left(y),
-             "plus": lambda x, y: x > right(y)},
-            [left, right])
+    if surface_type is SurfaceType.TYPE_III:
+        return MaximalDomain(surface_type,
+                             {"between": lambda x, y: lo(y) < x < hi(y)}, [lo, hi])
     return MaximalDomain(
-        SurfaceType.TYPE_III,
-        {"between": lambda x, y: left(y) < x < right(y)},
-        [left, right])
+        surface_type,
+        {"minus": lambda x, y: x < lo(y), "plus": lambda x, y: x > hi(y)},
+        [lo, hi] if surface_type is SurfaceType.TYPE_II else [lo])

@@ -20,6 +20,9 @@ INVERT_TOL = 1e-13   # relative Newton step at which inversion stops
 INVERT_MAX_EXPAND = 60
 RICHARDSON_RATIO = 2.0   # offset ratio of richardson_limit's sequences
 PANELS_PER_UNIT = 512    # Simpson panels per unit length of every quadrature lattice
+# nodes either side of a lattice's base (about 64 MB a side); an --alpha0
+# window at the RK4 step limit needs 102,400
+MAX_LATTICE_NODES = 1_000_000
 
 
 def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
@@ -50,7 +53,9 @@ class CumulativeIntegral:
     evaluated exactly once and the panel sums are accumulated by
     np.cumsum.  A query on a node returns its cumulative sum; any other x
     costs one residual Simpson panel from the node below, whose integrand
-    value is cached.
+    value is cached.  A query more than MAX_LATTICE_NODES nodes from
+    x_base, or at a non-finite x, raises QuadratureFailure before the
+    lattice grows.
     """
 
     def __init__(self, f, x_base: float, panels_per_unit: int = PANELS_PER_UNIT):
@@ -97,11 +102,22 @@ class CumulativeIntegral:
         F.extend(cum[1:].tolist())
         fx.extend(f_node.tolist())
 
+    def _past_limit(self, x: float, t: float) -> QuadratureFailure:
+        return QuadratureFailure(
+            f"x = {x} is {abs(t):.6g} lattice nodes from x = {self.x_base}, "
+            f"more than the limit of {MAX_LATTICE_NODES}")
+
     def __call__(self, x: float) -> float:
-        n = math.floor((x - self.x_base) / self.h)
+        t = (x - self.x_base) / self.h
+        try:
+            n = math.floor(t)
+        except (OverflowError, ValueError):   # t is inf or nan
+            raise self._past_limit(x, t) from None
         side, i = (0, n) if n >= 0 else (1, -n)
         F = self._F[side]
         if i >= len(F):
+            if i > MAX_LATTICE_NODES:
+                raise self._past_limit(x, t)
             self._grow(n)
         a = self.x_base + n * self.h
         if x == a:

@@ -250,15 +250,19 @@ class SingularReport:
 def _gauss_newton(g: GraphSurface, x, y):
     """Gauss-Newton on F = 0 from (x, y): (x, y, converged) after at most
     NEWTON_MAX_ITER steps, the last iterate when it did not converge.
-    Raises NewtonDivergence when a step fails or leaves the finite plane."""
-    x0, y0 = x, y
+    Raises NewtonDivergence when F or J is not finite, a step fails or it
+    leaves the finite plane.  The iterates are Python floats, so an
+    expression raises where numpy would warn."""
+    x0, y0 = x, y = float(x), float(y)
     for _ in range(NEWTON_MAX_ITER):
         Fv = g.F(x, y)
         if np.max(np.abs(Fv)) <= NEWTON_TOL:
             return x, y, True
         J = g.F_jacobian(x, y)
+        if not (np.isfinite(Fv).all() and np.isfinite(J).all()):
+            raise NewtonDivergence(f"F or its Jacobian is not finite at ({x}, {y})")
         try:
-            dx, dy = np.linalg.lstsq(J, -Fv, rcond=None)[0]
+            dx, dy = np.linalg.lstsq(J, -Fv, rcond=None)[0].tolist()
         except np.linalg.LinAlgError:
             raise NewtonDivergence(f"linear solve failed near ({x}, {y})")
         x, y = x + dx, y + dy
@@ -269,7 +273,7 @@ def _gauss_newton(g: GraphSurface, x, y):
 
 def _newton_zero(g: GraphSurface, x0, y0):
     """The zero of F that Gauss-Newton reaches from the seed (x0, y0)."""
-    x, y, converged = _gauss_newton(g, float(x0), float(y0))
+    x, y, converged = _gauss_newton(g, x0, y0)
     if converged or np.max(np.abs(g.F(x, y))) <= NEWTON_ACCEPT:
         return x, y
     raise NewtonDivergence(f"no convergence from ({x0}, {y0})")
@@ -403,9 +407,11 @@ def go_through_check(g: GraphSurface, p: tuple,
     the two limits are opposite.
     """
     x0, y0 = float(p[0]), float(p[1])
-    if float(np.max(np.abs(g.F(x0, y0)))) > NEWTON_ACCEPT:
+    if not float(np.max(np.abs(g.F(x0, y0)))) <= NEWTON_ACCEPT:
         raise PreconditionFailed(f"({x0}, {y0}) is not a singular point")
     J = g.F_jacobian(x0, y0)
+    if not np.isfinite(J).all():
+        raise PreconditionFailed(f"the Jacobian of F is not finite at ({x0}, {y0})")
     if not _jacobian_is_singular(J):
         raise PreconditionFailed(
             "isolated singular point: no singular curve to go through")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import heismin
-from heismin import cli, construct, lienard
+from heismin import cli, construct, lienard, numerics
 from heismin.errors import NonFiniteResult
 from heismin.numerics import YFunction
 
@@ -260,11 +260,12 @@ STEPS = "error: the window needs "
     (["phase-field", "--alpha-min", "1e300", "--alpha-max", "1e-300"], EVAL),
     (["solve-lienard", "--alpha0", "0.1", "--v0", "0", "--x1", "1e300"], STEPS),
     (["integrability", "--alpha0", "0.3", "--x-max", "1e200"], STEPS),
+    (["integrability", "--alpha", "special1", "--c1", "0.4", "--hconst=1e200"], EVAL),
 ], ids=["domain", "overflow", "negative-base-power", "graph-domain",
         "graph-negative-base-power", "zero-division", "metric-exp-k-overflow",
         "integrability-exp-k-overflow", "ivp-overflow", "fit-overflow",
         "profile-overflow", "phase-field-overflow", "ivp-step-limit",
-        "profile-step-limit"])
+        "profile-step-limit", "closed-form-hconst-overflow"])
 def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -295,15 +296,50 @@ def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
       "--samples", "3"], 1, "normalize: the y window must have a finite width"),
     (["verify-graph", "--u", "x*y", "--x-min=-1e308", "--x-max=1e308"],
      1, "verify-graph: the x and y windows must have a finite width"),
+    (["classify", "--alpha", "general", "--c1", "0", "--c2", "1", "--y-min=-1.7e308",
+      "--y-max=1.7e308"], 1, "classify: the y window must have a finite width"),
+    (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=-1.7e308",
+      "--theta-max=1.7e308"], 1, "construct: the theta and r windows must have a finite width"),
 ], ids=["phase-field-alpha-width", "phase-field-v-width", "phase-field-inf-value",
         "strict-json", "integrability-b-zero", "metric-width", "integrability-width",
-        "normalize-width", "verify-graph-width"])
+        "normalize-width", "verify-graph-width", "classify-width", "construct-width"])
 def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsys):
     assert cli.main(argv) == code
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
     assert needle in cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e9", "--nr", "1",
+     "--ntheta", "3"],
+    ["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e5", "--nr", "1",
+     "--ntheta", "3"],
+    ["normalize", "--alpha", "special1", "--c1", "0.4", "--y-max=1e5", "--samples", "2"],
+    ["normalize", "--alpha", "vertical", "--y-max=1.7e308", "--samples", "5"],
+], ids=["construct-1e9", "construct-1e5", "normalize-1e5", "normalize-float-max"])
+def test_quadrature_past_the_lattice_limit_is_one_line_numeric_failure(argv, capsys):
+    assert cli.main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert cap.err.startswith("error: x = ")
+    assert cap.err.endswith(f"more than the limit of {numerics.MAX_LATTICE_NODES}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-graph", "--u", "1/x", "--nx", "2", "--ny", "2"],
+    ["classify", "--alpha", "general", "--c1", "0", "--c2", "1/(y-0.5)"],
+    ["go-through", "--u", "log(x*y)", "--px=-1e300", "--py=1e-300"],
+    ["normalize", "--alpha", "vertical", "--y-max=1.7e308", "--samples", "5"],
+], ids=["newton-iterates", "classify-samples", "go-through-jacobian", "normalize-samples"])
+def test_scalar_paths_write_one_stderr_line(argv, capfd):
+    # capfd, not capsys: LAPACK writes its complaints to the file
+    # descriptor, past sys.stdout
+    assert cli.main(argv) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, exponent_form", [

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heismin import lienard
 from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, SingularPoint,
@@ -41,6 +43,39 @@ def test_metric_factor_is_the_shared_x_profile(sol):
     for x in safe_xs(sol):
         assert central_d1(log_profile, x, 1e-6) == pytest.approx(
             -2.0 * sol.alpha(x), abs=1e-8)
+
+
+# g22 = 1/b^2 in normal coordinates as the polynomial of each family: the
+# reference that y_speed^2 is checked against
+G22 = {
+    lienard.Zero: lambda x, c1, c2: 1.0,
+    lienard.SpecialI: lambda x, c1, c2: (x + c1) ** 2 + (x + c1) ** 4,
+    lienard.SpecialII: lambda x, c1, c2: 1.0 + (2.0 * x + c1) ** 2,
+    lienard.General: lambda x, c1, c2: (x + c1) ** 2 + ((x + c1) ** 2 + c2) ** 2,
+}
+
+
+@given(st.sampled_from(list(G22)), st.floats(-50, 50), st.floats(-50, 50),
+       st.floats(-50, 50))
+@settings(max_examples=500)
+def test_y_speed_squared_is_the_first_fundamental_form(family, c1, c2, x):
+    assume(c2 != 0.0)
+    sol = family(*(c1, c2)[:len(dataclasses.fields(family))])
+    try:
+        sol.alpha(x)
+    except SingularPoint:
+        return   # x on the singular locus, where metric_factor does not exist
+    speed, g22 = sol.y_speed(x), G22[family](x, c1, c2)
+    assert abs(speed * speed - g22) <= 8 * sys.float_info.epsilon * g22
+    assert abs(sol.metric_factor(x) * speed - 1.0) <= math.ulp(1.0)
+
+
+def test_y_speed_on_the_singular_locus():
+    assert lienard.SpecialI(c1=-1.0).y_speed(1.0) == 0.0
+    assert lienard.General(c1=0.5, c2=-2.25).y_speed(1.0) == 1.5
+    assert lienard.General(c1=0.5, c2=-2.25).y_speed(-2.0) == 1.5
+    # the regular form keeps the float range where 1/sqrt(X^2 + X^4) would not
+    assert lienard.SpecialI(c1=0.0).metric_factor(1e100) == 1e-200
 
 
 def test_residual_with_fd_fallback():
@@ -139,6 +174,13 @@ def test_ode_solution_curve_rejects_non_finite_start():
     # blow-up, not a lattice of NaN states
     with pytest.raises(BlowUp):
         lienard.OdeSolutionCurve(math.nan, 0.0, 0.0, 1.0)
+
+
+def test_ode_solution_curve_of_zero_width_holds_one_node():
+    # x0 == x1, as [x - 0.01, x + 0.01] is at x = 1e300
+    curve = lienard.OdeSolutionCurve(0.1, 0.2, 1.0, 1.0)
+    assert curve.state(1.0) == (0.1, 0.2)
+    assert curve.state(1.5) == lienard._rk4_step(0.1, 0.2, 0.5, 0.0)
 
 
 def test_ode_solution_curve_interpolates_smoothly():

@@ -172,6 +172,10 @@ def test_first_fundamental_form_shapes():
     assert g[1, 1] == pytest.approx(1.0 + 4.0)
     nfv = models.NormalForm(SurfaceType.VERTICAL, None, None)
     assert models.first_fundamental_form(nfv, 0.0, 0.0)[1, 1] == 1.0
+    # a vanishing zeta2 is singular here as everywhere else
+    nf0 = models.NormalForm(SurfaceType.TYPE_I, yconst(0.0), yconst(0.0))
+    with pytest.raises(SingularPoint, match="c2 vanishes"):
+        models.first_fundamental_form(nf0, 1.0, 0.0)
 
 
 def test_connection_form_matches_fd_path():

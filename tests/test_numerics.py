@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from heismin import construct, integrability, lienard
+from heismin import construct, integrability, lienard, numerics
 from heismin.errors import QuadratureFailure
 from heismin.integrability import Field2D
 from heismin.models import YFunction
@@ -125,6 +125,19 @@ def test_each_node_and_midpoint_evaluated_once():
 def test_non_finite_integrand_raises(f, x):
     with pytest.raises(QuadratureFailure):
         CumulativeIntegral(f, X_BASE, PPU)(x)
+
+
+def test_query_past_the_node_limit_raises_before_the_lattice_grows(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_LATTICE_NODES", 128)
+    calls = []
+    lattice = CumulativeIntegral(lambda x: calls.append(x) or 1.0, 0.0, PPU)
+    assert lattice(2.0) == 2.0 and lattice(-2.0) == -2.0   # node 128 either side
+    grown = len(calls)
+    for x in (2.0 + 1.0 / PPU, -2.0 - 1.0 / PPU, math.inf, math.nan):
+        with pytest.raises(QuadratureFailure, match=r"lattice nodes from x = 0\.0, "
+                                                    r"more than the limit of 128"):
+            lattice(x)
+    assert len(calls) == grown
 
 
 def round_trip(rng):
