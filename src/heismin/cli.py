@@ -23,7 +23,7 @@ import numpy as np
 from . import construct, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult
 from .models import AlphaModel, YFunction
-from .numerics import PANELS_PER_UNIT
+from .numerics import PANELS_PER_UNIT, inner_linspace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,6 +172,13 @@ def _require_finite_width(args, *axes):
                           f"{'s' * (len(axes) > 1)} must have a finite width")
 
 
+def _type_fields(m: AlphaModel, stype) -> dict:
+    """The JSON type of a model and y_samples, the number of y-slices
+    classify read it from, or None where the family alone decides it."""
+    return {"type": stype.value,
+            "y_samples": models.Y_SAMPLES if len(m.family.types) > 1 else None}
+
+
 def _add_window_flag(p):
     p.add_argument("--x-window", type=_finite_float, nargs=2, metavar=("LO", "HI"))
 
@@ -201,8 +208,7 @@ def cmd_phase_field(args):
 def cmd_classify(args):
     _require_finite_width(args, "y")
     m = _build_model(args)
-    stype = models.classify(m, x_window=args.x_window)
-    _emit_json({"type": stype.value})
+    _emit_json(_type_fields(m, models.classify(m, x_window=args.x_window)))
     return EXIT_OK
 
 
@@ -212,7 +218,7 @@ def cmd_metric(args):
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
     xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()
     ys = np.linspace(args.y_min, args.y_max, args.ny).tolist()
-    rows = [(x, y, models.eval_model(m, x, y), rep.a(x, y), rep.b(x, y))
+    rows = [(x, y, m.slice_at(y).alpha(x), rep.a(x, y), rep.b(x, y))
             for y in ys for x in xs]
     _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], zip(*rows)))
     return EXIT_OK
@@ -226,7 +232,7 @@ def cmd_normalize(args):
     ys = np.linspace(args.y_min, args.y_max, args.samples).tolist()
     y_new = [change.psi(y) for y in ys]
     payload = {
-        "type": nf.surface_type.value,
+        **_type_fields(m, nf.surface_type),
         "zeta1": ([[yn, nf.zeta1(yn)] for yn in y_new]
                   if nf.zeta1 is not None else None),
         "zeta2": ([[yn, nf.zeta2(yn)] for yn in y_new]
@@ -286,7 +292,7 @@ def cmd_construct(args):
     if args.obj:
         _write_text(args.obj, mesh_obj(chart, args.nr, args.ntheta))
     z1, z2 = construct.zeta_from_curve(curve)
-    ts = np.linspace(interval[0] + 1e-9, interval[1] - 1e-9, args.ntheta)
+    ts = inner_linspace(*interval, args.ntheta, 1e-9)
     _emit_json({
         "zeta1": [[float(t), z1(float(t))] for t in ts],
         "zeta2": [[float(t), z2(float(t))] for t in ts],

@@ -165,7 +165,7 @@ def zeta_from_curve(c: GeneratingCurve):
 
     zeta2 == 0 identifies special type I.
     """
-    gamma = CumulativeIntegral(c.Q, c.interval[0])
+    gamma = CumulativeIntegral(c.Q, c.interval[0], var="theta")
 
     def z1(t):
         return c.D(t) - gamma(t)
@@ -228,14 +228,14 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     def yp(t):
         return z1(t) * math.cos(t)
 
-    x_int = CumulativeIntegral(xp, t0)
-    y_int = CumulativeIntegral(yp, t0)
+    x_int = CumulativeIntegral(xp, t0, var="theta")
+    y_int = CumulativeIntegral(yp, t0, var="theta")
 
     def zp(t):
         return (zeta2(t) + z1(t) ** 2
                 + y_int(t) * xp(t) - x_int(t) * yp(t))
 
-    z_int = CumulativeIntegral(zp, t0)
+    z_int = CumulativeIntegral(zp, t0, var="theta")
 
     def xpp(t):
         return -zeta1.d(t) * math.sin(t) - zeta1(t) * math.cos(t)

@@ -27,8 +27,8 @@ class DegenerateBranch(HeisminError):
 
 
 class MixedType(HeisminError):
-    """An x-window straddles singular curves or the c2 coefficient
-    changes sign; classification would be ambiguous."""
+    """A model has no single surface type: the x-window is missing or
+    meets the singular curves, or two y-slices have different types."""
 
 
 class QuadratureFailure(HeisminError):

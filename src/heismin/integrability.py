@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EvaluationError, QuadratureFailure, SingularPoint
 from .lienard import _rhs
-from .models import MetricRep, eval_model, exp_of
+from .models import MetricRep, exp_of
 from .numerics import CumulativeIntegral, YFunction, fd_partial, memoized
 
 
@@ -62,7 +61,7 @@ class Field2D:
     @staticmethod
     def from_model(m) -> "Field2D":
         """Field view of an AlphaModel, with analytic x-partial."""
-        return Field2D(f=partial(eval_model, m),
+        return Field2D(f=lambda x, y: m.slice_at(y).alpha(x),
                        dx=lambda x, y: m.slice_at(y).alpha_x(x))
 
     @staticmethod

@@ -12,6 +12,7 @@ equivalent form 1/(2(x + c1)) differs only by rescaling the constant.
 """
 from __future__ import annotations
 
+import enum
 import math
 from array import array
 from collections.abc import Sequence
@@ -19,14 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlowUp, DegenerateBranch, EvaluationError, SingularPoint,
-                     StepLimit)
+from .errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
+                     SingularPoint, StepLimit)
 from .numerics import EPS_DEN, YFunction
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
 PROFILE_STEP = 1e-4   # RK4 lattice spacing of an OdeSolutionCurve
 MAX_RK4_STEPS = 2_000_000   # steps one sweep may take (16 MB a column)
+
+
+class SurfaceType(enum.Enum):
+    VERTICAL = "Vertical"
+    SPECIAL_I = "SpecialI"
+    SPECIAL_II = "SpecialII"
+    TYPE_I = "TypeI"
+    TYPE_II = "TypeII"
+    TYPE_III = "TypeIII"
 
 
 @dataclass(frozen=True)
@@ -43,9 +53,11 @@ class AlphaSolution:
     Each family writes its geometry once, as y_speed(x) = sqrt(g22): the
     first fundamental form in normal coordinates is diag(1, y_speed^2),
     and metric_factor = 1/y_speed is the x-profile that the
-    induced-metric coefficients a and b share."""
+    induced-metric coefficients a and b share.  types are the surface
+    types a family member can have; each type belongs to one family."""
 
     scale = 1.0
+    types = ()
 
     def alpha(self, x: float) -> float:
         raise NotImplementedError
@@ -71,9 +83,16 @@ class AlphaSolution:
         """x-values where the closed form blows up (possibly empty)."""
         return ()
 
+    def surface_type(self, x_window=None) -> SurfaceType:
+        """The surface type over the x-window, which only the general
+        family reads."""
+        return self.types[0]
+
 
 @dataclass(frozen=True)
 class Zero(AlphaSolution):
+    types = (SurfaceType.VERTICAL,)
+
     def alpha(self, x):
         return 0.0
 
@@ -117,6 +136,7 @@ class SpecialI(_Special):
     """alpha = 1/(x + c1); characterized by alpha' = -alpha^2."""
 
     _roman = "I"
+    types = (SurfaceType.SPECIAL_I,)
 
     def y_speed(self, x):
         X = x + self.c1   # e^{int 2 alpha} = X^2
@@ -129,6 +149,7 @@ class SpecialII(_Special):
 
     scale = 2.0
     _roman = "II"
+    types = (SurfaceType.SPECIAL_II,)
 
     def y_speed(self, x):
         # e^{int 2 alpha} = |2x + c1|
@@ -141,6 +162,7 @@ class General(AlphaSolution):
 
     c1: float
     c2: float
+    types = (SurfaceType.TYPE_I, SurfaceType.TYPE_II, SurfaceType.TYPE_III)
 
     def __post_init__(self):
         if self.c2 == 0.0:
@@ -174,6 +196,26 @@ class General(AlphaSolution):
             return ()
         r = math.sqrt(-self.c2)
         return (-self.c1 - r, -self.c1 + r)
+
+    def surface_type(self, x_window=None) -> SurfaceType:
+        """Type I for c2 > 0.  For c2 < 0, type II on a window wholly below
+        or wholly above the singular curves and type III on one strictly
+        between them, in either endpoint order; MixedType otherwise."""
+        if self.c2 > 0:
+            return SurfaceType.TYPE_I
+        if x_window is None:
+            raise MixedType("c2 < 0 requires an x-window to separate types II and III")
+        x_lo, x_hi = sorted(x_window)
+        lo, hi = self.singular_x()
+        if x_hi < lo or x_lo > hi:
+            return SurfaceType.TYPE_II
+        if lo < x_lo and x_hi < hi:
+            return SurfaceType.TYPE_III
+        raise MixedType(f"x-window [{x_lo}, {x_hi}] meets the singular "
+                        f"curves x = {lo} and x = {hi}")
+
+
+FAMILIES = (Zero, SpecialI, SpecialII, General)
 
 
 def lienard_residual(f, x: float, H_const: float = 0.0) -> float:

@@ -5,7 +5,6 @@ Levi-Civita connection form, and maximal domains.
 """
 from __future__ import annotations
 
-import enum
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -15,29 +14,17 @@ import numpy as np
 
 from . import lienard
 from .errors import MixedType, SingularPoint
+from .lienard import SurfaceType
 from .numerics import (CumulativeIntegral, YFunction, fd_partial,
-                       invert_monotone, memoized)
+                       inner_linspace, invert_monotone, memoized)
 
-
-class SurfaceType(enum.Enum):
-    VERTICAL = "Vertical"
-    SPECIAL_I = "SpecialI"
-    SPECIAL_II = "SpecialII"
-    TYPE_I = "TypeI"
-    TYPE_II = "TypeII"
-    TYPE_III = "TypeIII"
-
-
-Y_SAMPLES = 33   # y-samples of a model's domain on which classify checks c2
-# the surface type of each family whose type does not depend on the window
-_FAMILY_TYPE = {lienard.Zero: SurfaceType.VERTICAL,
-                lienard.SpecialI: SurfaceType.SPECIAL_I,
-                lienard.SpecialII: SurfaceType.SPECIAL_II}
+Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the type
 
 
 @dataclass
 class AlphaModel:
-    """A lienard solution family whose constants are functions of y.
+    """A lienard solution family whose constants are functions of y,
+    such as AlphaModel(lienard.General, c1, c2, y_domain).
 
     Families: Zero (the vertical model, alpha == 0), special I
     1/(x + c1(y)), special II  1/(2x + c1(y)), general
@@ -48,22 +35,6 @@ class AlphaModel:
     c1: Optional[YFunction] = None
     c2: Optional[YFunction] = None
     y_domain: tuple = (0.0, 1.0)
-
-    @staticmethod
-    def vertical(y_domain=(0.0, 1.0)):
-        return AlphaModel(lienard.Zero, y_domain=y_domain)
-
-    @staticmethod
-    def special_i(c1: YFunction, y_domain=(0.0, 1.0)):
-        return AlphaModel(lienard.SpecialI, c1=c1, y_domain=y_domain)
-
-    @staticmethod
-    def special_ii(c1: YFunction, y_domain=(0.0, 1.0)):
-        return AlphaModel(lienard.SpecialII, c1=c1, y_domain=y_domain)
-
-    @staticmethod
-    def general(c1: YFunction, c2: YFunction, y_domain=(0.0, 1.0)):
-        return AlphaModel(lienard.General, c1=c1, c2=c2, y_domain=y_domain)
 
     def slice_at(self, y: float) -> lienard.AlphaSolution:
         """The x-solution obtained by freezing y."""
@@ -78,60 +49,29 @@ class AlphaModel:
             raise SingularPoint(f"c2 vanishes at y = {y}: {exc}") from exc
 
 
-def eval_model(m: AlphaModel, x: float, y: float) -> float:
-    return m.slice_at(y).alpha(x)
-
-
-def _general_region(lo: float, hi: float, x: float) -> SurfaceType:
-    """The type at x of a c2 < 0 general solution with singular curves
-    x = lo < hi: type II outside them, type III between."""
-    if x < lo or x > hi:
-        return SurfaceType.TYPE_II
-    if lo < x < hi:
-        return SurfaceType.TYPE_III
-    raise MixedType(f"window touches the singular curve at x = {x}")
-
-
 def classify(m: AlphaModel, x_window=None) -> SurfaceType:
     """The surface type of the model over the given x-window.
 
-    Vertical and special families pass through.  For the general family the
-    sign of c2 decides type I versus II/III, and the position of the
-    window relative to the singular curves decides between II and III.
-    Raises MixedType when the window straddles the singular curves or c2
-    vanishes or changes sign over the y-domain.
+    A family of one type has it.  Otherwise each of Y_SAMPLES y-slices
+    inside the y-domain reads its type off the family's surface_type, and
+    they must agree.  Raises MixedType, naming the y, where a slice has no
+    single type over the window or two slices differ.
     """
-    if m.family in _FAMILY_TYPE:
-        return _FAMILY_TYPE[m.family]
-
+    if len(m.family.types) == 1:
+        return m.family.types[0]
     c, d = m.y_domain
-    pad = 1e-9 * max(1.0, abs(c), abs(d))
-    ys = np.linspace(c + pad, d - pad, Y_SAMPLES).tolist()
-    c2s = np.array([m.c2(y) for y in ys])
-    if np.any(c2s > 0) and np.any(c2s < 0):
-        raise MixedType("c2(y) changes sign on the domain")
-    if np.any(c2s == 0):
-        raise MixedType("c2(y) vanishes on the domain")
-    if np.all(c2s > 0):
-        return SurfaceType.TYPE_I
-    if x_window is None:
-        raise MixedType("c2 < 0 requires an x-window to separate types II and III")
-    x_lo, x_hi = x_window
-    labels = set()
-    for y in ys:
-        lo, hi = m.slice_at(y).singular_x()
-        lo_lab = _general_region(lo, hi, x_lo)
-        hi_lab = _general_region(lo, hi, x_hi)
-        if lo_lab is not hi_lab:
-            raise MixedType("x-window straddles a singular curve")
-        if lo_lab is SurfaceType.TYPE_II:
-            # both endpoints outside: reject a window spanning the gap
-            if x_lo < lo and x_hi > hi:
-                raise MixedType("x-window spans the type III gap")
-        labels.add(lo_lab)
-    if len(labels) != 1:
-        raise MixedType("type varies with y over the window")
-    return labels.pop()
+    ys = inner_linspace(c, d, Y_SAMPLES, 1e-9 * max(1.0, abs(c), abs(d)))
+    first = {}   # type -> the first y that has it
+    for y in ys.tolist():
+        try:
+            first.setdefault(m.slice_at(y).surface_type(x_window), y)
+        except MixedType as exc:
+            raise MixedType(f"{exc} at y = {y}") from None
+        if len(first) > 1:
+            (t0, y0), (t1, y1) = first.items()
+            raise MixedType(f"the type is {t0.value} at y = {y0} "
+                            f"but {t1.value} at y = {y1}")
+    return next(iter(first))
 
 
 @dataclass
@@ -258,10 +198,10 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     """
     y_lo = m.y_domain[0]
 
-    gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), y_lo)
+    gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), y_lo, var="y")
     gamma = YFunction(gamma_int, lambda y: -h(y) * math.exp(-k(y)))
 
-    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), y_lo)
+    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), y_lo, var="y")
     psi = YFunction(lambda y: y_lo + psi_int(y), lambda y: math.exp(-k(y)))
     change = CoordChange(gamma=gamma, psi=psi)
     # zeta1 and zeta2 at the same y_new share one inversion of Psi
@@ -293,8 +233,7 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
 def _normal_model(surface_type: SurfaceType, zeta1, zeta2) -> AlphaModel:
     """The model in normal coordinates: the type's family with constants
     (zeta1, zeta2)."""
-    family = next((f for f, t in _FAMILY_TYPE.items() if t is surface_type),
-                  lienard.General)
+    family = next(f for f in lienard.FAMILIES if surface_type in f.types)
     return AlphaModel(family, zeta1, zeta2)
 
 

@@ -55,12 +55,14 @@ class CumulativeIntegral:
     costs one residual Simpson panel from the node below, whose integrand
     value is cached.  A query more than MAX_LATTICE_NODES nodes from
     x_base, or at a non-finite x, raises QuadratureFailure before the
-    lattice grows.
+    lattice grows.  Errors call the variable var, as YFunction's do.
     """
 
-    def __init__(self, f, x_base: float, panels_per_unit: int = PANELS_PER_UNIT):
+    def __init__(self, f, x_base: float, panels_per_unit: int = PANELS_PER_UNIT,
+                 var: str = "x"):
         self.f = f
         self.x_base = float(x_base)
+        self.var = var
         self.h = 1.0 / float(panels_per_unit)
         # node i of side 0 sits at x_base + i h, of side 1 at x_base - i h;
         # both hold F and f at their nodes, from node 0 = x_base on
@@ -73,7 +75,7 @@ class CumulativeIntegral:
             f0 = float(self.f(self.x_base))
             if not math.isfinite(f0):
                 raise QuadratureFailure(
-                    f"non-finite integrand at x = {self.x_base}")
+                    f"non-finite integrand at {self.var} = {self.x_base}")
             for side in (0, 1):
                 self._F[side].append(0.0)
                 self._fx[side].append(f0)
@@ -97,15 +99,15 @@ class CumulativeIntegral:
         cum = np.cumsum(np.concatenate(([F[k]], panels if side == 0 else -panels)))
         if not np.isfinite(cum).all():
             raise QuadratureFailure(
-                f"non-finite antiderivative between x = {nodes[0]} and "
-                f"x = {nodes[-1]}")
+                f"non-finite antiderivative between {self.var} = {nodes[0]} and "
+                f"{self.var} = {nodes[-1]}")
         F.extend(cum[1:].tolist())
         fx.extend(f_node.tolist())
 
     def _past_limit(self, x: float, t: float) -> QuadratureFailure:
         return QuadratureFailure(
-            f"x = {x} is {abs(t):.6g} lattice nodes from x = {self.x_base}, "
-            f"more than the limit of {MAX_LATTICE_NODES}")
+            f"{self.var} = {x} is {abs(t):.6g} lattice nodes from {self.var} = "
+            f"{self.x_base}, more than the limit of {MAX_LATTICE_NODES}")
 
     def __call__(self, x: float) -> float:
         t = (x - self.x_base) / self.h
@@ -124,8 +126,16 @@ class CumulativeIntegral:
             return F[i]
         out = F[i] + simpson_panel(self.f, a, x, self._fx[side][i])
         if not math.isfinite(out):
-            raise QuadratureFailure(f"non-finite antiderivative at x = {x}")
+            raise QuadratureFailure(f"non-finite antiderivative at {self.var} = {x}")
         return out
+
+
+def inner_linspace(lo: float, hi: float, n: int, pad: float) -> np.ndarray:
+    """n evenly spaced samples from lo to hi with each end moved pad, at
+    most half the width, toward the other: inside the window whichever
+    endpoint comes first."""
+    pad = math.copysign(min(pad, abs(hi - lo) / 2.0), hi - lo)
+    return np.linspace(lo + pad, hi - pad, n)
 
 
 def central_d1(f, x: float, h: float) -> float:

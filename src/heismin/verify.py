@@ -327,8 +327,9 @@ def singular_set(g: GraphSurface) -> SingularReport:
     an isolated singular point, singular Jacobian means a singular curve
     (traced as a polyline)."""
     (x_lo, x_hi), (y_lo, y_hi) = g.window
-    xs = np.linspace(x_lo, x_hi, SEED_GRID)
-    ys = np.linspace(y_lo, y_hi, SEED_GRID)
+    # distinct seeds only: a zero-width window has one
+    xs = np.unique(np.linspace(x_lo, x_hi, SEED_GRID))
+    ys = np.unique(np.linspace(y_lo, y_hi, SEED_GRID))
     step = max(x_hi - x_lo, y_hi - y_lo) / SEED_GRID
 
     zeros = []

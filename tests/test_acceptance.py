@@ -138,12 +138,12 @@ def test_criterion_4_integrability():
     ys = np.linspace(0.05, 0.95, 20)
     worst = 0.0
     for m, xs in [
-        (AlphaModel.special_i(YFunction.from_expr("0.4 + 0.1*sin(y)")),
+        (AlphaModel(lienard.SpecialI, YFunction.from_expr("0.4 + 0.1*sin(y)")),
          np.linspace(0.5, 2.5, 50)),
-        (AlphaModel.special_ii(YFunction.from_expr("0.3 + 0.1*y")),
+        (AlphaModel(lienard.SpecialII, YFunction.from_expr("0.3 + 0.1*y")),
          np.linspace(0.5, 2.5, 50)),
-        (AlphaModel.general(YFunction.from_expr("0.2*cos(y)"),
-                            YFunction.from_expr("1 + 0.5*sin(y)")),
+        (AlphaModel(lienard.General, YFunction.from_expr("0.2*cos(y)"),
+                    YFunction.from_expr("1 + 0.5*sin(y)")),
          np.linspace(0.5, 2.5, 50)),
     ]:
         rep = models.metric_rep(m, k, h)
@@ -376,8 +376,8 @@ def test_criterion_10_helicoid_type_adjacency():
             return verify.numeric_alpha_on_chart(hel, s, t)
         v0 = (alpha(s0 + h) - alpha(s0 - h)) / (2 * h)
         sol = lienard.fit_solution(alpha(s0), v0, s0)
-        return AlphaModel.general(YFunction.constant(sol.c1),
-                                  YFunction.constant(sol.c2))
+        return AlphaModel(lienard.General, YFunction.constant(sol.c1),
+                          YFunction.constant(sol.c2))
 
     inside = models.classify(fitted_model(0.5), x_window=(0.2, 0.7))
     outside_pos = models.classify(fitted_model(1.8), x_window=(1.3, 2.5))

@@ -32,6 +32,43 @@ def test_classify_mixed_type_is_numeric_failure(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "normalize"])
+@pytest.mark.parametrize("window", [["2", "-2"], ["-2", "2"]], ids=["reversed", "ordered"])
+def test_x_window_spanning_the_type_iii_gap_fails_in_either_order(command, window, capsys):
+    code = cli.main([command, "--alpha", "general", "--c1", "0", "--c2", "-1",
+                     "--x-window", *window])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == ("error: x-window [-2.0, 2.0] meets the singular curves "
+                       "x = -1.0 and x = 1.0 at y = 1e-09\n")
+
+
+def test_reversed_y_window_samples_inside_it(capsys):
+    argv = ["classify", "--alpha", "general", "--c1", "0", "--c2", "1+sqrt(y)"]
+    code, out = run_cli(argv + ["--y-min", "1", "--y-max", "0"], capsys)
+    assert (code, out) == run_cli(argv + ["--y-min", "0", "--y-max", "1"], capsys)
+    assert code == 0 and json.loads(out)["type"] == "TypeI"
+
+
+def test_reversed_theta_window_samples_inside_it(capsys):
+    code, out = run_cli(["construct", "--zeta1", "1+sqrt(theta)", "--zeta2", "1",
+                         "--theta-min", "1", "--theta-max", "0", "--ntheta", "2",
+                         "--nr", "1"], capsys)
+    assert code == 0
+    assert [t for t, _ in json.loads(out)["zeta1"]] == [1.0 - 1e-9, 1e-9]
+
+
+@pytest.mark.parametrize("argv, y_samples", [
+    (["classify", "--alpha", "general", "--c1", "0", "--c2", "1"], 33),
+    (["classify", "--alpha", "special1", "--c1", "1"], None),
+    (["normalize", "--alpha", "general", "--c1", "0", "--c2", "1", "--samples", "2"], 33),
+    (["normalize", "--alpha", "vertical", "--samples", "2"], None),
+], ids=["classify-general", "classify-special1", "normalize-general", "normalize-vertical"])
+def test_type_reports_the_y_samples_that_decided_it(argv, y_samples, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["y_samples"] == y_samples
+
+
 def test_parse_error_exit_code(capsys):
     code, _ = run_cli(["classify", "--alpha", "general",
                        "--c1", "2*^3", "--c2", "1"], capsys)
@@ -261,11 +298,13 @@ STEPS = "error: the window needs "
     (["solve-lienard", "--alpha0", "0.1", "--v0", "0", "--x1", "1e300"], STEPS),
     (["integrability", "--alpha0", "0.3", "--x-max", "1e200"], STEPS),
     (["integrability", "--alpha", "special1", "--c1", "0.4", "--hconst=1e200"], EVAL),
+    # classify reads c1 at every y-sample of a general model
+    (["classify", "--alpha", "general", "--c1", "1/(y-0.5)", "--c2", "1"], EVAL + "y = 0.5"),
 ], ids=["domain", "overflow", "negative-base-power", "graph-domain",
         "graph-negative-base-power", "zero-division", "metric-exp-k-overflow",
         "integrability-exp-k-overflow", "ivp-overflow", "fit-overflow",
         "profile-overflow", "phase-field-overflow", "ivp-step-limit",
-        "profile-step-limit", "closed-form-hconst-overflow"])
+        "profile-step-limit", "closed-form-hconst-overflow", "classify-c1"])
 def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -311,19 +350,23 @@ def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsy
     assert needle in cap.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e9", "--nr", "1",
-     "--ntheta", "3"],
-    ["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e5", "--nr", "1",
-     "--ntheta", "3"],
-    ["normalize", "--alpha", "special1", "--c1", "0.4", "--y-max=1e5", "--samples", "2"],
-    ["normalize", "--alpha", "vertical", "--y-max=1.7e308", "--samples", "5"],
+@pytest.mark.parametrize("argv, needle", [
+    (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e9", "--nr", "1",
+      "--ntheta", "3"], "error: theta = 500000003.1415927 is 2.56e+11 lattice nodes "
+                        "from theta = 1000000000.0, "),
+    (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e5", "--nr", "1",
+      "--ntheta", "3"], "error: theta = 50003.141592653585 is "),
+    (["normalize", "--alpha", "special1", "--c1", "0.4", "--y-max=1e5", "--samples", "2"],
+     "error: y = 100000.0 is 5.12e+07 lattice nodes from y = 0.0, "),
+    (["normalize", "--alpha", "vertical", "--y-max=1.7e308", "--samples", "5"],
+     "error: y = 4.25e+307 is inf lattice nodes from y = 0.0, "),
 ], ids=["construct-1e9", "construct-1e5", "normalize-1e5", "normalize-float-max"])
-def test_quadrature_past_the_lattice_limit_is_one_line_numeric_failure(argv, capsys):
+def test_quadrature_past_the_lattice_limit_is_one_line_numeric_failure(argv, needle, capsys):
+    # the message calls the variable by its name: theta for construct, y for normalize
     assert cli.main(argv) == 2
     cap = capsys.readouterr()
     assert cap.out == "" and cap.err.count("\n") == 1
-    assert cap.err.startswith("error: x = ")
+    assert cap.err.startswith(needle)
     assert cap.err.endswith(f"more than the limit of {numerics.MAX_LATTICE_NODES}\n")
 
 

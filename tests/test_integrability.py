@@ -30,10 +30,10 @@ def test_field2d_constant_partials():
 
 
 @pytest.mark.parametrize("m", [
-    AlphaModel.special_i(YFunction.from_expr("0.4 + 0.1*sin(y)")),
-    AlphaModel.special_ii(YFunction.from_expr("0.3 + 0.1*y")),
-    AlphaModel.general(YFunction.from_expr("0.2*cos(y)"),
-                       YFunction.from_expr("1 + 0.5*sin(y)")),
+    AlphaModel(lienard.SpecialI, YFunction.from_expr("0.4 + 0.1*sin(y)")),
+    AlphaModel(lienard.SpecialII, YFunction.from_expr("0.3 + 0.1*y")),
+    AlphaModel(lienard.General, YFunction.from_expr("0.2*cos(y)"),
+               YFunction.from_expr("1 + 0.5*sin(y)")),
 ], ids=["special1", "special2", "general"])
 def test_closed_form_reps_satisfy_integrability(m):
     k = YFunction.from_expr("0.1*y")
@@ -48,7 +48,7 @@ def test_closed_form_reps_satisfy_integrability(m):
 
 
 def test_vertical_rep_satisfies_integrability():
-    m = AlphaModel.vertical()
+    m = AlphaModel(lienard.Zero)
     rep = models.metric_rep(m, yconst(0.2), yconst(0.5))
     stats = integrability.integrability_residual(
         Field2D.constant(0.0), Field2D.constant(0.0), rep,
@@ -59,7 +59,7 @@ def test_vertical_rep_satisfies_integrability():
 def test_quadrature_metric_matches_closed_form_up_to_gauge():
     # with H = 0 both constructions share the x-profile, so their ratio
     # is constant along each y-line
-    m = AlphaModel.general(yconst(0.1), yconst(1.5))
+    m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
     k = YFunction.from_expr("0.1*y")
     h = yconst(0.0)
     closed = models.metric_rep(m, k, h)
@@ -77,7 +77,7 @@ def test_closed_form_metric_over_quadrature_is_constant_through_alpha_zero(
         c1, c2, lo, hi, base):
     # the window holds x = -c1, where alpha = 0: the closed forms are
     # regular there, and their ratio to the quadrature stays constant
-    m = AlphaModel.general(yconst(c1), yconst(c2))
+    m = AlphaModel(lienard.General, yconst(c1), yconst(c2))
     k, h = YFunction.from_expr("0.1*y"), yconst(0.7)
     closed = models.metric_rep(m, k, h)
     quad = integrability.metric_from_alpha_H(
@@ -103,7 +103,7 @@ def test_quadrature_metric_with_nonzero_H_satisfies_equations():
 
 
 def test_quadrature_failure_on_pole():
-    m = AlphaModel.special_i(yconst(0.0))  # pole at x = 0
+    m = AlphaModel(lienard.SpecialI, yconst(0.0))  # pole at x = 0
     alpha = Field2D.from_model(m)
     rep = integrability.metric_from_alpha_H(
         alpha, Field2D.constant(0.0), yconst(0.0), yconst(0.0), x_base=1.0)
@@ -114,7 +114,7 @@ def test_quadrature_failure_on_pole():
 
 
 def test_codazzi_residual_2d():
-    m = AlphaModel.general(yconst(0.0), yconst(1.0))
+    m = AlphaModel(lienard.General, yconst(0.0), yconst(1.0))
     stats = integrability.codazzi_residual_2d(
         Field2D.from_model(m), 0.0,
         (np.linspace(0.3, 2.0, 10), np.linspace(0.0, 1.0, 3)))
@@ -124,8 +124,8 @@ def test_codazzi_residual_2d():
 def test_codazzi_residual_2d_value_only_field():
     # without dx, alpha_xx is one second difference of the field, not a
     # difference of a difference (which reads about 4e-5 here)
-    m = AlphaModel.general(yconst(0.0), yconst(1.0))
-    field = Field2D(lambda x, y: models.eval_model(m, x, y))
+    m = AlphaModel(lienard.General, yconst(0.0), yconst(1.0))
+    field = Field2D(lambda x, y: m.slice_at(y).alpha(x))
     stats = integrability.codazzi_residual_2d(
         field, 0.0, (np.linspace(0.3, 2.0, 25), np.linspace(0.0, 1.0, 5)))
     assert stats.overall_max() <= 1e-7

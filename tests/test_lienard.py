@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heismin import lienard
-from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, SingularPoint,
-                            StepLimit)
+from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
+                            SingularPoint, StepLimit)
 from heismin.numerics import central_d1
 
 
@@ -329,3 +329,62 @@ def test_phase_field_non_finite_value_raises(window, point):
     # RuntimeWarnings are errors under pytest, so numpy stays quiet too
     with pytest.raises(EvaluationError, match=re.escape(f"(alpha, v) = {point}")):
         lienard.phase_field(*window, 3, 3)
+
+
+T = lienard.SurfaceType
+
+
+def _region(lo, hi, x):
+    if x < lo or x > hi:
+        return T.TYPE_II
+    if lo < x < hi:
+        return T.TYPE_III
+    raise MixedType(f"window touches the singular curve at x = {x}")
+
+
+def endpoint_rule(sol, x_window):
+    """The type by the earlier per-endpoint rule of models.classify, the
+    reference on windows given in increasing order."""
+    if sol.c2 > 0:
+        return T.TYPE_I
+    if x_window is None:
+        raise MixedType("c2 < 0 requires an x-window")
+    (x_lo, x_hi), (lo, hi) = x_window, sol.singular_x()
+    lab = _region(lo, hi, x_lo)
+    if lab is not _region(lo, hi, x_hi) or (lab is T.TYPE_II and x_lo < lo and x_hi > hi):
+        raise MixedType("x-window straddles or spans the singular curves")
+    return lab
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except MixedType:
+        return MixedType
+
+
+@st.composite
+def general_and_window(draw):
+    c1 = draw(st.floats(-3, 3))
+    c2 = draw(st.floats(-4, 4).filter(lambda c: c != 0.0))
+    sol = lienard.General(c1, c2)
+    # endpoints on the singular curves too, where the type is undefined
+    end = st.one_of(st.floats(-8, 8), st.sampled_from(sol.singular_x() or (0.0,)))
+    window = draw(st.one_of(st.none(), st.tuples(end, end)))
+    return sol, window
+
+
+@given(general_and_window())
+@settings(max_examples=400, deadline=None)
+def test_general_surface_type_ignores_endpoint_order_and_keeps_the_endpoint_rule(case):
+    sol, window = case
+    got = outcome(sol.surface_type, window)
+    if window is not None:
+        assert outcome(sol.surface_type, window[::-1]) is got
+        window = tuple(sorted(window))
+    assert got is outcome(endpoint_rule, sol, window)
+
+
+def test_each_surface_type_belongs_to_one_family():
+    owners = {t: [f for f in lienard.FAMILIES if t in f.types] for t in T}
+    assert all(len(fs) == 1 for fs in owners.values()), owners

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heismin import models
+from heismin import lienard, models
 from heismin.errors import MixedType, SingularPoint
 from heismin.models import AlphaModel, SurfaceType, YFunction
 
@@ -19,31 +19,31 @@ def test_yfunction_from_expr_derivative():
 
 
 def test_classify_simple_kinds():
-    assert models.classify(AlphaModel.vertical()) is SurfaceType.VERTICAL
-    assert models.classify(AlphaModel.special_i(yconst(1.0))) \
+    assert models.classify(AlphaModel(lienard.Zero)) is SurfaceType.VERTICAL
+    assert models.classify(AlphaModel(lienard.SpecialI, yconst(1.0))) \
         is SurfaceType.SPECIAL_I
-    assert models.classify(AlphaModel.special_ii(yconst(1.0))) \
+    assert models.classify(AlphaModel(lienard.SpecialII, yconst(1.0))) \
         is SurfaceType.SPECIAL_II
 
 
 def test_classify_general_positive_c2():
-    m = AlphaModel.general(yconst(0.0), yconst(1.0))
+    m = AlphaModel(lienard.General, yconst(0.0), yconst(1.0))
     assert models.classify(m) is SurfaceType.TYPE_I
 
 
 def test_classify_general_negative_c2():
-    m = AlphaModel.general(yconst(0.0), yconst(-1.0))
+    m = AlphaModel(lienard.General, yconst(0.0), yconst(-1.0))
     assert models.classify(m, x_window=(-0.5, 0.5)) is SurfaceType.TYPE_III
     assert models.classify(m, x_window=(1.5, 2.5)) is SurfaceType.TYPE_II
     assert models.classify(m, x_window=(-2.5, -1.5)) is SurfaceType.TYPE_II
 
 
 def test_classify_mixed_type_errors():
-    m = AlphaModel.general(yconst(0.0), YFunction.from_expr("y - 0.5"),
-                           (0.0, 1.0))
+    m = AlphaModel(lienard.General, yconst(0.0), YFunction.from_expr("y - 0.5"),
+                   (0.0, 1.0))
     with pytest.raises(MixedType):
         models.classify(m)
-    neg = AlphaModel.general(yconst(0.0), yconst(-1.0))
+    neg = AlphaModel(lienard.General, yconst(0.0), yconst(-1.0))
     with pytest.raises(MixedType):
         models.classify(neg, x_window=(0.5, 1.5))  # straddles x = 1
     with pytest.raises(MixedType):
@@ -52,13 +52,31 @@ def test_classify_mixed_type_errors():
         models.classify(neg)  # needs a window
 
 
+@pytest.mark.parametrize("t", list(SurfaceType))
+def test_normal_model_family_has_the_type(t):
+    assert t in models._normal_model(t, yconst(0.0), yconst(-1.0)).family.types
+
+
+@pytest.mark.parametrize("c2, window, needle", [
+    ("y - 0.51", (1.5, 2.5), "the type is TypeII at y = 1e-09 but TypeI at y = 0.53124999"),
+    ("y - 0.5", (1.5, 2.5), "c2 vanishes at y = 0.5"),
+    ("-1", (2.0, -2.0), "x-window [-2.0, 2.0] meets the singular curves x = -1.0 "
+                        "and x = 1.0 at y = 1e-09"),
+], ids=["sign-change", "vanishes", "reversed-window-spans-the-gap"])
+def test_classify_errors_name_the_y(c2, window, needle):
+    m = AlphaModel(lienard.General, yconst(0.0), YFunction.from_expr(c2))
+    with pytest.raises((MixedType, SingularPoint)) as info:
+        models.classify(m, x_window=window)
+    assert needle in str(info.value)
+
+
 def test_metric_rep_gauge_ratio():
     # a/b = h e^{-k} for every non-vertical family
     k = YFunction.from_expr("0.2*y")
     h = YFunction.from_expr("1 + 0.3*y")
-    for m in (AlphaModel.special_i(yconst(0.5)),
-              AlphaModel.special_ii(yconst(0.5)),
-              AlphaModel.general(yconst(0.1), yconst(2.0))):
+    for m in (AlphaModel(lienard.SpecialI, yconst(0.5)),
+              AlphaModel(lienard.SpecialII, yconst(0.5)),
+              AlphaModel(lienard.General, yconst(0.1), yconst(2.0))):
         rep = models.metric_rep(m, k, h)
         for x in (0.5, 1.2, 2.4):
             for y in (0.1, 0.8):
@@ -67,14 +85,14 @@ def test_metric_rep_gauge_ratio():
 
 
 def test_metric_rep_vertical_branch():
-    rep = models.metric_rep(AlphaModel.vertical(), yconst(0.3), yconst(0.7))
+    rep = models.metric_rep(AlphaModel(lienard.Zero), yconst(0.3), yconst(0.7))
     assert rep.a(5.0, 0.5) == 0.7
     assert rep.b(5.0, 0.5) == pytest.approx(math.exp(0.3))
     assert rep.a_x(5.0, 0.5) == 0.0
 
 
 def test_metric_rep_analytic_x_partials():
-    m = AlphaModel.general(yconst(0.1), yconst(1.5))
+    m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
     rep = models.metric_rep(m, yconst(0.0), yconst(1.0))
     h = 1e-6
     for x in (0.7, 1.9):
@@ -87,7 +105,7 @@ def test_metric_rep_analytic_x_partials():
 def test_metric_regular_where_alpha_vanishes():
     # c1 = 0, c2 = -1: alpha = 0 at x = 0, where the general factor
     # 1/(|x^2 + c2| sqrt(1 + alpha^2)) is 1
-    m = AlphaModel.general(yconst(0.0), yconst(-1.0))
+    m = AlphaModel(lienard.General, yconst(0.0), yconst(-1.0))
     rep = models.metric_rep(m, yconst(0.3), yconst(0.7))
     assert rep.a(0.0, 0.5) == 0.7
     assert rep.b(0.0, 0.5) == math.exp(0.3)
@@ -95,7 +113,7 @@ def test_metric_regular_where_alpha_vanishes():
 
 @pytest.mark.parametrize("x", [-1.0, 1.0])
 def test_metric_singular_on_the_singular_curves(x):
-    m = AlphaModel.general(yconst(0.0), yconst(-1.0))
+    m = AlphaModel(lienard.General, yconst(0.0), yconst(-1.0))
     rep = models.metric_rep(m, yconst(0.0), yconst(1.0))
     with pytest.raises(SingularPoint):
         rep.a(x, 0.5)  # x^2 + c2 = 0
@@ -104,8 +122,8 @@ def test_metric_singular_on_the_singular_curves(x):
 
 
 def test_normalize_identity_gauge():
-    m = AlphaModel.general(YFunction.from_expr("sin(y)"), yconst(1.0),
-                           (0.0, 1.0))
+    m = AlphaModel(lienard.General, YFunction.from_expr("sin(y)"), yconst(1.0),
+                   (0.0, 1.0))
     nf, change = models.normalize(m, yconst(0.0), yconst(0.0))
     assert nf.surface_type is SurfaceType.TYPE_I
     for y in (0.1, 0.5, 0.9):
@@ -116,8 +134,8 @@ def test_normalize_identity_gauge():
 
 
 def test_normalize_kills_a():
-    m = AlphaModel.general(YFunction.from_expr("0.2*y"), yconst(2.0),
-                           (0.0, 1.0))
+    m = AlphaModel(lienard.General, YFunction.from_expr("0.2*y"), yconst(2.0),
+                   (0.0, 1.0))
     k = YFunction.from_expr("0.1*y")
     h = YFunction.from_expr("0.4 + 0.2*y")
     rep = models.metric_rep(m, k, h)
@@ -132,8 +150,8 @@ def test_normalize_kills_a():
 
 def test_normalize_zeta_against_direct_alpha():
     # in new coordinates alpha~(x~, y~) = model with c1 replaced by zeta1
-    m = AlphaModel.general(YFunction.from_expr("0.3*cos(y)"), yconst(1.2),
-                           (0.0, 1.0))
+    m = AlphaModel(lienard.General, YFunction.from_expr("0.3*cos(y)"), yconst(1.2),
+                   (0.0, 1.0))
     k = YFunction.from_expr("0.2*y")
     h = YFunction.from_expr("0.5")
     nf, change = models.normalize(m, k, h)
@@ -141,7 +159,7 @@ def test_normalize_zeta_against_direct_alpha():
         y_new = change.psi(y)
         for x in (0.6, 1.4):
             x_new = x + change.gamma(y)
-            direct = models.eval_model(m, x, y)
+            direct = m.slice_at(y).alpha(x)
             X = x_new + nf.zeta1(y_new)
             via_nf = X / (X * X + nf.zeta2(y_new))
             assert via_nf == pytest.approx(direct, abs=1e-10)
@@ -179,7 +197,7 @@ def test_first_fundamental_form_shapes():
 
 
 def test_connection_form_matches_fd_path():
-    m = AlphaModel.general(yconst(0.1), yconst(1.5))
+    m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
     rep = models.metric_rep(m, yconst(0.1), yconst(0.4))
     w1a, w2a = models.connection_form(rep, 1.1, 0.5)
     bare = models.MetricRep(a=rep.a, b=rep.b)  # no analytic partials

@@ -12,14 +12,15 @@ from heismin import construct, integrability, lienard, numerics
 from heismin.errors import QuadratureFailure
 from heismin.integrability import Field2D
 from heismin.models import YFunction
-from heismin.numerics import CumulativeIntegral, YFunction, invert_monotone
+from heismin.numerics import (CumulativeIntegral, YFunction, inner_linspace,
+                              invert_monotone)
 
 
 class DictSimpson:
     """Reference: the earlier algorithm, one scalar Simpson panel at a time
     into a dict of cumulative sums, memoized on exact query values."""
 
-    def __init__(self, f, x_base, panels_per_unit=512):
+    def __init__(self, f, x_base, panels_per_unit=512, var="x"):
         self.f = f
         self.x_base = float(x_base)
         self.h = 1.0 / float(panels_per_unit)
@@ -253,3 +254,11 @@ def test_invert_monotone_newton_needs_few_evaluations():
                             target - 1.0, target + 1.0)
         assert len(calls) <= 7   # two bracket ends, then Newton steps (bisection: ~45)
         assert abs(g(s) - target) <= 1e-15
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (0.0, 1e-10)],
+                         ids=["ordered", "reversed", "zero-width", "narrower-than-the-pad"])
+def test_inner_linspace_stays_inside_the_window(lo, hi):
+    ts = inner_linspace(lo, hi, 5, 1e-9)
+    assert min(lo, hi) <= ts.min() and ts.max() <= max(lo, hi)
+    assert (ts[-1] - ts[0]) * (hi - lo) >= 0   # runs from lo toward hi

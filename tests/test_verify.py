@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from heismin import construct, lienard, models, verify
+from heismin import cli, construct, lienard, models, verify
 from heismin.errors import PreconditionFailed, SingularPoint
 from heismin.models import YFunction
 
@@ -165,6 +166,17 @@ def test_helicoid_type_adjacency():
         sol = lienard.fit_solution(alpha(s0), v0, s0)
         assert isinstance(sol, lienard.General)
         assert sol.c2 == pytest.approx(-1.0, abs=1e-4)
-        m = models.AlphaModel.general(YFunction.constant(sol.c1),
-                                      YFunction.constant(sol.c2))
+        m = models.AlphaModel(lienard.General, YFunction.constant(sol.c1),
+                              YFunction.constant(sol.c2))
         assert models.classify(m, x_window=window) is expected
+
+
+def test_zero_width_window_makes_one_newton_seed(monkeypatch, capsys):
+    seeds = []
+    newton = verify._newton_zero
+    monkeypatch.setattr(verify, "_newton_zero",
+                        lambda g, x0, y0: seeds.append((x0, y0)) or newton(g, x0, y0))
+    assert cli.main(["verify-graph", "--u", "1/x", "--x-min=1", "--x-max=1",
+                     "--y-min=1", "--y-max=1", "--nx", "1", "--ny", "1"]) == 0
+    assert seeds == [(1.0, 1.0)]
+    assert json.loads(capsys.readouterr().out)["singular"]["newton_failures"] == 1
