@@ -18,12 +18,10 @@ import re
 import sys
 from itertools import chain, islice
 
-import numpy as np
-
 from . import construct, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult
 from .models import AlphaModel, YFunction
-from .numerics import PANELS_PER_UNIT, inner_linspace
+from .numerics import PANELS_PER_UNIT, Window
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,6 +30,7 @@ EXIT_PARSE = 3
 
 INTEGRABILITY_TOL = 1e-6
 PMGE_TOL = 1e-8
+SPECIAL_I_TOL = 1e-10   # max |zeta2| of a special type I curve
 _BLOCK_ROWS = 1024   # rows per % call of the CSV/OBJ writer
 
 
@@ -130,9 +129,7 @@ def _csv(header, columns) -> str:
 def mesh_obj(chart, nu: int, nv: int) -> str:
     """Wavefront OBJ of the chart: vertices in world coordinates over the
     (u, v) grid in row-major order, quad faces, no normals."""
-    (u_lo, u_hi), (v_lo, v_hi) = chart.domain
-    us = np.linspace(u_lo, u_hi, nu).tolist()
-    vs = np.linspace(v_lo, v_hi, nv).tolist()
+    us, vs = (Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
     points = (chart.point(u, v) for u in us for v in vs)
     faces = ((a, a + nv, a + nv + 1, a + 1)
              for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)))
@@ -147,13 +144,14 @@ _FAMILIES = {"vertical": lienard.Zero, "special1": lienard.SpecialI,
 
 
 def _build_model(args) -> AlphaModel:
+    (y_domain,) = _windows(args, "y")
     family = _FAMILIES[args.alpha]
     cs = []
     for name in (f.name for f in dataclasses.fields(family)):
         if getattr(args, name) is None:
             raise _UsageError(f"--alpha {args.alpha} requires --{name}")
         cs.append(YFunction.from_expr(getattr(args, name)))
-    return AlphaModel(family, *cs, y_domain=(args.y_min, args.y_max))
+    return AlphaModel(family, *cs, y_domain=y_domain)
 
 
 def _add_model_flags(p, required=True):
@@ -164,12 +162,13 @@ def _add_model_flags(p, required=True):
     p.add_argument("--y-max", type=_finite_float, default=1.0)
 
 
-def _require_finite_width(args, *axes):
-    """A usage error unless each window --AXIS-min .. --AXIS-max has a finite width."""
-    if not all(math.isfinite(getattr(args, f"{a}_max") - getattr(args, f"{a}_min"))
-               for a in axes):
+def _windows(args, *axes):
+    """Each axis's Window --AXIS-min .. --AXIS-max, which must have a finite width."""
+    windows = [Window(getattr(args, f"{a}_min"), getattr(args, f"{a}_max")) for a in axes]
+    if not all(math.isfinite(w.width) for w in windows):
         raise _UsageError(f"{args.command}: the {' and '.join(axes)} window"
                           f"{'s' * (len(axes) > 1)} must have a finite width")
+    return windows
 
 
 def _type_fields(m: AlphaModel, stype) -> dict:
@@ -197,27 +196,22 @@ def cmd_solve_lienard(args):
 
 
 def cmd_phase_field(args):
-    _require_finite_width(args, "alpha", "v")
-    field = lienard.phase_field((args.alpha_min, args.alpha_max),
-                                (args.v_min, args.v_max),
-                                args.nx, args.nv)
+    field = lienard.phase_field(*_windows(args, "alpha", "v"), args.nx, args.nv)
     _write_text(args.out, _csv(["x", "v", "dx", "dv"], field.columns()))
     return EXIT_OK
 
 
 def cmd_classify(args):
-    _require_finite_width(args, "y")
     m = _build_model(args)
     _emit_json(_type_fields(m, models.classify(m, x_window=args.x_window)))
     return EXIT_OK
 
 
 def cmd_metric(args):
-    _require_finite_width(args, "x", "y")
+    wx, wy = _windows(args, "x", "y")
     m = _build_model(args)
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
-    xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()
-    ys = np.linspace(args.y_min, args.y_max, args.ny).tolist()
+    xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
     rows = [(x, y, m.slice_at(y).alpha(x), rep.a(x, y), rep.b(x, y))
             for y in ys for x in xs]
     _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], zip(*rows)))
@@ -225,12 +219,10 @@ def cmd_metric(args):
 
 
 def cmd_normalize(args):
-    _require_finite_width(args, "y")
     m = _build_model(args)
     nf, change = models.normalize(m, YFunction.from_expr(args.k),
                                   YFunction.from_expr(args.h), x_window=args.x_window)
-    ys = np.linspace(args.y_min, args.y_max, args.samples).tolist()
-    y_new = [change.psi(y) for y in ys]
+    y_new = [change.psi(y) for y in m.y_domain.linspace(args.samples)]
     payload = {
         **_type_fields(m, nf.surface_type),
         "zeta1": ([[yn, nf.zeta1(yn)] for yn in y_new]
@@ -244,27 +236,24 @@ def cmd_normalize(args):
 
 
 def cmd_integrability(args):
-    _require_finite_width(args, "x", "y")
+    wx, wy = _windows(args, "x", "y")
     H = integrability.Field2D.constant(args.hconst)
     k, h = YFunction.from_expr(args.k), YFunction.from_expr(args.h)
     if args.alpha0 is not None:
         # no closed form for constant H != 0: integrate the profile ODE
-        curve = lienard.OdeSolutionCurve(args.alpha0, args.v0,
-                                         args.x_min - 0.01,
-                                         args.x_max + 0.01,
-                                         H_const=args.hconst)
+        curve = lienard.OdeSolutionCurve(args.alpha0, args.v0, wx.lo - 0.01,
+                                         wx.hi + 0.01, H_const=args.hconst)
         alpha = integrability.Field2D.from_x_profile(curve.alpha,
                                                      curve.alpha_x)
-        rep = integrability.metric_from_alpha_H(alpha, H, k, h, args.x_min)
+        rep = integrability.metric_from_alpha_H(alpha, H, k, h, wx.lo)
     else:
         if args.alpha is None:
             raise _UsageError("integrability requires --alpha or --alpha0")
         m = _build_model(args)
         alpha = integrability.Field2D.from_model(m)
         rep = models.metric_rep(m, k, h)
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
-    ys = np.linspace(args.y_min, args.y_max, args.ny)
-    stats = integrability.integrability_residual(alpha, H, rep, (xs, ys))
+    stats = integrability.integrability_residual(
+        alpha, H, rep, (wx.linspace(args.nx), wy.linspace(args.ny)))
     _emit_json({
         "max": {f"r{i}": v for i, v in stats.max.items()},
         "mean": {f"r{i}": v for i, v in stats.mean.items()},
@@ -275,8 +264,7 @@ def cmd_integrability(args):
 
 
 def cmd_construct(args):
-    _require_finite_width(args, "theta", "r")
-    interval = (args.theta_min, args.theta_max)
+    interval, r_range = _windows(args, "theta", "r")
     if args.curve_x is not None:
         if args.curve_y is None or args.curve_z is None:
             raise _UsageError("--curve-x/--curve-y/--curve-z go together")
@@ -288,15 +276,16 @@ def cmd_construct(args):
                                           interval)
     else:
         raise _UsageError("give either --curve-x/y/z or --zeta1 and --zeta2")
-    chart = construct.ruled_surface(curve, r_range=(args.r_min, args.r_max))
+    chart = construct.ruled_surface(curve, r_range=r_range)
     if args.obj:
         _write_text(args.obj, mesh_obj(chart, args.nr, args.ntheta))
     z1, z2 = construct.zeta_from_curve(curve)
-    ts = inner_linspace(*interval, args.ntheta, 1e-9)
+    ts = interval.inner(args.ntheta, 1e-9)
     _emit_json({
-        "zeta1": [[float(t), z1(float(t))] for t in ts],
-        "zeta2": [[float(t), z2(float(t))] for t in ts],
-        "special_type_I": bool(max(abs(z2(float(t))) for t in ts) <= 1e-10),
+        "zeta1": [[t, z1(t)] for t in ts],
+        "zeta2": [[t, z2(t)] for t in ts],
+        "special_type_I": max(abs(z2(t)) for t in ts) <= SPECIAL_I_TOL,
+        "special_type_I_tolerance": SPECIAL_I_TOL,
         "obj": args.obj,
     })
     return EXIT_OK
@@ -324,11 +313,9 @@ def cmd_examples(args):
 
 
 def cmd_verify_graph(args):
-    _require_finite_width(args, "x", "y")
-    window = ((args.x_min, args.x_max), (args.y_min, args.y_max))
-    g = verify.GraphSurface.from_expr(args.u, window)
-    xs = np.linspace(args.x_min, args.x_max, args.nx).tolist()
-    ys = np.linspace(args.y_min, args.y_max, args.ny).tolist()
+    wx, wy = _windows(args, "x", "y")
+    g = verify.GraphSurface.from_expr(args.u, (wx, wy))
+    xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
     residuals = [abs(verify.pmge_residual(g, x, y)) for y in ys for x in xs]
     report = verify.singular_set(g)
     max_residual = float(max(residuals))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BadRotation, DegenerateChart, SingularPoint
 from .heis import HPoint
-from .numerics import EPS_DEN, CumulativeIntegral, YFunction, memoized
+from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
 from .verify import GraphSurface
 
 IMMERSION_TOL = 1e-10   # |Theta(C') - D^2| at or below this fails immersion
@@ -160,12 +160,12 @@ def curve_invariants(c: GeneratingCurve, r: float, t: float):
 def zeta_from_curve(c: GeneratingCurve):
     """The invariants of the ruled surface over c:
 
-        zeta1(t) = D(t) - int Q dt      (cumulative from the interval's start)
+        zeta1(t) = D(t) - int Q dt      (cumulative from the interval's lower end)
         zeta2(t) = Theta(C'(t)) - D(t)^2
 
     zeta2 == 0 identifies special type I.
     """
-    gamma = CumulativeIntegral(c.Q, c.interval[0], var="theta")
+    gamma = CumulativeIntegral(c.Q, Window(*c.interval).lo, var="theta")
 
     def z1(t):
         return c.D(t) - gamma(t)
@@ -214,11 +214,11 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
         x' = -zeta1 sin t,   y' = zeta1 cos t,
         z' = zeta2 + zeta1^2 + y x' - x y',
 
-    integrated cumulatively from the interval's left endpoint with the
+    integrated cumulatively from the interval's lower end with the
     initial point (0, 0, 0).  Any other initial point differs by a left
     translation, which the invariants ignore.
     """
-    t0 = theta_interval[0]
+    t0 = Window(*theta_interval).lo
     # x', y' and z' all need zeta1 at the same t, over three lattices
     z1 = memoized(zeta1)
 

@@ -123,14 +123,9 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
 
 
 def expand_grid(grid):
-    """Accept either an iterable of (x, y) pairs or a pair (xs, ys) to be
-    meshed; return a flat list of points."""
-    if (isinstance(grid, tuple) and len(grid) == 2
-            and np.ndim(grid[0]) == 1 and np.ndim(grid[1]) == 1
-            and not np.isscalar(grid[0])):
-        xs, ys = grid
-        return [(float(x), float(y)) for y in ys for x in xs]
-    return [(float(p[0]), float(p[1])) for p in grid]
+    """The points of the mesh grid = (xs, ys), x varying fastest."""
+    xs, ys = grid
+    return [(float(x), float(y)) for y in ys for x in xs]
 
 
 @dataclass

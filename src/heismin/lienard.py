@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
                      SingularPoint, StepLimit)
-from .numerics import EPS_DEN, YFunction
+from .numerics import EPS_DEN, Window, YFunction
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
@@ -205,13 +205,13 @@ class General(AlphaSolution):
             return SurfaceType.TYPE_I
         if x_window is None:
             raise MixedType("c2 < 0 requires an x-window to separate types II and III")
-        x_lo, x_hi = sorted(x_window)
+        w = Window(*x_window)
         lo, hi = self.singular_x()
-        if x_hi < lo or x_lo > hi:
+        if w.hi < lo or w.lo > hi:
             return SurfaceType.TYPE_II
-        if lo < x_lo and x_hi < hi:
+        if lo < w.lo and w.hi < hi:
             return SurfaceType.TYPE_III
-        raise MixedType(f"x-window [{x_lo}, {x_hi}] meets the singular "
+        raise MixedType(f"x-window [{w.lo}, {w.hi}] meets the singular "
                         f"curves x = {lo} and x = {hi}")
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from . import lienard
 from .errors import MixedType, SingularPoint
 from .lienard import SurfaceType
-from .numerics import (CumulativeIntegral, YFunction, fd_partial,
-                       inner_linspace, invert_monotone, memoized)
+from .numerics import (CumulativeIntegral, Window, YFunction, fd_partial,
+                       invert_monotone, memoized)
 
 Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the type
 
@@ -59,10 +59,9 @@ def classify(m: AlphaModel, x_window=None) -> SurfaceType:
     """
     if len(m.family.types) == 1:
         return m.family.types[0]
-    c, d = m.y_domain
-    ys = inner_linspace(c, d, Y_SAMPLES, 1e-9 * max(1.0, abs(c), abs(d)))
+    w = Window(*m.y_domain)
     first = {}   # type -> the first y that has it
-    for y in ys.tolist():
+    for y in w.inner(Y_SAMPLES, 1e-9 * max(1.0, abs(w.lo), abs(w.hi))):
         try:
             first.setdefault(m.slice_at(y).surface_type(x_window), y)
         except MixedType as exc:
@@ -196,7 +195,7 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     Idempotent: for k = h = 0 the change is the identity and the zetas
     coincide with the model's c-functions.
     """
-    y_lo = m.y_domain[0]
+    y_lo = Window(*m.y_domain).lo
 
     gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), y_lo, var="y")
     gamma = YFunction(gamma_int, lambda y: -h(y) * math.exp(-k(y)))

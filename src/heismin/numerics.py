@@ -1,9 +1,10 @@
 """Shared numerical utilities: the smooth function of one variable
-YFunction, cumulative Simpson antiderivatives on a lattice, memoization,
-finite-difference derivatives and monotone inversion.  Its central
-differences and steps are the only finite-difference fallback: a
-YFunction, Field2D or MetricRep built without a derivative gets one from
-here when it is built, and callers read the derivatives they are given."""
+YFunction, cumulative Simpson antiderivatives on a lattice, the sampled
+interval Window, memoization, finite-difference derivatives and
+monotone inversion.  Its central differences and steps are the only
+finite-difference fallback: a YFunction, Field2D or MetricRep built
+without a derivative gets one from here when it is built, and callers
+read the derivatives they are given."""
 from __future__ import annotations
 
 import math
@@ -130,12 +131,34 @@ class CumulativeIntegral:
         return out
 
 
-def inner_linspace(lo: float, hi: float, n: int, pad: float) -> np.ndarray:
-    """n evenly spaced samples from lo to hi with each end moved pad, at
-    most half the width, toward the other: inside the window whichever
-    endpoint comes first."""
-    pad = math.copysign(min(pad, abs(hi - lo) / 2.0), hi - lo)
-    return np.linspace(lo + pad, hi - pad, n)
+class Window(tuple):
+    """An interval (start, stop) in the order it was given.
+
+    Samples run from start to stop.  Membership, the width and every
+    cumulative-quadrature base read the sorted bounds lo <= hi, with -0.0
+    below 0.0, so swapping the ends reverses the samples and changes
+    nothing else."""
+
+    def __new__(cls, start, stop):
+        w = super().__new__(cls, (start, stop))
+        w.reversed = (stop, math.copysign(1.0, stop)) < (start, math.copysign(1.0, start))
+        w.lo, w.hi = (stop, start) if w.reversed else (start, stop)
+        w.width = w.hi - w.lo
+        return w
+
+    def holds(self, x: float, margin: float) -> bool:
+        return self.lo - margin <= x <= self.hi + margin
+
+    def linspace(self, n: int) -> list:
+        """n evenly spaced samples from start to stop; [lo] when n = 1."""
+        # lo + 0.0 can only turn -0.0 into 0.0, as np.linspace does anyway
+        return self.inner(n, 0.0)
+
+    def inner(self, n: int, pad: float) -> list:
+        """linspace with each end moved pad, at most half the width, inward."""
+        pad = min(pad, self.width / 2.0)
+        xs = np.linspace(self.lo + pad, self.hi - pad, n).tolist()
+        return xs[::-1] if self.reversed else xs
 
 
 def central_d1(f, x: float, h: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from . import expr as expr_mod
 from .errors import EvaluationError, NewtonDivergence, PreconditionFailed, SingularPoint
 from .heis import FrameVector, HPoint, contact_value
-from .numerics import central_d1, richardson_limit
+from .numerics import Window, central_d1, richardson_limit
 
 EPS_SINGULAR = 1e-10   # characteristic direction exists when D > this
 NEWTON_TOL = 1e-12
@@ -244,6 +244,7 @@ class SingularReport:
             "newton_failures": self.newton_failures,
             "window": [list(w) for w in self.window] if self.window else None,
             "tolerance": self.tolerance,
+            "passed": all(f.residual <= self.tolerance for f in self.features),
         }
 
 
@@ -293,14 +294,10 @@ def _jacobian_is_singular(J: np.ndarray) -> bool:
 def _trace_curve(g: GraphSurface, x0, y0, step):
     """Predictor-corrector trace of a singular curve through (x0, y0):
     predict along the kernel direction of the Jacobian, correct by
-    Gauss-Newton back onto F = 0."""
-    (x_lo, x_hi), (y_lo, y_hi) = g.window
-
-    def inside(x, y):
-        margin = step
-        return (x_lo - margin <= x <= x_hi + margin
-                and y_lo - margin <= y <= y_hi + margin)
-
+    Gauss-Newton back onto F = 0.  A step of 0 traces the seed alone."""
+    if step == 0.0:
+        return [(x0, y0)]
+    wx, wy = (Window(*w) for w in g.window)
     halves = []
     for sgn in (1.0, -1.0):
         pts = []
@@ -311,7 +308,7 @@ def _trace_curve(g: GraphSurface, x0, y0, step):
             if t @ t_prev < 0:
                 t = -t
             xn, yn, _ = _gauss_newton(g, x + step * t[0], y + step * t[1])
-            if not inside(xn, yn):
+            if not (wx.holds(xn, step) and wy.holds(yn, step)):
                 break
             pts.append((xn, yn))
             t_prev = t
@@ -326,11 +323,10 @@ def singular_set(g: GraphSurface) -> SingularReport:
     then classify each by the Jacobian rank — nonsingular Jacobian means
     an isolated singular point, singular Jacobian means a singular curve
     (traced as a polyline)."""
-    (x_lo, x_hi), (y_lo, y_hi) = g.window
-    # distinct seeds only: a zero-width window has one
-    xs = np.unique(np.linspace(x_lo, x_hi, SEED_GRID))
-    ys = np.unique(np.linspace(y_lo, y_hi, SEED_GRID))
-    step = max(x_hi - x_lo, y_hi - y_lo) / SEED_GRID
+    wx, wy = (Window(*w) for w in g.window)
+    # distinct seeds only, in increasing order: a zero-width window has one
+    xs, ys = (np.unique(w.linspace(SEED_GRID)) for w in (wx, wy))
+    step = max(wx.width, wy.width) / SEED_GRID
 
     zeros = []
     failures = 0
@@ -341,14 +337,13 @@ def singular_set(g: GraphSurface) -> SingularReport:
             except NewtonDivergence:
                 failures += 1
                 continue
-            if not (x_lo - 1e-9 <= x <= x_hi + 1e-9
-                    and y_lo - 1e-9 <= y <= y_hi + 1e-9):
+            if not (wx.holds(x, 1e-9) and wy.holds(y, 1e-9)):
                 continue
             zeros.append((x, y))
 
     features = []
     consumed = np.zeros(len(zeros), dtype=bool)
-    scale = max(1.0, x_hi - x_lo, y_hi - y_lo)
+    scale = max(1.0, wx.width, wy.width)
     for i, (x, y) in enumerate(zeros):
         if consumed[i]:
             continue

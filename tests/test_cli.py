@@ -352,10 +352,10 @@ def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsy
 
 @pytest.mark.parametrize("argv, needle", [
     (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e9", "--nr", "1",
-      "--ntheta", "3"], "error: theta = 500000003.1415927 is 2.56e+11 lattice nodes "
-                        "from theta = 1000000000.0, "),
+      "--ntheta", "3"], "error: theta = 1000000000.0 is 5.12e+11 lattice nodes "
+                        "from theta = 6.283185307179586, "),
     (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e5", "--nr", "1",
-      "--ntheta", "3"], "error: theta = 50003.141592653585 is "),
+      "--ntheta", "3"], "error: theta = 99999.999999999 is "),
     (["normalize", "--alpha", "special1", "--c1", "0.4", "--y-max=1e5", "--samples", "2"],
      "error: y = 100000.0 is 5.12e+07 lattice nodes from y = 0.0, "),
     (["normalize", "--alpha", "vertical", "--y-max=1.7e308", "--samples", "5"],
@@ -424,7 +424,8 @@ def test_construct_from_zeta(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(abs(v - 1.0) <= 1e-9 for _, v in payload["zeta2"])
-    assert not payload["special_type_I"]
+    assert payload["special_type_I"] is False
+    assert payload["special_type_I_tolerance"] == 1e-10
     text = obj.read_text()
     assert text.startswith("v ")
     assert text.count("\nf ") == 3 * 7  # (nr-1) x (ntheta-1) quads
@@ -471,6 +472,26 @@ def test_verify_graph_saddle(capsys):
     assert payload["passed"] is True
     kinds = [f["kind"] for f in payload["singular"]["features"]]
     assert kinds == ["Curve"]
+
+
+@pytest.mark.parametrize("u, kind", [("x+y", "IsolatedPoint"), ("x*y", "Curve")])
+def test_reversed_window_reports_the_same_singular_set(u, kind, capsys):
+    argv = ["verify-graph", "--u", u, "--nx", "3", "--ny", "3"]
+    (code, out), (code_s, out_s) = (
+        run_cli(argv + [f"--x-min={a}", f"--x-max={b}"], capsys) for a, b in ((-3, 3), (3, -3)))
+    assert code == code_s == 0
+    singular, singular_s = (json.loads(text)["singular"] for text in (out, out_s))
+    assert [f["kind"] for f in singular["features"]] == [kind]
+    assert singular["features"] == singular_s["features"]
+    assert singular["passed"] is singular_s["passed"] is True
+
+
+def test_zero_width_window_traces_the_seed_alone(capsys):
+    code, out = run_cli(["verify-graph", "--u", "x*y", "--x-min=0", "--x-max=0",
+                         "--y-min=0", "--y-max=0", "--nx", "1", "--ny", "1"], capsys)
+    assert code == 0
+    features = json.loads(out)["singular"]["features"]
+    assert [(f["kind"], f["polyline"]) for f in features] == [("Curve", [[0.0, 0.0]])]
 
 
 def test_verify_graph_with_abs(capsys):

@@ -1,9 +1,14 @@
 """A fuzz of every subcommand: random flags drawn from pools of extreme,
 non-finite and malformed numbers, counts and expressions.  Whatever the
 input, the CLI ends with exit code 0, 1, 2 or 3, writes at most one line
-to stderr and no traceback, and any JSON it prints parses strictly."""
-import json
+to stderr and no traceback, and any JSON it prints parses strictly.
 
+A metamorphic property over valid inputs: swapping the ends of any
+window changes no result, only the order of sampled rows."""
+import json
+from itertools import product
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heismin import cli
@@ -108,3 +113,110 @@ def test_cli_fuzz_keeps_the_error_contract(argv, capfd):
         assert out == "", argv
     elif argv[0] not in CSV_COMMANDS:
         json.loads(out, parse_constant=_reject)
+
+
+# the metamorphic property: per case, a command, the pools of its other
+# flags, the pools of the ends of its windows and the number of examples;
+# the window "x-window" is the two-value --x-window, any other NAME is
+# --NAME-min and --NAME-max
+SIZES = ["1", "2", "3", "5"]
+Y_ENDS = ["-0", "0", "0.25", "1", "-0.5"]
+X_ENDS = ["-2", "-1", "-0", "1", "2.5"]
+THETA_R = {"theta": ["-0", "0", "0.5", "1.5"], "r": ["0.5", "2", "-1", "0"]}
+FAMILY = {"--alpha": ["vertical", "special1", "special2", "general"],
+          "--c1": ["0.4", "0.3+0.1*y", "-1.5"], "--c2": ["1", "-1", "1.1+0.2*cos(y)"]}
+SWAP_GAUGE = {"--k": ["0", "0.2*y"], "--h": ["0", "0.4+0.1*y"]}
+GRID = {"--nx": SIZES, "--ny": SIZES}
+SWAP_CASES = {
+    "classify": ("classify", FAMILY, {"y": Y_ENDS, "x-window": X_ENDS}, 6),
+    "metric": ("metric", {**FAMILY, **SWAP_GAUGE, **GRID}, {"x": X_ENDS, "y": Y_ENDS}, 6),
+    "normalize": ("normalize", {**FAMILY, **SWAP_GAUGE, "--samples": SIZES},
+                  {"y": Y_ENDS, "x-window": X_ENDS}, 6),
+    "integrability-alpha": ("integrability", {**FAMILY, **SWAP_GAUGE, **GRID},
+                            {"x": X_ENDS, "y": Y_ENDS}, 6),
+    "integrability-alpha0": ("integrability", {
+        "--alpha0": ["0.3", "-0.2"], "--v0": ["0.1", "0"], "--hconst": ["0", "2"],
+        **SWAP_GAUGE, **GRID}, {"x": ["-0", "0.5", "1"], "y": Y_ENDS}, 4),
+    "verify-graph": ("verify-graph", {
+        "--u": ["x*y", "x+y", "0.3*x-0.2*y+1", "x*y+0.1*y^2+0.2*y"], **GRID},
+        {"x": ["-3", "3", "-0", "0", "1.5"], "y": ["-3", "3", "-0", "0", "-1"]}, 3),
+    "construct-zetas": ("construct", {
+        "--zeta1": ["1", "1+0.3*sin(theta)"], "--zeta2": ["0", "0.5+0.1*cos(theta)", "-1"],
+        "--nr": SIZES, "--ntheta": SIZES}, THETA_R, 5),
+    "construct-curve": ("construct", {
+        "--curve-x": ["cos(theta)", "theta"], "--curve-y": ["sin(theta)"],
+        "--curve-z": ["theta", "0"], "--nr": SIZES, "--ntheta": SIZES}, THETA_R, 5),
+}
+
+
+def _window_flags(ends, swap):
+    flags = []
+    for name, (a, b) in ends.items():
+        a, b = (b, a) if name in swap else (a, b)
+        flags += (["--x-window", a, b] if name == "x-window"
+                  else [f"--{name}-min={a}", f"--{name}-max={b}"])
+    return flags
+
+
+@st.composite
+def swapped_windows(draw, command, flags, windows):
+    """A valid command twice: as drawn, and with the ends of at least one
+    of its windows swapped."""
+    argv = [command] + [f"{flag}={draw(st.sampled_from(pool))}"
+                        for flag, pool in flags.items()]
+    # pairs of distinct ends first, so the simplest example has wide windows
+    ends = {name: draw(st.sampled_from(sorted(product(pool, pool),
+                                              key=lambda p: p[0] == p[1])))
+            for name, pool in windows.items()}
+    swap = draw(st.sets(st.sampled_from(sorted(windows)), min_size=1))
+    return argv + _window_flags(ends, ()), argv + _window_flags(ends, swap)
+
+
+def _obj_mesh(text):
+    """The OBJ's vertices and quads, each as a multiset of vertex lines."""
+    lines = text.splitlines()
+    vertices = [v for v in lines if v.startswith("v ")]
+    quads = [sorted(vertices[int(i) - 1] for i in f.split()[1:])
+             for f in lines if f.startswith("f ")]
+    return sorted(vertices), sorted(quads)
+
+
+def _invariants(argv, capsys, obj):
+    """What a swap of window ends must leave as it is: the exit code and,
+    on success, the output with every sampled list as a multiset, each
+    float by its repr (so bit for bit), and integrability's means apart."""
+    capsys.readouterr()
+    code = cli.main(argv + (["--obj", str(obj)] if argv[0] == "construct" else []))
+    out = capsys.readouterr().out
+    if code != 0:
+        return code, None, None
+    if argv[0] == "metric":
+        return code, sorted(out.splitlines()), None
+    payload = json.loads(out)
+    for key in ("zeta1", "zeta2"):
+        if payload.get(key) is not None:
+            payload[key] = sorted(json.dumps(pair) for pair in payload[key])
+    if argv[0] == "verify-graph":
+        payload["singular"].pop("window")   # the window as given
+    if argv[0] == "construct":
+        payload["obj"] = _obj_mesh(obj.read_text())
+    means = payload.pop("mean", None)
+    return code, json.dumps(payload, sort_keys=True), means
+
+
+@pytest.mark.parametrize("case", SWAP_CASES)
+def test_swapping_a_windows_ends_changes_no_result(case, capsys, tmp_path):
+    command, flags, windows, examples = SWAP_CASES[case]
+
+    @given(pair=swapped_windows(command, flags, windows))
+    @settings(derandomize=True, max_examples=examples, deadline=None)
+    def check(pair):
+        (code, result, means), (code_s, result_s, means_s) = (
+            _invariants(argv, capsys, tmp_path / "mesh.obj") for argv in pair)
+        assert (code, result) == (code_s, result_s), pair
+        for key in means or {}:
+            a, b = means[key], means_s[key]
+            # the order of the sum moves the last bits
+            assert abs(a - b) <= 1e-15 * max(abs(a), abs(b)), (pair, key, a, b)
+
+    check()

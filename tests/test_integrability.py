@@ -15,12 +15,11 @@ def yconst(c):
 
 
 def test_expand_grid_forms():
-    pts = integrability.expand_grid([(0.0, 1.0), (2.0, 3.0)])
-    assert pts == [(0.0, 1.0), (2.0, 3.0)]
     meshed = integrability.expand_grid((np.array([0.0, 1.0]),
                                         np.array([5.0, 6.0])))
     assert len(meshed) == 4
     assert meshed[0] == (0.0, 5.0) and meshed[1] == (1.0, 5.0)
+    assert integrability.expand_grid(([0.0, 1.0], [5.0, 6.0])) == meshed
 
 
 def test_field2d_constant_partials():

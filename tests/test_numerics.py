@@ -12,7 +12,7 @@ from heismin import construct, integrability, lienard, numerics
 from heismin.errors import QuadratureFailure
 from heismin.integrability import Field2D
 from heismin.models import YFunction
-from heismin.numerics import (CumulativeIntegral, YFunction, inner_linspace,
+from heismin.numerics import (CumulativeIntegral, Window, YFunction,
                               invert_monotone)
 
 
@@ -259,6 +259,17 @@ def test_invert_monotone_newton_needs_few_evaluations():
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (0.0, 1e-10)],
                          ids=["ordered", "reversed", "zero-width", "narrower-than-the-pad"])
 def test_inner_linspace_stays_inside_the_window(lo, hi):
-    ts = inner_linspace(lo, hi, 5, 1e-9)
-    assert min(lo, hi) <= ts.min() and ts.max() <= max(lo, hi)
+    ts = Window(lo, hi).inner(5, 1e-9)
+    assert min(lo, hi) <= min(ts) and max(ts) <= max(lo, hi)
     assert (ts[-1] - ts[0]) * (hi - lo) >= 0   # runs from lo toward hi
+    assert Window(hi, lo).inner(5, 1e-9) == ts[::-1]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.0, 0.0), (2.0, 2.0), (-3.0, 1e-300)])
+def test_swapping_a_windows_ends_reverses_its_samples_and_nothing_else(a, b):
+    w, s = Window(a, b), Window(b, a)
+    assert (repr(w.lo), repr(w.hi), w.width) == (repr(s.lo), repr(s.hi), s.width)
+    assert w.lo <= w.hi and (w.reversed != s.reversed) == (repr(a) != repr(b))
+    for n in (1, 2, 5):
+        assert list(map(repr, w.linspace(n))) == list(map(repr, s.linspace(n)[::-1]))
+    assert w.linspace(1) == [w.lo] and w.holds(w.lo, 0.0) and not w.holds(w.hi + 1.0, 0.5)

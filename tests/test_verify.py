@@ -94,6 +94,15 @@ def test_singular_report_serializes():
     assert "tolerance" in d
 
 
+def test_singular_report_judges_every_residual_by_its_tolerance():
+    rep = verify.SingularReport([verify.SingularFeature("IsolatedPoint", (0.0, 0.0)),
+                                 verify.SingularFeature("Curve", (1.0, 0.0), [(1.0, 0.0)])])
+    assert rep.to_json_dict()["passed"] is True
+    rep.features[1].residual = 2.0 * rep.tolerance
+    assert rep.to_json_dict()["passed"] is False
+    assert verify.SingularReport([]).to_json_dict()["passed"] is True
+
+
 def test_go_through_flip_on_saddle():
     res = verify.go_through_check(graph("x*y"), (0.0, 0.5))
     assert res.flip_detected
