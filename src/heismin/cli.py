@@ -21,7 +21,7 @@ from itertools import chain, islice
 from . import construct, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult
 from .models import AlphaModel, YFunction
-from .numerics import PANELS_PER_UNIT, Window
+from .numerics import PANELS_PER_UNIT, Field2D, Window
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,8 +212,8 @@ def cmd_metric(args):
     m = _build_model(args)
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
     xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
-    rows = [(x, y, m.slice_at(y).alpha(x), rep.a(x, y), rep.b(x, y))
-            for y in ys for x in xs]
+    alpha = Field2D.from_model(m)
+    rows = [(x, y, alpha(x, y), rep.a(x, y), rep.b(x, y)) for y in ys for x in xs]
     _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], zip(*rows)))
     return EXIT_OK
 
@@ -237,20 +237,19 @@ def cmd_normalize(args):
 
 def cmd_integrability(args):
     wx, wy = _windows(args, "x", "y")
-    H = integrability.Field2D.constant(args.hconst)
+    H = Field2D.constant(args.hconst)
     k, h = YFunction.from_expr(args.k), YFunction.from_expr(args.h)
     if args.alpha0 is not None:
         # no closed form for constant H != 0: integrate the profile ODE
         curve = lienard.OdeSolutionCurve(args.alpha0, args.v0, wx.lo - 0.01,
                                          wx.hi + 0.01, H_const=args.hconst)
-        alpha = integrability.Field2D.from_x_profile(curve.alpha,
-                                                     curve.alpha_x)
+        alpha = Field2D.from_x_profile(curve.alpha, curve.alpha_x)
         rep = integrability.metric_from_alpha_H(alpha, H, k, h, wx.lo)
     else:
         if args.alpha is None:
             raise _UsageError("integrability requires --alpha or --alpha0")
         m = _build_model(args)
-        alpha = integrability.Field2D.from_model(m)
+        alpha = Field2D.from_model(m)
         rep = models.metric_rep(m, k, h)
     stats = integrability.integrability_residual(
         alpha, H, rep, (wx.linspace(args.nx), wy.linspace(args.ny)))

@@ -10,70 +10,14 @@ coordinate integrability equations numerically,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, QuadratureFailure, SingularPoint
 from .lienard import _rhs
 from .models import MetricRep, exp_of
-from .numerics import CumulativeIntegral, YFunction, fd_partial, memoized
-
-
-@dataclass
-class Field2D:
-    """A scalar field on a rectangle with its first partials and dxx, the
-    second x-partial that the residual checkers read.
-
-    A partial that is not given is set, when the field is built, to a
-    central difference of the field; dxx is always a difference, by
-    YFunction's rule (of dx when dx is given, else a second difference of
-    the field), so the checkers never take it from a closed form.  y_free
-    marks a field that does not depend on y, so quadrature along x can
-    share one line.
-    """
-
-    f: Callable[[float, float], float]
-    dx: Optional[Callable[[float, float], float]] = None
-    dy: Optional[Callable[[float, float], float]] = None
-    y_free: bool = False
-    dxx: Callable[[float, float], float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        f, dx = self.f, self.dx
-        self.dxx = lambda x, y: YFunction(
-            lambda s: f(s, y), None if dx is None else (lambda s: dx(s, y)),
-            var="x").d2(x)
-        if self.dx is None:
-            self.dx = fd_partial(f, 0)
-        if self.dy is None:
-            self.dy = fd_partial(f, 1)
-
-    def __call__(self, x: float, y: float) -> float:
-        return float(self.f(x, y))
-
-    @staticmethod
-    def constant(c: float) -> "Field2D":
-        return Field2D(lambda x, y: c, dx=lambda x, y: 0.0, dy=lambda x, y: 0.0,
-                       y_free=True)
-
-    @staticmethod
-    def from_model(m) -> "Field2D":
-        """Field view of an AlphaModel, with analytic x-partial."""
-        return Field2D(f=lambda x, y: m.slice_at(y).alpha(x),
-                       dx=lambda x, y: m.slice_at(y).alpha_x(x))
-
-    @staticmethod
-    def from_x_profile(alpha_of_x, alpha_x_of_x) -> "Field2D":
-        """A y-independent field from an x-profile (e.g. an RK4 solution
-        curve for the constant-H case with no closed form)."""
-        return Field2D(
-            f=lambda x, y: alpha_of_x(x),
-            dx=lambda x, y: alpha_x_of_x(x),
-            dy=lambda x, y: 0.0,
-            y_free=True,
-        )
+from .numerics import CumulativeIntegral, Field2D, YFunction, memoized
 
 
 def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
@@ -86,40 +30,40 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
 
     with both anti-derivatives cumulative from x_base (lattice Simpson,
     one pair of lattices per y-line).  When neither alpha nor H depends on
-    y, every y shares a single line.
+    y, every y shares a single pair.  a and b are Field2Ds whose lines
+    read h(y) and e^{k(y)} once each.
     """
-    cache = {}
-    shared = alpha.y_free and H.y_free
     ek = exp_of(k)
 
-    def line(y: float):
+    def quadrature(y: float):
         """The y-line's e^{-I} / sqrt(1 + alpha^2) and J, each memoized in
         x: a and b and their x-differences revisit the same points."""
-        key = None if shared else y
-        if key not in cache:
-            al = memoized(lambda x: alpha(x, y))
-            I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base)
-            J = CumulativeIntegral(lambda x: H(x, y) * al(x) * math.exp(I(x)), x_base)
+        al, Hy = memoized(alpha.line(y)), H.line(y)
+        I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base)
+        J = CumulativeIntegral(lambda x: Hy(x) * al(x) * math.exp(I(x)), x_base)
 
-            def common(x):
-                a = al(x)
-                val = math.exp(-I(x)) / math.sqrt(1.0 + a * a)
-                if not math.isfinite(val):
-                    raise QuadratureFailure(f"non-finite integrand at ({x}, {y})")
-                return val
+        def common(x):
+            a = al(x)
+            val = math.exp(-I(x)) / math.sqrt(1.0 + a * a)
+            if not math.isfinite(val):
+                raise QuadratureFailure(f"non-finite integrand at ({x}, {y})")
+            return val
 
-            cache[key] = (memoized(common), memoized(J))
-        return cache[key]
+        return memoized(common), memoized(J)
 
-    def b_fn(x, y):
-        common, _ = line(y)
-        return ek(y) * common(x)
+    quad = memoized(quadrature, alpha.y_free and H.y_free)
 
-    def a_fn(x, y):
-        common, J = line(y)
-        return common(x) * (h(y) - J(x))
+    def b_line(y):
+        common, _ = quad(y)
+        eky = ek(y)
+        return YFunction(lambda x: eky * common(x), var="x")
 
-    return MetricRep(a=a_fn, b=b_fn)
+    def a_line(y):
+        common, J = quad(y)
+        hy = h(y)
+        return YFunction(lambda x: common(x) * (hy - J(x)), var="x")
+
+    return MetricRep(Field2D(a_line), Field2D(b_line))
 
 
 def expand_grid(grid):

@@ -6,7 +6,6 @@ Levi-Civita connection form, and maximal domains.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -15,7 +14,7 @@ import numpy as np
 from . import lienard
 from .errors import MixedType, SingularPoint
 from .lienard import SurfaceType
-from .numerics import (CumulativeIntegral, Window, YFunction, fd_partial,
+from .numerics import (CumulativeIntegral, Field2D, Window, YFunction,
                        invert_monotone, memoized)
 
 Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the type
@@ -73,26 +72,14 @@ def classify(m: AlphaModel, x_window=None) -> SurfaceType:
     return next(iter(first))
 
 
-@dataclass
 class MetricRep:
     """The induced-metric representation e2^ = a d/dx + b d/dy, b > 0,
-    with its x-partials.  An x-partial that is not given becomes a central
-    difference of a or b as the rep holds them when it is called.
-    """
+    from the Field2Ds a and b.  Their x-partials a_x and b_x are read
+    once, when the rep is built."""
 
-    a: Callable[[float, float], float]
-    b: Callable[[float, float], float]
-    a_x: Optional[Callable[[float, float], float]] = None
-    b_x: Optional[Callable[[float, float], float]] = None
-
-    def __post_init__(self):
-        # weak, so no cycle holds the rep's lattices until the cyclic
-        # collector runs; once the rep is gone, the original a, b are used
-        me, a, b = weakref.ref(self), self.a, self.b
-        if self.a_x is None:
-            self.a_x = fd_partial(lambda x, y: getattr(me(), "a", a)(x, y), 0)
-        if self.b_x is None:
-            self.b_x = fd_partial(lambda x, y: getattr(me(), "b", b)(x, y), 0)
+    def __init__(self, a: Field2D, b: Field2D):
+        self.a, self.b = a, b
+        self.a_x, self.b_x = a.dx, b.dx
 
 
 def exp_of(k: YFunction) -> YFunction:
@@ -104,27 +91,26 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
     """Closed-form (a, b) = (h(y), e^{k(y)}) times the family's
     metric_factor(x), e^{-int 2 alpha dx} / sqrt(1 + alpha^2).
     Both a and b share that x-profile, so a_x and b_x follow analytically
-    from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).
+    from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).  Each y-line of
+    a or b reads the slice and h(y) or e^{k(y)} once.
     """
     ek = exp_of(k)
 
-    def a_fn(x, y):
-        return m.slice_at(y).metric_factor(x) * h(y)
+    def coefficient(gauge: YFunction) -> Field2D:
+        def line(y):
+            sol, g = m.slice_at(y), gauge(y)
 
-    def b_fn(x, y):
-        return m.slice_at(y).metric_factor(x) * ek(y)
+            def f(x):
+                return sol.metric_factor(x) * g
 
-    def log_deriv(x, y):
-        sol = m.slice_at(y)
-        al, dal = sol.alpha(x), sol.alpha_x(x)
-        return -(2.0 * al + al * dal / (1.0 + al * al))
+            def log_deriv(x):
+                al, dal = sol.alpha(x), sol.alpha_x(x)
+                return -(2.0 * al + al * dal / (1.0 + al * al))
 
-    return MetricRep(
-        a=a_fn,
-        b=b_fn,
-        a_x=lambda x, y: a_fn(x, y) * log_deriv(x, y),
-        b_x=lambda x, y: b_fn(x, y) * log_deriv(x, y),
-    )
+            return YFunction(f, lambda x: f(x) * log_deriv(x), var="x")
+        return Field2D(line)
+
+    return MetricRep(coefficient(h), coefficient(ek))
 
 
 @dataclass
@@ -165,7 +151,7 @@ def apply_coord_change(rep: MetricRep, change: CoordChange) -> MetricRep:
         x, y = pull(x_new, y_new)
         return rep.b(x, y) * change.psi.d(y)
 
-    return MetricRep(a=a_new, b=b_new)
+    return MetricRep(Field2D.of(a_new), Field2D.of(b_new))
 
 
 def inverse_coord_change(change: CoordChange) -> CoordChange:
@@ -195,14 +181,17 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     Idempotent: for k = h = 0 the change is the identity and the zetas
     coincide with the model's c-functions.
     """
-    y_lo = Window(*m.y_domain).lo
+    w = Window(*m.y_domain)
 
-    gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), y_lo, var="y")
+    gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), w.lo, var="y")
     gamma = YFunction(gamma_int, lambda y: -h(y) * math.exp(-k(y)))
 
-    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), y_lo, var="y")
-    psi = YFunction(lambda y: y_lo + psi_int(y), lambda y: math.exp(-k(y)))
-    change = CoordChange(gamma=gamma, psi=psi)
+    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), w.lo, var="y")
+    psi = YFunction(lambda y: w.lo + psi_int(y), lambda y: math.exp(-k(y)))
+    # Psi is inverted from a bracket on the y-domain, where k is read; a
+    # zero-width domain keeps a bracket of width 1
+    hi = w.hi if w.width else w.lo + 1.0
+    change = CoordChange(gamma, psi, lambda y_new: invert_monotone(psi, y_new, w.lo, hi))
     # zeta1 and zeta2 at the same y_new share one inversion of Psi
     pull_y = memoized(change.invert_y)
 

@@ -1,10 +1,12 @@
 """Shared numerical utilities: the smooth function of one variable
-YFunction, cumulative Simpson antiderivatives on a lattice, the sampled
-interval Window, memoization, finite-difference derivatives and
-monotone inversion.  Its central differences and steps are the only
-finite-difference fallback: a YFunction, Field2D or MetricRep built
-without a derivative gets one from here when it is built, and callers
-read the derivatives they are given."""
+YFunction and of two, Field2D, cumulative Simpson antiderivatives on a
+lattice, the sampled interval Window, memoization, finite-difference
+derivatives and monotone inversion.
+
+A Field2D is read one y-line at a time: its x-profile at each y is a
+YFunction in x, so every x-partial anywhere follows YFunction's one
+finite-difference rule, and y enters as a parameter, as c1(y) and c2(y)
+do in the paper.  Callers read the derivatives they are given."""
 from __future__ import annotations
 
 import math
@@ -32,14 +34,16 @@ def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
     return (hi - lo) / 6.0 * (f_lo + 4.0 * f(mid) + f(hi))
 
 
-def memoized(f):
-    """The one-argument callable f, evaluated once per distinct argument."""
+def memoized(f, shared: bool = False):
+    """The one-argument callable f, evaluated once per distinct argument,
+    or, when shared, once at the first argument for every argument."""
     memo = {}
 
     def once(t):
-        v = memo.get(t)
+        key = None if shared else t
+        v = memo.get(key)
         if v is None:
-            v = memo[t] = f(t)
+            v = memo[key] = f(t)
         return v
 
     return once
@@ -169,14 +173,6 @@ def central_d2(f, x: float, h: float) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def fd_partial(f, axis: int):
-    """The partial of f(x, y) in x (axis 0) or y (axis 1), as a central
-    difference at FD_STEP."""
-    if axis == 0:
-        return lambda x, y: central_d1(lambda s: f(s, y), x, FD_STEP)
-    return lambda x, y: central_d1(lambda s: f(x, s), y, FD_STEP)
-
-
 class YFunction:
     """A smooth real function of one variable with its first and second
     derivatives, .d and .d2.
@@ -224,6 +220,58 @@ class YFunction:
         ast = expr_mod.parse_expr(src, var=var)
         dast = ast.deriv()
         return YFunction(ast.eval, dast.eval, dast.deriv().eval, var)
+
+
+class Field2D:
+    """A smooth function of (x, y), read one y-line at a time: line(y) is
+    the x-profile at y, a YFunction in x, built once per y, or once for
+    every y when the field is y_free.
+
+    The x-partials dx and dxx are the line's d and d2.  dy is 0.0 for a
+    y_free field, else a central difference across lines at FD_STEP."""
+
+    def __init__(self, line, y_free: bool = False):
+        self.line = memoized(line, y_free)
+        self.y_free = y_free
+
+    def __call__(self, x: float, y: float) -> float:
+        return self.line(y)(x)
+
+    def dx(self, x: float, y: float) -> float:
+        return self.line(y).d(x)
+
+    def dxx(self, x: float, y: float) -> float:
+        return self.line(y).d2(x)
+
+    def dy(self, x: float, y: float) -> float:
+        if self.y_free:
+            return 0.0
+        return central_d1(lambda s: self.line(s)(x), y, FD_STEP)
+
+    @staticmethod
+    def of(f) -> "Field2D":
+        """The bare f(x, y), with every partial a difference."""
+        return Field2D(lambda y: YFunction(lambda x: f(x, y), var="x"))
+
+    @staticmethod
+    def constant(c: float) -> "Field2D":
+        return Field2D(lambda y: YFunction.constant(c), y_free=True)
+
+    @staticmethod
+    def from_x_profile(alpha_of_x, alpha_x_of_x) -> "Field2D":
+        """A y-independent field from an x-profile (e.g. an RK4 solution
+        curve for the constant-H case with no closed form)."""
+        return Field2D(lambda y: YFunction(alpha_of_x, alpha_x_of_x, var="x"),
+                       y_free=True)
+
+    @staticmethod
+    def from_model(m) -> "Field2D":
+        """alpha of an AlphaModel, one slice_at per y, with its analytic
+        x-partial."""
+        def line(y):
+            sol = m.slice_at(y)
+            return YFunction(sol.alpha, sol.alpha_x, var="x")
+        return Field2D(line)
 
 
 def invert_monotone(g, target: float, lo: float, hi: float):

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import heismin
-from heismin import cli, construct, lienard, numerics
+from heismin import cli, construct, lienard, models, numerics
 from heismin.errors import NonFiniteResult
 from heismin.numerics import YFunction
 
@@ -212,6 +213,35 @@ def test_normalize_json(capsys):
     assert payload["type"] == "TypeI"
     y, z1 = payload["zeta1"][4]
     assert z1 == pytest.approx(math.sin(y), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", ["710*y", "800*y"])
+def test_normalize_inverts_psi_inside_the_y_domain(k, capsys):
+    # e^{-k} overflows below y = -0.9, outside the domain [0, 1]
+    code, out = run_cli(["normalize", "--alpha", "special1", "--c1", "0.3", "--k", k],
+                        capsys)
+    assert code == 0
+    # h = 0, so Gamma = 0 and zeta1 is c1 at every y
+    assert [z for _, z in json.loads(out)["zeta1"]] == [0.3] * 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "21", "--ny", "11"],
+    ["integrability", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--k", "y",
+     "--h", "0.5*y"],
+], ids=["metric", "integrability"])
+def test_grid_commands_slice_the_model_once_a_line(argv, monkeypatch, capsys):
+    # alpha, a and b each build one line per y, so one slice each
+    calls = Counter()
+    slice_at = models.AlphaModel.slice_at
+
+    def counted(self, y):
+        calls[y] += 1
+        return slice_at(self, y)
+
+    monkeypatch.setattr(models.AlphaModel, "slice_at", counted)
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(calls) >= 10 and max(calls.values()) <= 3
 
 
 def test_integrability_json(capsys):
@@ -559,3 +589,37 @@ def test_benchmark_tracer_finds_every_name_it_patches():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_OPS = """
+import json, sys, tempfile
+import spans, workloads
+tracer = spans.Tracer()
+spans.install(tracer)
+with tempfile.TemporaryDirectory() as out:
+    ctx = workloads.Context(out)
+    ctx.tracer = tracer
+    ops = {op.label: op for w in workloads.WORKLOADS for op in workloads.build(w, 41, ctx)}
+    for label in sys.argv[1:]:
+        tracer.begin_op(label)
+        ops[label].check(ops[label].run())
+print(json.dumps({name: s["count"] for name, s in tracer.summary().items()}))
+"""
+
+
+def test_benchmark_ops_pass_their_oracles_under_the_tracer():
+    # the tracer replaces rep.a and rep.b after a rep is built and wraps
+    # functions by name, so a change to the program's shapes can break a
+    # traced run that an untraced one survives
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(heismin.__file__))
+    path = os.pathsep.join([src, os.path.join(root, "bench")])
+    proc = subprocess.run([sys.executable, "-c", TRACED_OPS, "integrability H=2",
+                           "verify-graph plane", "fit sweep x40"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    for name in ("integrability.quadrature_metric", "integrability.residual",
+                 "verify.pmge", "lienard.fit"):
+        assert counts.get(name, 0) > 0, name

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -124,7 +126,7 @@ def test_codazzi_residual_2d_value_only_field():
     # without dx, alpha_xx is one second difference of the field, not a
     # difference of a difference (which reads about 4e-5 here)
     m = AlphaModel(lienard.General, yconst(0.0), yconst(1.0))
-    field = Field2D(lambda x, y: m.slice_at(y).alpha(x))
+    field = Field2D.of(lambda x, y: m.slice_at(y).alpha(x))
     stats = integrability.codazzi_residual_2d(
         field, 0.0, (np.linspace(0.3, 2.0, 25), np.linspace(0.0, 1.0, 5)))
     assert stats.overall_max() <= 1e-7
@@ -133,3 +135,38 @@ def test_codazzi_residual_2d_value_only_field():
 def test_residual_stats_reductions():
     s = integrability.ResidualStats(max={1: 0.5, 2: 0.25}, mean={1: 0.1, 2: 0.2})
     assert s.overall_max() == 0.5
+
+
+def test_reps_and_fields_are_freed_without_the_cyclic_collector():
+    # a reference cycle would hold a rep's lattices and memos until the
+    # cyclic collector runs; plain reference counting must free them
+    m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
+    curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.3, 2.8, H_const=2.0)
+
+    def quadrature_rep():
+        return integrability.metric_from_alpha_H(
+            Field2D.from_x_profile(curve.alpha, curve.alpha_x), Field2D.constant(2.0),
+            yconst(0.1), yconst(0.3), x_base=0.5)
+
+    def closed_form_rep():
+        return models.metric_rep(m, yconst(0.1), yconst(0.4))
+
+    def evaluate(*fns):
+        for fn in fns:
+            fn(1.1, 0.5)
+
+    gc.disable()
+    try:
+        for build in (quadrature_rep, closed_form_rep):
+            rep = build()
+            evaluate(rep.a, rep.b, rep.a_x, rep.b_x)
+            refs = [weakref.ref(obj) for obj in (rep, rep.a, rep.b)]
+            del rep
+            assert [r() for r in refs] == [None] * 3, build.__name__
+        field = Field2D.from_model(m)
+        evaluate(field, field.dx, field.dxx, field.dy)
+        ref = weakref.ref(field)
+        del field
+        assert ref() is None
+    finally:
+        gc.enable()

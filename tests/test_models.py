@@ -6,6 +6,7 @@ import pytest
 from heismin import lienard, models
 from heismin.errors import MixedType, SingularPoint
 from heismin.models import AlphaModel, SurfaceType, YFunction
+from heismin.numerics import Field2D
 
 
 def yconst(c):
@@ -200,23 +201,14 @@ def test_connection_form_matches_fd_path():
     m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
     rep = models.metric_rep(m, yconst(0.1), yconst(0.4))
     w1a, w2a = models.connection_form(rep, 1.1, 0.5)
-    bare = models.MetricRep(a=rep.a, b=rep.b)  # no analytic partials
+    bare = models.MetricRep(Field2D.of(rep.a), Field2D.of(rep.b))  # no analytic partials
     w1b, w2b = models.connection_form(bare, 1.1, 0.5)
     assert w1a == pytest.approx(w1b, abs=1e-6)
     assert w2a == pytest.approx(w2b, abs=1e-6)
 
 
-def test_fallback_partials_difference_the_current_a():
-    rep = models.MetricRep(a=lambda x, y: x * x, b=lambda x, y: 1.0)
-    rep.a = lambda x, y: 3.0 * x  # replaced after the rep is built
-    assert rep.a_x(1.0, 0.0) == pytest.approx(3.0)
-    # the rep is gone: the fallback differences the a it was built with
-    a_x = models.MetricRep(a=lambda x, y: x * x, b=lambda x, y: 1.0).a_x
-    assert a_x(1.0, 0.0) == pytest.approx(2.0)
-
-
 def test_connection_form_requires_positive_b():
-    rep = models.MetricRep(a=lambda x, y: 0.0, b=lambda x, y: 0.0)
+    rep = models.MetricRep(Field2D.constant(0.0), Field2D.constant(0.0))
     with pytest.raises(SingularPoint):
         models.connection_form(rep, 0.0, 0.0)
 

@@ -1,0 +1,68 @@
+"""The fundamental theorem as an oracle: alpha, H and (a, b) are invariants
+of a surface under Heisenberg rigid motions, so the first-principles
+verifiers must read the same values on a chart and on its image under any
+motion, composed ones included.
+
+Tolerances, from the worst case over 600 points per chart (three seeds of
+200, translations in [-3, 3]^3, composed motions half the time):
+alpha 6.1e-16, H 3.3e-12 (a central difference at H_STEP = 1e-4
+magnifies the rounding of the moved frame), (a, b) 1.9e-15.  Each bound
+below is the measured worst rounded up to the next power of ten and
+multiplied by ten.  A wrong motion differential moves them by O(1).
+"""
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from heismin import construct, heis, verify
+from heismin.numerics import YFunction
+
+ALPHA_TOL = 1e-14
+H_TOL = 1e-10
+AB_TOL = 1e-13
+
+
+def moved(chart, m: heis.RigidMotion):
+    """The chart followed by the motion m: apply_motion on points, its
+    differential motion_matrix on the partials."""
+    M = heis.motion_matrix(m)
+    return dataclasses.replace(
+        chart,
+        point=lambda u, v: heis.apply_motion(m, chart.point(u, v)),
+        du=lambda u, v: M @ chart.du(u, v),
+        dv=lambda u, v: M @ chart.dv(u, v))
+
+
+CHARTS = {
+    "conicoid": construct.conicoid_chart(),
+    "helicoid": construct.helicoid_chart(YFunction(lambda t: t, lambda t: 1.0)),
+    # zeta2 > 0: E = (r + D)^2 + zeta2 never vanishes, so every point is regular
+    "ruled": construct.ruled_surface(
+        construct.curve_from_zeta(YFunction.from_expr("0.5+0.3*sin(theta)", "theta"),
+                                  YFunction.from_expr("1+0.2*cos(theta)", "theta"),
+                                  (0.0, 2.0 * math.pi)),
+        r_range=(0.5, 2.0)),
+}
+
+coords = st.floats(-3.0, 3.0)
+single = st.builds(lambda x, y, z, angle: heis.RigidMotion(heis.HPoint(x, y, z), angle),
+                   coords, coords, coords, st.floats(-math.pi, math.pi))
+motions = st.one_of(single, st.builds(heis.compose, single, single))
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=motions, s=unit, t=unit)
+def test_chart_invariants_survive_rigid_motions(m, s, t):
+    for name, chart in CHARTS.items():
+        (u0, u1), (v0, v1) = chart.domain
+        u, v = u0 + s * (u1 - u0), v0 + t * (v1 - v0)
+        image = moved(chart, m)
+        assert abs(verify.numeric_alpha_on_chart(image, u, v)
+                   - verify.numeric_alpha_on_chart(chart, u, v)) <= ALPHA_TOL, name
+        assert abs(verify.numeric_H_on_chart(image, u, v)
+                   - verify.numeric_H_on_chart(chart, u, v)) <= H_TOL, name
+        assert np.max(np.abs(np.subtract(verify.numeric_ab_on_chart(image, u, v),
+                                         verify.numeric_ab_on_chart(chart, u, v)))) <= AB_TOL, name

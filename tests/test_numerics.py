@@ -199,15 +199,15 @@ def test_shared_y_line_matches_per_y_path(monkeypatch):
     monkeypatch.setattr(integrability, "CumulativeIntegral", Counted)
     curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.3, 2.8, H_const=2.0)
     pts = [(x, y) for x in (0.5, 0.93, 1.7, 2.5) for y in (0.1, 0.45, 0.9)]
-    assert Field2D.constant(2.0).y_free and not Field2D(lambda x, y: 2.0).y_free
+    assert Field2D.constant(2.0).y_free and not Field2D.of(lambda x, y: 2.0).y_free
 
     shared = h2_metric(Field2D.from_x_profile(curve.alpha, curve.alpha_x),
                        Field2D.constant(2.0))
     ab_shared = np.array([[shared.a(x, y), shared.b(x, y)] for x, y in pts])
     assert len(built) == 2  # one (I, J) pair for all three y values
 
-    per_y = h2_metric(Field2D(lambda x, y: curve.alpha(x)),
-                      Field2D(lambda x, y: 2.0))
+    per_y = h2_metric(Field2D.of(lambda x, y: curve.alpha(x)),
+                      Field2D.of(lambda x, y: 2.0))
     ab_per_y = np.array([[per_y.a(x, y), per_y.b(x, y)] for x, y in pts])
     assert len(built) == 2 + 2 * 3
     assert np.max(np.abs(ab_shared - ab_per_y)) <= 1e-12
