@@ -19,7 +19,7 @@ import sys
 from itertools import chain, islice
 
 from . import construct, integrability, lienard, models, verify
-from .errors import ExprSyntaxError, HeisminError, NonFiniteResult
+from .errors import ExprSyntaxError, HeisminError, NonFiniteResult, QuadratureFailure
 from .models import AlphaModel, YFunction
 from .numerics import PANELS_PER_UNIT, Field2D, Window
 
@@ -222,7 +222,14 @@ def cmd_normalize(args):
     m = _build_model(args)
     nf, change = models.normalize(m, YFunction.from_expr(args.k),
                                   YFunction.from_expr(args.h), x_window=args.x_window)
-    y_new = [change.psi(y) for y in m.y_domain.linspace(args.samples)]
+    ys = m.y_domain.linspace(args.samples)
+    y_new = [change.psi(y) for y in ys]
+    # a steep gauge makes Psi flat to the last bit: samples that share a y~
+    # all print the zetas of the inversion's one y, wrong unless they agree
+    for y0, y1, yn0, yn1 in zip(ys, ys[1:], y_new, y_new[1:]):
+        if yn0 == yn1 and y0 != y1 and nf.at_y(y0) != nf.at_y(y1):
+            raise QuadratureFailure(f"Psi does not resolve y = {y1} from y = {y0}: "
+                                    f"both map to y~ = {yn1}")
     payload = {
         **_type_fields(m, nf.surface_type),
         "zeta1": ([[yn, nf.zeta1(yn)] for yn in y_new]

@@ -32,7 +32,8 @@ class MixedType(HeisminError):
 
 
 class QuadratureFailure(HeisminError):
-    """An integrand evaluated non-finite along the quadrature path."""
+    """An integrand evaluated non-finite along the quadrature path, or a
+    cumulative integral too flat to tell two of its samples apart."""
 
 
 class BadRotation(HeisminError):

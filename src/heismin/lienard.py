@@ -260,14 +260,29 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
     n = max(1, round(steps))
     h = (x1 - x0) / n
     alphas, vs = array("d", [alpha0]), array("d", [v0])
+    put_a, put_v = alphas.append, vs.append
+    # _rk4_step written out, _rhs in its order: 0.5 * h * k is (0.5 * h) * k
+    # and h / 6.0 * s is (h / 6.0) * s, so the hoisted factors change no bit
+    hh, h6 = 0.5 * h, h / 6.0
     a, v = alpha0, v0
+    i = 0
     try:
+        c2 = H_const**2   # inside the try: an overflow is a blow-up at the first step
         for i in range(n):
-            a, v = _rk4_step(a, v, h, H_const)
-            if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
+            a2, v2 = a + hh * v, v + hh * (
+                k1v := -(6.0 * a * v + 4.0 * a**3 + c2 * a))
+            a3, v3 = a + hh * v2, v + hh * (
+                k2v := -(6.0 * a2 * v2 + 4.0 * a2**3 + c2 * a2))
+            a4, v4 = a + h * v3, v + h * (
+                k3v := -(6.0 * a3 * v3 + 4.0 * a3**3 + c2 * a3))
+            k4v = -(6.0 * a4 * v4 + 4.0 * a4**3 + c2 * a4)
+            a, v = (a + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                    v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+            # false on nan and +-inf too, for the finite guard integrate_ivp checks
+            if not (-guard <= a <= guard and -guard <= v <= guard):
                 raise BlowUp(x0 + (i + 1) * h)
-            alphas.append(a)
-            vs.append(v)
+            put_a(a)
+            put_v(v)
     except OverflowError:   # ** raises where * overflows quietly to inf
         raise BlowUp(x0 + (i + 1) * h) from None
     return Trajectory(x0, h, alphas, vs)
@@ -315,10 +330,13 @@ def integrate_ivp(alpha0: float, v0: float, x0: float, x1: float,
     Returns the trajectory covering [x0, x1], a sequence of
     (x, PhaseState).  Raises BlowUp when |alpha| or |v| exceeds the
     overflow guard, which signals approach to a singular x of the
-    underlying solution.
+    underlying solution, and ValueError for a step that is not positive
+    or a guard that is not positive and finite.
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if not 0.0 < guard < math.inf:
+        raise ValueError("guard must be positive and finite")
     return _sweep(alpha0, v0, x0, x1, step, H_const, guard)
 
 

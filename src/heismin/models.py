@@ -129,9 +129,14 @@ class CoordChange:
 
 @dataclass
 class NormalForm:
+    """zeta1 and zeta2 are functions of y~; at_y(y), where normalize sets
+    it, gives (zeta1, zeta2) read at the model's own y instead, None for a
+    missing c-function."""
+
     surface_type: SurfaceType
     zeta1: Optional[YFunction]
     zeta2: Optional[YFunction]
+    at_y: Optional[Callable[[float], tuple]] = None
 
 
 def apply_coord_change(rep: MetricRep, change: CoordChange) -> MetricRep:
@@ -198,9 +203,11 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     # x -> x + Gamma moves c1 by scale * Gamma (2 Gamma for special II)
     s = m.family.scale
 
-    def z1(y_new):
-        y = pull_y(y_new)
+    def zeta1_at(y):
         return m.c1(y) - s * gamma(y)
+
+    def z1(y_new):
+        return zeta1_at(pull_y(y_new))
 
     def dz1(y_new):
         y = pull_y(y_new)
@@ -215,7 +222,12 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
 
     zeta1 = YFunction(z1, dz1) if m.c1 is not None else None
     zeta2 = YFunction(z2, dz2) if m.c2 is not None else None
-    return NormalForm(classify(m, x_window), zeta1, zeta2), change
+
+    def at_y(y):
+        return (None if m.c1 is None else zeta1_at(y),
+                None if m.c2 is None else m.c2(y))
+
+    return NormalForm(classify(m, x_window), zeta1, zeta2, at_y), change
 
 
 def _normal_model(surface_type: SurfaceType, zeta1, zeta2) -> AlphaModel:

@@ -225,6 +225,18 @@ def test_normalize_inverts_psi_inside_the_y_domain(k, capsys):
     assert [z for _, z in json.loads(out)["zeta1"]] == [0.3] * 9
 
 
+def test_normalize_that_cannot_resolve_y_is_numeric_failure(capfd):
+    # Psi = int e^{-710 y} is flat to the last bit beyond y of about 0.05, so
+    # samples share a y~; with c1 = y their zetas differ, and the rows would
+    # all print the zetas of one y (with a constant c1, as above, they agree)
+    code = cli.main(["normalize", "--alpha", "general", "--c1", "y", "--c2", "1",
+                     "--k", "710*y"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: Psi does not resolve y = 0.25 from y = 0.125: "
+                   "both map to y~ = 0.0014101606182144897\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "21", "--ny", "11"],
     ["integrability", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--k", "y",
@@ -575,6 +587,20 @@ def test_console_script_entry_point():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["type"] == "Vertical"
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["classify", "--bogus"], 1)])
+def test_package_runs_as_a_module(argv, code):
+    src = os.path.dirname(os.path.dirname(heismin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "heismin", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout.startswith("usage: heismin") and proc.stderr == ""
+    else:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():

@@ -1,3 +1,4 @@
+import array
 import dataclasses
 import math
 import re
@@ -158,15 +159,26 @@ def test_rk4_blowup_near_pole():
 
 
 def test_sweep_over_the_step_limit_raises_before_the_first_step(monkeypatch):
+    # the sweep allocates its columns after the check and before any step
     monkeypatch.setattr(lienard, "MAX_RK4_STEPS", 100)
+    columns = []
+    monkeypatch.setattr(lienard, "array",
+                        lambda *a: columns.append(a) or array.array(*a))
     assert len(lienard.integrate_ivp(0.1, 0.0, 0.0, 0.1, 1e-3)) == 101
-    steps = []
-    monkeypatch.setattr(lienard, "_rk4_step", lambda *a: steps.append(a))
+    assert columns != []   # the probe sees a sweep that runs
+    columns.clear()
     with pytest.raises(StepLimit, match=r"needs 200 RK4 steps, more than the limit of 100"):
         lienard.integrate_ivp(0.1, 0.0, 0.0, 0.2, 1e-3)
     with pytest.raises(StepLimit):
         lienard.OdeSolutionCurve(0.1, 0.0, 0.0, 0.2)
-    assert steps == []
+    assert columns == []
+
+
+@pytest.mark.parametrize("guard", [math.nan, math.inf, 0.0])
+def test_guard_must_be_positive_and_finite(guard):
+    # the sweep's bound test is the finite-and-guard test only for such a guard
+    with pytest.raises(ValueError, match="guard must be positive and finite"):
+        lienard.integrate_ivp(0.1, 0.0, 0.0, 1.0, 1e-3, guard=guard)
 
 
 def test_ode_solution_curve_rejects_non_finite_start():
@@ -298,6 +310,8 @@ def test_trajectory_columns_match_list_of_tuples(args):
     (math.nan, 0.0, 0.0, 1.0, 1e-3),
     (1e200, 0.0, 0.0, 1.0, 1e-3),            # ** overflows on the first step
     (1.0, -1.0, 1.0, -0.5, 1e-4, 0.0, 1e3),  # 1/x toward its pole at 0
+    (0.1, 0.0, 0.0, 1.0, 1e-3, 1e200),       # H^2 overflows: at x0 + h, not x0
+    (0.1, 0.0, 0.0, 1.0, 1e-3, 1e155),
 ])
 def test_trajectory_blowup_x_matches_list_of_tuples(args):
     with pytest.raises(BlowUp) as ref:
@@ -305,6 +319,42 @@ def test_trajectory_blowup_x_matches_list_of_tuples(args):
     with pytest.raises(BlowUp) as got:
         lienard.integrate_ivp(*args)
     assert got.value.x == ref.value.x
+
+
+@st.composite
+def ivp_cases(draw):
+    """Subnormal and ordinary starts, both directions, H = 0 and H != 0 (up
+    to an H whose square overflows), and guards a little above the start,
+    which the sweep crosses part way where the state grows."""
+    start = st.one_of(st.floats(-4, 4), st.floats(-1e-307, 1e-307),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+    alpha0, v0 = draw(start), draw(start)
+    x0 = draw(st.floats(-2, 2))
+    x1 = x0 + draw(st.floats(-3, 3))
+    H = draw(st.floats(-5, 5) | st.sampled_from([0.0, 1e155, 1e200]))
+    size = max(abs(alpha0), abs(v0), 1e-3)
+    guard = draw(st.one_of(st.just(lienard.BLOWUP_GUARD),
+                           st.floats(1.01, 3).map(lambda f: f * size)))
+    return alpha0, v0, x0, x1, draw(st.sampled_from([1e-3, 1e-2, 0.1])), H, guard
+
+
+@given(ivp_cases())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_sweep_is_the_repeated_rk4_step(args):
+    # the sweep writes _rk4_step out; it must keep every bit, the sign of
+    # zero included, and the x of a blow-up
+    try:
+        ref = reference_ivp(*args)
+    except BlowUp as exc:
+        with pytest.raises(BlowUp) as got:
+            lienard.integrate_ivp(*args)
+        assert same_float(got.value.x, exc.x)
+        return
+    traj = lienard.integrate_ivp(*args)
+    assert len(traj) == len(ref)
+    for (x, s), (rx, rs) in zip(traj, ref):
+        assert same_float(x, rx)
+        assert same_float(s.alpha, rs.alpha) and same_float(s.v, rs.v)
 
 
 def test_phase_field_matches_per_cell_rhs():
