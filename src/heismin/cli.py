@@ -224,17 +224,18 @@ def cmd_normalize(args):
                                   YFunction.from_expr(args.h), x_window=args.x_window)
     ys = m.y_domain.linspace(args.samples)
     y_new = [change.psi(y) for y in ys]
-    # a steep gauge makes Psi flat to the last bit: samples that share a y~
-    # all print the zetas of the inversion's one y, wrong unless they agree
-    for y0, y1, yn0, yn1 in zip(ys, ys[1:], y_new, y_new[1:]):
-        if yn0 == yn1 and y0 != y1 and nf.at_y(y0) != nf.at_y(y1):
+    zs = [nf.at_y(y) for y in ys]
+    # a steep gauge makes Psi flat to the last bit: samples with different
+    # zetas that share a y~ cannot be told apart in normal coordinates
+    for y0, y1, yn0, yn1, z0, z1 in zip(ys, ys[1:], y_new, y_new[1:], zs, zs[1:]):
+        if yn0 == yn1 and y0 != y1 and z0 != z1:
             raise QuadratureFailure(f"Psi does not resolve y = {y1} from y = {y0}: "
                                     f"both map to y~ = {yn1}")
     payload = {
         **_type_fields(m, nf.surface_type),
-        "zeta1": ([[yn, nf.zeta1(yn)] for yn in y_new]
+        "zeta1": ([[yn, z[0]] for yn, z in zip(y_new, zs)]
                   if nf.zeta1 is not None else None),
-        "zeta2": ([[yn, nf.zeta2(yn)] for yn in y_new]
+        "zeta2": ([[yn, z[1]] for yn, z in zip(y_new, zs)]
                   if nf.zeta2 is not None else None),
         "panels_per_unit": PANELS_PER_UNIT,
     }

@@ -22,11 +22,10 @@ import numpy as np
 
 from .errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
                      SingularPoint, StepLimit)
-from .numerics import EPS_DEN, Window, YFunction
+from .numerics import EPS_DEN, PANELS_PER_UNIT, Window, YFunction
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
-PROFILE_STEP = 1e-4   # RK4 lattice spacing of an OdeSolutionCurve
 MAX_RK4_STEPS = 2_000_000   # steps one sweep may take (16 MB a column)
 
 
@@ -344,7 +343,8 @@ class OdeSolutionCurve:
     """A smooth x -> (alpha, alpha_x) obtained by one high-resolution RK4
     sweep, evaluable anywhere in [x0, x1].
 
-    States are stored on a fine lattice; an arbitrary x takes a single
+    States are stored on a lattice with the quadrature lattice's node and
+    midpoint spacing, 0.5 / PANELS_PER_UNIT; an arbitrary x takes a single
     partial RK4 step from the nearest stored node, so values at nearby
     points share the same integration history and finite differencing
     across them is well conditioned.  Needed for the constant-H != 0 case
@@ -354,7 +354,7 @@ class OdeSolutionCurve:
     def __init__(self, alpha0, v0, x0, x1, H_const=0.0):
         self.x0, self.x1 = float(x0), float(x1)
         self.H_const = float(H_const)
-        traj = _sweep(alpha0, v0, x0, x1, PROFILE_STEP, H_const)
+        traj = _sweep(alpha0, v0, x0, x1, 0.5 / PANELS_PER_UNIT, H_const)
         self.h, self._alpha, self._v = traj.h, traj.alpha, traj.v
 
     def state(self, x: float):

@@ -115,16 +115,29 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
 
 @dataclass
 class CoordChange:
-    """x~ = x + Gamma(y), y~ = Psi(y) with Psi' != 0."""
+    """x~ = x + Gamma(y), y~ = Psi(y) with Psi' != 0.  Psi^-1 is psi_inv
+    when given, else Newton from the bracket y~ -/+ 1; invert_y reads it
+    once per y~."""
 
     gamma: YFunction
     psi: YFunction
     psi_inv: Optional[Callable[[float], float]] = None
 
-    def invert_y(self, y_new: float) -> float:
-        if self.psi_inv is not None:
-            return self.psi_inv(y_new)
-        return invert_monotone(self.psi, y_new, y_new - 1.0, y_new + 1.0)
+    def __post_init__(self):
+        psi = self.psi   # not self: a closure over it would make a cycle
+        self.invert_y = memoized(self.psi_inv or (
+            lambda y_new: invert_monotone(psi, y_new, y_new - 1.0, y_new + 1.0)))
+
+    def pull(self, f, df) -> YFunction:
+        """f read in the new coordinate, y~ -> f(Psi^-1(y~)), with the
+        chain-rule derivative df(y) / Psi'(y)."""
+        inv, dpsi = self.invert_y, self.psi.d
+
+        def d(y_new):
+            y = inv(y_new)
+            return df(y) / dpsi(y)
+
+        return YFunction(lambda y_new: f(inv(y_new)), d)
 
 
 @dataclass
@@ -160,21 +173,10 @@ def apply_coord_change(rep: MetricRep, change: CoordChange) -> MetricRep:
 
 
 def inverse_coord_change(change: CoordChange) -> CoordChange:
-    def gamma_inv(y_new):
-        return -change.gamma(change.invert_y(y_new))
-
-    def dgamma_inv(y_new):
-        y = change.invert_y(y_new)
-        return -change.gamma.d(y) / change.psi.d(y)
-
-    def dpsi_inv(y_new):
-        return 1.0 / change.psi.d(change.invert_y(y_new))
-
-    return CoordChange(
-        gamma=YFunction(gamma_inv, dgamma_inv),
-        psi=YFunction(change.invert_y, dpsi_inv),
-        psi_inv=change.psi,
-    )
+    gamma = change.gamma
+    return CoordChange(change.pull(lambda y: -gamma(y), lambda y: -gamma.d(y)),
+                       change.pull(lambda y: y, lambda y: 1.0),
+                       psi_inv=change.psi)
 
 
 def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
@@ -197,8 +199,6 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     # zero-width domain keeps a bracket of width 1
     hi = w.hi if w.width else w.lo + 1.0
     change = CoordChange(gamma, psi, lambda y_new: invert_monotone(psi, y_new, w.lo, hi))
-    # zeta1 and zeta2 at the same y_new share one inversion of Psi
-    pull_y = memoized(change.invert_y)
 
     # x -> x + Gamma moves c1 by scale * Gamma (2 Gamma for special II)
     s = m.family.scale
@@ -206,22 +206,9 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     def zeta1_at(y):
         return m.c1(y) - s * gamma(y)
 
-    def z1(y_new):
-        return zeta1_at(pull_y(y_new))
-
-    def dz1(y_new):
-        y = pull_y(y_new)
-        return (m.c1.d(y) - s * gamma.d(y)) / psi.d(y)
-
-    def z2(y_new):
-        return m.c2(pull_y(y_new))
-
-    def dz2(y_new):
-        y = pull_y(y_new)
-        return m.c2.d(y) / psi.d(y)
-
-    zeta1 = YFunction(z1, dz1) if m.c1 is not None else None
-    zeta2 = YFunction(z2, dz2) if m.c2 is not None else None
+    zeta1 = (change.pull(zeta1_at, lambda y: m.c1.d(y) - s * gamma.d(y))
+             if m.c1 is not None else None)
+    zeta2 = change.pull(m.c2, m.c2.d) if m.c2 is not None else None
 
     def at_y(y):
         return (None if m.c1 is None else zeta1_at(y),

@@ -24,7 +24,7 @@ INVERT_MAX_EXPAND = 60
 RICHARDSON_RATIO = 2.0   # offset ratio of richardson_limit's sequences
 PANELS_PER_UNIT = 512    # Simpson panels per unit length of every quadrature lattice
 # nodes either side of a lattice's base (about 64 MB a side); an --alpha0
-# window at the RK4 step limit needs 102,400
+# window at the RK4 step limit, 2e6 profile steps of 1/1024, needs just under it
 MAX_LATTICE_NODES = 1_000_000
 
 

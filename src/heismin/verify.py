@@ -125,9 +125,9 @@ def chart_frame(chart, u: float, v: float):
     (c1, c2); Xu and Xv are the chart partials' (e1*, e2*, T)-coefficients.
 
     Orientation: e1 is aligned with the chart's declared characteristic
-    parameter when e1_index is set, with the graph convention
-    ((u_y + x), -(u_x - y)) when the chart wraps a graph, and with the
-    contact-weighted combination Theta(X_v) X_u - Theta(X_u) X_v otherwise.
+    parameter when e1_index is set, and is otherwise the contact-weighted
+    combination Theta(X_v) X_u - Theta(X_u) X_v, which on a graph chart's
+    own frame is the graph convention (u_y + x, -(u_x - y)).
     """
     p = chart.point(u, v)
     Xu = _frame_coords(p, chart.du(u, v))
@@ -141,10 +141,6 @@ def chart_frame(chart, u: float, v: float):
     if getattr(chart, "e1_index", None) is not None:
         ref = Xu if chart.e1_index == 0 else Xv
         if e1[0] * ref[0] + e1[1] * ref[1] < 0:
-            e1 = -e1
-    elif getattr(chart, "graph_u", None) is not None:
-        gp, gq = chart.graph_u.pq(u, v)
-        if e1 @ np.array([gq, -gp]) < 0:
             e1 = -e1
     e2 = np.array([-e1[1], e1[0]])
     return e1, e2, p, Xu, Xv

@@ -237,6 +237,27 @@ def test_normalize_that_cannot_resolve_y_is_numeric_failure(capfd):
                    "both map to y~ = 0.0014101606182144897\n")
 
 
+def test_normalize_prints_each_sample_at_its_own_y(capsys):
+    # Psi' = e^{-30} at y = 1 makes one ulp of y~ about 3e-5 of y, so a
+    # zeta read back through Psi^-1 lands that far off; the sample's own y
+    # gives zeta1 = c1 - 2 Gamma = 1.3 + (1 - e^{-30})/30 up to quadrature
+    code, out = run_cli(["normalize", "--alpha", "special2", "--c1", "0.3+y", "--k", "30*y",
+                         "--h", "0.5", "--samples", "40"], capsys)
+    assert code == 0
+    assert json.loads(out)["zeta1"][-1][1] == pytest.approx(
+        1.3 + (1.0 - math.exp(-30.0)) / 30.0, abs=1e-9)
+
+
+def test_normalize_command_never_inverts_psi(monkeypatch, capsys):
+    calls = []
+    invert = models.invert_monotone
+    monkeypatch.setattr(models, "invert_monotone",
+                        lambda *a: calls.append(a) or invert(*a))
+    code, _ = run_cli(["normalize", "--alpha", "general", "--c1", "y", "--c2", "1+y",
+                       "--k", "y", "--h", "0.5*y", "--samples", "50"], capsys)
+    assert (code, calls) == (0, [])
+
+
 @pytest.mark.parametrize("argv", [
     ["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "21", "--ny", "11"],
     ["integrability", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--k", "y",
@@ -641,11 +662,11 @@ def test_benchmark_ops_pass_their_oracles_under_the_tracer():
     src = os.path.dirname(os.path.dirname(heismin.__file__))
     path = os.pathsep.join([src, os.path.join(root, "bench")])
     proc = subprocess.run([sys.executable, "-c", TRACED_OPS, "integrability H=2",
-                           "verify-graph plane", "fit sweep x40"],
+                           "verify-graph plane", "fit sweep x40", "normalize 2000"],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     for name in ("integrability.quadrature_metric", "integrability.residual",
-                 "verify.pmge", "lienard.fit"):
+                 "verify.pmge", "lienard.fit", "models.normalize"):
         assert counts.get(name, 0) > 0, name

@@ -9,6 +9,15 @@ alpha 6.1e-16, H 3.3e-12 (a central difference at H_STEP = 1e-4
 magnifies the rounding of the moved frame), (a, b) 1.9e-15.  Each bound
 below is the measured worst rounded up to the next power of ten and
 multiplied by ten.  A wrong motion differential moves them by O(1).
+
+The graph charts (bernstein_plane, bernstein_saddle) have no compatible
+coordinates, so they check alpha and H only, on a sub-domain at least
+0.65 away from their singular sets (the plane's point (0.2, 0.3), the
+saddle's line 0.44 x + 0.92 y = 0), where |alpha| <= 1.25.  Over the
+same 600 points their worst is alpha 6.7e-16 and H 4.0e-12, inside the
+bounds above.  Near the singular set alpha grows like the inverse
+distance and the moved frame's rounding with it: over the whole window
+[-3, 3]^2 the saddle's alpha moved by 9.9e-13 where alpha = 187.
 """
 import dataclasses
 import math
@@ -44,6 +53,9 @@ CHARTS = {
                                   YFunction.from_expr("1+0.2*cos(theta)", "theta"),
                                   (0.0, 2.0 * math.pi)),
         r_range=(0.5, 2.0)),
+    "plane": construct.bernstein_plane(0.3, -0.2, 0.1, domain=((1.0, 3.0), (-3.0, 3.0))),
+    "saddle": construct.bernstein_saddle(0.6, 0.8, YFunction.from_expr("0.2*y^2"),
+                                         domain=((0.5, 3.0), (0.5, 3.0))),
 }
 
 coords = st.floats(-3.0, 3.0)
@@ -64,5 +76,7 @@ def test_chart_invariants_survive_rigid_motions(m, s, t):
                    - verify.numeric_alpha_on_chart(chart, u, v)) <= ALPHA_TOL, name
         assert abs(verify.numeric_H_on_chart(image, u, v)
                    - verify.numeric_H_on_chart(chart, u, v)) <= H_TOL, name
-        assert np.max(np.abs(np.subtract(verify.numeric_ab_on_chart(image, u, v),
-                                         verify.numeric_ab_on_chart(chart, u, v)))) <= AB_TOL, name
+        if chart.e1_index is not None:
+            assert np.max(np.abs(np.subtract(
+                verify.numeric_ab_on_chart(image, u, v),
+                verify.numeric_ab_on_chart(chart, u, v)))) <= AB_TOL, name
