@@ -3,17 +3,19 @@ subcommand per pipeline, and CSV / OBJ / JSON exporters.
 
 Exit codes: 0 success, 1 usage error (including a grid size or step out
 of range, a float flag that is not finite and a grid window of infinite
-width), 2 numeric failure (including an expression evaluated
-outside its domain or beyond the float range, a quadrature query past
-the lattice's node limit and a JSON report figure that is not finite),
-3 expression parse error.
+width) or a reader that closed stdout early, 2 numeric failure (including
+an expression evaluated outside its domain or beyond the float range, a
+quadrature query past the lattice's node limit and a JSON report figure
+that is not finite), 3 expression parse error.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from itertools import chain, islice
@@ -79,12 +81,14 @@ def _count_at_least(lo: int):
     return count
 
 
-def _write_text(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_text(out, text):
+    """Write text to the open file out, or to sys.stdout when out is None."""
+    (sys.stdout if out is None else out).write(text)
+
+
+def _open(path):
+    """path opened for writing, or a context of None (stdout) when path is None."""
+    return contextlib.nullcontext() if path is None else open(path, "w")
 
 
 def _non_finite(obj, key=""):
@@ -110,31 +114,33 @@ def _emit_json(payload):
     sys.stdout.write(text + "\n")
 
 
-def _format_rows(row_format: str, rows) -> str:
-    """The rows formatted by row_format, a %-format with one field per
-    value and a trailing newline; each block of rows is one % call."""
+def _write_rows(out, row_format: str, rows) -> None:
+    """Write the rows formatted by row_format, a %-format with one field per
+    value and a trailing newline; each block of rows is one % call and write."""
     rows = iter(rows)
-    parts = []
     while block := list(islice(rows, _BLOCK_ROWS)):
-        parts.append((row_format * len(block)) % tuple(chain.from_iterable(block)))
-    return "".join(parts)
+        _write_text(out, (row_format * len(block)) % tuple(chain.from_iterable(block)))
 
 
-def _csv(header, columns) -> str:
-    """CSV text of equally long columns, 17 significant digits a value."""
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + _format_rows(row_format, zip(*columns))
+def _csv(path, header, rows) -> None:
+    """Write a CSV of the rows to path (stdout when None), 17 significant
+    digits a value."""
+    with _open(path) as out:
+        _write_text(out, ",".join(header) + "\n")
+        _write_rows(out, ",".join(["%.17g"] * len(header)) + "\n", rows)
 
 
-def mesh_obj(chart, nu: int, nv: int) -> str:
-    """Wavefront OBJ of the chart: vertices in world coordinates over the
-    (u, v) grid in row-major order, quad faces, no normals."""
+def mesh_obj(path, chart, nu: int, nv: int) -> None:
+    """Write the Wavefront OBJ of the chart to path (stdout when None): the
+    vertices over the (u, v) grid in row-major order, computed before path
+    is opened, then quad faces; no normals."""
     us, vs = (Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
-    points = (chart.point(u, v) for u in us for v in vs)
+    points = [(p.x, p.y, p.z) for p in (chart.point(u, v) for u in us for v in vs)]
     faces = ((a, a + nv, a + nv + 1, a + 1)
              for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)))
-    return (_format_rows("v %.17g %.17g %.17g\n", ((p.x, p.y, p.z) for p in points))
-            + _format_rows("f %d %d %d %d\n", faces))
+    with _open(path) as out:
+        _write_rows(out, "v %.17g %.17g %.17g\n", points)
+        _write_rows(out, "f %d %d %d %d\n", faces)
 
 
 # --alpha's names of the lienard families; a family's constants c1, c2
@@ -158,8 +164,13 @@ def _add_model_flags(p, required=True):
     p.add_argument("--alpha", required=required, choices=list(_FAMILIES))
     p.add_argument("--c1", help="expression in y")
     p.add_argument("--c2", help="expression in y")
-    p.add_argument("--y-min", type=_finite_float, default=0.0)
-    p.add_argument("--y-max", type=_finite_float, default=1.0)
+    _add_window_flags(p, "y", 0.0, 1.0)
+
+
+def _add_window_flags(p, axis: str, lo: float, hi: float):
+    """--AXIS-min and --AXIS-max, finite floats with defaults lo and hi."""
+    p.add_argument(f"--{axis}-min", type=_finite_float, default=lo)
+    p.add_argument(f"--{axis}-max", type=_finite_float, default=hi)
 
 
 def _windows(args, *axes):
@@ -178,7 +189,7 @@ def _type_fields(m: AlphaModel, stype) -> dict:
             "y_samples": models.Y_SAMPLES if len(m.family.types) > 1 else None}
 
 
-def _add_window_flag(p):
+def _add_x_window_flag(p):
     p.add_argument("--x-window", type=_finite_float, nargs=2, metavar=("LO", "HI"))
 
 
@@ -187,24 +198,20 @@ def _add_window_flag(p):
 def cmd_solve_lienard(args):
     if args.fit:
         sol = lienard.fit_solution(args.alpha0, args.v0, args.x0)
-        _emit_json({"family": type(sol).__name__, **dataclasses.asdict(sol)})
-        return EXIT_OK
+        return {"family": type(sol).__name__, **dataclasses.asdict(sol)}
     traj = lienard.integrate_ivp(args.alpha0, args.v0, args.x0, args.x1,
                                  args.step, H_const=args.hconst)
-    _write_text(args.out, _csv(["x", "alpha", "v"], traj.columns()))
-    return EXIT_OK
+    _csv(args.out, ["x", "alpha", "v"], zip(*traj.columns()))
 
 
 def cmd_phase_field(args):
     field = lienard.phase_field(*_windows(args, "alpha", "v"), args.nx, args.nv)
-    _write_text(args.out, _csv(["x", "v", "dx", "dv"], field.columns()))
-    return EXIT_OK
+    _csv(args.out, ["x", "v", "dx", "dv"], zip(*field.columns()))
 
 
 def cmd_classify(args):
     m = _build_model(args)
-    _emit_json(_type_fields(m, models.classify(m, x_window=args.x_window)))
-    return EXIT_OK
+    return _type_fields(m, models.classify(m, x_window=args.x_window))
 
 
 def cmd_metric(args):
@@ -214,8 +221,7 @@ def cmd_metric(args):
     xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
     alpha = Field2D.from_model(m)
     rows = [(x, y, alpha(x, y), rep.a(x, y), rep.b(x, y)) for y in ys for x in xs]
-    _write_text(args.out, _csv(["x", "y", "alpha", "a", "b"], zip(*rows)))
-    return EXIT_OK
+    _csv(args.out, ["x", "y", "alpha", "a", "b"], rows)
 
 
 def cmd_normalize(args):
@@ -231,7 +237,7 @@ def cmd_normalize(args):
         if yn0 == yn1 and y0 != y1 and z0 != z1:
             raise QuadratureFailure(f"Psi does not resolve y = {y1} from y = {y0}: "
                                     f"both map to y~ = {yn1}")
-    payload = {
+    return {
         **_type_fields(m, nf.surface_type),
         "zeta1": ([[yn, z[0]] for yn, z in zip(y_new, zs)]
                   if nf.zeta1 is not None else None),
@@ -239,8 +245,6 @@ def cmd_normalize(args):
                   if nf.zeta2 is not None else None),
         "panels_per_unit": PANELS_PER_UNIT,
     }
-    _emit_json(payload)
-    return EXIT_OK
 
 
 def cmd_integrability(args):
@@ -261,13 +265,12 @@ def cmd_integrability(args):
         rep = models.metric_rep(m, k, h)
     stats = integrability.integrability_residual(
         alpha, H, rep, (wx.linspace(args.nx), wy.linspace(args.ny)))
-    _emit_json({
+    return {
         "max": {f"r{i}": v for i, v in stats.max.items()},
         "mean": {f"r{i}": v for i, v in stats.mean.items()},
         "tolerance": INTEGRABILITY_TOL,
         "passed": stats.overall_max() <= INTEGRABILITY_TOL,
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_construct(args):
@@ -285,17 +288,16 @@ def cmd_construct(args):
         raise _UsageError("give either --curve-x/y/z or --zeta1 and --zeta2")
     chart = construct.ruled_surface(curve, r_range=r_range)
     if args.obj:
-        _write_text(args.obj, mesh_obj(chart, args.nr, args.ntheta))
+        mesh_obj(args.obj, chart, args.nr, args.ntheta)
     z1, z2 = construct.zeta_from_curve(curve)
     ts = interval.inner(args.ntheta, 1e-9)
-    _emit_json({
+    return {
         "zeta1": [[t, z1(t)] for t in ts],
         "zeta2": [[t, z2(t)] for t in ts],
         "special_type_I": max(abs(z2(t)) for t in ts) <= SPECIAL_I_TOL,
         "special_type_I_tolerance": SPECIAL_I_TOL,
         "obj": args.obj,
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_examples(args):
@@ -314,9 +316,8 @@ def cmd_examples(args):
         info = {"alpha_at_t1": chart.extras["alpha_closed"](1.0, 0.0),
                 "ab_at_t1": list(chart.extras["ab_closed"](1.0, 0.0))}
     if args.obj:
-        _write_text(args.obj, mesh_obj(chart, args.nu, args.nv))
-    _emit_json({"name": args.name, "obj": args.obj, **info})
-    return EXIT_OK
+        mesh_obj(args.obj, chart, args.nu, args.nv)
+    return {"name": args.name, "obj": args.obj, **info}
 
 
 def cmd_verify_graph(args):
@@ -324,23 +325,20 @@ def cmd_verify_graph(args):
     g = verify.GraphSurface.from_expr(args.u, (wx, wy))
     xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
     residuals = [abs(verify.pmge_residual(g, x, y)) for y in ys for x in xs]
-    report = verify.singular_set(g)
     max_residual = float(max(residuals))
-    _emit_json({
+    return {
         "max_pmge_residual": max_residual,
         "pmge_tolerance": PMGE_TOL,
         "passed": max_residual <= PMGE_TOL,
-        "singular": report.to_json_dict(),
-    })
-    return EXIT_OK
+        "singular": verify.singular_set(g).to_json_dict(),
+    }
 
 
 def cmd_go_through(args):
     window = ((args.px - 2.0, args.px + 2.0), (args.py - 2.0, args.py + 2.0))
     g = verify.GraphSurface.from_expr(args.u, window)
     result = verify.go_through_check(g, (args.px, args.py), args.direction)
-    _emit_json(dataclasses.asdict(result))
-    return EXIT_OK
+    return dataclasses.asdict(result)
 
 
 # ----------------------------------------------------------------- parser
@@ -365,10 +363,8 @@ def build_parser() -> _ArgumentParser:
     s.set_defaults(func=cmd_solve_lienard)
 
     s = sub.add_parser("phase-field", help="sample the phase-plane field")
-    s.add_argument("--alpha-min", type=_finite_float, default=-2.0)
-    s.add_argument("--alpha-max", type=_finite_float, default=2.0)
-    s.add_argument("--v-min", type=_finite_float, default=-2.0)
-    s.add_argument("--v-max", type=_finite_float, default=2.0)
+    _add_window_flags(s, "alpha", -2.0, 2.0)
+    _add_window_flags(s, "v", -2.0, 2.0)
     s.add_argument("--nx", type=_count_at_least(2), default=21)
     s.add_argument("--nv", type=_count_at_least(2), default=21)
     s.add_argument("--out")
@@ -376,15 +372,14 @@ def build_parser() -> _ArgumentParser:
 
     s = sub.add_parser("classify", help="surface type of a model")
     _add_model_flags(s)
-    _add_window_flag(s)
+    _add_x_window_flag(s)
     s.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("metric", help="induced-metric coefficients on a grid")
     _add_model_flags(s)
     s.add_argument("--k", default="0")
     s.add_argument("--h", default="0")
-    s.add_argument("--x-min", type=_finite_float, default=0.5)
-    s.add_argument("--x-max", type=_finite_float, default=2.5)
+    _add_window_flags(s, "x", 0.5, 2.5)
     s.add_argument("--nx", type=_count_at_least(1), default=21)
     s.add_argument("--ny", type=_count_at_least(1), default=11)
     s.add_argument("--out")
@@ -392,7 +387,7 @@ def build_parser() -> _ArgumentParser:
 
     s = sub.add_parser("normalize", help="normal form (type, zeta1, zeta2)")
     _add_model_flags(s)
-    _add_window_flag(s)
+    _add_x_window_flag(s)
     s.add_argument("--k", default="0")
     s.add_argument("--h", default="0")
     s.add_argument("--samples", type=_count_at_least(1), default=9)
@@ -408,8 +403,7 @@ def build_parser() -> _ArgumentParser:
                         "value instead of a closed-form model; --alpha "
                         "is then not needed")
     s.add_argument("--v0", type=_finite_float, default=0.0)
-    s.add_argument("--x-min", type=_finite_float, default=0.5)
-    s.add_argument("--x-max", type=_finite_float, default=2.5)
+    _add_window_flags(s, "x", 0.5, 2.5)
     s.add_argument("--nx", type=_count_at_least(1), default=25)
     s.add_argument("--ny", type=_count_at_least(1), default=10)
     s.set_defaults(func=cmd_integrability)
@@ -420,10 +414,8 @@ def build_parser() -> _ArgumentParser:
     s.add_argument("--curve-z", help="expression in theta")
     s.add_argument("--zeta1", help="expression in theta")
     s.add_argument("--zeta2", help="expression in theta")
-    s.add_argument("--theta-min", type=_finite_float, default=0.0)
-    s.add_argument("--theta-max", type=_finite_float, default=2.0 * math.pi)
-    s.add_argument("--r-min", type=_finite_float, default=0.5)
-    s.add_argument("--r-max", type=_finite_float, default=2.0)
+    _add_window_flags(s, "theta", 0.0, 2.0 * math.pi)
+    _add_window_flags(s, "r", 0.5, 2.0)
     s.add_argument("--nr", type=_count_at_least(1), default=16)
     s.add_argument("--ntheta", type=_count_at_least(1), default=48)
     s.add_argument("--obj")
@@ -438,10 +430,8 @@ def build_parser() -> _ArgumentParser:
 
     s = sub.add_parser("verify-graph", help="graph PDE residual + singular set")
     s.add_argument("--u", required=True, help="expression in x and y")
-    s.add_argument("--x-min", type=_finite_float, default=-3.0)
-    s.add_argument("--x-max", type=_finite_float, default=3.0)
-    s.add_argument("--y-min", type=_finite_float, default=-3.0)
-    s.add_argument("--y-max", type=_finite_float, default=3.0)
+    _add_window_flags(s, "x", -3.0, 3.0)
+    _add_window_flags(s, "y", -3.0, 3.0)
     s.add_argument("--nx", type=_count_at_least(1), default=21)
     s.add_argument("--ny", type=_count_at_least(1), default=21)
     s.set_defaults(func=cmd_verify_graph)
@@ -457,23 +447,24 @@ def build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        payload = args.func(args)
+        if payload is not None:
+            _emit_json(payload)
+        sys.stdout.flush()   # a reader that closed early raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed early: stdout to devnull, so that the flush at
+        # exit raises nothing (the SIGPIPE note of the Python documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except HeisminError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_PARSE if isinstance(exc, ExprSyntaxError) else EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

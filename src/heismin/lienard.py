@@ -249,9 +249,14 @@ def _rk4_step(alpha: float, v: float, h: float, H_const: float):
 def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
            H_const: float, guard: float = BLOWUP_GUARD) -> Trajectory:
     """The RK4 states (alpha, v) at x0 + i h, i = 0..n, where h is the
-    nearest step to `step` that divides [x0, x1]; raises StepLimit, before
-    the first step, when that takes more than MAX_RK4_STEPS steps, and
-    BlowUp at the first non-finite state or state beyond the guard."""
+    nearest step to `step` that divides [x0, x1] (n = 0 when x1 == x0);
+    raises StepLimit, before the first step, when that takes more than
+    MAX_RK4_STEPS steps, and BlowUp at the first non-finite state or state
+    beyond the guard."""
+    if x1 == x0:   # a window of zero width holds the initial state alone
+        if not (-guard <= alpha0 <= guard and -guard <= v0 <= guard):
+            raise BlowUp(x0)
+        return Trajectory(x0, 0.0, array("d", [alpha0]), array("d", [v0]))
     steps = abs(x1 - x0) / step
     if not steps <= MAX_RK4_STEPS:
         raise StepLimit(f"the window needs {steps:.6g} RK4 steps, more than "

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import lienard
-from .errors import MixedType, SingularPoint
+from .errors import EvaluationError, MixedType, SingularPoint
 from .lienard import SurfaceType
 from .numerics import (CumulativeIntegral, Field2D, Window, YFunction,
                        invert_monotone, memoized)
@@ -101,7 +101,11 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
             sol, g = m.slice_at(y), gauge(y)
 
             def f(x):
-                return sol.metric_factor(x) * g
+                val = sol.metric_factor(x) * g
+                if not math.isfinite(val):
+                    raise EvaluationError(f"(x, y) = ({x}, {y})",
+                                          "the metric coefficient is not finite")
+                return val
 
             def log_deriv(x):
                 al, dal = sol.alpha(x), sol.alpha_x(x)

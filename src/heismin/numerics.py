@@ -51,7 +51,7 @@ def memoized(f, shared: bool = False):
 
 class CumulativeIntegral:
     """Antiderivative F(x) = int_{x_base}^{x} f, by composite Simpson on
-    the lattice x_base + n h, h = 1 / panels_per_unit.
+    the lattice x_base + n h, h = 1 / PANELS_PER_UNIT.
 
     The lattice grows on demand, in either direction, just far enough to
     hold the node below each query.  Every new node and panel midpoint is
@@ -63,12 +63,11 @@ class CumulativeIntegral:
     lattice grows.  Errors call the variable var, as YFunction's do.
     """
 
-    def __init__(self, f, x_base: float, panels_per_unit: int = PANELS_PER_UNIT,
-                 var: str = "x"):
+    def __init__(self, f, x_base: float, var: str = "x"):
         self.f = f
         self.x_base = float(x_base)
         self.var = var
-        self.h = 1.0 / float(panels_per_unit)
+        self.h = 1.0 / PANELS_PER_UNIT
         # node i of side 0 sits at x_base + i h, of side 1 at x_base - i h;
         # both hold F and f at their nodes, from node 0 = x_base on
         self._F = ([], [])

@@ -72,10 +72,8 @@ class GraphSurface:
         return np.array(self.pq(x, y))
 
     def F_jacobian(self, x: float, y: float) -> np.ndarray:
-        return np.array([
-            [self.u_xx(x, y), self.u_xy(x, y) - 1.0],
-            [self.u_xy(x, y) + 1.0, self.u_yy(x, y)],
-        ])
+        u_xx, u_xy = self.u_xx(x, y), self.u_xy(x, y)
+        return np.array([[u_xx, u_xy - 1.0], [u_xy + 1.0, self.u_yy(x, y)]])
 
     def chart(self, name: str = "graph", extras: Optional[dict] = None):
         from .construct import SurfaceChart

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -140,26 +141,90 @@ SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
            math.inf, -math.inf, math.nan, 0]
 
 
-def test_csv_matches_per_value_writer():
+def test_csv_matches_per_value_writer(tmp_path, capsys):
     rng = np.random.default_rng(5)
     # more rows than one block, so block edges are crossed
     n = 2 * cli._BLOCK_ROWS + 7
     cols = [(SPECIAL * (n // len(SPECIAL) + 1))[k:k + n] for k in range(3)]
     cols.append((rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist())
     header = ["x", "alpha", "v", "w"]
-    assert cli._csv(header, cols) == reference_csv(header, zip(*cols))
+    path = tmp_path / "t.csv"
+    cli._csv(str(path), header, zip(*cols))
+    assert path.read_text() == reference_csv(header, zip(*cols))
     one = [[v] for v in SPECIAL[:1]]
-    assert cli._csv(["x"], one) == reference_csv(["x"], zip(*one))
+    cli._csv(None, ["x"], one)
+    assert capsys.readouterr().out == reference_csv(["x"], one)
 
 
 @pytest.mark.parametrize("name", ["conicoid", "helicoid", "plane"])
-def test_obj_matches_per_line_writer(name):
+def test_obj_matches_per_line_writer(name, tmp_path, capsys):
     chart = {"conicoid": construct.conicoid_chart,
              "helicoid": lambda: construct.helicoid_chart(
                  YFunction(lambda t: t, lambda t: 1.0)),
              "plane": lambda: construct.bernstein_plane(0.0, 0.0, 0.0)}[name]()
+    path = tmp_path / "s.obj"
     for nu, nv in ((1, 1), (5, 3), (40, 31)):
-        assert cli.mesh_obj(chart, nu, nv) == reference_obj(chart, nu, nv)
+        cli.mesh_obj(str(path), chart, nu, nv)
+        assert path.read_text() == reference_obj(chart, nu, nv)
+    cli.mesh_obj(None, chart, 5, 3)
+    assert capsys.readouterr().out == reference_obj(chart, 5, 3)
+
+
+def test_writing_a_trajectory_holds_less_than_its_file(tmp_path):
+    # rows go out a block at a time: the heap never holds the whole text
+    path = tmp_path / "t.csv"
+    argv = ["solve-lienard", "--alpha0", "0.3", "--v0", "-0.1", "--x1", "50",
+            "--out", str(path)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().count("\n") == 50_002
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["metric", "--alpha", "special1", "--c1", "y-0.5", "--x-min", "0", "--x-max", "1",
+      "--nx", "3", "--ny", "3", "--out"], "m.csv"),
+    (["construct", "--curve-x", "log(theta)", "--curve-y", "0", "--curve-z", "0",
+      "--theta-min", "1", "--theta-max=-1", "--obj"], "f.obj"),
+    (["metric", "--alpha", "general", "--c1", "0", "--c2", "1e-300", "--h", "1e306",
+      "--x-min", "1e-5", "--x-max", "1e-5", "--nx", "1", "--ny", "1", "--out"], "inf.csv"),
+], ids=["metric-singular", "construct-domain", "metric-not-finite"])
+def test_failing_command_writes_no_file(argv, out, tmp_path, capsys):
+    path = tmp_path / out
+    assert cli.main([*argv, str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_zero_width_trajectory_is_one_row(capsys):
+    code, out = run_cli(["solve-lienard", "--alpha0", "0.3", "--v0", "0",
+                         "--x0", "0", "--x1", "0"], capsys)
+    assert code == 0
+    assert out == "x,alpha,v\n0,0.29999999999999999,0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "helicoid", "--nu", "300", "--nv", "300", "--obj", "/dev/stdout"],
+    ["solve-lienard", "--alpha0", "0.3", "--v0", "-0.1", "--x1", "100"],
+], ids=["obj-to-dev-stdout", "csv-to-stdout"])
+def test_reader_that_closes_early_ends_the_run_quietly(argv):
+    # as `heismin ... | head -1`: several MB of rows, more than a pipe holds
+    src = os.path.dirname(os.path.dirname(heismin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "heismin", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_trajectory_and_field_csv_match_per_value_writer(capsys):
@@ -363,11 +428,16 @@ STEPS = "error: the window needs "
     (["integrability", "--alpha", "special1", "--c1", "0.4", "--hconst=1e200"], EVAL),
     # classify reads c1 at every y-sample of a general model
     (["classify", "--alpha", "general", "--c1", "1/(y-0.5)", "--c2", "1"], EVAL + "y = 0.5"),
+    # a = h(y) * metric_factor(x) = 1e306 * 1e5 is inf
+    (["metric", "--alpha", "general", "--c1", "0", "--c2", "1e-300", "--h", "1e306",
+      "--x-min", "1e-5", "--x-max", "1e-5", "--nx", "1", "--ny", "1"],
+     EVAL + "(x, y) = (1e-05, 0.0): the metric coefficient is not finite\n"),
 ], ids=["domain", "overflow", "negative-base-power", "graph-domain",
         "graph-negative-base-power", "zero-division", "metric-exp-k-overflow",
         "integrability-exp-k-overflow", "ivp-overflow", "fit-overflow",
         "profile-overflow", "phase-field-overflow", "ivp-step-limit",
-        "profile-step-limit", "closed-form-hconst-overflow", "classify-c1"])
+        "profile-step-limit", "closed-form-hconst-overflow", "classify-c1",
+        "metric-not-finite"])
 def test_evaluation_error_is_numeric_failure(argv, prefix, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err

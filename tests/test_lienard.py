@@ -270,7 +270,12 @@ def test_phase_field_rejects_degenerate_grid():
 
 def reference_ivp(alpha0, v0, x0, x1, step, H_const=0.0, guard=lienard.BLOWUP_GUARD):
     """Reference: the earlier trajectory, a list of (x, PhaseState) built
-    one _rk4_step at a time."""
+    one _rk4_step at a time; a window of zero width holds the initial state,
+    held to the guard, alone."""
+    if x1 == x0:
+        if not (abs(alpha0) <= guard and abs(v0) <= guard):   # false on nan too
+            raise BlowUp(x0)
+        return [(x0, lienard.PhaseState(alpha0, v0))]
     n = max(1, round(abs(x1 - x0) / step))
     h = (x1 - x0) / n
     out = [(x0, lienard.PhaseState(alpha0, v0))]
@@ -296,6 +301,8 @@ def same_float(a, b):
     (0.3, 0.1, 0.3, 2.8, 1e-3, 1.5),         # H != 0
     (-0.0, -0.0, -0.0, -0.3, 0.1),
     (1e-310, 5e-324, 0.0, 0.01, 1e-3),
+    (0.3, -0.1, 0.7, 0.7, 1e-3),             # zero width: one state
+    (0.1, 0.0, -0.0, 0.0, 1e-3, 1e200),      # no step, so H^2 never overflows
 ])
 def test_trajectory_columns_match_list_of_tuples(args):
     traj = lienard.integrate_ivp(*args)
@@ -304,7 +311,8 @@ def test_trajectory_columns_match_list_of_tuples(args):
     for (x, s), (rx, rs) in zip(traj, ref, strict=True):
         assert same_float(x, rx)
         assert same_float(s.alpha, rs.alpha) and same_float(s.v, rs.v)
-    for i in (0, 1, -1, -2, -len(ref)):
+    n = len(ref)
+    for i in (0, 1, -1, -2, -n) if n > 1 else (0, -1):
         assert traj[i][0] == ref[i][0] and traj[i][1] == ref[i][1]
     assert same_float(traj[0][0], args[2])
     xs, alphas, vs = traj.columns()
@@ -322,6 +330,8 @@ def test_trajectory_columns_match_list_of_tuples(args):
     (1.0, -1.0, 1.0, -0.5, 1e-4, 0.0, 1e3),  # 1/x toward its pole at 0
     (0.1, 0.0, 0.0, 1.0, 1e-3, 1e200),       # H^2 overflows: at x0 + h, not x0
     (0.1, 0.0, 0.0, 1.0, 1e-3, 1e155),
+    (math.nan, 0.0, 0.5, 0.5, 1e-3),         # zero width: the initial state
+    (2e12, 0.0, 0.5, 0.5, 1e-3),             # beyond the guard at zero width
 ])
 def test_trajectory_blowup_x_matches_list_of_tuples(args):
     with pytest.raises(BlowUp) as ref:

@@ -64,7 +64,7 @@ def integrand(x):
 
 
 X_BASE = 0.3
-PPU = 64
+PPU = numerics.PANELS_PER_UNIT
 
 
 def test_lattice_matches_dict_reference_on_and_off_lattice():
@@ -74,12 +74,12 @@ def test_lattice_matches_dict_reference_on_and_off_lattice():
     off = rng.uniform(X_BASE - 2.5, X_BASE + 3.0, 300).tolist()
     below = rng.uniform(X_BASE - 2.0, X_BASE, 50).tolist()
     queries = on + off + below + [X_BASE]
-    lattice = CumulativeIntegral(integrand, X_BASE, PPU)
+    lattice = CumulativeIntegral(integrand, X_BASE)
     ref = DictSimpson(integrand, X_BASE, PPU)
     for x in queries:
         assert abs(lattice(x) - ref(x)) <= 1e-12, x
     # a fresh pair queried in the opposite order agrees as well
-    lattice = CumulativeIntegral(integrand, X_BASE, PPU)
+    lattice = CumulativeIntegral(integrand, X_BASE)
     ref = DictSimpson(integrand, X_BASE, PPU)
     for x in reversed(queries):
         assert abs(lattice(x) - ref(x)) <= 1e-12, x
@@ -93,7 +93,7 @@ def test_lattice_nodes_match_scipy_cumulative_simpson():
         samples = X_BASE + sign * np.arange(2 * n + 1) * (h / 2.0)
         ref = si.cumulative_simpson([integrand(x) for x in samples.tolist()],
                                     dx=sign * h / 2.0, initial=0.0)
-        lattice = CumulativeIntegral(integrand, X_BASE, PPU)
+        lattice = CumulativeIntegral(integrand, X_BASE)
         nodes = X_BASE + sign * np.arange(n + 1) * h
         got = np.array([lattice(x) for x in nodes.tolist()])
         assert np.max(np.abs(got - ref[0::2])) <= 1e-12
@@ -106,12 +106,12 @@ def test_each_node_and_midpoint_evaluated_once():
         calls[x] += 1
         return integrand(x)
 
-    lattice = CumulativeIntegral(f, 0.25, PPU)  # every node exact in binary
+    lattice = CumulativeIntegral(f, 0.25)  # every node exact in binary
     lattice(2.25)
     lattice(-0.75)
     lattice(1.25)  # on the lattice already built: no evaluation
-    # nodes and midpoints of 128 + 64 panels, x_base counted once
-    assert sum(calls.values()) == 2 * (128 + 64) + 1
+    # nodes and midpoints of 2 + 1 units of panels, x_base counted once
+    assert sum(calls.values()) == 2 * (2 * PPU + PPU) + 1
     assert max(calls.values()) == 1
     before = sum(calls.values())
     lattice(0.75 + 0.3 / PPU)  # off the lattice: one residual panel
@@ -125,16 +125,17 @@ def test_each_node_and_midpoint_evaluated_once():
 ], ids=["above", "below", "residual"])
 def test_non_finite_integrand_raises(f, x):
     with pytest.raises(QuadratureFailure):
-        CumulativeIntegral(f, X_BASE, PPU)(x)
+        CumulativeIntegral(f, X_BASE)(x)
 
 
 def test_query_past_the_node_limit_raises_before_the_lattice_grows(monkeypatch):
     monkeypatch.setattr(numerics, "MAX_LATTICE_NODES", 128)
     calls = []
-    lattice = CumulativeIntegral(lambda x: calls.append(x) or 1.0, 0.0, PPU)
-    assert lattice(2.0) == 2.0 and lattice(-2.0) == -2.0   # node 128 either side
+    lattice = CumulativeIntegral(lambda x: calls.append(x) or 1.0, 0.0)
+    edge = 128 / PPU
+    assert lattice(edge) == edge and lattice(-edge) == -edge   # node 128 either side
     grown = len(calls)
-    for x in (2.0 + 1.0 / PPU, -2.0 - 1.0 / PPU, math.inf, math.nan):
+    for x in (edge + 1.0 / PPU, -edge - 1.0 / PPU, math.inf, math.nan):
         with pytest.raises(QuadratureFailure, match=r"lattice nodes from x = 0\.0, "
                                                     r"more than the limit of 128"):
             lattice(x)

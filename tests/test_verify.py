@@ -13,6 +13,18 @@ def graph(src, window=((-3.0, 3.0), (-3.0, 3.0))):
     return verify.GraphSurface.from_expr(src, window)
 
 
+def test_F_jacobian_reads_each_second_partial_once():
+    calls = []
+
+    def partial(name, value):
+        return lambda x, y: calls.append(name) or value
+
+    g = verify.GraphSurface(*(partial(n, v) for n, v in (
+        ("u", 0.0), ("u_x", 0.0), ("u_y", 0.0), ("u_xx", 2.0), ("u_xy", 0.5), ("u_yy", 3.0))))
+    assert g.F_jacobian(0.1, 0.2).tolist() == [[2.0, -0.5], [1.5, 3.0]]
+    assert calls == ["u_xx", "u_xy", "u_yy"]
+
+
 def test_pmge_residual_examples():
     assert verify.pmge_residual(graph("x*y"), 0.7, -1.2) == 0.0
     assert verify.pmge_residual(graph("x + 2*y + 3"), 1.0, 1.0) == 0.0
