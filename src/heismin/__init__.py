@@ -18,17 +18,11 @@ from .errors import (
     SingularPoint,
 )
 from .heis import (
-    FrameVector,
     HPoint,
     RigidMotion,
     apply_motion,
     contact_value,
-    coord_to_frame,
-    frame_at,
-    group_inv,
     group_mul,
-    J_rotate,
-    push_forward,
 )
 from .lienard import (
     AlphaSolution,
@@ -52,9 +46,7 @@ from .models import (
     SurfaceType,
     YFunction,
     classify,
-    connection_form,
     first_fundamental_form,
-    maximal_domain,
     metric_rep,
     normalize,
 )
@@ -72,14 +64,12 @@ from .construct import (
     curve_from_zeta,
     curve_invariants,
     helicoid_chart,
-    immersion_locus,
     ruled_surface,
     zeta_from_curve,
 )
 from .verify import (
     GraphSurface,
     SingularReport,
-    characteristic_direction,
     go_through_check,
     legendrian_line_check,
     numeric_H_on_chart,

@@ -252,7 +252,8 @@ def cmd_integrability(args):
     H = Field2D.constant(args.hconst)
     k, h = YFunction.from_expr(args.k), YFunction.from_expr(args.h)
     if args.alpha0 is not None:
-        # no closed form for constant H != 0: integrate the profile ODE
+        # constant H != 0: the profile is integrated by RK4 (its closed
+        # form alpha = w'/(2w) is ROADMAP item 2)
         curve = lienard.OdeSolutionCurve(args.alpha0, args.v0, wx.lo - 0.01,
                                          wx.hi + 0.01, H_const=args.hconst)
         alpha = Field2D.from_x_profile(curve.alpha, curve.alpha_x)

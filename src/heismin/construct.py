@@ -1,7 +1,7 @@
 """Explicit p-minimal surfaces: the ruled construction from a generating
 curve, its invariants and zeta-extraction, the inverse problem
-zeta -> curve, the immersion criterion, and the example charts (plane,
-saddle, helicoid, conicoid).
+zeta -> curve, and the example charts (plane, saddle, helicoid,
+conicoid).
 
 The ruled surface over a curve C(t) = (x(t), y(t), z(t)) is
 
@@ -23,7 +23,6 @@ from .heis import HPoint
 from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
 from .verify import GraphSurface
 
-IMMERSION_TOL = 1e-10   # |Theta(C') - D^2| at or below this fails immersion
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
 
 
@@ -185,26 +184,6 @@ def zeta_from_curve(c: GeneratingCurve):
         return dtc - 2.0 * c.D(t) * dD
 
     return YFunction(z1, dz1, var="theta"), YFunction(z2, dz2, var="theta")
-
-
-@dataclass
-class ImmersionReport:
-    theta: float
-    immersed_everywhere: bool
-    bad_radius: Optional[float] = None
-
-
-def immersion_locus(c: GeneratingCurve, theta_grid):
-    """Per angle: the chart is an immersion for all r iff
-    Theta(C') - D^2 != 0; otherwise it degenerates exactly at r = -D."""
-    out = []
-    for t in theta_grid:
-        crit = c.contact_speed(t) - c.D(t) ** 2
-        if abs(crit) > IMMERSION_TOL:
-            out.append(ImmersionReport(float(t), True))
-        else:
-            out.append(ImmersionReport(float(t), False, bad_radius=-c.D(t)))
-    return out
 
 
 def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,

@@ -1,4 +1,4 @@
-"""Heisenberg group H1: group arithmetic, contact/CR structure, adapted
+"""Heisenberg group H1: group arithmetic, the contact form, the adapted
 metric and rigid motions.
 
 H1 is R^3 with the twisted product
@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPoint
-
-HORIZONTAL_TOL = 1e-12   # |cT| up to which J_rotate takes a vector as horizontal
-
 
 @dataclass(frozen=True)
 class HPoint:
@@ -35,29 +31,6 @@ class HPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """A tangent vector written in the left-invariant frame (e1*, e2*, T).
-
-    The basepoint is carried so the conversion to a coordinate vector is
-    unambiguous.  The vector is horizontal iff cT == 0.
-    """
-
-    c1: float
-    c2: float
-    cT: float
-    base: HPoint
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.c1**2 + self.c2**2 + self.cT**2)
-
-    def to_coord(self) -> np.ndarray:
-        """Coordinate components of the same tangent vector."""
-        e1, e2, t = frame_at(self.base)
-        return self.c1 * e1 + self.c2 * e2 + self.cT * t
 
 
 @dataclass(frozen=True)
@@ -82,37 +55,9 @@ def group_mul(p: HPoint, q: HPoint) -> HPoint:
     )
 
 
-def group_inv(p: HPoint) -> HPoint:
-    # The twist term cancels for (-x,-y,-z): y*(-x) - x*(-y) = 0.
-    return HPoint(-p.x, -p.y, -p.z)
-
-
 def contact_value(p: HPoint, v) -> float:
     """Theta(v) = v_z + x v_y - y v_x for a coordinate tangent vector v at p."""
     return float(v[2] + p.x * v[1] - p.y * v[0])
-
-
-def frame_at(p: HPoint):
-    """Coordinate expressions of (e1*, e2*, T) at p."""
-    e1 = np.array([1.0, 0.0, p.y])
-    e2 = np.array([0.0, 1.0, -p.x])
-    t = np.array([0.0, 0.0, 1.0])
-    return e1, e2, t
-
-
-def coord_to_frame(p: HPoint, v) -> FrameVector:
-    """Decompose a coordinate tangent vector at p in the left-invariant frame.
-
-    The T-coefficient is exactly Theta(v).
-    """
-    return FrameVector(float(v[0]), float(v[1]), contact_value(p, v), p)
-
-
-def J_rotate(v: FrameVector) -> FrameVector:
-    """The CR rotation J on horizontal vectors: (c1,c2,0) -> (-c2,c1,0)."""
-    if abs(v.cT) > HORIZONTAL_TOL:
-        raise SingularPoint(f"J is only defined on horizontal vectors (cT={v.cT})")
-    return FrameVector(-v.c2, v.c1, 0.0, v.base)
 
 
 def motion_matrix(m: RigidMotion) -> np.ndarray:
@@ -133,15 +78,6 @@ def apply_motion(m: RigidMotion, p: HPoint) -> HPoint:
     c, s = math.cos(m.rotation_angle), math.sin(m.rotation_angle)
     rotated = HPoint(c * p.x - s * p.y, s * p.x + c * p.y, p.z)
     return group_mul(m.translation, rotated)
-
-
-def push_forward(m: RigidMotion, p: HPoint, v):
-    """Push a coordinate tangent vector v at p forward through the motion.
-
-    Returns (image point, image coordinate vector).  Motions preserve
-    Theta, so contact vectors map to contact vectors.
-    """
-    return apply_motion(m, p), motion_matrix(m) @ np.asarray(v, dtype=float)
 
 
 def compose(m2: RigidMotion, m1: RigidMotion) -> RigidMotion:

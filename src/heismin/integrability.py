@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, QuadratureFailure, SingularPoint
-from .lienard import _rhs, lienard_residual
+from .lienard import _rhs
 from .models import MetricRep, exp_of
 from .numerics import CumulativeIntegral, Field2D, YFunction, memoized
 
@@ -110,14 +110,4 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     return ResidualStats(
         max={i: float(np.max(np.abs(v))) for i, v in r.items()},
         mean={i: float(np.mean(np.abs(v))) for i, v in r.items()},
-    )
-
-
-def codazzi_residual_2d(alpha: Field2D, c: float, grid) -> ResidualStats:
-    """Per-point residual of alpha_xx + 6 alpha alpha_x + 4 alpha^3
-    + c^2 alpha over the grid (y enters only as a parameter)."""
-    vals = [lienard_residual(alpha.line(y), x, c) for x, y in expand_grid(grid)]
-    return ResidualStats(
-        max={1: float(np.max(np.abs(vals)))},
-        mean={1: float(np.mean(np.abs(vals)))},
     )

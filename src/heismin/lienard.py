@@ -352,8 +352,9 @@ class OdeSolutionCurve:
     midpoint spacing, 0.5 / PANELS_PER_UNIT; an arbitrary x takes a single
     partial RK4 step from the nearest stored node, so values at nearby
     points share the same integration history and finite differencing
-    across them is well conditioned.  Needed for the constant-H != 0 case
-    where no closed form exists.
+    across them is well conditioned.  Used for constant H != 0, whose
+    closed form alpha = w'/(2w), w = A + B cos H(x - x0) + C sin H(x - x0),
+    is not implemented yet (ROADMAP item 2).
     """
 
     def __init__(self, alpha0, v0, x0, x1, H_const=0.0):

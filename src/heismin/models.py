@@ -1,12 +1,11 @@
 """Surface models: y-dependent solution families, type classification,
 induced-metric representations, normal-coordinate normalization and the
-resulting (type, zeta1, zeta2) data, the first fundamental form, the
-Levi-Civita connection form, and maximal domains.
+resulting (type, zeta1, zeta2) data, and the first fundamental form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,18 +118,15 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
 
 @dataclass
 class CoordChange:
-    """x~ = x + Gamma(y), y~ = Psi(y) with Psi' != 0.  Psi^-1 is psi_inv
-    when given, else Newton from the bracket y~ -/+ 1; invert_y reads it
-    once per y~."""
+    """x~ = x + Gamma(y), y~ = Psi(y) with Psi' != 0 and Psi^-1 = psi_inv;
+    invert_y reads psi_inv once per y~."""
 
     gamma: YFunction
     psi: YFunction
-    psi_inv: Optional[Callable[[float], float]] = None
+    psi_inv: Callable[[float], float]
 
     def __post_init__(self):
-        psi = self.psi   # not self: a closure over it would make a cycle
-        self.invert_y = memoized(self.psi_inv or (
-            lambda y_new: invert_monotone(psi, y_new, y_new - 1.0, y_new + 1.0)))
+        self.invert_y = memoized(self.psi_inv)
 
     def pull(self, f, df) -> YFunction:
         """f read in the new coordinate, y~ -> f(Psi^-1(y~)), with the
@@ -154,33 +150,6 @@ class NormalForm:
     zeta1: Optional[YFunction]
     zeta2: Optional[YFunction]
     at_y: Optional[Callable[[float], tuple]] = None
-
-
-def apply_coord_change(rep: MetricRep, change: CoordChange) -> MetricRep:
-    """Push (a, b) through the coordinate change: a~ = a + b Gamma',
-    b~ = b Psi', read in the new coordinates."""
-
-    def pull(x_new, y_new):
-        y = change.invert_y(y_new)
-        x = x_new - change.gamma(y)
-        return x, y
-
-    def a_new(x_new, y_new):
-        x, y = pull(x_new, y_new)
-        return rep.a(x, y) + rep.b(x, y) * change.gamma.d(y)
-
-    def b_new(x_new, y_new):
-        x, y = pull(x_new, y_new)
-        return rep.b(x, y) * change.psi.d(y)
-
-    return MetricRep(Field2D.of(a_new), Field2D.of(b_new))
-
-
-def inverse_coord_change(change: CoordChange) -> CoordChange:
-    gamma = change.gamma
-    return CoordChange(change.pull(lambda y: -gamma(y), lambda y: -gamma.d(y)),
-                       change.pull(lambda y: y, lambda y: 1.0),
-                       psi_inv=change.psi)
 
 
 def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
@@ -233,56 +202,3 @@ def first_fundamental_form(nf: NormalForm, x: float, y: float) -> np.ndarray:
     family at (zeta1(y), zeta2(y)); degenerates on the special I singular line."""
     sol = _normal_model(nf.surface_type, nf.zeta1, nf.zeta2).slice_at(y)
     return np.array([[1.0, 0.0], [0.0, sol.y_speed(x) ** 2]])
-
-
-def connection_form(rep: MetricRep, x: float, y: float):
-    """Coefficients (w1, w2) of the connection form w2^1 in dx, dy:
-
-        w1 = (b a_x - a b_x)/b
-        w2 = b_x/b^2 - a a_x/b + a^2 b_x/b^2
-    """
-    a = rep.a(x, y)
-    b = rep.b(x, y)
-    if b <= 0.0:
-        raise SingularPoint("connection form requires b > 0")
-    ax = rep.a_x(x, y)
-    bx = rep.b_x(x, y)
-    w1 = (b * ax - a * bx) / b
-    w2 = bx / b**2 - a * ax / b + a * a * bx / b**2
-    return w1, w2
-
-
-@dataclass
-class MaximalDomain:
-    """A maximal domain: named membership predicates plus the boundary
-    curves y -> x along which the family degenerates."""
-
-    surface_type: SurfaceType
-    pieces: dict
-    boundaries: list = field(default_factory=list)
-
-
-def maximal_domain(zeta1: Optional[YFunction],
-                   zeta2: Optional[YFunction],
-                   surface_type: SurfaceType) -> MaximalDomain:
-    """The maximal domains per type, bounded by the family's singular
-    curves: the whole strip for vertical and type I; the half-planes either
-    side of x = -zeta1(y) (special I) or 2x = -zeta1(y) (special II); the
-    outer/inner regions of the two singular curves for types II/III."""
-    if surface_type is SurfaceType.VERTICAL or surface_type is SurfaceType.TYPE_I:
-        return MaximalDomain(surface_type, {"all": lambda x, y: True}, [])
-    slice_at = _normal_model(surface_type, zeta1, zeta2).slice_at
-
-    def lo(y):
-        return slice_at(y).singular_x()[0]
-
-    def hi(y):
-        return slice_at(y).singular_x()[-1]
-
-    if surface_type is SurfaceType.TYPE_III:
-        return MaximalDomain(surface_type,
-                             {"between": lambda x, y: lo(y) < x < hi(y)}, [lo, hi])
-    return MaximalDomain(
-        surface_type,
-        {"minus": lambda x, y: x < lo(y), "plus": lambda x, y: x > hi(y)},
-        [lo, hi] if surface_type is SurfaceType.TYPE_II else [lo])

@@ -258,8 +258,8 @@ class Field2D:
 
     @staticmethod
     def from_x_profile(alpha_of_x, alpha_x_of_x) -> "Field2D":
-        """A y-independent field from an x-profile (e.g. an RK4 solution
-        curve for the constant-H case with no closed form)."""
+        """A y-independent field from an x-profile (e.g. the RK4 solution
+        curve of a constant H != 0)."""
         return Field2D(lambda y: YFunction(alpha_of_x, alpha_x_of_x, var="x"),
                        y_free=True)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import EvaluationError, NewtonDivergence, PreconditionFailed, SingularPoint
-from .heis import FrameVector, HPoint, contact_value
+from .heis import HPoint, contact_value
 from .numerics import Window, central_d1, richardson_limit
 
 EPS_SINGULAR = 1e-10   # characteristic direction exists when D > this
@@ -100,16 +100,6 @@ def pmge_residual(g: GraphSurface, x: float, y: float) -> float:
     p, q = g.pq(x, y)
     return (q * q * g.u_xx(x, y) - 2.0 * q * p * g.u_xy(x, y)
             + p * p * g.u_yy(x, y))
-
-
-def characteristic_direction(g: GraphSurface, x: float, y: float):
-    """The unit horizontal tangent e1 = ((u_y + x) e1* - (u_x - y) e2*)/D
-    at a regular point of the graph, as a FrameVector."""
-    p, q = g.pq(x, y)
-    D = math.hypot(p, q)
-    if D <= EPS_SINGULAR:
-        raise SingularPoint(f"singular point of the graph at ({x}, {y})")
-    return FrameVector(q / D, -p / D, 0.0, HPoint(x, y, g.u(x, y)))
 
 
 def _frame_coords(p: HPoint, v: np.ndarray) -> np.ndarray:
@@ -288,7 +278,9 @@ def _jacobian_is_singular(J: np.ndarray) -> bool:
 def _trace_curve(g: GraphSurface, x0, y0, step):
     """Predictor-corrector trace of a singular curve through (x0, y0):
     predict along the kernel direction of the Jacobian, correct by
-    Gauss-Newton back onto F = 0.  A step of 0 traces the seed alone."""
+    Gauss-Newton back onto F = 0.  A direction ends where the corrected
+    point leaves the window or advances less than half a step.  A step of
+    0 traces the seed alone."""
     if step == 0.0:
         return [(x0, y0)]
     wx, wy = (Window(*w) for w in g.window)
@@ -304,6 +296,8 @@ def _trace_curve(g: GraphSurface, x0, y0, step):
             xn, yn, _ = _gauss_newton(g, x + step * t[0], y + step * t[1])
             if not (wx.holds(xn, step) and wy.holds(yn, step)):
                 break
+            if math.hypot(xn - x, yn - y) < 0.5 * step:
+                break
             pts.append((xn, yn))
             t_prev = t
             x, y = xn, yn
@@ -316,7 +310,8 @@ def singular_set(g: GraphSurface) -> SingularReport:
     window: Newton from every grid seed, deduplicate the converged zeros,
     then classify each by the Jacobian rank — nonsingular Jacobian means
     an isolated singular point, singular Jacobian means a singular curve
-    (traced as a polyline)."""
+    (traced as a polyline).  A degenerate zero, whose trace advances
+    neither way from it, is an isolated point too."""
     wx, wy = (Window(*w) for w in g.window)
     # distinct seeds only, in increasing order: a zero-width window has one
     xs, ys = (np.unique(w.linspace(SEED_GRID)) for w in (wx, wy))
@@ -341,16 +336,19 @@ def singular_set(g: GraphSurface) -> SingularReport:
     for i, (x, y) in enumerate(zeros):
         if consumed[i]:
             continue
-        J = g.F_jacobian(x, y)
-        if not _jacobian_is_singular(J):
+        poly = (_trace_curve(g, x, y, step)
+                if _jacobian_is_singular(g.F_jacobian(x, y)) else None)
+        if poly is None or (step > 0.0 and len(poly) == 1):
+            # Newton converges slowly to a degenerate zero and leaves its
+            # zeros scattered about it; the trace's 2 * step takes them in
+            radius = DEDUPE_TOL * scale if poly is None else 2.0 * step
             res = float(np.max(np.abs(g.F(x, y))))
             features.append(SingularFeature("IsolatedPoint", (x, y),
                                             residual=res))
             for j, (xj, yj) in enumerate(zeros):
-                if math.hypot(xj - x, yj - y) <= DEDUPE_TOL * scale:
+                if math.hypot(xj - x, yj - y) <= radius:
                     consumed[j] = True
         else:
-            poly = _trace_curve(g, x, y, step)
             res = float(max(np.max(np.abs(g.F(px, py))) for px, py in poly))
             features.append(SingularFeature("Curve", (x, y), poly, res))
             arr = np.asarray(poly)

@@ -151,7 +151,8 @@ def test_criterion_4_integrability():
             Field2D.from_model(m), H0, rep, (xs, ys))
         worst = max(worst, stats.overall_max())
 
-    # constant H = 2 with a numerically integrated profile (no closed form)
+    # constant H = 2 with the profile integrated by RK4 (its closed form is
+    # ROADMAP item 2)
     curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.3, 2.8, H_const=2.0)
     alpha = Field2D.from_x_profile(curve.alpha, curve.alpha_x)
     H2 = Field2D.constant(2.0)

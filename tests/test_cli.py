@@ -627,6 +627,17 @@ def test_zero_width_window_traces_the_seed_alone(capsys):
     assert [(f["kind"], f["polyline"]) for f in features] == [("Curve", [[0.0, 0.0]])]
 
 
+def test_degenerate_zero_is_one_isolated_point(capsys):
+    # F = (3x^2, 2x - 3y^2) vanishes only at the origin, where J has rank
+    # one; the trace cannot leave it, so it is a point and not a curve
+    code, out = run_cli(["verify-graph", "--u", "x^3-y^3+x*y", "--nx", "3", "--ny", "3"],
+                        capsys)
+    assert code == 0
+    features = json.loads(out)["singular"]["features"]
+    assert [f["kind"] for f in features] == ["IsolatedPoint"]
+    assert math.hypot(*features[0]["point"]) <= 1e-4
+
+
 def test_verify_graph_with_abs(capsys):
     # the sign of abs' derivative at numpy grid and Newton points
     code, out = run_cli(["verify-graph", "--u", "abs(x-y)", "--nx", "5", "--ny", "5"], capsys)

@@ -98,11 +98,15 @@ def test_zeta_derivatives_match_fd():
 
 
 def test_immersion_locus():
-    good = construct.immersion_locus(vertical_line_curve(), [0.1, 1.0, 3.0])
-    assert all(r.immersed_everywhere for r in good)
-    bad = construct.immersion_locus(origin_curve(), [0.5])
-    assert not bad[0].immersed_everywhere
-    assert bad[0].bad_radius == pytest.approx(0.0)
+    # the ruled chart is an immersion for every r exactly where
+    # zeta2 = Theta(C') - D^2 != 0; where zeta2 = 0 it degenerates at r = -D
+    for c, immersed in ((vertical_line_curve(), True), (origin_curve(), False)):
+        z2 = construct.zeta_from_curve(c)[1]
+        chart = construct.ruled_surface(c)
+        for t in (0.1, 1.0, 3.0):
+            assert (z2(t) != 0.0) is immersed
+            normal = np.cross(chart.du(-c.D(t), t), chart.dv(-c.D(t), t))
+            assert bool(np.max(np.abs(normal)) > 0.5) is immersed
 
 
 def test_curve_from_zeta_examples():

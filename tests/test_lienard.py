@@ -205,9 +205,10 @@ def test_ode_solution_curve_interpolates_smoothly():
 
 
 def test_profile_at_h2_matches_the_fine_sweep():
-    # no closed form at H != 0: the step-1e-4 sweep is the oracle for the
-    # profile's 1/1024 lattice.  Measured worst 1.7e-13 (alpha) and 3.3e-13
-    # (alpha_x) over the 25,001 nodes; bound: rounded up a decade, times ten
+    # at H != 0 the profile is integrated by RK4 (its closed form is ROADMAP
+    # item 2): the step-1e-4 sweep is the oracle for the profile's 1/1024
+    # lattice.  Measured worst 1.7e-13 (alpha) and 3.3e-13 (alpha_x) over
+    # the 25,001 nodes; bound: rounded up a decade, times ten
     curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.3, 2.8, H_const=2.0)
     ref = lienard.integrate_ivp(0.3, 0.1, 0.3, 2.8, 1e-4, H_const=2.0)
     assert max(abs(curve.alpha(x) - s.alpha) for x, s in ref) <= 1e-11

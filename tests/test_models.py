@@ -6,7 +6,6 @@ import pytest
 from heismin import lienard, models
 from heismin.errors import MixedType, SingularPoint
 from heismin.models import AlphaModel, SurfaceType, YFunction
-from heismin.numerics import Field2D
 
 
 def yconst(c):
@@ -141,12 +140,11 @@ def test_normalize_kills_a():
     h = YFunction.from_expr("0.4 + 0.2*y")
     rep = models.metric_rep(m, k, h)
     nf, change = models.normalize(m, k, h)
-    new_rep = models.apply_coord_change(rep, change)
+    # e2^ = a d/dx + b d/dy reads a~ = a + b Gamma' in x~ = x + Gamma(y)
     for y in (0.15, 0.5, 0.85):
-        y_new = change.psi(y)
-        x_new = 1.0 + change.gamma(y)
-        assert new_rep.a(x_new, y_new) == pytest.approx(0.0, abs=1e-9)
-        assert new_rep.b(x_new, y_new) > 0
+        a_new = rep.a(1.0, y) + rep.b(1.0, y) * change.gamma.d(y)
+        assert a_new == pytest.approx(0.0, abs=1e-9)
+        assert rep.b(1.0, y) * change.psi.d(y) > 0
 
 
 def test_normalize_zeta_against_direct_alpha():
@@ -167,15 +165,17 @@ def test_normalize_zeta_against_direct_alpha():
 
 
 def test_inverse_coord_change_round_trip():
-    change = models.CoordChange(
-        gamma=YFunction.from_expr("0.3*sin(y)"),
-        psi=YFunction.from_expr("2*y + 0.1*sin(y)"),
-    )
-    inv = models.inverse_coord_change(change)
+    m = AlphaModel(lienard.General, YFunction.from_expr("0.2*y"), yconst(2.0),
+                   (0.0, 2.0))
+    _, change = models.normalize(m, YFunction.from_expr("0.3*sin(y)"),
+                                 YFunction.from_expr("0.5"))
+    gamma_new = change.pull(change.gamma, change.gamma.d)
     for y in (0.2, 1.1):
         y_new = change.psi(y)
-        assert inv.psi(y_new) == pytest.approx(y, abs=1e-10)
-        assert inv.gamma(y_new) == pytest.approx(-change.gamma(y), abs=1e-10)
+        assert change.invert_y(y_new) == pytest.approx(y, abs=1e-10)
+        assert gamma_new(y_new) == pytest.approx(change.gamma(y), abs=1e-10)
+        assert gamma_new.d(y_new) == pytest.approx(
+            change.gamma.d(y) / change.psi.d(y), abs=1e-10)
 
 
 def test_first_fundamental_form_shapes():
@@ -195,38 +195,3 @@ def test_first_fundamental_form_shapes():
     nf0 = models.NormalForm(SurfaceType.TYPE_I, yconst(0.0), yconst(0.0))
     with pytest.raises(SingularPoint, match="c2 vanishes"):
         models.first_fundamental_form(nf0, 1.0, 0.0)
-
-
-def test_connection_form_matches_fd_path():
-    m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
-    rep = models.metric_rep(m, yconst(0.1), yconst(0.4))
-    w1a, w2a = models.connection_form(rep, 1.1, 0.5)
-    bare = models.MetricRep(Field2D.of(rep.a), Field2D.of(rep.b))  # no analytic partials
-    w1b, w2b = models.connection_form(bare, 1.1, 0.5)
-    assert w1a == pytest.approx(w1b, abs=1e-6)
-    assert w2a == pytest.approx(w2b, abs=1e-6)
-
-
-def test_connection_form_requires_positive_b():
-    rep = models.MetricRep(Field2D.constant(0.0), Field2D.constant(0.0))
-    with pytest.raises(SingularPoint):
-        models.connection_form(rep, 0.0, 0.0)
-
-
-def test_maximal_domains():
-    z1 = yconst(0.5)
-    d = models.maximal_domain(z1, None, SurfaceType.SPECIAL_I)
-    assert d.pieces["plus"](1.0, 0.0) and not d.pieces["plus"](-1.0, 0.0)
-    assert d.boundaries[0](0.0) == -0.5
-    d2 = models.maximal_domain(z1, None, SurfaceType.SPECIAL_II)
-    assert d2.boundaries[0](0.0) == -0.25
-    d3 = models.maximal_domain(yconst(0.0), yconst(-1.0),
-                               SurfaceType.TYPE_III)
-    assert d3.pieces["between"](0.0, 0.0)
-    assert not d3.pieces["between"](1.5, 0.0)
-    d4 = models.maximal_domain(yconst(0.0), yconst(-1.0),
-                               SurfaceType.TYPE_II)
-    assert d4.pieces["plus"](1.5, 0.0) and d4.pieces["minus"](-1.5, 0.0)
-    assert not d4.pieces["plus"](0.5, 0.0)
-    d5 = models.maximal_domain(None, None, SurfaceType.TYPE_I)
-    assert d5.pieces["all"](7.0, -2.0)

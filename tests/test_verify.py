@@ -32,19 +32,21 @@ def test_pmge_residual_examples():
 
 
 def test_characteristic_direction_examples():
-    g0 = graph("0")
-    e1 = verify.characteristic_direction(g0, 1.0, 0.0)
-    assert (e1.c1, e1.c2) == (1.0, 0.0)  # radial
-    gxy = graph("x*y")
-    e1 = verify.characteristic_direction(gxy, 1.0, 1.0)
-    assert (e1.c1, e1.c2) == (1.0, 0.0)  # the e1* direction
+    # on a graph chart e1 is the graph convention (u_y + x, -(u_x - y))/D
+    plane = construct.bernstein_plane(0.0, 0.0, 0.0)
+    assert verify.chart_frame(plane, 1.0, 0.0)[0].tolist() == [1.0, 0.0]  # radial
+    saddle = construct.bernstein_saddle(1.0, 0.0, YFunction.constant(0.0))  # u = xy
+    assert verify.chart_frame(saddle, 1.0, 1.0)[0].tolist() == [1.0, 0.0]  # e1*
     rng = np.random.default_rng(2)
     for _ in range(20):
         x, y = rng.uniform(0.5, 2.5, 2)
-        e = verify.characteristic_direction(gxy, x, y)
-        assert abs(e.norm - 1.0) <= 1e-12
+        e1, e2, _, _, _ = verify.chart_frame(saddle, x, y)
+        p, q = saddle.graph_u.pq(x, y)
+        assert abs(math.hypot(*e1) - 1.0) <= 1e-12
+        assert e1 == pytest.approx(np.array([q, -p]) / math.hypot(p, q), abs=1e-12)
+        assert e2.tolist() == [-e1[1], e1[0]]  # e2 = J e1
     with pytest.raises(SingularPoint):
-        verify.characteristic_direction(g0, 0.0, 0.0)
+        verify.chart_frame(plane, 0.0, 0.0)
 
 
 def test_numeric_alpha_examples():
