@@ -20,6 +20,8 @@ import re
 import sys
 from itertools import chain, islice
 
+import numpy as np
+
 from . import construct, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult, QuadratureFailure
 from .models import AlphaModel, YFunction
@@ -325,8 +327,10 @@ def cmd_verify_graph(args):
     wx, wy = _windows(args, "x", "y")
     g = verify.GraphSurface.from_expr(args.u, (wx, wy))
     xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
-    residuals = [abs(verify.pmge_residual(g, x, y)) for y in ys for x in xs]
-    max_residual = float(max(residuals))
+    # rows of y, x within a row: the order in which an evaluation error names its
+    # first point; np.max, unlike Python's max over a list, is nan if any residual is
+    residuals = verify.pmge_residual(g, np.tile(xs, len(ys)), np.repeat(ys, len(xs)))
+    max_residual = float(np.max(np.abs(residuals)))
     return {
         "max_pmge_residual": max_residual,
         "pmge_tolerance": PMGE_TOL,

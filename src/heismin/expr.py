@@ -10,7 +10,8 @@ Grammar (whitespace insignificant):
             | FUNC "(" expr ")" | "(" expr ")"
 
 with FUNC in {sin, cos, tan, exp, log, sqrt, abs}, and trees at most
-MAX_DEPTH deep.  An AST compiles to straight-line Python on its first eval,
+MAX_DEPTH deep.  An AST compiles to straight-line Python on its first eval
+(and to the same code over numpy arrays on its first eval_array),
 differentiates symbolically (forward mode), and pretty-prints back to source.
 """
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ExprSyntaxError
 
@@ -41,6 +44,35 @@ _CALLS = {"pow": math.pow, "sign": lambda v: int(v > 0) - int(v < 0),
           **{name: fn for name, (fn, _) in FUNCS.items()}}
 
 
+def _elementwise(fn):
+    """fn over the elements of its (broadcast) array arguments, so that each
+    value has fn's own bits and fn's own errors."""
+    def mapped(*args):
+        if not any(np.ndim(a) for a in args):
+            return fn(*args)
+        cols = np.broadcast_arrays(*args)
+        values = map(fn, *(c.ravel().tolist() for c in cols))
+        return np.fromiter(values, float, cols[0].size).reshape(cols[0].shape)
+    return mapped
+
+
+def _divide(a, b):
+    # Python's float division raises on every zero divisor; IEEE's inf/0 and
+    # nan/0 raise nothing, so numpy's errstate alone would miss them
+    if np.any(b == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+# names compiled array code calls: ufuncs where numpy gives math's bits and
+# errors (tests/test_expr.py pins them), math's own function over the elements
+# where it does not (exp, log, tan and pow differ in the last bit on some hosts)
+_ARRAY_CALLS = {**{name: _elementwise(fn) for name, (fn, _) in FUNCS.items()},
+                "pow": _elementwise(math.pow), "div": _divide,
+                "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs,
+                "sign": lambda v: (v > 0.0) * 1.0 - (v < 0.0) * 1.0}
+
+
 class Node:
     """AST node.  eval, compiled on first use and kept on the node, takes a
     number (one variable) or a dict name -> value; deriv(var) differentiates
@@ -49,6 +81,19 @@ class Node:
     @cached_property
     def eval(self):
         return _compile(self)
+
+    @cached_property
+    def eval_array(self):
+        """eval over numpy arrays of equal shape: eval's bits at every
+        element, or an error wherever eval raises at some element (and
+        possibly where it returns a nan or an inf).  A value that does not
+        depend on the variables is a scalar."""
+        f = _compile(self, array=True)
+
+        def over_arrays(arg):
+            with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+                return f(arg)
+        return over_arrays
 
     def deriv(self, var=None) -> "Node":
         d = {}
@@ -167,12 +212,16 @@ def _postorder(root: Node) -> list:
     return list(done.values())
 
 
-def _compile(root: Node):
+def _compile(root: Node, array: bool = False):
     """root as a function of a number or a dict name -> value: one assignment
     per distinct subtree in _postorder's order, so it computes the walk's values
-    and raises its first error; no line nests parentheses, so any size is safe."""
-    env = dict(_CALLS)
-    variables, names, assigned = {}, {}, {}
+    and raises its first error; no line nests parentheses, so any size is safe.
+    The array form calls _ARRAY_CALLS, divides through div, writes a power
+    with the constant exponent 1 or 0 as its base or 1.0 (C99 makes pow(v, 1)
+    = v and pow(v, 0) = 1 exact, nan included), and deletes each temporary
+    after its last reader, so that it holds only the arrays still needed."""
+    env = dict(_ARRAY_CALLS if array else _CALLS)
+    variables, names, assigned, operands = {}, {}, {}, {}
     for node in _postorder(root):
         a = [names[id(k)] for k in node.children()]
         if isinstance(node, Var):
@@ -183,20 +232,32 @@ def _compile(root: Node):
             if not (type(value) is float and math.isfinite(value)):
                 text = f"k{len(env)}"
                 env[text] = value
+        elif array and isinstance(node, BinOp) and node.op == "^" \
+                and node.right in (Num(1.0), Num(0.0)):
+            text = a[0] if node.right.value else "1.0"
         else:
             if isinstance(node, BinOp):
-                rhs = f"pow({a[0]}, {a[1]})" if node.op == "^" else f"{a[0]} {node.op} {a[1]}"
+                rhs = (f"pow({a[0]}, {a[1]})" if node.op == "^" else
+                       f"div({a[0]}, {a[1]})" if array and node.op == "/" else
+                       f"{a[0]} {node.op} {a[1]}")
             else:
                 rhs = f"-{a[0]}" if isinstance(node, Neg) else f"{node.func}({a[0]})"
             text = assigned.setdefault(rhs, f"t{len(assigned)}")
+            operands.setdefault(text, a + [text])
         names[id(node)] = text
     src = ["def f(arg):"]
     if variables:
         src += ["    if isinstance(arg, dict):",
                 *(f"        {v} = arg[{n!r}]" for n, v in variables.items()),
                 f"    else:\n        {' = '.join(variables.values())} = arg"]
-    src += [f"    {t} = {rhs}" for rhs, t in assigned.items()]
-    exec("\n".join(src + [f"    return {names[id(root)]}"]), env)
+    result = names[id(root)]
+    last = {k: i for i, t in enumerate(assigned.values()) for k in operands[t] if k in operands}
+    for i, (rhs, t) in enumerate(assigned.items()):
+        src.append(f"    {t} = {rhs}")
+        dead = sorted({k for k in operands[t] if last.get(k) == i} - {result})
+        if array and dead:
+            src.append(f"    del {', '.join(dead)}")
+    exec("\n".join(src + [f"    return {result}"]), env)
     return env["f"]
 
 

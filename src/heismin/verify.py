@@ -27,12 +27,15 @@ TRACE_MAX_STEPS = 4000   # predictor-corrector steps per direction of a curve
 FLIP_TOL = 1e-3        # go-through: limits opposite to within this
 H_STEP = 1e-4          # numeric_H_on_chart's central-difference step
 RULING_STEP = 0.1      # legendrian_line_check's second-difference step in r
+BLOCK = 16384          # points per array evaluation
+RANK_EPS = 2.0 * np.finfo(float).eps   # Gauss-Newton: |det J| <= this * |J|_F^2 is rank one
 
 
 @dataclass
 class GraphSurface:
     """A graph z = u(x, y) over a rectangular window, with first and
-    second partials."""
+    second partials, and optionally arrays(xs, ys): the five partials of
+    partials() over arrays, raising where it cannot give the closures' bits."""
 
     u: Callable[[float, float], float]
     u_x: Callable[[float, float], float]
@@ -41,6 +44,7 @@ class GraphSurface:
     u_xy: Callable[[float, float], float]
     u_yy: Callable[[float, float], float]
     window: tuple = ((-3.0, 3.0), (-3.0, 3.0))
+    arrays: Optional[Callable] = None
 
     @staticmethod
     def from_expr(src: str, window=((-3.0, 3.0), (-3.0, 3.0))) -> "GraphSurface":
@@ -50,6 +54,7 @@ class GraphSurface:
         ast = expr_mod.parse_expr_multi(src, ("x", "y"))
         dx = ast.deriv("x")
         dy = ast.deriv("y")
+        nodes = (dx, dy, dx.deriv("x"), dx.deriv("y"), dy.deriv("y"))
 
         def ev(node):
             def at(x, y):
@@ -59,8 +64,27 @@ class GraphSurface:
                     raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
             return at
 
-        return GraphSurface(ev(ast), ev(dx), ev(dy), ev(dx.deriv("x")),
-                            ev(dx.deriv("y")), ev(dy.deriv("y")), window)
+        def arrays(xs, ys):
+            values = (n.eval_array({"x": xs, "y": ys}) for n in nodes)
+            return tuple(np.full(xs.shape, v) if np.ndim(v) == 0 else v for v in values)
+
+        return GraphSurface(ev(ast), *map(ev, nodes), window, arrays)
+
+    def partials(self, xs, ys):
+        """(u_x, u_y, u_xx, u_xy, u_yy) at the points (xs[i], ys[i]) as five
+        float arrays.  They come from arrays() when it gives them, else from
+        the closures point by point in order, so an EvaluationError names
+        the first point where u cannot be evaluated.  A single point skips
+        arrays(): the closures give the same bits faster."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if self.arrays is not None and xs.size > 1:
+            try:
+                return self.arrays(xs, ys)
+            except (ValueError, ArithmeticError):
+                pass
+        fns = (self.u_x, self.u_y, self.u_xx, self.u_xy, self.u_yy)
+        rows = [[f(x, y) for f in fns] for x, y in zip(xs.tolist(), ys.tolist())]
+        return tuple(np.array(rows, dtype=float).reshape(-1, 5).T)
 
     def pq(self, x: float, y: float):
         """(p, q) = (u_x - y, u_y + x): the horizontal gradient, whose zeros
@@ -91,15 +115,22 @@ class GraphSurface:
                             name=name, graph_u=self, extras=extras or {})
 
 
-def pmge_residual(g: GraphSurface, x: float, y: float) -> float:
+def pmge_residual(g: GraphSurface, x, y):
     """The p-minimal graph equation residual
 
         (u_y + x)^2 u_xx - 2 (u_y + x)(u_x - y) u_xy + (u_x - y)^2 u_yy;
 
-    zero exactly on p-minimal graphs."""
-    p, q = g.pq(x, y)
-    return (q * q * g.u_xx(x, y) - 2.0 * q * p * g.u_xy(x, y)
-            + p * p * g.u_yy(x, y))
+    zero exactly on p-minimal graphs.  At one point, or at each point
+    (x[i], y[i]) of two arrays, BLOCK points at a time."""
+    xs, ys = np.reshape(x, -1).astype(float), np.reshape(y, -1).astype(float)
+    out = np.empty(xs.shape)
+    for i in range(0, xs.size, BLOCK):
+        bx, by = xs[i:i + BLOCK], ys[i:i + BLOCK]
+        u_x, u_y, u_xx, u_xy, u_yy = g.partials(bx, by)
+        with np.errstate(all="ignore"):   # float arithmetic: nan and inf, as Python's
+            p, q = u_x - by, u_y + bx
+            out[i:i + BLOCK] = q * q * u_xx - 2.0 * q * p * u_xy + p * p * u_yy
+    return out if np.ndim(x) else float(out[0])
 
 
 def _frame_coords(p: HPoint, v: np.ndarray) -> np.ndarray:
@@ -232,36 +263,63 @@ class SingularReport:
         }
 
 
-def _gauss_newton(g: GraphSurface, x, y):
-    """Gauss-Newton on F = 0 from (x, y): (x, y, converged) after at most
-    NEWTON_MAX_ITER steps, the last iterate when it did not converge.
-    Raises NewtonDivergence when F or J is not finite, a step fails or it
-    leaves the finite plane.  The iterates are Python floats, so an
-    expression raises where numpy would warn."""
-    x0, y0 = x, y = float(x), float(y)
-    for _ in range(NEWTON_MAX_ITER):
-        Fv = g.F(x, y)
-        if np.max(np.abs(Fv)) <= NEWTON_TOL:
-            return x, y, True
-        J = g.F_jacobian(x, y)
-        if not (np.isfinite(Fv).all() and np.isfinite(J).all()):
-            raise NewtonDivergence(f"F or its Jacobian is not finite at ({x}, {y})")
-        try:
-            dx, dy = np.linalg.lstsq(J, -Fv, rcond=None)[0].tolist()
-        except np.linalg.LinAlgError:
-            raise NewtonDivergence(f"linear solve failed near ({x}, {y})")
-        x, y = x + dx, y + dy
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NewtonDivergence(f"iterates diverged from ({x0}, {y0})")
-    return x, y, False
-
-
 def _newton_zero(g: GraphSurface, x0, y0):
-    """The zero of F that Gauss-Newton reaches from the seed (x0, y0)."""
-    x, y, converged = _gauss_newton(g, x0, y0)
-    if converged or np.max(np.abs(g.F(x, y))) <= NEWTON_ACCEPT:
-        return x, y
-    raise NewtonDivergence(f"no convergence from ({x0}, {y0})")
+    """Gauss-Newton on F = 0 from every seed (x0[i], y0[i]) at once.
+
+    Returns (x, y, res): each seed's last iterate and max |F| there.  A seed
+    stops where max |F| <= NEWTON_TOL, or else after NEWTON_MAX_ITER steps;
+    it reached a zero of F when res <= NEWTON_ACCEPT.  A seed whose F, J or
+    next iterate is not finite, or whose iterate leaves u's domain, stops
+    with x, y and res nan; an EvaluationError at a seed itself propagates.
+    The 2x2 step is closed-form: Cramer's rule where |det J| > RANK_EPS
+    |J|_F^2, else the minimum-norm step -J^T F / |J|_F^2, which is what
+    lstsq gives for a J of rank one."""
+    x = np.array(x0, dtype=float).reshape(-1)
+    y = np.array(y0, dtype=float).reshape(-1)
+    res = np.full(x.shape, np.nan)
+    live = np.arange(x.size)
+    for it in range(NEWTON_MAX_ITER + 1):
+        xa, ya = x[live], y[live]
+        u_x, u_y, a, u_xy, d = (g.partials(xa, ya) if it == 0
+                                else _partials_or_nan(g, xa, ya))
+        with np.errstate(all="ignore"):
+            p, q = u_x - ya, u_y + xa
+            r = np.maximum(np.abs(p), np.abs(q))
+            b, c = u_xy - 1.0, u_xy + 1.0
+            # J / s, with s the power of two above max |J|, is exact: the step
+            # keeps the bits of the unscaled formulas, and no square overflows
+            m = np.max(np.abs([a, b, c, d]), axis=0)
+            s = np.ldexp(1.0, np.frexp(m)[1])
+            a, b, c, d = a / s, b / s, c / s, d / s
+            n2 = a * a + b * b + c * c + d * d
+            det = a * d - b * c
+            cramer = np.abs(det) > RANK_EPS * n2
+            xn = xa + np.where(cramer, (b * q - d * p) / det, -(a * p + c * q) / n2) / s
+            yn = ya + np.where(cramer, (c * p - a * q) / det, -(b * p + d * q) / n2) / s
+        stop = r <= NEWTON_TOL if it < NEWTON_MAX_ITER else np.ones(live.size, bool)
+        res[live[stop]] = r[stop]
+        go = ~stop & np.isfinite(r) & np.isfinite(m) & np.isfinite(xn) & np.isfinite(yn)
+        lost = live[~stop & ~go]
+        x[lost] = y[lost] = np.nan
+        live = live[go]
+        x[live], y[live] = xn[go], yn[go]
+        if not live.size:
+            break
+    return x, y, res
+
+
+def _partials_or_nan(g: GraphSurface, xs, ys):
+    """g.partials, with nan at each point where u cannot be evaluated."""
+    try:
+        return g.partials(xs, ys)
+    except EvaluationError:
+        cols = []
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            try:
+                cols.append(g.partials([x], [y]))
+            except EvaluationError:
+                cols.append([np.array([np.nan])] * 5)
+        return tuple(np.concatenate(c) for c in zip(*cols))
 
 
 def _kernel(J: np.ndarray) -> np.ndarray:
@@ -293,7 +351,10 @@ def _trace_curve(g: GraphSurface, x0, y0, step):
             t = _kernel(g.F_jacobian(x, y))
             if t @ t_prev < 0:
                 t = -t
-            xn, yn, _ = _gauss_newton(g, x + step * t[0], y + step * t[1])
+            xp, yp = x + step * t[0], y + step * t[1]
+            xn, yn = (float(v[0]) for v in _newton_zero(g, [xp], [yp])[:2])
+            if math.isnan(xn):
+                raise NewtonDivergence(f"Gauss-Newton diverged from ({xp}, {yp})")
             if not (wx.holds(xn, step) and wy.holds(yn, step)):
                 break
             if math.hypot(xn - x, yn - y) < 0.5 * step:
@@ -317,18 +378,11 @@ def singular_set(g: GraphSurface) -> SingularReport:
     xs, ys = (np.unique(w.linspace(SEED_GRID)) for w in (wx, wy))
     step = max(wx.width, wy.width) / SEED_GRID
 
-    zeros = []
-    failures = 0
-    for x0 in xs:
-        for y0 in ys:
-            try:
-                x, y = _newton_zero(g, x0, y0)
-            except NewtonDivergence:
-                failures += 1
-                continue
-            if not (wx.holds(x, 1e-9) and wy.holds(y, 1e-9)):
-                continue
-            zeros.append((x, y))
+    ends_x, ends_y, ends_f = _newton_zero(g, np.repeat(xs, ys.size), np.tile(ys, xs.size))
+    found = ends_f <= NEWTON_ACCEPT
+    failures = int(np.count_nonzero(~found))
+    zeros = [(x, y) for x, y in zip(ends_x[found].tolist(), ends_y[found].tolist())
+             if wx.holds(x, 1e-9) and wy.holds(y, 1e-9)]
 
     features = []
     consumed = np.zeros(len(zeros), dtype=bool)
@@ -351,13 +405,12 @@ def singular_set(g: GraphSurface) -> SingularReport:
         else:
             res = float(max(np.max(np.abs(g.F(px, py))) for px, py in poly))
             features.append(SingularFeature("Curve", (x, y), poly, res))
-            arr = np.asarray(poly)
-            for j, (xj, yj) in enumerate(zeros):
-                if consumed[j]:
-                    continue
-                d = np.min(np.hypot(arr[:, 0] - xj, arr[:, 1] - yj))
-                if d <= 2.0 * step:
-                    consumed[j] = True
+            cx, cy = np.asarray(poly).T
+            zx, zy = np.asarray(zeros).T
+            rows = max(1, BLOCK // cx.size)   # zeros per block of distances
+            for lo in range(0, zx.size, rows):
+                d = np.hypot(cx - zx[lo:lo + rows, None], cy - zy[lo:lo + rows, None])
+                consumed[lo:lo + rows] |= np.min(d, axis=1) <= 2.0 * step
         consumed[i] = True
     return SingularReport(features, failures, g.window)
 

@@ -4,7 +4,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from heismin import construct, heis, integrability, lienard, models, verify
 from heismin.errors import DegenerateBranch, DegenerateChart, SingularPoint

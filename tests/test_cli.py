@@ -483,6 +483,16 @@ def test_non_finite_window_or_figure_is_one_line_error(argv, code, needle, capsy
     assert needle in cap.err
 
 
+@pytest.mark.parametrize("lo, hi", [("0", "1e300"), ("1e300", "0")], ids=["forward", "reversed"])
+def test_a_nan_residual_anywhere_fails_the_report(lo, hi, capsys):
+    # u = x*y at x = 1e300: q = 2e300, q^2 u_xx = inf * 0 = nan at one grid
+    # column; the maximum sees it whichever end of the window comes first
+    assert cli.main(["verify-graph", "--u", "x*y", f"--x-min={lo}", f"--x-max={hi}",
+                     "--nx", "3", "--ny", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: max_pmge_residual = nan is not finite\n"
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e9", "--nr", "1",
       "--ntheta", "3"], "error: theta = 1000000000.0 is 5.12e+11 lattice nodes "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heismin import construct, heis, models, verify
+from heismin import construct, heis
 from heismin.errors import BadRotation, DegenerateChart, SingularPoint
 from heismin.models import YFunction
 

@@ -291,6 +291,110 @@ def test_graph_evaluation_error_messages():
         g.u(-1.0, 0.0)
 
 
+# ------------------------------------------------------------- array form
+
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -1e-310, 1.0, -1.0, 1e308, -1e308]
+
+
+def _bits(v):
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _random_doubles(rng, n):
+    """n uniform values in [-10, 10] and n finite doubles of every exponent."""
+    wide = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    return np.concatenate([rng.uniform(-10.0, 10.0, n), wide[np.isfinite(wide)]])
+
+
+UNARY = {"sin": (np.sin, math.sin), "cos": (np.cos, math.cos),
+         "sqrt": (np.sqrt, math.sqrt), "abs": (np.abs, abs), "neg": (np.negative, lambda v: -v)}
+BINARY = {"+": (np.add, lambda a, b: a + b), "-": (np.subtract, lambda a, b: a - b),
+          "*": (np.multiply, lambda a, b: a * b), "/": (expr._ARRAY_CALLS["div"], lambda a, b: a / b)}
+
+
+def _array_outcome(fn, *args):
+    with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+        try:
+            return _bits(float(fn(*(np.array([a]) for a in args))[0]))
+        except (ValueError, ArithmeticError):
+            return "raises"
+
+
+def _math_outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (ValueError, ArithmeticError):
+        return "raises"
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_array_ufuncs_keep_maths_bits(name):
+    # the array form calls these ufuncs in place of math's functions, so a
+    # host whose numpy rounds one of them differently must fail here
+    ufunc, fn = UNARY[name]
+    xs = _random_doubles(np.random.default_rng(7), 50_000)
+    if name == "sqrt":
+        xs = np.abs(xs)
+    with np.errstate(invalid="ignore"):
+        got = ufunc(xs)
+    want = [fn(v) for v in xs.tolist()]
+    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
+    for v in EDGES:
+        # where math raises the ufunc must raise; elsewhere it may only
+        # raise (the closures then run) or agree
+        want, got = _math_outcome(fn, v), _array_outcome(ufunc, v)
+        assert got == want or (got == "raises" and name != "neg"), (v, got, want)
+
+
+@pytest.mark.parametrize("op", sorted(BINARY))
+def test_array_arithmetic_keeps_pythons_bits_and_errors(op):
+    ufunc, fn = BINARY[op]
+    rng = np.random.default_rng(8)
+    a, b = _random_doubles(rng, 20_000), _random_doubles(rng, 20_000)
+    n = min(a.size, b.size)
+    a, b = a[:n], b[:n]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = ufunc(a, b)
+    assert [_bits(v) for v in got.tolist()] == [_bits(fn(x, y)) for x, y in zip(a.tolist(), b.tolist())]
+    for x in EDGES:
+        for y in EDGES:
+            want, got = _math_outcome(fn, x, y), _array_outcome(ufunc, x, y)
+            assert got == want or got == "raises", (x, y, got, want)
+            if want == "raises":
+                assert got == "raises", (x, y)
+
+
+GRAMMAR = st.recursive(LEAVES, lambda kids: st.one_of(
+    kids.map(expr.Neg),
+    st.builds(expr.BinOp, st.sampled_from("+-*/^"), kids, kids),
+    st.builds(expr.Call, st.sampled_from(sorted(REF_FUNCS)), kids)), max_leaves=10)
+
+
+@given(GRAMMAR, st.lists(st.tuples(POINTS, POINTS), min_size=1, max_size=5),
+       st.sampled_from([None, "x", "y"]))
+@example(B("+", B("/", N(1.0), B("-", V("x"), V("y"))), C("log", V("x"))),
+         [(2.0, 0.5), (1.0, 1.0)], "y")
+@example(B("^", V("y"), N(2.0)), [(0.0, -0.0), (1.0, math.nan)], "y")
+@example(C("abs", B("-", V("x"), V("y"))), [(0.5, -0.5), (0.0, 0.0), (-1.0, 2.0)], "x")
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_array_eval_gives_evals_bits_or_raises(tree, points, var):
+    # a tree as parse and deriv build it (Sign only as deriv makes it):
+    # eval_array has eval's bits at every point, and raises if eval raises
+    # at any one of them
+    xs, ys = (np.array(c, dtype=float) for c in zip(*points))
+    d = tree.deriv(var)
+    for node in (tree, d, d.deriv("x")):
+        want = [outcome(node.eval, {"x": x, "y": y}) for x, y in points]
+        try:
+            got = np.broadcast_to(node.eval_array({"x": xs, "y": ys}), xs.shape)
+        except (ValueError, ArithmeticError):
+            continue
+        assert all(w[0] != "raises" for w in want)
+        assert [_bits(v) for v in got.tolist()] == \
+            [w[1] if w[0] is float else _bits(float(w[1])) for w in want]
+
+
 # ----------------------------------------------------------- sympy oracle
 
 SAFE = st.recursive(
@@ -310,7 +414,10 @@ SAFE = st.recursive(
 def test_derivative_matches_sympy(tree, x, y, var):
     sympy = pytest.importorskip("sympy")
     sx, sy = sympy.symbols("x y", real=True)
-    want_expr = sympy.diff(sympy.sympify(tree.pretty(), locals={"x": sx, "y": sy, "e": sympy.E}),
+    # pi and e as the floats the program reads: sin(pi) is 1.2e-16, not 0,
+    # so a tree dividing by it has a finite derivative on both sides
+    consts = {name: sympy.Float(value, 30) for name, value in expr.CONSTS.items()}
+    want_expr = sympy.diff(sympy.sympify(tree.pretty(), locals={"x": sx, "y": sy, **consts}),
                            {"x": sx, "y": sy}[var])
     try:
         got = tree.deriv(var).eval({"x": x, "y": y})

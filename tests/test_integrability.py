@@ -1,5 +1,4 @@
 import gc
-import math
 import weakref
 
 import numpy as np

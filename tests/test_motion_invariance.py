@@ -18,14 +18,23 @@ same 600 points their worst is alpha 6.7e-16 and H 4.0e-12, inside the
 bounds above.  Near the singular set alpha grows like the inverse
 distance and the moved frame's rounding with it: over the whole window
 [-3, 3]^2 the saddle's alpha moved by 9.9e-13 where alpha = 187.
+
+The verify-graph row writes the left translate of a graph with the group
+law (heis.group_mul on expression source) and runs the command on it: the
+residual verdict and the singular feature kinds stay, and an isolated
+singular point moves by the translation, to 1e-9.
 """
+import contextlib
 import dataclasses
+import functools
+import io
+import json
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from heismin import construct, heis, verify
+from heismin import cli, construct, heis, verify
 from heismin.numerics import YFunction
 
 ALPHA_TOL = 1e-14
@@ -80,3 +89,67 @@ def test_chart_invariants_survive_rigid_motions(m, s, t):
             assert np.max(np.abs(np.subtract(
                 verify.numeric_ab_on_chart(image, u, v),
                 verify.numeric_ab_on_chart(chart, u, v)))) <= AB_TOL, name
+
+
+# ----------------------------------------------------- the verify-graph row
+
+def _source(v):
+    return repr(v) if isinstance(v, float) else v
+
+
+class Term(str):
+    """Expression source that heis.group_mul can add, subtract and multiply,
+    so that a translated graph is written by the group law itself."""
+
+    def _infix(op, swap=False):
+        def apply(self, other):
+            a, b = (other, self) if swap else (self, other)
+            return Term(f"({_source(a)}) {op} ({_source(b)})")
+        return apply
+
+    __add__, __sub__, __mul__ = _infix("+"), _infix("-"), _infix("*")
+    __radd__, __rsub__, __rmul__ = _infix("+", True), _infix("-", True), _infix("*", True)
+
+
+GRAPHS = {   # u as a template in {x} and {y}
+    "plane": "0.3*{x} - 0.2*{y} + 1",      # isolated singular point (0.2, 0.3)
+    "paraboloid": "{x}^2",                  # isolated point (0, 0), not p-minimal
+    "saddle": "{x}*{y} + 0.2*{y}^2",        # singular line x + 0.2 y = 0
+}
+
+
+def translated(template: str, t: heis.HPoint) -> str:
+    """u' whose graph is the left translate by t of the graph of u: the
+    point over (x', y') is t o (x, y, u(x, y)) with (x, y) = (x' - t.x,
+    y' - t.y), so u' is the z of that product."""
+    x, y = Term(f"x - {t.x!r}"), Term(f"y - {t.y!r}")
+    u = Term(template.format(x=f"({x})", y=f"({y})"))
+    return heis.group_mul(t, heis.HPoint(x, y, u)).z
+
+
+@functools.cache
+def verify_graph(u: str, dx: float = 0.0, dy: float = 0.0) -> dict:
+    """verify-graph's JSON for u on the window [-3, 3]^2 moved by (dx, dy)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify-graph", "--u", u, "--nx", "3", "--ny", "3",
+                         f"--x-min={dx - 3.0!r}", f"--x-max={dx + 3.0!r}",
+                         f"--y-min={dy - 3.0!r}", f"--y-max={dy + 3.0!r}"]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.builds(heis.HPoint, coords, coords, coords))
+def test_verify_graph_survives_left_translations(t):
+    # the residual verdict and the feature kinds stay; an isolated point
+    # moves by the translation's (x, y)
+    for name, template in GRAPHS.items():
+        before = verify_graph(template.format(x="x", y="y"))
+        after = verify_graph(translated(template, t), t.x, t.y)
+        assert after["passed"] is before["passed"], name
+        kinds = [f["kind"] for f in before["singular"]["features"]]
+        assert [g["kind"] for g in after["singular"]["features"]] == kinds, name
+        for f, g in zip(before["singular"]["features"], after["singular"]["features"]):
+            if f["kind"] == "IsolatedPoint":
+                assert math.hypot(g["point"][0] - t.x - f["point"][0],
+                                  g["point"][1] - t.y - f["point"][1]) <= 1e-9, name

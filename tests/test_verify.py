@@ -1,11 +1,13 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from heismin import cli, construct, lienard, models, verify
-from heismin.errors import PreconditionFailed, SingularPoint
+from heismin import cli, construct, expr, lienard, models, verify
+from heismin.errors import EvaluationError, PreconditionFailed, SingularPoint
 from heismin.models import YFunction
 
 
@@ -197,9 +199,116 @@ def test_helicoid_type_adjacency():
 def test_zero_width_window_makes_one_newton_seed(monkeypatch, capsys):
     seeds = []
     newton = verify._newton_zero
-    monkeypatch.setattr(verify, "_newton_zero",
-                        lambda g, x0, y0: seeds.append((x0, y0)) or newton(g, x0, y0))
+
+    def record(g, x0, y0):
+        seeds.extend(zip(np.asarray(x0).tolist(), np.asarray(y0).tolist()))
+        return newton(g, x0, y0)
+
+    monkeypatch.setattr(verify, "_newton_zero", record)
     assert cli.main(["verify-graph", "--u", "1/x", "--x-min=1", "--x-max=1",
                      "--y-min=1", "--y-max=1", "--nx", "1", "--ny", "1"]) == 0
     assert seeds == [(1.0, 1.0)]
     assert json.loads(capsys.readouterr().out)["singular"]["newton_failures"] == 1
+
+
+def test_newton_iterate_outside_the_domain_is_a_failed_seed():
+    # F = (-1/x^2 - y, x): the closed-form step solves x + dx = 0 exactly,
+    # so every seed's first iterate is x = 0.0, where 1/x has no value
+    x, y, res = verify._newton_zero(graph("1/x"), [1.0, 2.0], [1.0, -0.5])
+    assert np.isnan(res).all() and np.isnan(x).all() and np.isnan(y).all()
+    with pytest.raises(EvaluationError, match=r"\(x, y\) = \(0\.0, 1\.0\)"):
+        verify._newton_zero(graph("1/x"), [0.0, 1.0], [1.0, 1.0])   # a seed itself
+
+
+@pytest.mark.parametrize("u, seeds, zero", [
+    ("0.3*x - 0.2*y + 1", [(-3.0, 3.0), (0.0, 0.0), (2.5, -1.0)], (0.2, 0.3)),
+    ("x^2", [(1.0, 1.0), (-2.0, 0.5)], (0.0, 0.0)),
+])
+def test_batched_newton_matches_one_seed_at_a_time(u, seeds, zero):
+    g = graph(u)
+    xs, ys = (np.array(c) for c in zip(*seeds))
+    x, y, res = verify._newton_zero(g, xs, ys)
+    assert np.all(res <= verify.NEWTON_TOL)
+    assert np.allclose(x, zero[0], atol=1e-9) and np.allclose(y, zero[1], atol=1e-9)
+    for i, seed in enumerate(seeds):
+        one = verify._newton_zero(g, [seed[0]], [seed[1]])
+        assert [float(v[0]) for v in one] == [x[i], y[i], res[i]]
+
+
+def test_rank_one_step_is_the_least_squares_step():
+    # u = x*y: J = [[0, 0], [2, 0]] has rank one; the step is lstsq's
+    # minimum-norm answer, which lands on the singular line x = 0
+    x, y, res = verify._newton_zero(graph("x*y"), [0.7, -1.3], [0.4, 2.0])
+    assert x.tolist() == [0.0, 0.0] and y.tolist() == [0.4, 2.0]
+    assert res.tolist() == [0.0, 0.0]
+
+
+def test_huge_jacobian_steps_without_overflow():
+    # |J|_F^2 = 2e400 overflows; the scaled step does not
+    x, y, res = verify._newton_zero(graph("1e200*x*y"), [0.5, -2.0], [1.5, 0.25])
+    assert x.tolist() == [0.0, 0.0] and y.tolist() == [0.0, 0.0]
+
+
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e300]),
+                   st.floats(-10.0, 10.0))
+FINITE_TREES = st.recursive(
+    st.one_of(st.floats(-5.0, 5.0).map(expr.Num), st.sampled_from(["x", "y"]).map(expr.Var),
+              st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0]).map(expr.Num)),
+    lambda kids: st.one_of(
+        kids.map(expr.Neg),
+        st.builds(expr.BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(expr.Call, st.sampled_from(sorted(expr.FUNCS)), kids)),
+    max_leaves=8)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) if not math.isnan(v) else "nan" for v in values]
+
+
+@given(FINITE_TREES, st.lists(st.tuples(COORDS, COORDS), min_size=2, max_size=6))
+@example(expr.parse_expr_multi("1/(x-y) + log(x)"), [(2.0, 0.5), (1.0, 1.0), (-1.0, 0.0)])
+@example(expr.parse_expr_multi("x*y + 0.2*y^2 + 0.1*y"), [(0.5, -0.0), (-3.0, 3.0)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_partials_over_arrays_are_the_closures_bit_for_bit(tree, points):
+    g = graph(tree.pretty())
+    xs, ys = (np.array(c) for c in zip(*points))
+    fns = (g.u_x, g.u_y, g.u_xx, g.u_xy, g.u_yy)
+    try:
+        want = [_bits(float(f(x, y)) for x, y in points) for f in fns]
+    except EvaluationError as exc:
+        # the closures raise at the first point in order; so does partials
+        with pytest.raises(EvaluationError) as got:
+            g.partials(xs, ys)
+        assert str(got.value) == str(exc)
+        return
+    assert [_bits(c.tolist()) for c in g.partials(xs, ys)] == want
+    try:
+        direct = g.arrays(xs, ys)
+    except (ValueError, ArithmeticError):
+        return
+    assert [_bits(c.tolist()) for c in direct] == want
+
+
+def test_partials_raise_the_closures_message_at_the_first_bad_point():
+    g = graph("1/(x-y) + log(x)")
+    with pytest.raises(EvaluationError) as want:
+        g.u_x(1.0, 1.0)
+    with pytest.raises(EvaluationError) as got:
+        g.partials([2.0, 1.0, 1.0], [0.5, 1.0, 2.0])
+    assert str(got.value) == str(want.value) \
+        == "cannot evaluate at (x, y) = (1.0, 1.0): float division by zero"
+    # log(x) itself is outside its domain at (-1, 0), but none of its
+    # partials is: they hold 1/x, so partials, as the closures, has values
+    at = g.partials([-1.0, 2.0], [0.0, 0.5])
+    assert [c.tolist() for c in at] == [[f(x, y) for x, y in ((-1.0, 0.0), (2.0, 0.5))]
+                                       for f in (g.u_x, g.u_y, g.u_xx, g.u_xy, g.u_yy)]
+    with pytest.raises(EvaluationError, match=r"\(-1\.0, 0\.0\): math domain error$"):
+        g.u(-1.0, 0.0)
+
+
+def test_pmge_residual_takes_arrays_and_scalars():
+    g = graph("x^2")
+    xs, ys = np.array([1.0, 0.5, -2.0]), np.array([0.0, 1.0, 3.0])
+    assert verify.pmge_residual(g, xs, ys).tolist() == \
+        [verify.pmge_residual(g, x, y) for x, y in zip(xs, ys)]
+    assert isinstance(verify.pmge_residual(g, 1.0, 0.0), float)
