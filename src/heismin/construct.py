@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadRotation, DegenerateChart, SingularPoint
 from .heis import HPoint
 from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
-from .verify import GraphSurface
+from .verify import GraphSurface, pointwise
 
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
 
@@ -240,12 +240,8 @@ def bernstein_plane(A: float, B: float, C: float,
     """The entire graph u = Ax + By + C; its unique singular point is
     (x, y) = (-B, A), and the left translation by (B, -A, -C) maps the
     graph onto u = 0."""
-    g = GraphSurface(
-        u=lambda x, y: A * x + B * y + C,
-        u_x=lambda x, y: A, u_y=lambda x, y: B,
-        u_xx=lambda x, y: 0.0, u_xy=lambda x, y: 0.0, u_yy=lambda x, y: 0.0,
-        window=domain,
-    )
+    g = GraphSurface(lambda x, y: A * x + B * y + C,
+                     pointwise(lambda x, y: (A, B, 0.0, 0.0, 0.0)), domain)
     return g.chart("plane", {"singular_point": (-B, A), "coeffs": (A, B, C)})
 
 
@@ -260,22 +256,15 @@ def bernstein_saddle(A: float, B: float, g: YFunction,
         w = -B * x + A * y
         return -A * B * x * x + (A * A - B * B) * x * y + A * B * y * y + g(w)
 
-    def u_x(x, y):
-        return -2.0 * A * B * x + (A * A - B * B) * y - B * g.d(-B * x + A * y)
+    def partials_at(x, y):
+        w = -B * x + A * y
+        d1, d2 = g.d(w), g.d2(w)
+        return (-2.0 * A * B * x + (A * A - B * B) * y - B * d1,
+                (A * A - B * B) * x + 2.0 * A * B * y + A * d1,
+                -2.0 * A * B + B * B * d2, (A * A - B * B) - A * B * d2,
+                2.0 * A * B + A * A * d2)
 
-    def u_y(x, y):
-        return (A * A - B * B) * x + 2.0 * A * B * y + A * g.d(-B * x + A * y)
-
-    def u_xx(x, y):
-        return -2.0 * A * B + B * B * g.d2(-B * x + A * y)
-
-    def u_xy(x, y):
-        return (A * A - B * B) - A * B * g.d2(-B * x + A * y)
-
-    def u_yy(x, y):
-        return 2.0 * A * B + A * A * g.d2(-B * x + A * y)
-
-    gs = GraphSurface(u, u_x, u_y, u_xx, u_xy, u_yy, window=domain)
+    gs = GraphSurface(u, pointwise(partials_at), domain)
     return gs.chart("saddle", {"rotation": (A, B), "g": g})
 
 

@@ -31,88 +31,77 @@ BLOCK = 16384          # points per array evaluation
 RANK_EPS = 2.0 * np.finfo(float).eps   # Gauss-Newton: |det J| <= this * |J|_F^2 is rank one
 
 
+def pointwise(at: Callable) -> Callable:
+    """A partials map from at(x, y), the five partials at one point: it
+    evaluates at point by point in order, so an error names the first
+    point where they cannot be evaluated."""
+    def partials(xs, ys):
+        pts = zip(*(np.asarray(v, dtype=float).ravel().tolist() for v in (xs, ys)))
+        return tuple(np.array([at(x, y) for x, y in pts], dtype=float).reshape(-1, 5).T)
+    return partials
+
+
 @dataclass
 class GraphSurface:
-    """A graph z = u(x, y) over a rectangular window, with first and
-    second partials, and optionally arrays(xs, ys): the five partials of
-    partials() over arrays, raising where it cannot give the closures' bits."""
+    """A graph z = u(x, y) over a rectangular window.  partials(xs, ys) is
+    (u_x, u_y, u_xx, u_xy, u_yy) at the points (xs[i], ys[i]) as five float
+    arrays, or raises EvaluationError naming the first point, in order,
+    where they cannot be evaluated."""
 
     u: Callable[[float, float], float]
-    u_x: Callable[[float, float], float]
-    u_y: Callable[[float, float], float]
-    u_xx: Callable[[float, float], float]
-    u_xy: Callable[[float, float], float]
-    u_yy: Callable[[float, float], float]
+    partials: Callable
     window: tuple = ((-3.0, 3.0), (-3.0, 3.0))
-    arrays: Optional[Callable] = None
 
     @staticmethod
     def from_expr(src: str, window=((-3.0, 3.0), (-3.0, 3.0))) -> "GraphSurface":
         """Graph from a two-variable expression in x and y; all partials
         are symbolic.  A domain or overflow error raises EvaluationError
-        naming (x, y)."""
+        naming (x, y).  partials runs the array code over more than one
+        point, and the scalar code point by point where that raises or at
+        a single point, where it gives the same bits faster."""
         ast = expr_mod.parse_expr_multi(src, ("x", "y"))
-        dx = ast.deriv("x")
-        dy = ast.deriv("y")
+        dx, dy = ast.deriv("x"), ast.deriv("y")
         nodes = (dx, dy, dx.deriv("x"), dx.deriv("y"), dy.deriv("y"))
 
-        def ev(node):
-            def at(x, y):
-                try:
-                    return node.eval({"x": x, "y": y})
-                except (ValueError, ArithmeticError) as exc:
-                    raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
-            return at
-
-        def arrays(xs, ys):
-            values = (n.eval_array({"x": xs, "y": ys}) for n in nodes)
-            return tuple(np.full(xs.shape, v) if np.ndim(v) == 0 else v for v in values)
-
-        return GraphSurface(ev(ast), *map(ev, nodes), window, arrays)
-
-    def partials(self, xs, ys):
-        """(u_x, u_y, u_xx, u_xy, u_yy) at the points (xs[i], ys[i]) as five
-        float arrays.  They come from arrays() when it gives them, else from
-        the closures point by point in order, so an EvaluationError names
-        the first point where u cannot be evaluated.  A single point skips
-        arrays(): the closures give the same bits faster."""
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        if self.arrays is not None and xs.size > 1:
+        def at(x, y, nodes=nodes):
             try:
-                return self.arrays(xs, ys)
-            except (ValueError, ArithmeticError):
-                pass
-        fns = (self.u_x, self.u_y, self.u_xx, self.u_xy, self.u_yy)
-        rows = [[f(x, y) for f in fns] for x, y in zip(xs.tolist(), ys.tolist())]
-        return tuple(np.array(rows, dtype=float).reshape(-1, 5).T)
+                return [n.eval({"x": x, "y": y}) for n in nodes]
+            except (ValueError, ArithmeticError) as exc:
+                raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
+
+        def partials(xs, ys):
+            xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+            if xs.size > 1:
+                try:   # np.full: a partial free of x and y is a scalar
+                    return tuple(np.full(xs.shape, n.eval_array({"x": xs, "y": ys}))
+                                 for n in nodes)
+                except (ValueError, ArithmeticError):
+                    pass
+            return pointwise(at)(xs, ys)
+
+        return GraphSurface(lambda x, y: at(x, y, (ast,))[0], partials, window)
+
+    def at(self, x: float, y: float) -> tuple:
+        """(u_x, u_y, u_xx, u_xy, u_yy) at one point, as floats."""
+        return tuple(float(c[0]) for c in self.partials([x], [y]))
 
     def pq(self, x: float, y: float):
-        """(p, q) = (u_x - y, u_y + x): the horizontal gradient, whose zeros
-        are the singular points; e1 = (q, -p)/D with D = |(p, q)|."""
-        return self.u_x(x, y) - y, self.u_y(x, y) + x
-
-    def F(self, x: float, y: float) -> np.ndarray:
-        """The singular-set defining map (p, q) as an array."""
-        return np.array(self.pq(x, y))
+        """(p, q) = (u_x - y, u_y + x), the map F whose zeros are the
+        singular points; e1 = (q, -p)/D with D = |(p, q)|."""
+        u_x, u_y = self.at(x, y)[:2]
+        return u_x - y, u_y + x
 
     def F_jacobian(self, x: float, y: float) -> np.ndarray:
-        u_xx, u_xy = self.u_xx(x, y), self.u_xy(x, y)
-        return np.array([[u_xx, u_xy - 1.0], [u_xy + 1.0, self.u_yy(x, y)]])
+        _, _, u_xx, u_xy, u_yy = self.at(x, y)
+        return np.array([[u_xx, u_xy - 1.0], [u_xy + 1.0, u_yy]])
 
     def chart(self, name: str = "graph", extras: Optional[dict] = None):
         from .construct import SurfaceChart
-
-        def pt(x, y):
-            return HPoint(x, y, self.u(x, y))
-
-        def dx_(x, y):
-            return np.array([1.0, 0.0, self.u_x(x, y)])
-
-        def dy_(x, y):
-            return np.array([0.0, 1.0, self.u_y(x, y)])
-
-        return SurfaceChart(point=pt, du=dx_, dv=dy_, domain=self.window,
-                            name=name, graph_u=self, extras=extras or {})
+        return SurfaceChart(point=lambda x, y: HPoint(x, y, self.u(x, y)),
+                            du=lambda x, y: np.array([1.0, 0.0, self.at(x, y)[0]]),
+                            dv=lambda x, y: np.array([0.0, 1.0, self.at(x, y)[1]]),
+                            domain=self.window, name=name, graph_u=self,
+                            extras=extras or {})
 
 
 def pmge_residual(g: GraphSurface, x, y):
@@ -313,13 +302,18 @@ def _partials_or_nan(g: GraphSurface, xs, ys):
     try:
         return g.partials(xs, ys)
     except EvaluationError:
-        cols = []
-        for x, y in zip(xs.tolist(), ys.tolist()):
+        def at(x, y):
             try:
-                cols.append(g.partials([x], [y]))
+                return g.at(x, y)
             except EvaluationError:
-                cols.append([np.array([np.nan])] * 5)
-        return tuple(np.concatenate(c) for c in zip(*cols))
+                return [np.nan] * 5
+        return pointwise(at)(xs, ys)
+
+
+def _max_abs_F(g: GraphSurface, xs, ys) -> float:
+    """max |F| over the points (xs[i], ys[i])."""
+    u_x, u_y = g.partials(xs, ys)[:2]
+    return float(np.max(np.abs([u_x - ys, u_y + xs])))
 
 
 def _kernel(J: np.ndarray) -> np.ndarray:
@@ -328,9 +322,13 @@ def _kernel(J: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_is_singular(J: np.ndarray) -> bool:
+    """|det J| <= JACOBIAN_RANK_TOL max(1, max |J|^2), tested on J / s with s
+    the power of two at or below max |J|, and at least 1: exact, and no
+    product overflows."""
     scale = float(np.max(np.abs(J)))
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    return abs(det) <= JACOBIAN_RANK_TOL * max(1.0, scale * scale)
+    s = max(1.0, math.ldexp(1.0, math.frexp(scale)[1] - 1))
+    [(a, b), (c, d)], r = (J / s).tolist(), scale / s
+    return abs(a * d - b * c) <= JACOBIAN_RANK_TOL * max(1.0 / (s * s), r * r)
 
 
 def _trace_curve(g: GraphSurface, x0, y0, step):
@@ -396,16 +394,14 @@ def singular_set(g: GraphSurface) -> SingularReport:
             # Newton converges slowly to a degenerate zero and leaves its
             # zeros scattered about it; the trace's 2 * step takes them in
             radius = DEDUPE_TOL * scale if poly is None else 2.0 * step
-            res = float(np.max(np.abs(g.F(x, y))))
             features.append(SingularFeature("IsolatedPoint", (x, y),
-                                            residual=res))
+                                            residual=_max_abs_F(g, [x], [y])))
             for j, (xj, yj) in enumerate(zeros):
                 if math.hypot(xj - x, yj - y) <= radius:
                     consumed[j] = True
         else:
-            res = float(max(np.max(np.abs(g.F(px, py))) for px, py in poly))
-            features.append(SingularFeature("Curve", (x, y), poly, res))
             cx, cy = np.asarray(poly).T
+            features.append(SingularFeature("Curve", (x, y), poly, _max_abs_F(g, cx, cy)))
             zx, zy = np.asarray(zeros).T
             rows = max(1, BLOCK // cx.size)   # zeros per block of distances
             for lo in range(0, zx.size, rows):
@@ -448,7 +444,7 @@ def go_through_check(g: GraphSurface, p: tuple,
     the two limits are opposite.
     """
     x0, y0 = float(p[0]), float(p[1])
-    if not float(np.max(np.abs(g.F(x0, y0)))) <= NEWTON_ACCEPT:
+    if not _max_abs_F(g, [x0], [y0]) <= NEWTON_ACCEPT:
         raise PreconditionFailed(f"({x0}, {y0}) is not a singular point")
     J = g.F_jacobian(x0, y0)
     if not np.isfinite(J).all():
@@ -456,8 +452,7 @@ def go_through_check(g: GraphSurface, p: tuple,
     if not _jacobian_is_singular(J):
         raise PreconditionFailed(
             "isolated singular point: no singular curve to go through")
-    uxx = g.u_xx(x0, y0)
-    uxy1 = g.u_xy(x0, y0) + 1.0
+    (uxx, _), (uxy1, _) = J.tolist()
     if abs(uxx) <= 1e-12 and abs(uxy1) <= 1e-12:
         raise PreconditionFailed(
             "both u_xx and u_xy + 1 vanish; the limit analysis degenerates")

@@ -493,6 +493,19 @@ def test_a_nan_residual_anywhere_fails_the_report(lo, hi, capsys):
     assert cap.out == "" and cap.err == "error: max_pmge_residual = nan is not finite\n"
 
 
+def test_a_jacobian_past_1e154_is_classified_without_overflow(capsys):
+    # det J = -(1e200)^2 is past the largest float unless J is scaled first
+    assert cli.main(["verify-graph", "--u", "1e200*x*y", "--x-min=0", "--x-max=1",
+                     "--y-min=0", "--y-max=1", "--nx", "1", "--ny", "1"]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == ""
+    features = json.loads(cap.out)["singular"]["features"]
+    assert [(f["kind"], f["point"]) for f in features] == [("IsolatedPoint", [0.0, 0.0])]
+    assert cli.main(["verify-graph", "--u", "1e300*x*y"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: max_pmge_residual = nan is not finite\n"
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["construct", "--zeta1", "1", "--zeta2", "1", "--theta-min=1e9", "--nr", "1",
       "--ntheta", "3"], "error: theta = 1000000000.0 is 5.12e+11 lattice nodes "
@@ -746,18 +759,23 @@ print(json.dumps({name: s["count"] for name, s in tracer.summary().items()}))
 
 
 def test_benchmark_ops_pass_their_oracles_under_the_tracer():
-    # the tracer replaces rep.a and rep.b after a rep is built and wraps
+    # the tracer replaces rep.a and rep.b after a rep is built, a chart's
+    # point after the chart is built and parsed trees by proxies, and wraps
     # functions by name, so a change to the program's shapes can break a
-    # traced run that an untraced one survives
+    # traced run that an untraced one survives: every op of the quadrature
+    # and grid workloads, and one of the ode workload's
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(heismin.__file__))
     path = os.pathsep.join([src, os.path.join(root, "bench")])
-    proc = subprocess.run([sys.executable, "-c", TRACED_OPS, "integrability H=2",
-                           "verify-graph plane", "fit sweep x40", "normalize 2000"],
+    proc = subprocess.run([sys.executable, "-c", TRACED_OPS,
+                           "zeta round trip", "integrability H=2", "construct --obj",
+                           "metric 201x101", "verify-graph plane", "verify-graph saddle",
+                           "examples conicoid --obj", "normalize 2000", "fit sweep x40"],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    for name in ("integrability.quadrature_metric", "integrability.residual",
-                 "verify.pmge", "lienard.fit", "models.normalize"):
+    for name in ("construct.zeta", "integrability.quadrature_metric",
+                 "integrability.residual", "construct.chart_point", "models.metric",
+                 "verify.pmge", "verify.singular_set", "lienard.fit", "models.normalize"):
         assert counts.get(name, 0) > 0, name

@@ -285,7 +285,7 @@ def test_graph_evaluation_error_messages():
     g = verify.GraphSurface.from_expr("1/(x-y) + log(x)")
     with pytest.raises(EvaluationError, match=r"^cannot evaluate at \(x, y\) = "
                        r"\(1\.0, 1\.0\): float division by zero$"):
-        g.u_yy(1.0, 1.0)
+        g.at(1.0, 1.0)
     with pytest.raises(EvaluationError, match=r"^cannot evaluate at \(x, y\) = "
                        r"\(-1\.0, 0\.0\): math domain error$"):
         g.u(-1.0, 0.0)

@@ -23,6 +23,14 @@ The verify-graph row writes the left translate of a graph with the group
 law (heis.group_mul on expression source) and runs the command on it: the
 residual verdict and the singular feature kinds stay, and an isolated
 singular point moves by the translation, to 1e-9.
+
+The zeta row rotates a curve_from_zeta curve by phi with a translation,
+its derivatives mapped by the group law, and gives it the interval moved
+by phi: its invariants are the curve's moved along theta by phi.  Over
+600 motions and 1,800 angles the worst difference is 1.8e-15, so
+ZETA_TOL is 1e-13 by the rule above.  The property fails when it
+compares at s instead of s - phi, and when the group law's twist changes
+sign.
 """
 import contextlib
 import dataclasses
@@ -53,15 +61,14 @@ def moved(chart, m: heis.RigidMotion):
         dv=lambda u, v: M @ chart.dv(u, v))
 
 
+# zeta2 > 0: E = (r + D)^2 + zeta2 never vanishes, so every point is regular
+CURVE = construct.curve_from_zeta(YFunction.from_expr("0.5+0.3*sin(theta)", "theta"),
+                                  YFunction.from_expr("1+0.2*cos(theta)", "theta"),
+                                  (0.0, 2.0 * math.pi))
 CHARTS = {
     "conicoid": construct.conicoid_chart(),
     "helicoid": construct.helicoid_chart(YFunction(lambda t: t, lambda t: 1.0)),
-    # zeta2 > 0: E = (r + D)^2 + zeta2 never vanishes, so every point is regular
-    "ruled": construct.ruled_surface(
-        construct.curve_from_zeta(YFunction.from_expr("0.5+0.3*sin(theta)", "theta"),
-                                  YFunction.from_expr("1+0.2*cos(theta)", "theta"),
-                                  (0.0, 2.0 * math.pi)),
-        r_range=(0.5, 2.0)),
+    "ruled": construct.ruled_surface(CURVE, r_range=(0.5, 2.0)),
     "plane": construct.bernstein_plane(0.3, -0.2, 0.1, domain=((1.0, 3.0), (-3.0, 3.0))),
     "saddle": construct.bernstein_saddle(0.6, 0.8, YFunction.from_expr("0.2*y^2"),
                                          domain=((0.5, 3.0), (0.5, 3.0))),
@@ -153,3 +160,41 @@ def test_verify_graph_survives_left_translations(t):
             if f["kind"] == "IsolatedPoint":
                 assert math.hypot(g["point"][0] - t.x - f["point"][0],
                                   g["point"][1] - t.y - f["point"][1]) <= 1e-9, name
+
+
+# ------------------------------------------------------ the zetas under rotations
+
+def rotated_curve(c: construct.GeneratingCurve, m: heis.RigidMotion):
+    """The curve s -> m(c(s - phi)), phi = m's angle, on c's interval moved
+    by phi: the ruled surface over it is m's image of the one over c, with
+    the ruling at s the image of c's at s - phi.  m is affine, so each
+    derivative v of c maps to m(v) - m(0), by the group law itself."""
+    phi, (lo, hi) = m.rotation_angle, c.interval
+    origin = heis.apply_motion(m, heis.HPoint(0.0, 0.0, 0.0)).as_array()
+
+    def image(v, shift):
+        return heis.apply_motion(m, heis.HPoint(*v)).as_array() - shift
+
+    jets = (lambda s: image(c._jet(0, s - phi), 0.0),
+            lambda s: image(c._jet(1, s - phi), origin),
+            lambda s: image(c._jet(2, s - phi), origin))
+    return construct.GeneratingCurve(
+        *([lambda s, f=f, i=i: f(s)[i] for i in range(3)] for f in jets),
+        interval=(lo + phi, hi + phi))
+
+
+ZETA_TOL = 1e-13
+ZETAS = construct.zeta_from_curve(CURVE)
+
+
+@settings(max_examples=10, deadline=None)
+@given(m=single, fracs=st.lists(unit, min_size=3, max_size=3))
+def test_zetas_follow_a_rotation_by_its_angle(m, fracs):
+    # rotating the curve by phi turns each ruling by phi, so the invariants
+    # move along theta by phi: zeta~(s) = zeta(s - phi)
+    phi = m.rotation_angle
+    moved_zetas = construct.zeta_from_curve(rotated_curve(CURVE, m))
+    for f in fracs:
+        s = phi + f * 2.0 * math.pi
+        for before, after in zip(ZETAS, moved_zetas):
+            assert abs(after(s) - before(s - phi)) <= ZETA_TOL

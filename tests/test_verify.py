@@ -18,13 +18,13 @@ def graph(src, window=((-3.0, 3.0), (-3.0, 3.0))):
 def test_F_jacobian_reads_each_second_partial_once():
     calls = []
 
-    def partial(name, value):
-        return lambda x, y: calls.append(name) or value
+    def partials(xs, ys):
+        calls.append((list(xs), list(ys)))
+        return tuple(np.array([v]) for v in (0.0, 0.0, 2.0, 0.5, 3.0))
 
-    g = verify.GraphSurface(*(partial(n, v) for n, v in (
-        ("u", 0.0), ("u_x", 0.0), ("u_y", 0.0), ("u_xx", 2.0), ("u_xy", 0.5), ("u_yy", 3.0))))
+    g = verify.GraphSurface(lambda x, y: 0.0, partials)
     assert g.F_jacobian(0.1, 0.2).tolist() == [[2.0, -0.5], [1.5, 3.0]]
-    assert calls == ["u_xx", "u_xy", "u_yy"]
+    assert calls == [([0.1], [0.2])]   # one evaluation gives all three
 
 
 def test_pmge_residual_examples():
@@ -269,41 +269,57 @@ def _bits(values):
 @example(expr.parse_expr_multi("1/(x-y) + log(x)"), [(2.0, 0.5), (1.0, 1.0), (-1.0, 0.0)])
 @example(expr.parse_expr_multi("x*y + 0.2*y^2 + 0.1*y"), [(0.5, -0.0), (-3.0, 3.0)])
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_partials_over_arrays_are_the_closures_bit_for_bit(tree, points):
+def test_partials_over_arrays_are_the_scalar_code_bit_for_bit(tree, points):
+    # more than one point runs the array code; at() runs the scalar code
     g = graph(tree.pretty())
     xs, ys = (np.array(c) for c in zip(*points))
-    fns = (g.u_x, g.u_y, g.u_xx, g.u_xy, g.u_yy)
     try:
-        want = [_bits(float(f(x, y)) for x, y in points) for f in fns]
+        want = [_bits(c) for c in zip(*(g.at(x, y) for x, y in points))]
     except EvaluationError as exc:
-        # the closures raise at the first point in order; so does partials
+        # the scalar code raises at the first point in order; so does partials
         with pytest.raises(EvaluationError) as got:
             g.partials(xs, ys)
         assert str(got.value) == str(exc)
         return
     assert [_bits(c.tolist()) for c in g.partials(xs, ys)] == want
-    try:
-        direct = g.arrays(xs, ys)
-    except (ValueError, ArithmeticError):
-        return
-    assert [_bits(c.tolist()) for c in direct] == want
 
 
-def test_partials_raise_the_closures_message_at_the_first_bad_point():
+def test_partials_raise_the_scalar_message_at_the_first_bad_point():
     g = graph("1/(x-y) + log(x)")
     with pytest.raises(EvaluationError) as want:
-        g.u_x(1.0, 1.0)
+        g.at(1.0, 1.0)
     with pytest.raises(EvaluationError) as got:
         g.partials([2.0, 1.0, 1.0], [0.5, 1.0, 2.0])
     assert str(got.value) == str(want.value) \
         == "cannot evaluate at (x, y) = (1.0, 1.0): float division by zero"
     # log(x) itself is outside its domain at (-1, 0), but none of its
-    # partials is: they hold 1/x, so partials, as the closures, has values
+    # partials is: they hold 1/x, so partials, as the scalar code, has values
     at = g.partials([-1.0, 2.0], [0.0, 0.5])
-    assert [c.tolist() for c in at] == [[f(x, y) for x, y in ((-1.0, 0.0), (2.0, 0.5))]
-                                       for f in (g.u_x, g.u_y, g.u_xx, g.u_xy, g.u_yy)]
+    assert [c.tolist() for c in at] == [list(c) for c in zip(g.at(-1.0, 0.0), g.at(2.0, 0.5))]
     with pytest.raises(EvaluationError, match=r"\(-1\.0, 0\.0\): math domain error$"):
         g.u(-1.0, 0.0)
+
+
+def test_jacobian_rank_test_is_the_unscaled_formula_without_its_overflow():
+    # near-rank-one J, det J / max |J|^2 about JACOBIAN_RANK_TOL, scaled by
+    # 1e-150 .. 1e150: nothing overflows, so scaling by a power of two first
+    # must not change one answer
+    rng = np.random.default_rng(5)
+    n = 4000
+    a, b, c = rng.uniform(0.5, 2.0, (3, n))
+    d = b * c / a * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, -4.0, n))
+    k = 10.0 ** rng.integers(-150, 151, n).astype(float)
+    answers = set()
+    for J in np.stack([[a, b], [c, d]]).transpose(2, 0, 1) * k[:, None, None]:
+        scale = float(np.max(np.abs(J)))
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        want = abs(det) <= verify.JACOBIAN_RANK_TOL * max(1.0, scale * scale)
+        assert verify._jacobian_is_singular(J) == want
+        answers.add((want, scale > 1.0))
+    assert answers >= {(True, True), (False, True), (True, False)}
+    # past 1e154 the unscaled squares overflow (a RuntimeWarning, an error here)
+    assert not verify._jacobian_is_singular(np.array([[0.0, 1e300], [1e300, 0.0]]))
+    assert verify._jacobian_is_singular(np.full((2, 2), 1.7e308))
 
 
 def test_pmge_residual_takes_arrays_and_scalars():
