@@ -134,10 +134,13 @@ def _csv(path, header, rows) -> None:
 
 def mesh_obj(path, chart, nu: int, nv: int) -> None:
     """Write the Wavefront OBJ of the chart to path (stdout when None): the
-    vertices over the (u, v) grid in row-major order, computed before path
-    is opened, then quad faces; no normals."""
+    vertices over the (u, v) grid in row-major order, from one chart.point
+    call on the flattened grid before path is opened, then quad faces; no
+    normals."""
     us, vs = (Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
-    points = [(p.x, p.y, p.z) for p in (chart.point(u, v) for u in us for v in vs)]
+    with np.errstate(all="ignore"):   # overflow is inf, as in float arithmetic
+        p = chart.point(np.repeat(us, nv), np.tile(vs, nu))
+    points = zip(*(np.broadcast_to(c, (nu * nv,)).tolist() for c in (p.x, p.y, p.z)))
     faces = ((a, a + nv, a + nv + 1, a + 1)
              for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)))
     with _open(path) as out:
@@ -221,8 +224,21 @@ def cmd_metric(args):
     m = _build_model(args)
     rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
     xs, ys = wx.linspace(args.nx), wy.linspace(args.ny)
-    alpha = Field2D.from_model(m)
-    rows = [(x, y, alpha(x, y), rep.a(x, y), rep.b(x, y)) for y in ys for x in xs]
+    alpha, row = Field2D.from_model(m), np.array(xs)
+
+    def line(y):
+        # alpha, a and b each over the x-row; where one raises or is not
+        # finite, the row point by point, so the first error is the one
+        # the scalar code meets first
+        try:
+            cols = [f(row, y) for f in (alpha, rep.a, rep.b)]
+            if np.isfinite(cols).all():
+                return zip(xs, [y] * len(xs), *(c.tolist() for c in cols))
+        except HeisminError:
+            pass
+        return [(x, y, alpha(x, y), rep.a(x, y), rep.b(x, y)) for x in xs]
+
+    rows = [r for y in ys for r in line(y)]
     _csv(args.out, ["x", "y", "alpha", "a", "b"], rows)
 
 

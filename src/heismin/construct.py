@@ -19,9 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadRotation, DegenerateChart, SingularPoint
+from .expr import pointwise
 from .heis import HPoint
 from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
-from .verify import GraphSurface, pointwise
+from .verify import GraphSurface
 
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
 
@@ -85,7 +86,8 @@ class GeneratingCurve:
 
 @dataclass
 class SurfaceChart:
-    """A parametrized surface (u, v) -> H1 with first partials.
+    """A parametrized surface (u, v) -> H1 with first partials.  point
+    takes floats, or arrays of one shape and gives an HPoint of arrays.
 
     e1_index marks which parameter direction spans the characteristic
     foliation when the chart is built in compatible coordinates (the
@@ -106,12 +108,12 @@ def ruled_surface(c: GeneratingCurve,
                   r_range=(-2.0, 2.0)) -> SurfaceChart:
     """The ruled chart Y(r, t) over the generating curve; Y_r is the unit
     horizontal vector cos t e1* + sin t e2*."""
+    curve_at = pointwise(lambda t: c._jet(0, t))
 
     def pt(r, t):
-        p = c.point(t)
-        ct, st = math.cos(t), math.sin(t)
-        return HPoint(p.x + r * ct, p.y + r * st,
-                      p.z + r * p.y * ct - r * p.x * st)
+        x, y, z = curve_at(t)
+        ct, st = np.cos(t), np.sin(t)
+        return HPoint(x + r * ct, y + r * st, z + r * y * ct - r * x * st)
 
     def d_r(r, t):
         p = c.point(t)
@@ -273,10 +275,11 @@ def helicoid_chart(theta_of_t: YFunction,
     """X(s, t) = (s cos theta(t), s sin theta(t), t); in these coordinates
     alpha = s theta'/(s^2 theta' + 1), a = 0, and the type follows the
     sign of theta'."""
+    theta_at = pointwise(theta_of_t)
 
     def pt(s, t):
-        th = theta_of_t(t)
-        return HPoint(s * math.cos(th), s * math.sin(th), t)
+        th = theta_at(t)
+        return HPoint(s * np.cos(th), s * np.sin(th), t)
 
     def ds(s, t):
         th = theta_of_t(t)
@@ -302,8 +305,7 @@ def conicoid_chart(domain=((-2.0, 2.0), (-2.0, 2.0))) -> SurfaceChart:
     alpha = t/(1 + t^2) and a = b = 1/sqrt(t^4 + 3 t^2 + 1)."""
 
     def pt(t, s):
-        return HPoint(math.cos(s) + t * math.sin(s),
-                      math.sin(s) - t * math.cos(s), t)
+        return HPoint(np.cos(s) + t * np.sin(s), np.sin(s) - t * np.cos(s), t)
 
     def dt(t, s):
         return np.array([math.sin(s), -math.cos(s), 1.0])

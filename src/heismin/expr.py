@@ -44,15 +44,18 @@ _CALLS = {"pow": math.pow, "sign": lambda v: int(v > 0) - int(v < 0),
           **{name: fn for name, (fn, _) in FUNCS.items()}}
 
 
-def _elementwise(fn):
-    """fn over the elements of its (broadcast) array arguments, so that each
-    value has fn's own bits and fn's own errors."""
+def pointwise(fn):
+    """fn over the elements of its (broadcast) array arguments, point by
+    point in order, so that each value has fn's own bits and the first
+    error is fn's own at the first point where it raises.  A tuple value
+    gives a tuple of arrays; numbers alone give fn's own value."""
     def mapped(*args):
-        if not any(np.ndim(a) for a in args):
+        if all(isinstance(a, (int, float)) for a in args):
             return fn(*args)
         cols = np.broadcast_arrays(*args)
-        values = map(fn, *(c.ravel().tolist() for c in cols))
-        return np.fromiter(values, float, cols[0].size).reshape(cols[0].shape)
+        vals = np.array(list(map(fn, *(c.ravel().tolist() for c in cols))), dtype=float)
+        shape = cols[0].shape
+        return vals.reshape(shape) if vals.ndim == 1 else tuple(v.reshape(shape) for v in vals.T)
     return mapped
 
 
@@ -67,8 +70,8 @@ def _divide(a, b):
 # names compiled array code calls: ufuncs where numpy gives math's bits and
 # errors (tests/test_expr.py pins them), math's own function over the elements
 # where it does not (exp, log, tan and pow differ in the last bit on some hosts)
-_ARRAY_CALLS = {**{name: _elementwise(fn) for name, (fn, _) in FUNCS.items()},
-                "pow": _elementwise(math.pow), "div": _divide,
+_ARRAY_CALLS = {**{name: pointwise(fn) for name, (fn, _) in FUNCS.items()},
+                "pow": pointwise(math.pow), "div": _divide,
                 "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs,
                 "sign": lambda v: (v > 0.0) * 1.0 - (v < 0.0) * 1.0}
 

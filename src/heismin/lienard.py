@@ -22,11 +22,13 @@ import numpy as np
 
 from .errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
                      SingularPoint, StepLimit)
-from .numerics import EPS_DEN, PANELS_PER_UNIT, Window, YFunction
+from .expr import pointwise
+from .numerics import EPS_DEN, PANELS_PER_UNIT, Window, YFunction, first_where
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
 MAX_RK4_STEPS = 2_000_000   # steps one sweep may take (16 MB a column)
+_hypot = pointwise(math.hypot)   # np.hypot differs from it in the last bit
 
 
 class SurfaceType(enum.Enum):
@@ -53,7 +55,10 @@ class AlphaSolution:
     first fundamental form in normal coordinates is diag(1, y_speed^2),
     and metric_factor = 1/y_speed is the x-profile that the
     induced-metric coefficients a and b share.  types are the surface
-    types a family member can have; each type belongs to one family."""
+    types a family member can have; each type belongs to one family.
+    alpha, y_speed and metric_factor take a float or an array of x (Zero
+    gives floats for either), and a guard raises SingularPoint at the first
+    x, in order, that it rejects."""
 
     scale = 1.0
     types = ()
@@ -113,8 +118,8 @@ class _Special(AlphaSolution):
 
     def _den(self, x):
         d = self.scale * x + self.c1
-        if abs(d) <= EPS_DEN:
-            raise SingularPoint(f"special {self._roman} solution singular at x = {x}")
+        if (at := first_where(abs(d) <= EPS_DEN, x)) is not None:
+            raise SingularPoint(f"special {self._roman} solution singular at x = {at}")
         return d
 
     def alpha(self, x):
@@ -139,7 +144,7 @@ class SpecialI(_Special):
 
     def y_speed(self, x):
         X = x + self.c1   # e^{int 2 alpha} = X^2
-        return abs(X) * math.hypot(1.0, X)
+        return abs(X) * _hypot(1.0, X)
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ class SpecialII(_Special):
 
     def y_speed(self, x):
         # e^{int 2 alpha} = |2x + c1|
-        return math.hypot(1.0, self.scale * x + self.c1)
+        return _hypot(1.0, self.scale * x + self.c1)
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,8 @@ class General(AlphaSolution):
     def _parts(self, x):
         X = x + self.c1
         den = X * X + self.c2
-        if abs(den) <= EPS_DEN:
-            raise SingularPoint(f"general solution singular at x = {x}")
+        if (at := first_where(abs(den) <= EPS_DEN, x)) is not None:
+            raise SingularPoint(f"general solution singular at x = {at}")
         return X, den
 
     def alpha(self, x):
@@ -188,7 +193,7 @@ class General(AlphaSolution):
 
     def y_speed(self, x):
         X = x + self.c1   # e^{int 2 alpha} = |X^2 + c2|
-        return math.hypot(X, X * X + self.c2)
+        return _hypot(X, X * X + self.c2)
 
     def singular_x(self):
         if self.c2 > 0:

@@ -13,7 +13,7 @@ import numpy as np
 from . import lienard
 from .errors import EvaluationError, MixedType, SingularPoint
 from .lienard import SurfaceType
-from .numerics import (CumulativeIntegral, Field2D, Window, YFunction,
+from .numerics import (CumulativeIntegral, Field2D, Window, YFunction, first_where,
                        invert_monotone, memoized)
 
 Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the type
@@ -91,7 +91,7 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
     metric_factor(x), e^{-int 2 alpha dx} / sqrt(1 + alpha^2).
     Both a and b share that x-profile, so a_x and b_x follow analytically
     from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).  Each y-line of
-    a or b reads the slice and h(y) or e^{k(y)} once.
+    a or b reads the slice and h(y) or e^{k(y)} once, and takes an x-row.
     """
     ek = exp_of(k)
 
@@ -101,8 +101,8 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
 
             def f(x):
                 val = sol.metric_factor(x) * g
-                if not math.isfinite(val):
-                    raise EvaluationError(f"(x, y) = ({x}, {y})",
+                if (at := first_where(~np.isfinite(val), x)) is not None:
+                    raise EvaluationError(f"(x, y) = ({at}, {y})",
                                           "the metric coefficient is not finite")
                 return val
 

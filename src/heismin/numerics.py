@@ -164,6 +164,14 @@ class Window(tuple):
         return xs[::-1] if self.reversed else xs
 
 
+def first_where(bad, x):
+    """The first x, in order, at which bad holds, or None; bad and x are a
+    bool and a number, or arrays of one shape."""
+    if isinstance(bad, np.ndarray):
+        return np.ravel(x)[bad.argmax()] if bad.any() else None
+    return x if bad else None
+
+
 def central_d1(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -179,7 +187,12 @@ class YFunction:
     A derivative that is not given is settled when the function is built:
     d by a central difference of f at FD_STEP; d2 by a central difference
     of d at FD_STEP when d is given, else of f at FD_STEP_D2.  A domain or
-    overflow error raises EvaluationError naming the point ("y = 0.5")."""
+    overflow error raises EvaluationError naming the point ("y = 0.5").
+
+    At a float each gives a float.  At a numpy array, which the functions
+    given must then take, each gives an array of its shape: the float
+    call's bits wherever that returns, and where it raises, an error or a
+    value that is not finite."""
 
     def __init__(self, f, df=None, d2f=None, var: str = "y"):
         self.f = f
@@ -194,8 +207,13 @@ class YFunction:
         self.df = df
         self.d2f = d2f
 
-    def _at(self, fn, y: float) -> float:
+    def _at(self, fn, y):
         try:
+            if isinstance(y, np.ndarray):
+                # overflow is inf, as in float arithmetic; a function free of
+                # its variable gives one value for the whole array
+                with np.errstate(all="ignore"):
+                    return np.full(y.shape, fn(y), dtype=float)
             return float(fn(y))
         except (ValueError, ArithmeticError) as exc:
             raise EvaluationError(f"{self.var} = {y}", exc) from exc
@@ -226,8 +244,9 @@ class Field2D:
     the x-profile at y, a YFunction in x, built once per y, or once for
     every y when the field is y_free.
 
-    The x-partials dx and dxx are the line's d and d2.  dy is 0.0 for a
-    y_free field, else a central difference across lines at FD_STEP."""
+    The x-partials dx and dxx are the line's d and d2, and f(xs, y) for an
+    array xs is the line over that x-row.  dy is 0.0 for a y_free field,
+    else a central difference across lines at FD_STEP."""
 
     def __init__(self, line, y_free: bool = False):
         self.line = memoized(line, y_free)

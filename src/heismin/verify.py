@@ -12,6 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as expr_mod
+from .expr import pointwise
 from .errors import EvaluationError, NewtonDivergence, PreconditionFailed, SingularPoint
 from .heis import HPoint, contact_value
 from .numerics import Window, central_d1, richardson_limit
@@ -29,16 +30,6 @@ H_STEP = 1e-4          # numeric_H_on_chart's central-difference step
 RULING_STEP = 0.1      # legendrian_line_check's second-difference step in r
 BLOCK = 16384          # points per array evaluation
 RANK_EPS = 2.0 * np.finfo(float).eps   # Gauss-Newton: |det J| <= this * |J|_F^2 is rank one
-
-
-def pointwise(at: Callable) -> Callable:
-    """A partials map from at(x, y), the five partials at one point: it
-    evaluates at point by point in order, so an error names the first
-    point where they cannot be evaluated."""
-    def partials(xs, ys):
-        pts = zip(*(np.asarray(v, dtype=float).ravel().tolist() for v in (xs, ys)))
-        return tuple(np.array([at(x, y) for x, y in pts], dtype=float).reshape(-1, 5).T)
-    return partials
 
 
 @dataclass
@@ -97,7 +88,8 @@ class GraphSurface:
 
     def chart(self, name: str = "graph", extras: Optional[dict] = None):
         from .construct import SurfaceChart
-        return SurfaceChart(point=lambda x, y: HPoint(x, y, self.u(x, y)),
+        u = pointwise(self.u)
+        return SurfaceChart(point=lambda x, y: HPoint(x, y, u(x, y)),
                             du=lambda x, y: np.array([1.0, 0.0, self.at(x, y)[0]]),
                             dv=lambda x, y: np.array([0.0, 1.0, self.at(x, y)[1]]),
                             domain=self.window, name=name, graph_u=self,
@@ -275,10 +267,11 @@ def _newton_zero(g: GraphSurface, x0, y0):
             p, q = u_x - ya, u_y + xa
             r = np.maximum(np.abs(p), np.abs(q))
             b, c = u_xy - 1.0, u_xy + 1.0
-            # J / s, with s the power of two above max |J|, is exact: the step
-            # keeps the bits of the unscaled formulas, and no square overflows
+            # J / s, with s the power of two at or below max |J| (at least 1,
+            # as |u_xy - 1| or |u_xy + 1| is), is exact: the step keeps the
+            # bits of the unscaled formulas, and no square overflows
             m = np.max(np.abs([a, b, c, d]), axis=0)
-            s = np.ldexp(1.0, np.frexp(m)[1])
+            s = np.ldexp(1.0, np.frexp(m)[1] - 1)
             a, b, c, d = a / s, b / s, c / s, d / s
             n2 = a * a + b * b + c * c + d * d
             det = a * d - b * c

@@ -120,12 +120,13 @@ def reference_csv(header, rows):
 
 
 def reference_obj(chart, nu, nv):
-    """Reference: the earlier OBJ writer, one line at a time."""
-    (u_lo, u_hi), (v_lo, v_hi) = chart.domain
+    """Reference: the earlier OBJ writer, one chart.point call and one line
+    a vertex."""
+    us, vs = (numerics.Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
     lines = []
-    for u in np.linspace(u_lo, u_hi, nu):
-        for v in np.linspace(v_lo, v_hi, nv):
-            p = chart.point(float(u), float(v))
+    for u in us:
+        for v in vs:
+            p = chart.point(u, v)
             lines.append(f"v {p.x:.17g} {p.y:.17g} {p.z:.17g}")
     for i in range(nu - 1):
         for j in range(nv - 1):
@@ -156,18 +157,49 @@ def test_csv_matches_per_value_writer(tmp_path, capsys):
     assert capsys.readouterr().out == reference_csv(["x"], one)
 
 
-@pytest.mark.parametrize("name", ["conicoid", "helicoid", "plane"])
+def _ruled_chart(r_range):
+    curve = construct.curve_from_zeta(YFunction.from_expr("0.5+0.2*sin(theta)", "theta"),
+                                      YFunction.from_expr("0.8", "theta"), (0.0, 6.0))
+    return construct.ruled_surface(curve, r_range=r_range)
+
+
+OBJ_CHARTS = {
+    "conicoid": construct.conicoid_chart,
+    "helicoid": lambda: construct.helicoid_chart(YFunction(lambda t: math.sin(t), math.cos)),
+    "plane": lambda: construct.bernstein_plane(0.3, -0.2, 1.0),
+    "saddle": lambda: construct.bernstein_saddle(0.6, 0.8, YFunction.from_expr("sin(y)")),
+    "ruled": lambda: _ruled_chart((0.5, 2.0)),
+    # a reversed window: its rows run from 2.0 down to 0.5
+    "ruled-reversed": lambda: _ruled_chart((2.0, 0.5)),
+    "conicoid-reversed": lambda: construct.conicoid_chart(((2.0, -2.0), (1.0, -3.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(OBJ_CHARTS))
 def test_obj_matches_per_line_writer(name, tmp_path, capsys):
-    chart = {"conicoid": construct.conicoid_chart,
-             "helicoid": lambda: construct.helicoid_chart(
-                 YFunction(lambda t: t, lambda t: 1.0)),
-             "plane": lambda: construct.bernstein_plane(0.0, 0.0, 0.0)}[name]()
+    # the vertices come from one chart.point call over the mesh; the reference
+    # calls it once a vertex with floats
+    chart = OBJ_CHARTS[name]()
     path = tmp_path / "s.obj"
     for nu, nv in ((1, 1), (5, 3), (40, 31)):
         cli.mesh_obj(str(path), chart, nu, nv)
         assert path.read_text() == reference_obj(chart, nu, nv)
     cli.mesh_obj(None, chart, 5, 3)
     assert capsys.readouterr().out == reference_obj(chart, 5, 3)
+
+
+def test_obj_vertices_that_overflow_are_inf_without_a_warning(capsys):
+    # the mesh is numpy arithmetic, where Python's float arithmetic was:
+    # an overflow is inf and nan there too, and warns nothing (pytest makes
+    # a RuntimeWarning an error)
+    curve = construct.GeneratingCurve.from_exprs("1.5e308*cos(theta)",
+                                                 "1.5e308*sin(theta)", "0")
+    chart = construct.ruled_surface(curve, r_range=(0.5, 2.0))
+    cli.mesh_obj(None, chart, 3, 5)
+    out = capsys.readouterr().out
+    with np.errstate(all="ignore"):
+        assert out == reference_obj(chart, 3, 5)
+    assert "inf" in out
 
 
 def test_writing_a_trajectory_holds_less_than_its_file(tmp_path):
@@ -249,6 +281,108 @@ def test_metric_deterministic(capsys):
     _, out2 = run_cli(argv, capsys)
     assert out1 == out2
     assert out1.splitlines()[0] == "x,y,alpha,a,b"
+
+
+def reference_metric(argv):
+    """Reference: metric's rows point by point through the scalar code,
+    alpha, a and b at each (x, y) in turn."""
+    args = cli.build_parser().parse_args(["metric", *argv])
+    wx, wy = cli._windows(args, "x", "y")
+    m = cli._build_model(args)
+    rep = models.metric_rep(m, YFunction.from_expr(args.k), YFunction.from_expr(args.h))
+    alpha = numerics.Field2D.from_model(m)
+    return reference_csv(["x", "y", "alpha", "a", "b"],
+                         [(x, y, alpha(x, y), rep.a(x, y), rep.b(x, y))
+                          for y in wy.linspace(args.ny) for x in wx.linspace(args.nx)])
+
+
+METRIC_MODELS = {
+    "vertical": ["--alpha", "vertical", "--k", "y", "--h", "0.3-y"],
+    "vertical-negative-x": ["--alpha", "vertical", "--x-min=-2", "--x-max=-0.5"],
+    "special1": ["--alpha", "special1", "--c1", "0.3+y", "--k", "0.3*y", "--h", "0.2-y"],
+    "special2": ["--alpha", "special2", "--c1", "0.3-y*y", "--h", "1"],
+    "general-type-i": ["--alpha", "general", "--c1", "y", "--c2", "1+y", "--k", "y",
+                       "--h", "0.5*y"],
+    "general-type-ii": ["--alpha", "general", "--c1", "0", "--c2=-1-y",
+                        "--x-min", "1.5", "--x-max", "3"],
+    "general-type-iii": ["--alpha", "general", "--c1", "0.1*y", "--c2=-1-y",
+                         "--x-min=-0.9", "--x-max", "0.9", "--h", "2"],
+    "general-reversed-x": ["--alpha", "general", "--c1", "y", "--c2", "1+y",
+                           "--x-min", "2.5", "--x-max", "0.5"],
+    "general-one-point": ["--alpha", "general", "--c1", "y", "--c2", "1+y",
+                          "--nx", "1", "--ny", "1"],
+}
+
+
+@pytest.mark.parametrize("name", list(METRIC_MODELS))
+def test_metric_matches_the_point_by_point_reference(name, tmp_path, capsys):
+    argv = METRIC_MODELS[name]
+    path = tmp_path / "m.csv"
+    assert cli.main(["metric", *argv, "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    out = path.read_text()
+    assert out == reference_metric(argv)
+    if name == "vertical-negative-x":
+        # alpha is +0.0 at every x: 0.0 * x would print -0 at negative x
+        assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"0"}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--alpha", "special1", "--c1", "0", "--x-min", "-1", "--x-max", "1"],
+     "special I solution singular at x = 0.0"),
+    (["--alpha", "general", "--c1", "0", "--c2", "y-0.5"],
+     "c2 vanishes at y = 0.5: general family requires c2 != 0"),
+    (["--alpha", "general", "--c1", "0", "--c2", "1", "--h", "sqrt(0.45-y)"],
+     "cannot evaluate at y = 0.5: math domain error"),
+    (["--alpha", "general", "--c1", "0", "--c2", "0.1", "--h", "1e308",
+      "--x-min=-1", "--x-max", "1", "--ny", "3"],
+     "cannot evaluate at (x, y) = (-0.3999999999999999, 0.0): "
+     "the metric coefficient is not finite"),
+    # the first row's singular point x = 1.5 comes after its first point, where
+    # e^{k(y)} or h(y) cannot be evaluated
+    (["--alpha", "special1", "--c1=-1.5", "--k", "log(y-0.5)"],
+     "cannot evaluate at y = 0.0: math domain error"),
+    (["--alpha", "special1", "--c1=-1.5", "--h", "log(y-0.5)"],
+     "cannot evaluate at y = 0.0: math domain error"),
+    (["--alpha", "special1", "--c1=-1.5+y", "--h", "sqrt(0.35-y)"],
+     "special I solution singular at x = 1.5"),
+], ids=["special1-singular-line", "c2-vanishes", "h-domain", "not-finite",
+        "k-before-singular-point", "h-before-singular-point", "singular-point-before-h"])
+def test_metric_error_is_the_first_the_scalar_code_meets(argv, err, capsys):
+    assert cli.main(["metric", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def _counting_chart(maker, calls):
+    def make(*args, **kwargs):
+        chart = maker(*args, **kwargs)
+        point = chart.point
+        chart.point = lambda u, v: calls.update(["point"]) or point(u, v)
+        return chart
+    return make
+
+
+def test_metric_reads_a_row_and_obj_a_mesh_a_call(monkeypatch, tmp_path, capsys):
+    # no time gate: a per-point path makes tens of thousands of calls
+    calls = Counter()
+    for name in ("alpha", "y_speed", "metric_factor"):
+        method = getattr(lienard.General, name)
+        monkeypatch.setattr(lienard.General, name, lambda self, x, method=method, name=name: (
+            calls.update([name]) or method(self, x)))
+    assert cli.main(["metric", "--alpha", "general", "--c1", "0.3+0.1*sin(y)",
+                     "--c2", "1+0.2*cos(y)", "--k", "0.2*y", "--h", "0.4+0.1*y",
+                     "--nx", "201", "--ny", "101", "--out", str(tmp_path / "m.csv")]) == 0
+    # per row: alpha, then a and b, each metric_factor reading alpha and y_speed
+    assert calls == {"alpha": 3 * 101, "metric_factor": 2 * 101, "y_speed": 2 * 101}
+    calls.clear()
+    for maker in ("conicoid_chart", "ruled_surface"):
+        monkeypatch.setattr(construct, maker, _counting_chart(getattr(construct, maker), calls))
+    assert cli.main(["examples", "conicoid", "--nu", "200", "--nv", "200",
+                     "--obj", str(tmp_path / "c.obj")]) == 0
+    assert cli.main(["construct", "--zeta1", "1", "--zeta2", "1",
+                     "--obj", str(tmp_path / "r.obj")]) == 0
+    assert calls == {"point": 2}
+    capsys.readouterr()
 
 
 GENERAL_THROUGH_ALPHA_ZERO = ["--alpha", "general", "--c1=-1", "--c2", "1"]

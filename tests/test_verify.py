@@ -249,6 +249,16 @@ def test_huge_jacobian_steps_without_overflow():
     assert x.tolist() == [0.0, 0.0] and y.tolist() == [0.0, 0.0]
 
 
+def test_jacobian_past_2_to_the_1023_steps_to_the_zero():
+    # max |J| = 1e308 >= 2^1023: scaled by the power of two above it, J was
+    # 0 and every step 0/0; the power at or below it keeps the step finite
+    window = ((-1e-300, 1e-300), (-1e-300, 1e-300))
+    for u in ("1e300*x*y", "1e308*x*y"):
+        report = verify.singular_set(verify.GraphSurface.from_expr(u, window))
+        assert report.newton_failures == 0
+        assert [f.kind for f in report.features] == ["IsolatedPoint"]
+
+
 COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e300]),
                    st.floats(-10.0, 10.0))
 FINITE_TREES = st.recursive(
