@@ -140,7 +140,7 @@ def mesh_obj(path, chart, nu: int, nv: int) -> None:
     us, vs = (Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
     with np.errstate(all="ignore"):   # overflow is inf, as in float arithmetic
         p = chart.point(np.repeat(us, nv), np.tile(vs, nu))
-    points = zip(*(np.broadcast_to(c, (nu * nv,)).tolist() for c in (p.x, p.y, p.z)))
+    points = zip(p.x.tolist(), p.y.tolist(), p.z.tolist())
     faces = ((a, a + nv, a + nv + 1, a + 1)
              for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)))
     with _open(path) as out:

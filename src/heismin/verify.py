@@ -47,9 +47,9 @@ class GraphSurface:
     def from_expr(src: str, window=((-3.0, 3.0), (-3.0, 3.0))) -> "GraphSurface":
         """Graph from a two-variable expression in x and y; all partials
         are symbolic.  A domain or overflow error raises EvaluationError
-        naming (x, y).  partials runs the array code over more than one
-        point, and the scalar code point by point where that raises or at
-        a single point, where it gives the same bits faster."""
+        naming (x, y).  partials runs the array code over any number of
+        points but one, and the scalar code point by point where that
+        raises or at a single point, where it gives the same bits faster."""
         ast = expr_mod.parse_expr_multi(src, ("x", "y"))
         dx, dy = ast.deriv("x"), ast.deriv("y")
         nodes = (dx, dy, dx.deriv("x"), dx.deriv("y"), dy.deriv("y"))
@@ -62,7 +62,7 @@ class GraphSurface:
 
         def partials(xs, ys):
             xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-            if xs.size > 1:
+            if xs.size != 1:
                 try:   # np.full: a partial free of x and y is a scalar
                     return tuple(np.full(xs.shape, n.eval_array({"x": xs, "y": ys}))
                                  for n in nodes)

@@ -249,6 +249,11 @@ def test_huge_jacobian_steps_without_overflow():
     assert x.tolist() == [0.0, 0.0] and y.tolist() == [0.0, 0.0]
 
 
+def test_partials_over_no_points_are_five_empty_arrays():
+    for u in ("x*y", "exp(x)/y", "3"):
+        assert [p.shape for p in graph(u).partials([], [])] == [(0,)] * 5
+
+
 def test_jacobian_past_2_to_the_1023_steps_to_the_zero():
     # max |J| = 1e308 >= 2^1023: scaled by the power of two above it, J was
     # 0 and every step 0/0; the power at or below it keeps the step finite
