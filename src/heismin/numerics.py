@@ -209,12 +209,14 @@ class YFunction:
 
     def _at(self, fn, y):
         try:
-            if isinstance(y, np.ndarray):
-                # overflow is inf, as in float arithmetic; a function free of
-                # its variable gives one value for the whole array
-                with np.errstate(all="ignore"):
-                    return np.full(y.shape, fn(y), dtype=float)
-            return float(fn(y))
+            # the class test first: it is cheaper than isinstance on the
+            # scalar calls that quadrature makes by the hundred thousand
+            if y.__class__ is float or not isinstance(y, np.ndarray):
+                return float(fn(y))
+            # overflow is inf, as in float arithmetic; a function free of
+            # its variable gives one value for the whole array
+            with np.errstate(all="ignore"):
+                return np.full(y.shape, fn(y), dtype=float)
         except (ValueError, ArithmeticError) as exc:
             raise EvaluationError(f"{self.var} = {y}", exc) from exc
 
