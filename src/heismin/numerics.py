@@ -209,8 +209,7 @@ class YFunction:
 
     def _at(self, fn, y):
         try:
-            # the class test first: it is cheaper than isinstance on the
-            # scalar calls that quadrature makes by the hundred thousand
+            # a float first: cheaper than isinstance, on quadrature's many calls
             if y.__class__ is float or not isinstance(y, np.ndarray):
                 return float(fn(y))
             # overflow is inf, as in float arithmetic; a function free of
