@@ -187,12 +187,7 @@ class YFunction:
     A derivative that is not given is settled when the function is built:
     d by a central difference of f at FD_STEP; d2 by a central difference
     of d at FD_STEP when d is given, else of f at FD_STEP_D2.  A domain or
-    overflow error raises EvaluationError naming the point ("y = 0.5").
-
-    At a float each gives a float.  At a numpy array, which the functions
-    given must then take, each gives an array of its shape: the float
-    call's bits wherever that returns, and where it raises, an error or a
-    value that is not finite."""
+    overflow error raises EvaluationError naming the point ("y = 0.5")."""
 
     def __init__(self, f, df=None, d2f=None, var: str = "y"):
         self.f = f
@@ -207,20 +202,24 @@ class YFunction:
         self.df = df
         self.d2f = d2f
 
-    def _at(self, fn, y):
+    def _at(self, fn, y: float) -> float:
         try:
-            # a float first: cheaper than isinstance, on quadrature's many calls
-            if y.__class__ is float or not isinstance(y, np.ndarray):
-                return float(fn(y))
-            # overflow is inf, as in float arithmetic; a function free of
-            # its variable gives one value for the whole array
-            with np.errstate(all="ignore"):
-                return np.full(y.shape, fn(y), dtype=float)
+            return float(fn(y))
         except (ValueError, ArithmeticError) as exc:
             raise EvaluationError(f"{self.var} = {y}", exc) from exc
 
     def __call__(self, y: float) -> float:
         return self._at(self.f, y)
+
+    def over(self, ys: np.ndarray) -> np.ndarray:
+        """f over the array ys, which f must take: the float call's bits where
+        that returns, else an error or a value that is not finite (overflow
+        is inf); a function free of its variable gives one value for all."""
+        try:
+            with np.errstate(all="ignore"):
+                return np.full(ys.shape, self.f(ys), dtype=float)
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"{self.var} = {ys}", exc) from exc
 
     def d(self, y: float) -> float:
         return self._at(self.df, y)
@@ -246,15 +245,16 @@ class Field2D:
     every y when the field is y_free.
 
     The x-partials dx and dxx are the line's d and d2, and f(xs, y) for an
-    array xs is the line over that x-row.  dy is 0.0 for a y_free field,
-    else a central difference across lines at FD_STEP."""
+    array xs is the line over that x-row (YFunction.over).  dy is 0.0 for
+    a y_free field, else a central difference across lines at FD_STEP."""
 
     def __init__(self, line, y_free: bool = False):
         self.line = memoized(line, y_free)
         self.y_free = y_free
 
-    def __call__(self, x: float, y: float) -> float:
-        return self.line(y)(x)
+    def __call__(self, x, y: float):
+        line = self.line(y)
+        return line.over(x) if isinstance(x, np.ndarray) else line(x)
 
     def dx(self, x: float, y: float) -> float:
         return self.line(y).d(x)
