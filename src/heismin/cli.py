@@ -22,7 +22,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import construct, integrability, lienard, models, verify
+from . import construct, expr, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult, QuadratureFailure
 from .models import AlphaModel, YFunction
 from .numerics import PANELS_PER_UNIT, Field2D, Window
@@ -227,16 +227,9 @@ def cmd_metric(args):
     alpha, row = Field2D.from_model(m), np.array(xs)
 
     def line(y):
-        # alpha, a and b each over the x-row; where one raises or is not
-        # finite, the row point by point, so the first error is the one
-        # the scalar code meets first
-        try:
-            cols = [f(row, y) for f in (alpha, rep.a, rep.b)]
-            if np.isfinite(cols).all():
-                return zip(xs, [y] * len(xs), *(c.tolist() for c in cols))
-        except HeisminError:
-            pass
-        return [(x, y, alpha(x, y), rep.a(x, y), rep.b(x, y)) for x in xs]
+        cols = expr.pointwise(lambda x: (alpha(x, y), rep.a(x, y), rep.b(x, y)), 3,
+                              lambda row: [f(row, y) for f in (alpha, rep.a, rep.b)])(row)
+        return zip(xs, [y] * len(xs), *(c.tolist() for c in cols))
 
     rows = [r for y in ys for r in line(y)]
     _csv(args.out, ["x", "y", "alpha", "a", "b"], rows)

@@ -21,32 +21,45 @@ import numpy as np
 from .errors import BadRotation, DegenerateChart, SingularPoint
 from .expr import pointwise
 from .heis import HPoint
-from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
+from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized, memoized_over
 from .verify import GraphSurface
 
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
 
 
+def _by_type(scalar, array):   # array keeps scalar's bits: tests/test_expr.py pins it
+    return lambda v: array(v) if isinstance(v, np.ndarray) else scalar(v)
+
+
+_cos, _sin = _by_type(math.cos, np.cos), _by_type(math.sin, np.sin)
+_sq = _by_type(lambda v: v ** 2, lambda v: np.float_power(v, 2.0))   # pow, as v ** 2; not v * v
+
+
 class GeneratingCurve:
     """A curve t -> (x(t), y(t), z(t)) with first and second derivatives.
 
-    Each component is a YFunction in theta built from fns, d1 and d2, so a
-    derivative that is not given comes from its finite-difference
-    fallback.  The point, C' and C'' are each evaluated once per t and
-    memoized, and every invariant below is derived from those values.
+    Each component is a YFunction in theta, given or built from fns, d1 and
+    d2, so a derivative that is not given comes from its finite-difference
+    fallback.  The point, C' and C'' are each evaluated once per t (or array)
+    and memoized, and every invariant below is derived from those values.
     """
 
     def __init__(self, fns, d1=None, d2=None, interval=(0.0, 2.0 * math.pi)):
         self.interval = interval
-        comps = [YFunction(f, df, d2f, "theta")
+        comps = [f if isinstance(f, YFunction) else YFunction(f, df, d2f, "theta")
                  for f, df, d2f in zip(fns, d1 or [None] * 3, d2 or [None] * 3)]
         self._jets = tuple(
             memoized(lambda t, evals=evals: tuple([ev(t) for ev in evals]))
             for evals in (comps, [c.d for c in comps], [c.d2 for c in comps]))
+        # an array: the components' array forms, where all have one, replayed per t
+        forms = zip(*(c.arrays or [None] * 3 for c in comps))
+        self._over = [memoized_over(pointwise(jet, 3, None if None in fs else
+                                              lambda t, fs=fs: [f(t) for f in fs]))
+                      for jet, fs in zip(self._jets, forms)]
 
-    def _jet(self, order: int, t: float):
-        """(x, y, z) differentiated `order` times, at t."""
-        return self._jets[order](t)
+    def _jet(self, order: int, t):
+        """(x, y, z) differentiated `order` times, at the float or array t."""
+        return (self._over if isinstance(t, np.ndarray) else self._jets)[order](t)
 
     def point(self, t: float) -> HPoint:
         return HPoint(*self._jet(0, t))
@@ -60,24 +73,21 @@ class GeneratingCurve:
     @staticmethod
     def from_exprs(x_src: str, y_src: str, z_src: str, var: str = "theta",
                    interval=(0.0, 2.0 * math.pi)) -> "GeneratingCurve":
-        comps = [YFunction.from_expr(s, var) for s in (x_src, y_src, z_src)]
-        return GeneratingCurve(fns=[c.f for c in comps],
-                               d1=[c.df for c in comps],
-                               d2=[c.d2f for c in comps],
+        return GeneratingCurve([YFunction.from_expr(s, var) for s in (x_src, y_src, z_src)],
                                interval=interval)
 
     # scalar invariants of the curve at angle t
-    def D(self, t: float) -> float:
+    def D(self, t):
         """D = y' cos t - x' sin t."""
         xp, yp, _ = self._jet(1, t)
-        return yp * math.cos(t) - xp * math.sin(t)
+        return yp * _cos(t) - xp * _sin(t)
 
-    def Q(self, t: float) -> float:
+    def Q(self, t):
         """Q = x' cos t + y' sin t."""
         xp, yp, _ = self._jet(1, t)
-        return xp * math.cos(t) + yp * math.sin(t)
+        return xp * _cos(t) + yp * _sin(t)
 
-    def contact_speed(self, t: float) -> float:
+    def contact_speed(self, t):
         """Theta(C'(t)) = z' + x y' - y x'."""
         x, y, _ = self._jet(0, t)
         xp, yp, zp = self._jet(1, t)
@@ -108,10 +118,8 @@ def ruled_surface(c: GeneratingCurve,
                   r_range=(-2.0, 2.0)) -> SurfaceChart:
     """The ruled chart Y(r, t) over the generating curve; Y_r is the unit
     horizontal vector cos t e1* + sin t e2*."""
-    curve_at = pointwise(lambda t: c._jet(0, t))
-
     def pt(r, t):
-        x, y, z = curve_at(t)
+        x, y, z = c._jet(0, t)
         ct, st = np.cos(t), np.sin(t)
         return HPoint(x + r * ct, y + r * st, z + r * y * ct - r * x * st)
 
@@ -164,28 +172,28 @@ def zeta_from_curve(c: GeneratingCurve):
         zeta1(t) = D(t) - int Q dt      (cumulative from the interval's lower end)
         zeta2(t) = Theta(C'(t)) - D(t)^2
 
-    zeta2 == 0 identifies special type I.
+    zeta2 == 0 identifies special type I.  Both take a float t or an array.
     """
-    gamma = CumulativeIntegral(c.Q, Window(*c.interval).lo, var="theta")
+    gamma = CumulativeIntegral(c.Q, Window(*c.interval).lo, var="theta", arrays=True)
 
     def z1(t):
-        return c.D(t) - gamma(t)
+        return c.D(t) - gamma.over(t)
 
     def dz1(t):
         xpp, ypp, _ = c._jet(2, t)
-        return ypp * math.cos(t) - xpp * math.sin(t) - 2.0 * c.Q(t)
+        return ypp * _cos(t) - xpp * _sin(t) - 2.0 * c.Q(t)
 
     def z2(t):
-        return c.contact_speed(t) - c.D(t) ** 2
+        return c.contact_speed(t) - _sq(c.D(t))
 
     def dz2(t):
         x, y, _ = c._jet(0, t)
         xpp, ypp, zpp = c._jet(2, t)
         dtc = zpp + x * ypp - y * xpp
-        dD = ypp * math.cos(t) - xpp * math.sin(t) - c.Q(t)
+        dD = ypp * _cos(t) - xpp * _sin(t) - c.Q(t)
         return dtc - 2.0 * c.D(t) * dD
 
-    return YFunction(z1, dz1, var="theta"), YFunction(z2, dz2, var="theta")
+    return YFunction(z1, dz1, None, "theta", True), YFunction(z2, dz2, None, "theta", True)
 
 
 def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
@@ -197,44 +205,42 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
 
     integrated cumulatively from the interval's lower end with the
     initial point (0, 0, 0).  Any other initial point differs by a left
-    translation, which the invariants ignore.
+    translation, which the invariants ignore.  The curve takes arrays.
     """
     t0 = Window(*theta_interval).lo
-    # x', y' and z' all need zeta1 at the same t, over three lattices
-    z1 = memoized(zeta1)
+    # x', y' and z' all need zeta1 at the same t (or array), over three lattices
+    z1 = YFunction(memoized(zeta1), zeta1.d, zeta1.d2, "theta",
+                   zeta1.arrays and [f and memoized_over(f) for f in zeta1.arrays])
 
     def xp(t):
-        return -z1(t) * math.sin(t)
+        return -z1.over(t) * _sin(t)
 
     def yp(t):
-        return z1(t) * math.cos(t)
+        return z1.over(t) * _cos(t)
 
-    x_int = CumulativeIntegral(xp, t0, var="theta")
-    y_int = CumulativeIntegral(yp, t0, var="theta")
+    x_int = CumulativeIntegral(xp, t0, var="theta", arrays=True)
+    y_int = CumulativeIntegral(yp, t0, var="theta", arrays=True)
 
     def zp(t):
-        return (zeta2(t) + z1(t) ** 2
-                + y_int(t) * xp(t) - x_int(t) * yp(t))
+        return (zeta2.over(t) + _sq(z1.over(t))
+                + y_int.over(t) * xp(t) - x_int.over(t) * yp(t))
 
-    z_int = CumulativeIntegral(zp, t0, var="theta")
+    z_int = CumulativeIntegral(zp, t0, var="theta", arrays=True)
 
     def xpp(t):
-        return -zeta1.d(t) * math.sin(t) - zeta1(t) * math.cos(t)
+        return -z1.over(t, 1) * _sin(t) - z1.over(t) * _cos(t)
 
     def ypp(t):
-        return zeta1.d(t) * math.cos(t) - zeta1(t) * math.sin(t)
+        return z1.over(t, 1) * _cos(t) - z1.over(t) * _sin(t)
 
     def zpp(t):
         # the x'y' cross terms cancel in d/dt of z'
-        return (zeta2.d(t) + 2.0 * zeta1(t) * zeta1.d(t)
-                + y_int(t) * xpp(t) - x_int(t) * ypp(t))
+        return (zeta2.over(t, 1) + 2.0 * z1.over(t) * z1.over(t, 1)
+                + y_int.over(t) * xpp(t) - x_int.over(t) * ypp(t))
 
-    return GeneratingCurve(
-        fns=[x_int, y_int, z_int],
-        d1=[xp, yp, zp],
-        d2=[xpp, ypp, zpp],
-        interval=theta_interval,
-    )
+    return GeneratingCurve([YFunction(i.over, d1, d2, "theta", True) for i, d1, d2 in
+                            ((x_int, xp, xpp), (y_int, yp, ypp), (z_int, zp, zpp))],
+                           interval=theta_interval)
 
 
 def bernstein_plane(A: float, B: float, C: float,
@@ -243,7 +249,7 @@ def bernstein_plane(A: float, B: float, C: float,
     (x, y) = (-B, A), and the left translation by (B, -A, -C) maps the
     graph onto u = 0."""
     g = GraphSurface(lambda x, y: A * x + B * y + C,
-                     pointwise(lambda x, y: (A, B, 0.0, 0.0, 0.0)), domain)
+                     pointwise(lambda x, y: (A, B, 0.0, 0.0, 0.0), 5), domain)
     return g.chart("plane", {"singular_point": (-B, A), "coeffs": (A, B, C)})
 
 
@@ -266,7 +272,7 @@ def bernstein_saddle(A: float, B: float, g: YFunction,
                 -2.0 * A * B + B * B * d2, (A * A - B * B) - A * B * d2,
                 2.0 * A * B + A * A * d2)
 
-    gs = GraphSurface(u, pointwise(partials_at), domain)
+    gs = GraphSurface(u, pointwise(partials_at, 5), domain)
     return gs.chart("saddle", {"rotation": (A, B), "g": g})
 
 
@@ -275,10 +281,8 @@ def helicoid_chart(theta_of_t: YFunction,
     """X(s, t) = (s cos theta(t), s sin theta(t), t); in these coordinates
     alpha = s theta'/(s^2 theta' + 1), a = 0, and the type follows the
     sign of theta'."""
-    theta_at = pointwise(theta_of_t)
-
     def pt(s, t):
-        th = theta_at(t)
+        th = theta_of_t.over(t)
         return HPoint(s * np.cos(th), s * np.sin(th), t)
 
     def ds(s, t):

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExprSyntaxError
+from .errors import ExprSyntaxError, HeisminError
 
 # FUNC name -> (the function, its derivative d func(u)/du as a tree in u)
 FUNCS = {
@@ -44,18 +44,31 @@ _CALLS = {"pow": math.pow, "sign": lambda v: int(v > 0) - int(v < 0),
           **{name: fn for name, (fn, _) in FUNCS.items()}}
 
 
-def pointwise(fn):
+def pointwise(fn, arity=None, array_fn=None):
     """fn over the elements of its (broadcast) array arguments, point by
     point in order, so that each value has fn's own bits and the first
-    error is fn's own at the first point where it raises.  A tuple value
-    gives a tuple of arrays; numbers alone give fn's own value."""
+    error is fn's own at the first point where it raises; array_fn, fn over
+    arrays, runs first and stands where it raises nothing and every value
+    is finite.  Tuples of arity numbers give arity arrays, over no points
+    too; numbers alone give fn's own value."""
     def mapped(*args):
         if all(isinstance(a, (int, float)) for a in args):
             return fn(*args)
-        cols = np.broadcast_arrays(*args)
+        cols = np.broadcast_arrays(*args) if args[1:] else [np.asarray(args[0])]
+        if array_fn is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    vals = array_fn(*cols)
+                    out = [np.full(cols[0].shape, v, dtype=float)
+                           for v in (vals if arity else [vals])]
+                if all(np.isfinite(v).all() for v in out):
+                    return tuple(out) if arity else out[0]
+            except (ValueError, ArithmeticError, HeisminError):
+                pass
         vals = np.array(list(map(fn, *(c.ravel().tolist() for c in cols))), dtype=float)
-        shape = cols[0].shape
-        return vals.reshape(shape) if vals.ndim == 1 else tuple(v.reshape(shape) for v in vals.T)
+        if arity:
+            return tuple(vals.reshape(-1, arity).T.reshape(arity, *cols[0].shape))
+        return vals.reshape(cols[0].shape)
     return mapped
 
 

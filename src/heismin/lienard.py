@@ -80,8 +80,11 @@ class AlphaSolution:
 
     def metric_factor(self, x: float) -> float:
         """e^{-int 2 alpha dx} / sqrt(1 + alpha^2), where alpha exists."""
-        self.alpha(x)   # the family's guard: (a, b) exists only where alpha does
+        self._guard(x)   # (a, b) exists where alpha does; the alpha row is not needed
         return 1.0 / self.y_speed(x)
+
+    def _guard(self, x):
+        """alpha's denominator at x (Zero has none); SingularPoint where it vanishes."""
 
     def singular_x(self):
         """x-values where the closed form blows up (possibly empty)."""
@@ -116,14 +119,14 @@ class _Special(AlphaSolution):
 
     c1: float
 
-    def _den(self, x):
+    def _guard(self, x):
         d = self.scale * x + self.c1
         if (at := first_where(abs(d) <= EPS_DEN, x)) is not None:
             raise SingularPoint(f"special {self._roman} solution singular at x = {at}")
         return d
 
     def alpha(self, x):
-        return 1.0 / self._den(x)
+        return 1.0 / self._guard(x)
 
     def alpha_x(self, x):
         return -self.scale * self.alpha(x) ** 2
@@ -172,7 +175,7 @@ class General(AlphaSolution):
         if self.c2 == 0.0:
             raise ValueError("general family requires c2 != 0")
 
-    def _parts(self, x):
+    def _guard(self, x):
         X = x + self.c1
         den = X * X + self.c2
         if (at := first_where(abs(den) <= EPS_DEN, x)) is not None:
@@ -180,15 +183,15 @@ class General(AlphaSolution):
         return X, den
 
     def alpha(self, x):
-        X, den = self._parts(x)
+        X, den = self._guard(x)
         return X / den
 
     def alpha_x(self, x):
-        X, den = self._parts(x)
+        X, den = self._guard(x)
         return (self.c2 - X * X) / den**2
 
     def alpha_xx(self, x):
-        X, den = self._parts(x)
+        X, den = self._guard(x)
         return 2.0 * X * (X * X - 3.0 * self.c2) / den**3
 
     def y_speed(self, x):

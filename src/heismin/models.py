@@ -110,7 +110,7 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
                 al, dal = sol.alpha(x), sol.alpha_x(x)
                 return -(2.0 * al + al * dal / (1.0 + al * al))
 
-            return YFunction(f, lambda x: f(x) * log_deriv(x), var="x")
+            return YFunction(f, lambda x: f(x) * log_deriv(x), var="x", arrays=(f, None, None))
         return Field2D(line)
 
     return MetricRep(coefficient(h), coefficient(ek))

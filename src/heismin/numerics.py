@@ -49,6 +49,12 @@ def memoized(f, shared: bool = False):
     return once
 
 
+def memoized_over(f):
+    """f of an array, once per distinct array (shape and float bits): callers share it."""
+    once = memoized(lambda key: f(np.frombuffer(key[1]).reshape(key[0])))
+    return lambda t: once((t.shape, np.asarray(t, dtype=float).tobytes()))
+
+
 class CumulativeIntegral:
     """Antiderivative F(x) = int_{x_base}^{x} f, by composite Simpson on
     the lattice x_base + n h, h = 1 / PANELS_PER_UNIT.
@@ -61,17 +67,20 @@ class CumulativeIntegral:
     value is cached.  A query more than MAX_LATTICE_NODES nodes from
     x_base, or at a non-finite x, raises QuadratureFailure before the
     lattice grows.  Errors call the variable var, as YFunction's do.
+    An integrand that takes arrays (arrays=True) is called once per growth.
     """
 
-    def __init__(self, f, x_base: float, var: str = "x"):
+    def __init__(self, f, x_base: float, var: str = "x", arrays: bool = False):
         self.f = f
         self.x_base = float(x_base)
         self.var = var
+        self._values = expr_mod.pointwise(f, None, f if arrays else None)   # f at an array
         self.h = 1.0 / PANELS_PER_UNIT
         # node i of side 0 sits at x_base + i h, of side 1 at x_base - i h;
         # both hold F and f at their nodes, from node 0 = x_base on
         self._F = ([], [])
         self._fx = ([], [])
+        self._arrays = None   # over's F and f: side 1 reversed, then side 0
 
     def _grow(self, n: int) -> None:
         """Extend the lattice to node n (signed)."""
@@ -90,14 +99,7 @@ class CumulativeIntegral:
             return
         step = self.h if side == 0 else -self.h
         nodes = self.x_base + np.arange(k, m + 1) * step
-        pts = np.empty(2 * (m - k))
-        pts[0::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        pts[1::2] = nodes[1:]
-        # far end first: a lattice that the integrand queries in turn then
-        # grows once instead of once per point
-        f = self.f
-        vals = np.array([f(t) for t in reversed(pts.tolist())], dtype=float)[::-1]
-        f_mid, f_node = vals[0::2], vals[1::2]
+        f_mid, f_node = self._pairs(0.5 * (nodes[:-1] + nodes[1:]), nodes[1:])
         f_near = np.concatenate(([fx[k]], f_node[:-1]))
         panels = (self.h / 6.0) * (f_near + 4.0 * f_mid + f_node)
         cum = np.cumsum(np.concatenate(([F[k]], panels if side == 0 else -panels)))
@@ -107,6 +109,15 @@ class CumulativeIntegral:
                 f"{self.var} = {nodes[-1]}")
         F.extend(cum[1:].tolist())
         fx.extend(f_node.tolist())
+        if self._arrays is not None:
+            self._arrays = [np.concatenate((a, v) if side == 0 else (v[::-1], a))
+                            for a, v in zip(self._arrays, (cum[1:], f_node))]
+
+    def _pairs(self, mid, hi):   # f at mid[i], then at hi[i], for each i in turn
+        pts = np.empty(2 * mid.size)
+        pts[0::2], pts[1::2] = mid, hi
+        vals = self._values(pts)
+        return vals[0::2], vals[1::2]
 
     def _past_limit(self, x: float, t: float) -> QuadratureFailure:
         return QuadratureFailure(
@@ -132,6 +143,32 @@ class CumulativeIntegral:
         if not math.isfinite(out):
             raise QuadratureFailure(f"non-finite antiderivative at {self.var} = {x}")
         return out
+
+    def over(self, xs):
+        """The float call at a float, or its bits and first error over an array:
+        one growth to the farthest node each side, then one residual panel."""
+        if not isinstance(xs, np.ndarray):
+            return self(xs)
+        if not (x := xs.ravel()).size:
+            return np.zeros(xs.shape)
+        with np.errstate(all="ignore"):
+            t = (x - self.x_base) / self.h
+            n = np.floor(t)
+        if (i := first_where(~(np.abs(n) <= MAX_LATTICE_NODES), np.arange(x.size))) is not None:
+            raise self._past_limit(x[i].item(), t[i].item())   # past the last node, inf or nan
+        for end in (n.max(), n.min()):
+            self._grow(int(end))
+        if self._arrays is None:
+            self._arrays = [np.array(v[1][:0:-1] + v[0]) for v in (self._F, self._fx)]
+        k = n.astype(np.intp) + (len(self._F[1]) - 1)
+        F, a = self._arrays[0][k], self.x_base + n * self.h
+        if (off := x != a).any():
+            lo, hi = a[off], x[off]
+            f_mid, f_hi = self._pairs(0.5 * (lo + hi), hi)
+            F[off] += (hi - lo) / 6.0 * (self._arrays[1][k[off]] + 4.0 * f_mid + f_hi)
+            if (bad := first_where(~np.isfinite(F), x)) is not None:
+                raise QuadratureFailure(f"non-finite antiderivative at {self.var} = {bad}")
+        return F.reshape(xs.shape)
 
 
 class Window(tuple):
@@ -187,9 +224,10 @@ class YFunction:
     A derivative that is not given is settled when the function is built:
     d by a central difference of f at FD_STEP; d2 by a central difference
     of d at FD_STEP when d is given, else of f at FD_STEP_D2.  A domain or
-    overflow error raises EvaluationError naming the point ("y = 0.5")."""
+    overflow error raises EvaluationError naming the point ("y = 0.5").
+    arrays, for over: True where f, df and d2f take arrays too, else their array forms."""
 
-    def __init__(self, f, df=None, d2f=None, var: str = "y"):
+    def __init__(self, f, df=None, d2f=None, var: str = "y", arrays=None):
         self.f = f
         self.var = var
         # the fallbacks close over f and df, not self: a cycle would keep
@@ -201,6 +239,7 @@ class YFunction:
             df = lambda y: central_d1(f, y, FD_STEP)
         self.df = df
         self.d2f = d2f
+        self.arrays = (f, df, d2f) if arrays is True else arrays
 
     def _at(self, fn, y: float) -> float:
         try:
@@ -211,15 +250,10 @@ class YFunction:
     def __call__(self, y: float) -> float:
         return self._at(self.f, y)
 
-    def over(self, ys: np.ndarray) -> np.ndarray:
-        """f over the array ys, which f must take: the float call's bits where
-        that returns, else an error or a value that is not finite (overflow
-        is inf); a function free of its variable gives one value for all."""
-        try:
-            with np.errstate(all="ignore"):
-                return np.full(ys.shape, self.f(ys), dtype=float)
-        except (ValueError, ArithmeticError) as exc:
-            raise EvaluationError(f"{self.var} = {ys}", exc) from exc
+    def over(self, ys, order: int = 0):
+        """f, d or d2 (order 0, 1 or 2) at a float, or over an array by pointwise."""
+        call = (self.__call__, self.d, self.d2)[order]
+        return expr_mod.pointwise(call, None, self.arrays and self.arrays[order])(ys)
 
     def d(self, y: float) -> float:
         return self._at(self.df, y)
@@ -235,8 +269,9 @@ class YFunction:
     def from_expr(src: str, var: str = "y") -> "YFunction":
         """The parsed expression, with symbolic first and second derivatives."""
         ast = expr_mod.parse_expr(src, var=var)
-        dast = ast.deriv()
-        return YFunction(ast.eval, dast.eval, dast.deriv().eval, var)
+        trees = (ast, (dast := ast.deriv()), dast.deriv())   # array code compiles on first use
+        return YFunction(*(t.eval for t in trees), var,
+                         [lambda y, t=t: t.eval_array(y) for t in trees])
 
 
 class Field2D:
@@ -289,7 +324,7 @@ class Field2D:
         x-partial."""
         def line(y):
             sol = m.slice_at(y)
-            return YFunction(sol.alpha, sol.alpha_x, var="x")
+            return YFunction(sol.alpha, sol.alpha_x, var="x", arrays=(sol.alpha, None, None))
         return Field2D(line)
 
 

@@ -48,8 +48,8 @@ class GraphSurface:
         """Graph from a two-variable expression in x and y; all partials
         are symbolic.  A domain or overflow error raises EvaluationError
         naming (x, y).  partials runs the array code over any number of
-        points but one, and the scalar code point by point where that
-        raises or at a single point, where it gives the same bits faster."""
+        points but one, replayed point by point where it raises or is not
+        finite, and the scalar code at a single point, where it is faster."""
         ast = expr_mod.parse_expr_multi(src, ("x", "y"))
         dx, dy = ast.deriv("x"), ast.deriv("y")
         nodes = (dx, dy, dx.deriv("x"), dx.deriv("y"), dy.deriv("y"))
@@ -62,13 +62,8 @@ class GraphSurface:
 
         def partials(xs, ys):
             xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-            if xs.size != 1:
-                try:   # np.full: a partial free of x and y is a scalar
-                    return tuple(np.full(xs.shape, n.eval_array({"x": xs, "y": ys}))
-                                 for n in nodes)
-                except (ValueError, ArithmeticError):
-                    pass
-            return pointwise(at)(xs, ys)
+            return pointwise(at, 5, None if xs.size == 1 else lambda xs, ys: [
+                n.eval_array({"x": xs, "y": ys}) for n in nodes])(xs, ys)
 
         return GraphSurface(lambda x, y: at(x, y, (ast,))[0], partials, window)
 
@@ -292,15 +287,12 @@ def _newton_zero(g: GraphSurface, x0, y0):
 
 def _partials_or_nan(g: GraphSurface, xs, ys):
     """g.partials, with nan at each point where u cannot be evaluated."""
-    try:
-        return g.partials(xs, ys)
-    except EvaluationError:
-        def at(x, y):
-            try:
-                return g.at(x, y)
-            except EvaluationError:
-                return [np.nan] * 5
-        return pointwise(at)(xs, ys)
+    def at(x, y):
+        try:
+            return g.at(x, y)
+        except EvaluationError:
+            return [np.nan] * 5
+    return pointwise(at, 5, g.partials)(xs, ys)
 
 
 def _max_abs_F(g: GraphSurface, xs, ys) -> float:

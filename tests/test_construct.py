@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heismin import construct, heis
+from heismin import construct, heis, verify
 from heismin.errors import BadRotation, DegenerateChart, SingularPoint
 from heismin.models import YFunction
 
@@ -207,3 +207,14 @@ def test_conicoid_zetas_via_ruled_pipeline():
     for t in (0.5, 2.0, 4.5):
         assert z2(t) == pytest.approx(1.0, abs=1e-10)
         assert z1.d(t) == pytest.approx(z1.d(0.5), abs=1e-9)
+
+
+@pytest.mark.parametrize("chart", [
+    construct.bernstein_plane(0.0, 0.0, 0.0),
+    construct.bernstein_saddle(1.0, 0.0, YFunction.constant(0.0)),
+], ids=["plane", "saddle"])
+def test_graph_partials_over_no_points_are_five_arrays(chart):
+    parts = chart.graph_u.partials([], [])
+    assert len(parts) == 5 and all(p.shape == (0,) for p in parts)
+    x, y, res = verify._newton_zero(chart.graph_u, [], [])
+    assert x.size == y.size == res.size == 0

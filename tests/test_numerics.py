@@ -8,8 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from heismin import construct, integrability, lienard, numerics
-from heismin.errors import QuadratureFailure
+from heismin.errors import EvaluationError, QuadratureFailure
+from heismin.expr import pointwise
 from heismin.integrability import Field2D
 from heismin.models import YFunction
 from heismin.numerics import (CumulativeIntegral, Window, YFunction,
@@ -20,8 +23,8 @@ class DictSimpson:
     """Reference: the earlier algorithm, one scalar Simpson panel at a time
     into a dict of cumulative sums, memoized on exact query values."""
 
-    def __init__(self, f, x_base, panels_per_unit=512, var="x"):
-        self.f = f
+    def __init__(self, f, x_base, panels_per_unit=512, var="x", arrays=False):
+        self.f = f   # called at one float at a time, whatever arrays says
         self.x_base = float(x_base)
         self.h = 1.0 / float(panels_per_unit)
         self._cum = {0: 0.0}
@@ -57,6 +60,10 @@ class DictSimpson:
             raise QuadratureFailure(f"non-finite antiderivative at x = {x}")
         self._memo[x] = out
         return out
+
+    def over(self, xs):
+        """The oracle's own call at each point of the array xs, in order."""
+        return pointwise(self)(xs)
 
 
 def integrand(x):
@@ -140,6 +147,70 @@ def test_query_past_the_node_limit_raises_before_the_lattice_grows(monkeypatch):
                                                     r"more than the limit of 128"):
             lattice(x)
     assert len(calls) == grown
+
+
+# an integrand with an array form of the same bits (+ - * / and cos only)
+SMOOTH = YFunction.from_expr("0.5*x*x + cos(2*x) - x/3", "x")
+NODES = st.integers(-3 * PPU, 3 * PPU).map(lambda n: X_BASE + n / PPU)
+
+
+def _bits_of(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(st.lists(st.one_of(NODES, st.floats(X_BASE - 3.0, X_BASE + 3.0)), max_size=12),
+       st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_array_query_is_the_float_call_bit_for_bit(xs, arrays):
+    # nodes and points off the lattice on both sides of the base; the same
+    # lattice then answers the reversed and the doubled queries
+    lattice = CumulativeIntegral(SMOOTH.over if arrays else SMOOTH, X_BASE, arrays=arrays)
+    for q in (xs, xs[::-1], xs + xs):
+        fresh = [CumulativeIntegral(SMOOTH, X_BASE)(x) for x in q]
+        assert _bits_of(lattice.over(np.array(q, dtype=float))) == _bits_of(fresh)
+    grid = np.array(xs[:4] * 2 + [X_BASE] * (8 - 2 * len(xs[:4]))).reshape(2, 4)
+    assert lattice.over(grid).shape == (2, 4)
+    assert lattice.over(xs[0] if xs else X_BASE) == CumulativeIntegral(SMOOTH, X_BASE)(
+        xs[0] if xs else X_BASE)
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, math.inf, -math.inf, math.nan])
+def test_array_query_past_the_limit_raises_before_the_lattice_grows(monkeypatch, bad):
+    monkeypatch.setattr(numerics, "MAX_LATTICE_NODES", 128)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.ones_like(x)
+
+    edge = 128 / PPU
+    xs = np.array([0.1, -edge, bad * (edge + 1.0 / PPU) if math.isfinite(bad) else bad, 0.2])
+    with pytest.raises(QuadratureFailure) as got:
+        CumulativeIntegral(f, 0.0, arrays=True).over(xs)
+    with pytest.raises(QuadratureFailure) as want:
+        CumulativeIntegral(f, 0.0)(xs[2])
+    assert str(got.value) == str(want.value) and calls == []
+    # an integrand that is infinite at one query only: the float call's error
+    spike = CumulativeIntegral(lambda x: np.where(x == 0.1, np.inf, 1.0), 0.0, arrays=True)
+    with pytest.raises(QuadratureFailure, match=r"^non-finite antiderivative at x = 0\.1$"):
+        spike.over(np.array([0.05, 0.2, 0.1, 0.15]))
+
+
+def test_an_array_error_names_its_first_point_in_order():
+    # sqrt(2 - theta) fails past theta = 2, partway through a theta lattice
+    # grown to 3 in one array call: the error is the float call's at the
+    # first lattice point past 2, the midpoint 2 + h/2, not the whole array
+    zeta = YFunction.from_expr("sqrt(2-theta)", "theta")
+    with pytest.raises(EvaluationError) as want:
+        zeta(2.0 + 0.5 / PPU)
+    lattice = CumulativeIntegral(zeta.over, 0.0, "theta", arrays=True)
+    with pytest.raises(EvaluationError) as got:
+        lattice.over(np.array([1.0, 3.0, 0.5]))
+    assert str(got.value) == str(want.value) == (
+        "cannot evaluate at theta = 2.0009765625: math domain error")
+    with pytest.raises(EvaluationError, match=r"at theta = 2\.25: "):
+        zeta.over(np.linspace(0.0, 3.0, 13))
+    assert lattice.over(np.array([1.5])) == CumulativeIntegral(zeta, 0.0)(1.5)
 
 
 def round_trip(rng):
