@@ -301,12 +301,12 @@ def cmd_construct(args):
     chart = construct.ruled_surface(curve, r_range=r_range)
     if args.obj:
         mesh_obj(args.obj, chart, args.nr, args.ntheta)
-    z1, z2 = construct.zeta_from_curve(curve)
     ts = interval.inner(args.ntheta, 1e-9)
+    z1s, z2s = (z.over(np.array(ts)).tolist() for z in construct.zeta_from_curve(curve))
     return {
-        "zeta1": [[t, z1(t)] for t in ts],
-        "zeta2": [[t, z2(t)] for t in ts],
-        "special_type_I": max(abs(z2(t)) for t in ts) <= SPECIAL_I_TOL,
+        "zeta1": [[t, z] for t, z in zip(ts, z1s)],
+        "zeta2": [[t, z] for t, z in zip(ts, z2s)],
+        "special_type_I": max(map(abs, z2s)) <= SPECIAL_I_TOL,
         "special_type_I_tolerance": SPECIAL_I_TOL,
         "obj": args.obj,
     }

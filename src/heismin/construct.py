@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadRotation, DegenerateChart, SingularPoint
 from .expr import pointwise
 from .heis import HPoint
-from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized, memoized_over
+from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
 from .verify import GraphSurface
 
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
@@ -40,26 +40,24 @@ class GeneratingCurve:
 
     Each component is a YFunction in theta, given or built from fns, d1 and
     d2, so a derivative that is not given comes from its finite-difference
-    fallback.  The point, C' and C'' are each evaluated once per t (or array)
-    and memoized, and every invariant below is derived from those values.
+    fallback.  The point, C' and C'' each keep one table, evaluated once per
+    float t or distinct array, and every invariant below is derived from them.
     """
 
     def __init__(self, fns, d1=None, d2=None, interval=(0.0, 2.0 * math.pi)):
         self.interval = interval
         comps = [f if isinstance(f, YFunction) else YFunction(f, df, d2f, "theta")
                  for f, df, d2f in zip(fns, d1 or [None] * 3, d2 or [None] * 3)]
-        self._jets = tuple(
-            memoized(lambda t, evals=evals: tuple([ev(t) for ev in evals]))
-            for evals in (comps, [c.d for c in comps], [c.d2 for c in comps]))
-        # an array: the components' array forms, where all have one, replayed per t
+        # an array: the components' array forms where all have one, else the float jets
         forms = zip(*(c.arrays or [None] * 3 for c in comps))
-        self._over = [memoized_over(pointwise(jet, 3, None if None in fs else
-                                              lambda t, fs=fs: [f(t) for f in fs]))
-                      for jet, fs in zip(self._jets, forms)]
+        self._jets = [
+            memoized(pointwise(memoized(lambda t, evals=evals: tuple([ev(t) for ev in evals])),
+                               3, None if None in fs else lambda t, fs=fs: [f(t) for f in fs]))
+            for evals, fs in zip((comps, [c.d for c in comps], [c.d2 for c in comps]), forms)]
 
     def _jet(self, order: int, t):
         """(x, y, z) differentiated `order` times, at the float or array t."""
-        return (self._over if isinstance(t, np.ndarray) else self._jets)[order](t)
+        return self._jets[order](t)
 
     def point(self, t: float) -> HPoint:
         return HPoint(*self._jet(0, t))
@@ -210,7 +208,7 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     t0 = Window(*theta_interval).lo
     # x', y' and z' all need zeta1 at the same t (or array), over three lattices
     z1 = YFunction(memoized(zeta1), zeta1.d, zeta1.d2, "theta",
-                   zeta1.arrays and [f and memoized_over(f) for f in zeta1.arrays])
+                   zeta1.arrays and [f and memoized(f) for f in zeta1.arrays])
 
     def xp(t):
         return -z1.over(t) * _sin(t)

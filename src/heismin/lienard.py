@@ -255,14 +255,14 @@ def _rk4_step(alpha: float, v: float, h: float, H_const: float):
 
 
 def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
-           H_const: float, guard: float = BLOWUP_GUARD) -> Trajectory:
+           H_const: float) -> Trajectory:
     """The RK4 states (alpha, v) at x0 + i h, i = 0..n, where h is the
     nearest step to `step` that divides [x0, x1] (n = 0 when x1 == x0);
     raises StepLimit, before the first step, when that takes more than
     MAX_RK4_STEPS steps, and BlowUp at the first non-finite state or state
-    beyond the guard."""
+    beyond BLOWUP_GUARD."""
     if x1 == x0:   # a window of zero width holds the initial state alone
-        if not (-guard <= alpha0 <= guard and -guard <= v0 <= guard):
+        if not (abs(alpha0) <= BLOWUP_GUARD and abs(v0) <= BLOWUP_GUARD):
             raise BlowUp(x0)
         return Trajectory(x0, 0.0, array("d", [alpha0]), array("d", [v0]))
     steps = abs(x1 - x0) / step
@@ -275,7 +275,7 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
     put_a, put_v = alphas.append, vs.append
     # _rk4_step written out, _rhs in its order: 0.5 * h * k is (0.5 * h) * k
     # and h / 6.0 * s is (h / 6.0) * s, so the hoisted factors change no bit
-    hh, h6 = 0.5 * h, h / 6.0
+    hh, h6, guard = 0.5 * h, h / 6.0, BLOWUP_GUARD   # guard: a local, read every step
     a, v = alpha0, v0
     i = 0
     try:
@@ -290,7 +290,7 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
             k4v = -(6.0 * a4 * v4 + 4.0 * a4**3 + c2 * a4)
             a, v = (a + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
                     v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
-            # false on nan and +-inf too, for the finite guard integrate_ivp checks
+            # false on nan and +-inf too, as the guard is finite
             if not (-guard <= a <= guard and -guard <= v <= guard):
                 raise BlowUp(x0 + (i + 1) * h)
             put_a(a)
@@ -335,21 +335,17 @@ class Trajectory(_Rows):
 
 
 def integrate_ivp(alpha0: float, v0: float, x0: float, x1: float,
-                  step: float, H_const: float = 0.0,
-                  guard: float = BLOWUP_GUARD) -> Trajectory:
+                  step: float, H_const: float = 0.0) -> Trajectory:
     """Classical RK4 on (alpha' = v, v' = -(6 alpha v + 4 alpha^3 + c^2 alpha)).
 
     Returns the trajectory covering [x0, x1], a sequence of
     (x, PhaseState).  Raises BlowUp when |alpha| or |v| exceeds the
-    overflow guard, which signals approach to a singular x of the
-    underlying solution, and ValueError for a step that is not positive
-    or a guard that is not positive and finite.
+    overflow guard BLOWUP_GUARD, which signals approach to a singular x of
+    the underlying solution, and ValueError for a step that is not positive.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if not 0.0 < guard < math.inf:
-        raise ValueError("guard must be positive and finite")
-    return _sweep(alpha0, v0, x0, x1, step, H_const, guard)
+    return _sweep(alpha0, v0, x0, x1, step, H_const)
 
 
 class OdeSolutionCurve:

@@ -89,9 +89,10 @@ def exp_of(k: YFunction) -> YFunction:
 def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
     """Closed-form (a, b) = (h(y), e^{k(y)}) times the family's
     metric_factor(x), e^{-int 2 alpha dx} / sqrt(1 + alpha^2).
-    Both a and b share that x-profile, so a_x and b_x follow analytically
-    from -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2).  Each y-line of
-    a or b reads the slice and h(y) or e^{k(y)} once, and takes an x-row.
+    a_x and b_x are YFunction's central differences, as on every line: the
+    closed form's -b_x/b = 2 alpha + alpha alpha_x/(1 + alpha^2) is the second
+    integrability equation, which the check must test, not be handed.  Each
+    y-line reads the slice and h(y) or e^{k(y)} once, and takes an x-row.
     """
     ek = exp_of(k)
 
@@ -106,11 +107,7 @@ def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
                                           "the metric coefficient is not finite")
                 return val
 
-            def log_deriv(x):
-                al, dal = sol.alpha(x), sol.alpha_x(x)
-                return -(2.0 * al + al * dal / (1.0 + al * al))
-
-            return YFunction(f, lambda x: f(x) * log_deriv(x), var="x", arrays=(f, None, None))
+            return YFunction(f, var="x", arrays=(f, None, None))
         return Field2D(line)
 
     return MetricRep(coefficient(h), coefficient(ek))

@@ -35,24 +35,20 @@ def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
 
 
 def memoized(f, shared: bool = False):
-    """The one-argument callable f, evaluated once per distinct argument,
-    or, when shared, once at the first argument for every argument."""
+    """The one-argument callable f, evaluated once per distinct argument, an
+    ndarray by its dtype, shape and bits (-0.0 is not 0.0, nor [t] t), or,
+    when shared, once at the first argument for every argument."""
     memo = {}
 
     def once(t):
-        key = None if shared else t
+        key = (None if shared else (t.dtype, t.shape, t.tobytes())
+               if isinstance(t, np.ndarray) else t)
         v = memo.get(key)
         if v is None:
             v = memo[key] = f(t)
         return v
 
     return once
-
-
-def memoized_over(f):
-    """f of an array, once per distinct array (shape and float bits): callers share it."""
-    once = memoized(lambda key: f(np.frombuffer(key[1]).reshape(key[0])))
-    return lambda t: once((t.shape, np.asarray(t, dtype=float).tobytes()))
 
 
 class CumulativeIntegral:

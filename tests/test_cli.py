@@ -735,6 +735,50 @@ def test_construct_usage_error(capsys):
     assert code == 1
 
 
+ZETAS = ["--zeta1", "0.3+0.2*sin(theta)", "--zeta2", "0.5+0.1*cos(theta)"]
+CURVE = ["--curve-x", "cos(theta)", "--curve-y", "sin(2*theta)", "--curve-z", "0.1*theta"]
+
+
+@pytest.mark.parametrize("source, window, ntheta", [
+    (ZETAS, [], "48"),
+    (CURVE, [], "48"),
+    (ZETAS, ["--theta-min", "3", "--theta-max", "0.5"], "17"),   # reversed window
+    (CURVE, ["--theta-min", "3", "--theta-max", "0.5"], "17"),
+    (ZETAS, [], "1"),
+    (CURVE, [], "1"),
+], ids=["zetas", "curve", "zetas-reversed", "curve-reversed", "zetas-one", "curve-one"])
+def test_construct_zetas_are_the_float_calls(source, window, ntheta, capsys):
+    # one array call per zeta gives each theta the bits of its own float call
+    code, out = run_cli(["construct", *source, *window, "--ntheta", ntheta], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    args = cli.build_parser().parse_args(["construct", *source, *window])
+    interval = numerics.Window(args.theta_min, args.theta_max)
+    if args.zeta1 is not None:
+        curve = construct.curve_from_zeta(YFunction.from_expr(args.zeta1, "theta"),
+                                          YFunction.from_expr(args.zeta2, "theta"),
+                                          interval)
+    else:
+        curve = construct.GeneratingCurve.from_exprs(args.curve_x, args.curve_y,
+                                                     args.curve_z, interval=interval)
+    ts = interval.inner(int(ntheta), 1e-9)
+    for key, z in zip(("zeta1", "zeta2"), construct.zeta_from_curve(curve)):
+        assert payload[key] == [[t, z(t)] for t in ts]
+    assert payload["special_type_I"] is (max(abs(z) for _, z in payload["zeta2"]) <= 1e-10)
+
+
+@pytest.mark.parametrize("obj, theta", [
+    (False, "2.0052719069083786"),   # the first sample past 2
+    (True, "2.0009765625"),          # the mesh grows the z' lattice first: its midpoint past 2
+], ids=["json", "obj"])
+def test_construct_zeta_error_names_the_first_theta(obj, theta, tmp_path, capsys):
+    argv = ["construct", "--zeta1", "1", "--zeta2", "sqrt(2-theta)"]
+    code = cli.main(argv + (["--obj", str(tmp_path / "s.obj")] if obj else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot evaluate at theta = {theta}: math domain error\n"
+
+
 def test_examples_all(tmp_path, capsys):
     for name in ("plane", "saddle", "helicoid", "conicoid"):
         obj = tmp_path / f"{name}.obj"
@@ -891,6 +935,36 @@ with tempfile.TemporaryDirectory() as out:
         ops[label].check(ops[label].run())
 print(json.dumps({name: s["count"] for name, s in tracer.summary().items()}))
 """
+
+
+TRACED_ROUND_TRIP = """
+import json, tempfile
+import spans, workloads
+tracer = spans.Tracer()
+spans.install(tracer)
+with tempfile.TemporaryDirectory() as out:
+    ctx = workloads.Context(out)
+    ctx.tracer = tracer
+    op = next(op for op in workloads.build("quadrature", 41, ctx)
+              if op.label == "zeta round trip")
+    op.check(op.run())
+print(json.dumps([tracer.counts["integrand_evals"], len(tracer.distinct)]))
+"""
+
+
+def test_traced_round_trip_calls_each_curve_callable_once_per_t():
+    # seed 41's zeta round trip, whose nine scalar curve callables the
+    # tracer counts per call and per distinct (callable, t): every call is
+    # a new one, and their number is the figure the benchmark reports
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(heismin.__file__))
+    path = os.pathsep.join([src, os.path.join(root, "bench")])
+    proc = subprocess.run([sys.executable, "-c", TRACED_ROUND_TRIP],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    evals, distinct = json.loads(proc.stdout)
+    assert evals == distinct == 57696
 
 
 def test_benchmark_ops_pass_their_oracles_under_the_tracer():

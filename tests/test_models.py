@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from heismin import lienard, models
+from heismin import integrability, lienard, models
 from heismin.errors import MixedType, SingularPoint
 from heismin.models import AlphaModel, SurfaceType, YFunction
+from heismin.numerics import Field2D
 
 
 def yconst(c):
@@ -90,15 +92,24 @@ def test_metric_rep_vertical_branch():
     assert rep.a_x(5.0, 0.5) == 0.0
 
 
-def test_metric_rep_analytic_x_partials():
-    m = AlphaModel(lienard.General, yconst(0.1), yconst(1.5))
-    rep = models.metric_rep(m, yconst(0.0), yconst(1.0))
-    h = 1e-6
-    for x in (0.7, 1.9):
-        fd = (rep.a(x + h, 0.5) - rep.a(x - h, 0.5)) / (2 * h)
-        assert rep.a_x(x, 0.5) == pytest.approx(fd, rel=1e-7, abs=1e-9)
-        fd = (rep.b(x + h, 0.5) - rep.b(x - h, 0.5)) / (2 * h)
-        assert rep.b_x(x, 0.5) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+def test_metric_rep_x_partials_check_the_closed_form(monkeypatch):
+    # a_x and b_x are differences of a and b, not the second integrability
+    # equation written out, so the check catches a metric that breaks it
+    m = AlphaModel(lienard.General, YFunction.from_expr("0.1 + 0.2*y"),
+                   YFunction.from_expr("1.5 + y"), (0.0, 1.0))
+    alpha, H = Field2D.from_model(m), Field2D.constant(0.0)
+    grid = (np.linspace(0.5, 2.5, 25), np.linspace(0.05, 0.95, 10))
+    k, h = YFunction.from_expr("0.3*y"), YFunction.from_expr("1 + y")
+
+    def residual():
+        rep = models.metric_rep(m, k, h)
+        return integrability.integrability_residual(alpha, H, rep, grid).max
+
+    assert max(residual().values()) <= 1e-7
+    y_speed = lienard.General.y_speed
+    monkeypatch.setattr(lienard.General, "y_speed",
+                        lambda self, x: y_speed(self, x) * (1.0 + 0.1 * x))
+    assert residual()[2] > 1e-3
 
 
 def test_metric_regular_where_alpha_vanishes():

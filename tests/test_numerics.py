@@ -245,13 +245,48 @@ def test_curve_callables_evaluated_once_per_t():
             return f(t)
         return g
 
-    fns = [counted(math.sin), counted(math.cos), counted(lambda t: 0.1 * t)]
-    d1 = [counted(math.cos), counted(lambda t: -math.sin(t)), counted(lambda t: 0.1)]
-    curve = construct.GeneratingCurve(fns=fns, d1=d1)
-    z1, z2 = construct.zeta_from_curve(curve)
-    for t in np.linspace(0.2, 3.0, 9).tolist():
-        z1(t), z2(t), curve.D(t), curve.Q(t), curve.contact_speed(t)
+    def curve():
+        fns = [counted(math.sin), counted(math.cos), counted(lambda t: 0.1 * t)]
+        d1 = [counted(math.cos), counted(lambda t: -math.sin(t)), counted(lambda t: 0.1)]
+        c = construct.GeneratingCurve(fns=fns, d1=d1)
+        return (c, *construct.zeta_from_curve(c)), fns + d1
+
+    ts = np.linspace(0.2, 3.0, 9)
+    (c, z1, z2), _ = curve()
+    for t in ts.tolist():
+        z1(t), z2(t), c.D(t), c.Q(t), c.contact_speed(t)
     assert max(calls.values()) == 1
+    # one array of the same thetas first, then each as a float: the array's
+    # per-t replay fills the table the floats read
+    calls.clear()
+    (c, z1, z2), fns = curve()
+    for f in (z1.over, z2.over, c.D, c.Q, c.contact_speed):
+        f(ts)
+    for t in ts.tolist():
+        z1(t), z2(t), c.D(t), c.Q(t), c.contact_speed(t)
+    assert max(calls.values()) == 1
+    assert all(calls[(g, t)] == 1 for g in fns for t in ts.tolist())
+
+
+def test_memoized_calls_f_once_per_equal_array():
+    seen = []
+    once = numerics.memoized(lambda t: seen.append(t) or t * 2.0)
+    a = np.array([0.25, 1.5])
+    first = once(a)
+    assert once(np.array([0.25, 1.5])) is first and len(seen) == 1
+    np.testing.assert_array_equal(first, [0.5, 3.0])
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.array([0.0]), np.array([-0.0])),   # equal values, different bits
+    (0.5, np.array([0.5])),                # a float is not its one-element array
+    (np.array([1.0, 2.0]), np.array([[1.0, 2.0]])),   # same bits, other shape
+])
+def test_memoized_tells_apart_arrays_by_bits_and_shape(u, v):
+    seen = []
+    once = numerics.memoized(lambda t: seen.append(t) or np.copysign(1.0, t))
+    once(u), once(v), once(u), once(v)
+    assert len(seen) == 2
 
 
 def h2_metric(alpha, H):
