@@ -132,20 +132,34 @@ def _csv(path, header, rows) -> None:
         _write_rows(out, ",".join(["%.17g"] * len(header)) + "\n", rows)
 
 
+def _grid_csv(path, header, cell, outer, inner, values) -> None:
+    """Write a CSV over the outer x inner grid, inner fastest, to path (stdout
+    when None); cell is a row's %-format with {inner} and one {outer}, and
+    values[k] the kth outer row's values.  Each coordinate is formatted once
+    with %.17g, and each outer row is one % call and one write."""
+    left, right = cell.split("{outer}")
+    ls, rs = ([p.format(inner="%.17g" % x) for x in inner] for p in (left, right))
+    pieces = [ls[0], *(r + l for r, l in zip(rs, ls[1:])), rs[-1]]   # row = o.join(pieces)
+    with _open(path) as out:
+        _write_text(out, ",".join(header) + "\n")
+        for o, vs in zip(outer, values):
+            _write_text(out, ("%.17g" % o).join(pieces) % tuple(vs))
+
+
 def mesh_obj(path, chart, nu: int, nv: int) -> None:
     """Write the Wavefront OBJ of the chart to path (stdout when None): the
     vertices over the (u, v) grid in row-major order, from one chart.point
-    call on the flattened grid before path is opened, then quad faces; no
-    normals."""
+    call on the flattened grid before path is opened, then quad faces, one
+    % call and one write a mesh row; no normals."""
     us, vs = (Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
     with np.errstate(all="ignore"):   # overflow is inf, as in float arithmetic
         p = chart.point(np.repeat(us, nv), np.tile(vs, nu))
     points = zip(p.x.tolist(), p.y.tolist(), p.z.tolist())
-    faces = ((a, a + nv, a + nv + 1, a + 1)
-             for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)))
+    first = (np.arange(1, nv)[:, None] + [0, nv, nv + 1, 1]).ravel()   # mesh row 0's faces
     with _open(path) as out:
         _write_rows(out, "v %.17g %.17g %.17g\n", points)
-        _write_rows(out, "f %d %d %d %d\n", faces)
+        for i in range(nu - 1):
+            _write_text(out, "f %d %d %d %d\n" * (nv - 1) % tuple((first + i * nv).tolist()))
 
 
 # --alpha's names of the lienard families; a family's constants c1, c2
@@ -211,7 +225,8 @@ def cmd_solve_lienard(args):
 
 def cmd_phase_field(args):
     field = lienard.phase_field(*_windows(args, "alpha", "v"), args.nx, args.nv)
-    _csv(args.out, ["x", "v", "dx", "dv"], zip(*field.columns()))
+    _grid_csv(args.out, ["x", "v", "dx", "dv"], "{outer},{inner},{inner},%.17g\n",
+              field.alpha, field.v, field.dv)
 
 
 def cmd_classify(args):
@@ -229,10 +244,10 @@ def cmd_metric(args):
     def line(y):
         cols = expr.pointwise(lambda x: (alpha(x, y), rep.a(x, y), rep.b(x, y)), 3,
                               lambda row: [f(row, y) for f in (alpha, rep.a, rep.b)])(row)
-        return zip(xs, [y] * len(xs), *(c.tolist() for c in cols))
+        return np.stack(cols, axis=1).ravel().tolist()
 
-    rows = [r for y in ys for r in line(y)]
-    _csv(args.out, ["x", "y", "alpha", "a", "b"], rows)
+    _grid_csv(args.out, ["x", "y", "alpha", "a", "b"], "{inner},{outer},%.17g,%.17g,%.17g\n",
+              ys, xs, [line(y) for y in ys])
 
 
 def cmd_normalize(args):

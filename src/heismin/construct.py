@@ -48,12 +48,20 @@ class GeneratingCurve:
         self.interval = interval
         comps = [f if isinstance(f, YFunction) else YFunction(f, df, d2f, "theta")
                  for f, df, d2f in zip(fns, d1 or [None] * 3, d2 or [None] * 3)]
-        # an array: the components' array forms where all have one, else the float jets
+        # a float: the components' own functions; an array: their array forms
+        # where all have one, else the float jets
         forms = zip(*(c.arrays or [None] * 3 for c in comps))
-        self._jets = [
-            memoized(pointwise(memoized(lambda t, evals=evals: tuple([ev(t) for ev in evals])),
-                               3, None if None in fs else lambda t, fs=fs: [f(t) for f in fs]))
-            for evals, fs in zip((comps, [c.d for c in comps], [c.d2 for c in comps]), forms)]
+        self._jets = []
+        for order, fs in enumerate(forms):
+            f0, f1, f2 = (getattr(c, ("f", "df", "d2f")[order]) for c in comps)
+
+            def jet(t, f0=f0, f1=f1, f2=f2, order=order):
+                try:
+                    return (float(f0(t)), float(f1(t)), float(f2(t)))
+                except (ValueError, ArithmeticError):   # replayed: YFunction names theta
+                    return tuple([c.over(t, order) for c in comps])
+            array_jet = None if None in fs else lambda t, fs=fs: [f(t) for f in fs]
+            self._jets.append(memoized(pointwise(memoized(jet), 3, array_jet)))
 
     def _jet(self, order: int, t):
         """(x, y, z) differentiated `order` times, at the float or array t."""

@@ -329,7 +329,7 @@ class Trajectory(_Rows):
 
     def columns(self):
         """The columns x, alpha, v."""
-        xs = array("d", (self.x0 + i * self.h for i in range(len(self))))
+        xs = self.x0 + np.arange(len(self), dtype=float) * self.h   # float(i) * h, as _row
         xs[0] = self.x0
         return xs, self.alpha, self.v
 
@@ -430,21 +430,18 @@ def conserved_quantity(s: PhaseState) -> float:
 
 
 class PhaseField(_Rows):
-    """The direction field on a grid, kept as the columns alpha, v and dv;
-    [k] is (PhaseState, (dalpha, dv)) with dalpha = v."""
+    """The direction field on a grid, kept as its axes alpha and v and the rows
+    dv, dv[i][j] at (alpha[i], v[j]); [k] is row-major (PhaseState, (v, dv))."""
 
     def __init__(self, alpha: list, v: list, dv: list):
         self.alpha, self.v, self.dv = alpha, v, dv
 
     def __len__(self):
-        return len(self.alpha)
+        return len(self.alpha) * len(self.v)
 
     def _row(self, k):
-        return PhaseState(self.alpha[k], self.v[k]), (self.v[k], self.dv[k])
-
-    def columns(self):
-        """The columns alpha, v, dalpha, dv."""
-        return self.alpha, self.v, self.v, self.dv
+        i, j = divmod(k, len(self.v))
+        return PhaseState(self.alpha[i], self.v[j]), (self.v[j], self.dv[i][j])
 
 
 def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
@@ -476,5 +473,5 @@ def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
             j = int(np.argmax(bad))
             raise EvaluationError(f"(alpha, v) = ({a}, {vs[j]})",
                                   "the field value is not finite")
-        dvs += dv.tolist()
-    return PhaseField([a for a in alphas for _ in vs], vs * nx, dvs)
+        dvs.append(dv.tolist())
+    return PhaseField(alphas, vs, dvs)

@@ -274,6 +274,54 @@ def test_trajectory_and_field_csv_match_per_value_writer(capsys):
                                 [(s.alpha, s.v, da, dv) for s, (da, dv) in field])
 
 
+def reference_phase_field(argv):
+    """Reference: phase-field's rows cell by cell, alpha rows of v, each dv
+    from a scalar _rhs call."""
+    args = cli.build_parser().parse_args(["phase-field", *argv])
+    (a_lo, a_hi), (v_lo, v_hi) = cli._windows(args, "alpha", "v")
+    alphas = [a_lo + (a_hi - a_lo) * i / (args.nx - 1) for i in range(args.nx)]
+    vs = [v_lo + (v_hi - v_lo) * j / (args.nv - 1) for j in range(args.nv)]
+    return reference_csv(["x", "v", "dx", "dv"],
+                         [(a, v, v, lienard._rhs(a, v, 0.0)[1]) for a in alphas for v in vs])
+
+
+PHASE_FIELD_GRIDS = {
+    # non-square both ways, so that swapping alpha and v shows
+    "7x5": ["--nx", "7", "--nv", "5"],
+    "5x7": ["--nx", "5", "--nv", "7"],
+    "2x2": ["--nx", "2", "--nv", "2"],
+    "reversed": ["--alpha-min", "2", "--alpha-max=-1", "--v-min", "3", "--v-max=-2",
+                 "--nx", "6", "--nv", "4"],
+    "negative-zero": ["--alpha-min=-0.0", "--alpha-max", "1", "--v-min", "1",
+                      "--v-max=-0.0", "--nx", "3", "--nv", "4"],
+    "1e100": ["--alpha-min=-1e100", "--alpha-max=1e100", "--nx", "7", "--nv", "5"],
+}
+
+
+@pytest.mark.parametrize("name", list(PHASE_FIELD_GRIDS))
+def test_phase_field_matches_the_cell_by_cell_reference(name, capsys):
+    argv = PHASE_FIELD_GRIDS[name]
+    code, out = run_cli(["phase-field", *argv], capsys)
+    assert code == 0
+    assert out == reference_phase_field(argv)
+
+
+@pytest.mark.parametrize("argv, outer, inner", [
+    (["phase-field", "--nx", "4", "--nv", "3"], 4, 3),
+    (["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "3", "--ny", "5"], 5, 3),
+], ids=["phase-field", "metric"])
+def test_grid_csv_writes_each_outer_row_on_its_own(argv, outer, inner, monkeypatch, capsys):
+    # the header, then one write per alpha (phase-field) or y (metric) row of
+    # the grid: the text streams out and is never held whole
+    texts = []
+    monkeypatch.setattr(cli, "_write_text", lambda out, text: texts.append(text))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert [t.count("\n") for t in texts] == [1] + [inner] * outer
+    monkeypatch.undo()
+    assert run_cli(argv, capsys) == (0, "".join(texts))
+
+
 def test_metric_deterministic(capsys):
     argv = ["metric", "--alpha", "general", "--c1", "0.1", "--c2", "1.5",
             "--k", "0.1*y", "--h", "0.3", "--nx", "5", "--ny", "3"]
@@ -311,6 +359,18 @@ METRIC_MODELS = {
                            "--x-min", "2.5", "--x-max", "0.5"],
     "general-one-point": ["--alpha", "general", "--c1", "y", "--c2", "1+y",
                           "--nx", "1", "--ny", "1"],
+    # non-square both ways, so that swapping x and y shows
+    "general-7x5": ["--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "7", "--ny", "5"],
+    "general-5x7": ["--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "5", "--ny", "7"],
+    "general-one-row": ["--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "9",
+                        "--ny", "1"],
+    "general-reversed-xy": ["--alpha", "general", "--c1", "y", "--c2", "1+y", "--x-min", "2.5",
+                            "--x-max", "0.5", "--y-min", "1", "--y-max", "0", "--nx", "4"],
+    "general-negative-zero": ["--alpha", "general", "--c1", "y", "--c2", "1+y",
+                              "--x-min=-0.0", "--x-max", "1", "--y-min", "1",
+                              "--y-max=-0.0", "--nx", "3", "--ny", "4"],
+    "general-1e100": ["--alpha", "general", "--c1", "0", "--c2", "1", "--x-min=-1e100",
+                      "--x-max=1e100", "--nx", "5", "--ny", "3"],
 }
 
 

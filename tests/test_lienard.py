@@ -387,9 +387,10 @@ def test_phase_field_matches_per_cell_rhs():
         for s, (da, dv) in field:
             ref = lienard._rhs(s.alpha, s.v, 0.0)
             assert same_float(da, ref[0]) and same_float(dv, ref[1])
-        alphas, vs, das, dvs = field.columns()
-        assert list(zip(alphas, vs, das, dvs)) == [
-            (s.alpha, s.v, da, dv) for s, (da, dv) in field]
+        # the axes and dv rows, which the CLI writes, are the rows read above
+        assert [(s.alpha, s.v, da, dv) for s, (da, dv) in field] == [
+            (a, v, v, dv) for a, row in zip(field.alpha, field.dv, strict=True)
+            for v, dv in zip(field.v, row, strict=True)]
 
 
 @pytest.mark.parametrize("window, point", [

@@ -268,6 +268,26 @@ def test_curve_callables_evaluated_once_per_t():
     assert all(calls[(g, t)] == 1 for g in fns for t in ts.tolist())
 
 
+@pytest.mark.parametrize("order, thetas", [(0, (3.0, 2.5)), (1, (2.0, 3.0)), (2, (2.0, 2.5))])
+def test_curve_of_callables_error_names_theta(order, thetas):
+    # the raw callables run first; a domain error or a division by zero
+    # replays the point through the YFunction, so the error is the
+    # component's own, naming theta, and over an array the first theta
+    fns = [math.cos, lambda t: math.sqrt(2.0 - t), lambda t: 0.1 * t]
+    d1 = [math.sin, lambda t: -0.5 / math.sqrt(2.0 - t), lambda t: 0.1]
+    d2 = [math.cos, lambda t: -0.25 / math.pow(2.0 - t, 1.5), lambda t: 0.0]
+    c = construct.GeneratingCurve(fns, d1, d2)
+    y = YFunction(fns[1], d1[1], d2[1], "theta")
+    for t in thetas:
+        with pytest.raises(EvaluationError) as want:
+            y.over(t, order)
+        with pytest.raises(EvaluationError, match=f"theta = {t}:") as got:
+            c._jet(order, t)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(EvaluationError, match=f"theta = {thetas[0]}:"):
+        c._jet(order, np.array([1.0, *thetas]))
+
+
 def test_memoized_calls_f_once_per_equal_array():
     seen = []
     once = numerics.memoized(lambda t: seen.append(t) or t * 2.0)
