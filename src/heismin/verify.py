@@ -15,7 +15,7 @@ from . import expr as expr_mod
 from .expr import pointwise
 from .errors import EvaluationError, NewtonDivergence, PreconditionFailed, SingularPoint
 from .heis import HPoint, contact_value
-from .numerics import Window, central_d1, richardson_limit
+from .numerics import RICHARDSON_RATIO, Window, central_d1, first_where, richardson_limit
 
 EPS_SINGULAR = 1e-10   # characteristic direction exists when D > this
 NEWTON_TOL = 1e-12
@@ -70,12 +70,6 @@ class GraphSurface:
     def at(self, x: float, y: float) -> tuple:
         """(u_x, u_y, u_xx, u_xy, u_yy) at one point, as floats."""
         return tuple(float(c[0]) for c in self.partials([x], [y]))
-
-    def pq(self, x: float, y: float):
-        """(p, q) = (u_x - y, u_y + x), the map F whose zeros are the
-        singular points; e1 = (q, -p)/D with D = |(p, q)|."""
-        u_x, u_y = self.at(x, y)[:2]
-        return u_x - y, u_y + x
 
     def F_jacobian(self, x: float, y: float) -> np.ndarray:
         _, _, u_xx, u_xy, u_yy = self.at(x, y)
@@ -406,27 +400,20 @@ class GoThroughResult:
     tolerance: float
 
 
-def _cos_zeta(g: GraphSurface, x: float, y: float) -> float:
-    """cos of the angle between e1 and the coordinate direction X_x
-    = (1, 0, u_x) at a regular point, in the adapted metric."""
-    p, q = g.pq(x, y)
-    D = math.hypot(p, q)
-    if D <= EPS_SINGULAR:
-        raise SingularPoint(f"({x}, {y}) is singular")
-    # X_x frame coords (1, 0, p); e1 = (q, -p)/D
-    return q / (D * math.sqrt(1.0 + p * p))
-
-
 def go_through_check(g: GraphSurface, p: tuple,
                      direction: Optional[tuple] = None) -> GoThroughResult:
-    """Approach a point of a singular curve from both sides along a
-    transversal and report the two limits of cos(angle(e1, X_x)).
+    """Approach a point of a singular curve from both sides along a unit
+    transversal d (by default normal to the curve, the kernel of J) and
+    report the two limits of cos(angle(e1, X_x)) = q/(D sqrt(1 + p^2)),
+    where e1 = (q, -p)/D, (p, q) = F = (u_x - y, u_y + x) and D = |(p, q)|.
 
-    The limits are estimated by Richardson extrapolation over the
-    geometric distances 0.1 * 2^{-k}, k = 1..20, and compared against the
-    closed forms +-(u_xy + 1)/sqrt(u_xx^2 + (u_xy + 1)^2) at p.  The
-    characteristic direction goes through the singular curve exactly when
-    the two limits are opposite.
+    F(p + s d) = s J d + O(s^2), J the Jacobian of F at p, so the limits
+    are the closed forms +-(J d)_2/|J d|, + on the side of +d; a d tangent
+    to the curve, |J d| <= JACOBIAN_RANK_TOL max |J|, is refused.  The
+    limits are extrapolated by richardson_limit from the distances
+    0.1 RICHARDSON_RATIO^-k, k = 1..20, whose 40 points, the + side first,
+    are read with one partials call.  The characteristic direction goes
+    through the singular curve exactly when the two limits are opposite.
     """
     x0, y0 = float(p[0]), float(p[1])
     if not _max_abs_F(g, [x0], [y0]) <= NEWTON_ACCEPT:
@@ -437,12 +424,7 @@ def go_through_check(g: GraphSurface, p: tuple,
     if not _jacobian_is_singular(J):
         raise PreconditionFailed(
             "isolated singular point: no singular curve to go through")
-    (uxx, _), (uxy1, _) = J.tolist()
-    if abs(uxx) <= 1e-12 and abs(uxy1) <= 1e-12:
-        raise PreconditionFailed(
-            "both u_xx and u_xy + 1 vanish; the limit analysis degenerates")
     if direction is None:
-        # transversal: perpendicular to the curve tangent (Jacobian kernel)
         t = _kernel(J)
         direction = (-t[1], t[0])
     d = np.asarray(direction, dtype=float)
@@ -450,16 +432,24 @@ def go_through_check(g: GraphSurface, p: tuple,
     if not (math.isfinite(norm) and norm > 0.0):
         raise PreconditionFailed(f"direction {tuple(direction)} is zero or not finite")
     d /= norm
+    Jd = J @ d
+    size = math.hypot(Jd[0], Jd[1])
+    if not size > JACOBIAN_RANK_TOL * np.max(np.abs(J)):
+        raise PreconditionFailed(f"direction {tuple(direction)} is tangent to the "
+                                 f"singular curve at ({x0}, {y0})")
 
-    def limit(sign):
-        vals = [_cos_zeta(g, x0 + sign * 0.1 * 2.0**-k * d[0],
-                          y0 + sign * 0.1 * 2.0**-k * d[1])
-                for k in range(1, 21)]
-        return richardson_limit(vals)
-
-    plus = limit(+1.0)
-    minus = limit(-1.0)
-    expected = uxy1 / math.hypot(uxx, uxy1)
+    s = 0.1 * RICHARDSON_RATIO ** -np.arange(1.0, 21.0)
+    s = np.concatenate((s, -s))
+    xs, ys = x0 + s * d[0], y0 + s * d[1]
+    u_x, u_y = g.partials(xs, ys)[:2]
+    with np.errstate(all="ignore"):   # float arithmetic: nan and inf, as Python's
+        fp, fq = u_x - ys, u_y + xs
+        D = pointwise(math.hypot)(fp, fq)   # np.hypot differs from it in the last bit
+        cos = fq / (D * np.sqrt(1.0 + fp * fp))
+    if (i := first_where(D <= EPS_SINGULAR, np.arange(D.size))) is not None:
+        raise SingularPoint(f"({xs[i]}, {ys[i]}) is singular")
+    plus, minus = richardson_limit(cos[:20]), richardson_limit(cos[20:])
+    expected = float(Jd[1] / size)
     flip = (abs(plus + minus) <= FLIP_TOL
             and min(abs(plus), abs(minus)) > FLIP_TOL)
     return GoThroughResult(plus, minus, expected, -expected, flip, FLIP_TOL)

@@ -43,7 +43,8 @@ def test_characteristic_direction_examples():
     for _ in range(20):
         x, y = rng.uniform(0.5, 2.5, 2)
         e1, e2, _, _, _ = verify.chart_frame(saddle, x, y)
-        p, q = saddle.graph_u.pq(x, y)
+        u_x, u_y = saddle.graph_u.at(x, y)[:2]
+        p, q = u_x - y, u_y + x
         assert abs(math.hypot(*e1) - 1.0) <= 1e-12
         assert e1 == pytest.approx(np.array([q, -p]) / math.hypot(p, q), abs=1e-12)
         assert e2.tolist() == [-e1[1], e1[0]]  # e2 = J e1
