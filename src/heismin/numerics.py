@@ -354,13 +354,15 @@ def invert_monotone(g, target: float, lo: float, hi: float):
 
 
 def richardson_limit(values):
-    """Extrapolate the limit of a geometrically-refined sequence.
+    """The limit L of values[k] = L + c_1 h_k + c_2 h_k^2 + ..., where the
+    offsets h_k shrink by RICHARDSON_RATIO each step.
 
-    values[k] corresponds to offsets shrinking by RICHARDSON_RATIO each
-    step; one round of Richardson extrapolation per column.
+    Standard Richardson extrapolation: column j of the table combines
+    neighbours of column j - 1 with weights RICHARDSON_RATIO^j and -1 to
+    remove the h^j term, so n values remove every term up to h^(n-1).
     """
-    tab = [np.asarray(values, dtype=float)]
-    while len(tab[-1]) > 1:
-        prev = tab[-1]
-        tab.append((RICHARDSON_RATIO * prev[1:] - prev[:-1]) / (RICHARDSON_RATIO - 1.0))
-    return float(tab[-1][0])
+    tab, r = np.asarray(values, dtype=float), 1.0
+    while tab.size > 1:
+        r *= RICHARDSON_RATIO
+        tab = (r * tab[1:] - tab[:-1]) / (r - 1.0)
+    return float(tab[0])

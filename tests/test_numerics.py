@@ -1,7 +1,8 @@
 """The lattice CumulativeIntegral against the dict-extending Simpson it
 replaced, against scipy's cumulative Simpson, and the callers that share
-its work: memoized curve jets and the single y-line of y-free fields; and
-the safeguarded Newton inversion of a monotone function."""
+its work: memoized curve jets and the single y-line of y-free fields; the
+safeguarded Newton inversion of a monotone function; and Richardson
+extrapolation."""
 import math
 from collections import Counter
 
@@ -400,3 +401,15 @@ def test_swapping_a_windows_ends_reverses_its_samples_and_nothing_else(a, b):
     for n in (1, 2, 5):
         assert list(map(repr, w.linspace(n))) == list(map(repr, s.linspace(n)[::-1]))
     assert w.linspace(1) == [w.lo] and w.holds(w.lo, 0.0) and not w.holds(w.hi + 1.0, 0.5)
+
+
+def test_richardson_limit_removes_one_power_of_the_offset_per_column():
+    # go-through's offsets 0.1 * 2^-k, k = 1..20: column j removes the h^j term,
+    # so a cubic in h is exact and rounding is not amplified
+    h = 0.1 * numerics.RICHARDSON_RATIO ** -np.arange(1.0, 21.0)
+    assert numerics.richardson_limit(0.3 + h + h * h + h**3) == pytest.approx(0.3, abs=1e-15)
+    assert numerics.richardson_limit(0.5 / np.sqrt(1.0 + 4.0 * h * h)) \
+        == pytest.approx(0.5, abs=1e-15)
+    assert numerics.richardson_limit(np.ones(20)) == 1.0   # constants stay exact
+    assert numerics.richardson_limit(-np.ones(20)) == -1.0
+    assert numerics.richardson_limit([2.5]) == 2.5
