@@ -352,11 +352,14 @@ class OdeSolutionCurve:
     """A smooth x -> (alpha, alpha_x) obtained by one high-resolution RK4
     sweep, evaluable anywhere in [x0, x1].
 
-    States are stored on a lattice with the quadrature lattice's node and
-    midpoint spacing, 0.5 / PANELS_PER_UNIT; an arbitrary x takes a single
-    partial RK4 step from the nearest stored node, so values at nearby
-    points share the same integration history and finite differencing
-    across them is well conditioned.  Used for constant H != 0, whose
+    States are stored at x0 + i h, where h is the divisor of [x0, x1]
+    nearest the quadrature lattice's node and midpoint spacing
+    0.5 / PANELS_PER_UNIT (2.02 / 2068 on [0.49, 2.51], not 1 / 1024), so
+    the quadrature lattice's points in general fall between stored states.
+    An x off the stored states takes a single partial RK4 step from the
+    stored state below it, so values at nearby points share the same
+    integration history and finite differencing across them is well
+    conditioned.  Used for constant H != 0, whose
     closed form alpha = w'/(2w), w = A + B cos H(x - x0) + C sin H(x - x0),
     is not implemented yet (ROADMAP item 2).
     """

@@ -398,6 +398,7 @@ class GoThroughResult:
     expected_minus: float
     flip_detected: bool
     tolerance: float
+    passed: bool   # flip_detected, and each limit within tolerance of its closed form
 
 
 def go_through_check(g: GraphSurface, p: tuple,
@@ -452,7 +453,8 @@ def go_through_check(g: GraphSurface, p: tuple,
     expected = float(Jd[1] / size)
     flip = (abs(plus + minus) <= FLIP_TOL
             and min(abs(plus), abs(minus)) > FLIP_TOL)
-    return GoThroughResult(plus, minus, expected, -expected, flip, FLIP_TOL)
+    passed = flip and abs(plus - expected) <= FLIP_TOL and abs(minus + expected) <= FLIP_TOL
+    return GoThroughResult(plus, minus, expected, -expected, flip, FLIP_TOL, passed)
 
 
 def legendrian_line_check(chart, samples):

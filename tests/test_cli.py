@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -927,7 +928,45 @@ def test_go_through_cli(capsys):
                          "--px", "0", "--py", "0.5"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["flip_detected"] is True
+    assert payload["flip_detected"] is True and payload["passed"] is True
+
+
+def test_go_through_horizontal_curve(capsys):
+    # u = -xy + y^2 is singular on y = 0 with F = (-2y, 2y): J d = 2 d_y (-1, 1)
+    code, out = run_cli(["go-through", "--u=-x*y+y^2", "--px", "0.5", "--py", "0"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    for key in ("cos_limit_plus", "cos_limit_minus", "expected_plus", "expected_minus"):
+        assert abs(abs(payload[key]) - math.sqrt(0.5)) <= 1e-9
+
+
+def test_go_through_tangent_direction_is_one_line(capsys):
+    code = cli.main(["go-through", "--u", "x*y", "--px", "0", "--py", "0.5",
+                     "--direction", "0", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: direction (0.0, 1.0) is tangent to the singular curve "
+                   "at (0.0, 0.5)\n")
+
+
+def test_readme_cli_examples_run_and_pass(tmp_path, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        lines = [shlex.split(line, comments=True)[1:] for line in f
+                 if line.startswith("heismin ")]
+    assert len(lines) >= 12
+    for argv in lines:
+        argv = [str(tmp_path / a) if flag in ("--out", "--obj") else a
+                for flag, a in zip([None] + argv, argv)]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        verdicts = []
+        if out:
+            json.loads(out, object_hook=lambda d: verdicts.extend(
+                [d["passed"]] if "passed" in d else []) or d)
+        assert all(v is True for v in verdicts), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -126,6 +126,8 @@ def test_go_through_flip_on_saddle():
     assert sorted([res.cos_limit_plus, res.cos_limit_minus]) \
         == pytest.approx([-1.0, 1.0], abs=1e-3)
     assert abs(res.expected_plus) == pytest.approx(1.0, abs=1e-12)
+    assert (res.cos_limit_plus, res.cos_limit_minus) == (res.expected_plus, res.expected_minus)
+    assert res.passed
 
 
 def test_go_through_saddle_with_g():
@@ -136,11 +138,50 @@ def test_go_through_saddle_with_g():
     assert res.cos_limit_plus == pytest.approx(-res.cos_limit_minus, abs=1e-3)
 
 
+def _quadratic(a, b, c):
+    return YFunction(lambda y: (a * y + b) * y + c, lambda y: 2.0 * a * y + b,
+                     lambda y: 2.0 * a)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(theta=st.floats(-math.pi, math.pi).filter(lambda t: abs(math.cos(t)) >= 0.1),
+       coef=st.tuples(*[st.floats(-2.0, 2.0)] * 3), Y=st.floats(-1.0, 1.0),
+       turn=st.none() | st.floats(0.2, math.pi - 0.2))
+def test_go_through_flips_on_rotated_saddles(theta, coef, Y, turn):
+    # u = XY + g(Y) in the coordinates X = Ax + By, Y = -Bx + Ay is singular on
+    # X = -g'(Y)/2; the limits of cos(e1, X_x) are +-A, the flip invisible where
+    # A = cos(theta) vanishes, so theta keeps |A| >= 0.1.  turn is the angle from
+    # the curve's tangent to the approach direction, None for go-through's own
+    A, B = math.cos(theta), math.sin(theta)
+    a, b, _ = coef
+    X = -(a * Y + 0.5 * b)
+    dX = -a   # dX/dY along the curve
+    tangent = math.atan2(B * dX + A, A * dX - B)
+    d = None if turn is None else (math.cos(tangent + turn), math.sin(tangent + turn))
+    g = construct.bernstein_saddle(A, B, _quadratic(*coef)).graph_u
+    res = verify.go_through_check(g, (A * X - B * Y, B * X + A * Y), d)
+    assert res.flip_detected and res.passed
+    assert abs(res.cos_limit_plus - res.expected_plus) <= 1e-6
+    assert abs(res.cos_limit_minus - res.expected_minus) <= 1e-6
+    assert res.expected_minus == -res.expected_plus
+    assert abs(res.expected_plus) == pytest.approx(abs(A), abs=1e-12)
+
+
+def test_go_through_cannot_see_a_flip_perpendicular_to_X_x():
+    # u = -xy + x^2: q = u_y + x vanishes, so cos(e1, X_x) is 0 on both sides of
+    # the curve x = y although e1 = (0, -sign p) flips; the verdict says so
+    res = verify.go_through_check(graph("-x*y + x^2"), (0.5, 0.5))
+    assert (res.cos_limit_plus, res.cos_limit_minus, res.expected_plus) == (0.0, 0.0, 0.0)
+    assert not res.flip_detected and not res.passed
+
+
 def test_go_through_preconditions():
     with pytest.raises(PreconditionFailed):
         verify.go_through_check(graph("0"), (0.0, 0.0))  # isolated point
     with pytest.raises(PreconditionFailed):
         verify.go_through_check(graph("x*y"), (1.0, 1.0))  # regular point
+    with pytest.raises(PreconditionFailed, match="tangent"):
+        verify.go_through_check(graph("x*y"), (0.0, 0.5), (0.0, -2.0))  # along x = 0
 
 
 def test_legendrian_line_check_and_control():
