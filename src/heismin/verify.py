@@ -403,18 +403,17 @@ class GoThroughResult:
 
 def go_through_check(g: GraphSurface, p: tuple,
                      direction: Optional[tuple] = None) -> GoThroughResult:
-    """Approach a point of a singular curve from both sides along a unit
-    transversal d (by default normal to the curve, the kernel of J) and
-    report the two limits of cos(angle(e1, X_x)) = q/(D sqrt(1 + p^2)),
-    where e1 = (q, -p)/D, (p, q) = F = (u_x - y, u_y + x) and D = |(p, q)|.
+    """Approach a point (x0, y0) of a singular curve from both sides along
+    a unit transversal d (by default normal to the curve, whose tangent is
+    the kernel of J) and report the limits of cos(angle(e1, X_x)).
 
-    F(p + s d) = s J d + O(s^2), J the Jacobian of F at p, so the limits
+    The cosine is q/(D sqrt(1 + p^2)), with (p, q) = F = (u_x - y, u_y + x)
+    and D = |(p, q)|, and F((x0, y0) + s d) = s J d + O(s^2), so the limits
     are the closed forms +-(J d)_2/|J d|, + on the side of +d; a d tangent
-    to the curve, |J d| <= JACOBIAN_RANK_TOL max |J|, is refused.  The
-    limits are extrapolated by richardson_limit from the distances
-    0.1 RICHARDSON_RATIO^-k, k = 1..20, whose 40 points, the + side first,
-    are read with one partials call.  The characteristic direction goes
-    through the singular curve exactly when the two limits are opposite.
+    to the curve, |J d| <= JACOBIAN_RANK_TOL max |J|, is refused.  Each is
+    extrapolated by richardson_limit from the distances 0.1 RICHARDSON_RATIO^-k,
+    k = 1..20; one partials call reads the 40 points, the + side first.  The
+    characteristic direction goes through the curve when the limits are opposite.
     """
     x0, y0 = float(p[0]), float(p[1])
     if not _max_abs_F(g, [x0], [y0]) <= NEWTON_ACCEPT:

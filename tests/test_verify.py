@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heismin import cli, construct, expr, lienard, models, verify
+from heismin import cli, construct, expr, lienard, models, numerics, verify
 from heismin.errors import EvaluationError, PreconditionFailed, SingularPoint
 from heismin.models import YFunction
 
@@ -138,11 +138,6 @@ def test_go_through_saddle_with_g():
     assert res.cos_limit_plus == pytest.approx(-res.cos_limit_minus, abs=1e-3)
 
 
-def _quadratic(a, b, c):
-    return YFunction(lambda y: (a * y + b) * y + c, lambda y: 2.0 * a * y + b,
-                     lambda y: 2.0 * a)
-
-
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(theta=st.floats(-math.pi, math.pi).filter(lambda t: abs(math.cos(t)) >= 0.1),
        coef=st.tuples(*[st.floats(-2.0, 2.0)] * 3), Y=st.floats(-1.0, 1.0),
@@ -153,18 +148,46 @@ def test_go_through_flips_on_rotated_saddles(theta, coef, Y, turn):
     # A = cos(theta) vanishes, so theta keeps |A| >= 0.1.  turn is the angle from
     # the curve's tangent to the approach direction, None for go-through's own
     A, B = math.cos(theta), math.sin(theta)
-    a, b, _ = coef
+    a, b, c = coef
     X = -(a * Y + 0.5 * b)
     dX = -a   # dX/dY along the curve
     tangent = math.atan2(B * dX + A, A * dX - B)
     d = None if turn is None else (math.cos(tangent + turn), math.sin(tangent + turn))
-    g = construct.bernstein_saddle(A, B, _quadratic(*coef)).graph_u
+    g = construct.bernstein_saddle(A, B, YFunction(
+        lambda y: (a * y + b) * y + c, lambda y: 2.0 * a * y + b, lambda y: 2.0 * a)).graph_u
     res = verify.go_through_check(g, (A * X - B * Y, B * X + A * Y), d)
     assert res.flip_detected and res.passed
     assert abs(res.cos_limit_plus - res.expected_plus) <= 1e-6
     assert abs(res.cos_limit_minus - res.expected_minus) <= 1e-6
     assert res.expected_minus == -res.expected_plus
     assert abs(res.expected_plus) == pytest.approx(abs(A), abs=1e-12)
+
+
+@pytest.mark.parametrize("src, point, direction", [
+    ("x*y + sin(y)", (-0.5, 0.0), (1.0, 0.3)),
+    # u = XY + e^Y rotated by (A, B) = (0.8, 0.6), singular at X = -1/2, Y = 0
+    ("-0.48*x^2 + 0.28*x*y + 0.48*y^2 + exp(0.8*y - 0.6*x)", (-0.4, -0.3), None),
+])
+def test_go_through_array_read_keeps_the_bits_of_a_loop_over_the_points(
+        src, point, direction):
+    g = graph(src)
+    res = verify.go_through_check(g, point, direction)
+    t = verify._kernel(g.F_jacobian(*point))   # the curve's tangent
+    d = np.array(direction or (-t[1], t[0]), dtype=float)
+    d /= math.hypot(*d)
+
+    def limit(sign):
+        vals = []
+        for k in range(1, 21):
+            x = point[0] + sign * 0.1 * 2.0**-k * d[0]
+            y = point[1] + sign * 0.1 * 2.0**-k * d[1]
+            u_x, u_y = g.at(x, y)[:2]
+            p, q = u_x - y, u_y + x
+            vals.append(q / (math.hypot(p, q) * math.sqrt(1.0 + p * p)))
+        return numerics.richardson_limit(vals)
+
+    assert (res.cos_limit_plus, res.cos_limit_minus) == (limit(1.0), limit(-1.0))
+    assert res.passed
 
 
 def test_go_through_cannot_see_a_flip_perpendicular_to_X_x():
