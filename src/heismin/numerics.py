@@ -23,8 +23,8 @@ INVERT_TOL = 1e-13   # relative Newton step at which inversion stops
 INVERT_MAX_EXPAND = 60
 RICHARDSON_RATIO = 2.0   # offset ratio of richardson_limit's sequences
 PANELS_PER_UNIT = 512    # Simpson panels per unit length of every quadrature lattice
-# nodes either side of a lattice's base (about 64 MB a side); an --alpha0
-# window at the RK4 step limit, 2e6 profile steps of 1/1024, needs just under it
+# nodes either side of a lattice's base (16 to 32 MB a side); an --alpha0 window
+# at the RK4 step limit, 2e6 profile steps of 1/1024, needs just under it
 MAX_LATTICE_NODES = 1_000_000
 
 
@@ -55,15 +55,17 @@ class CumulativeIntegral:
     """Antiderivative F(x) = int_{x_base}^{x} f, by composite Simpson on
     the lattice x_base + n h, h = 1 / PANELS_PER_UNIT.
 
-    The lattice grows on demand, in either direction, just far enough to
-    hold the node below each query.  Every new node and panel midpoint is
-    evaluated exactly once and the panel sums are accumulated by
-    np.cumsum.  A query on a node returns its cumulative sum; any other x
-    costs one residual Simpson panel from the node below, whose integrand
-    value is cached.  A query more than MAX_LATTICE_NODES nodes from
-    x_base, or at a non-finite x, raises QuadratureFailure before the
-    lattice grows.  Errors call the variable var, as YFunction's do.
-    An integrand that takes arrays (arrays=True) is called once per growth.
+    F and f at the nodes built so far sit in one pair of arrays, which
+    the float call and over both read.  The lattice grows on demand, in
+    either direction, just far enough to hold the node below each query.
+    Every new node and panel midpoint is evaluated exactly once and the
+    panel sums are accumulated by np.cumsum.  A query on a node returns
+    its cumulative sum; any other x costs one residual Simpson panel from
+    the node below, whose integrand value is stored.  A query more than
+    MAX_LATTICE_NODES nodes from x_base, or at a non-finite x, raises
+    QuadratureFailure before the lattice grows.  Errors call the variable
+    var, as YFunction's do.  An integrand that takes arrays (arrays=True)
+    is called once per growth.
     """
 
     def __init__(self, f, x_base: float, var: str = "x", arrays: bool = False):
@@ -72,42 +74,43 @@ class CumulativeIntegral:
         self.var = var
         self._values = expr_mod.pointwise(f, None, f if arrays else None)   # f at an array
         self.h = 1.0 / PANELS_PER_UNIT
-        # node i of side 0 sits at x_base + i h, of side 1 at x_base - i h;
-        # both hold F and f at their nodes, from node 0 = x_base on
-        self._F = ([], [])
-        self._fx = ([], [])
-        self._arrays = None   # over's F and f: side 1 reversed, then side 0
+        # F and f at nodes _lo ... _lo + len - 1, node 0 at x_base, built at
+        # the nodes in _built; the rest is room to grow into
+        self._F = self._fx = np.empty(0)
+        self._lo, self._built = 0, range(0)
 
     def _grow(self, n: int) -> None:
         """Extend the lattice to node n (signed)."""
-        if not self._F[0]:
+        if not self._built:
             f0 = float(self.f(self.x_base))
             if not math.isfinite(f0):
                 raise QuadratureFailure(
                     f"non-finite integrand at {self.var} = {self.x_base}")
-            for side in (0, 1):
-                self._F[side].append(0.0)
-                self._fx[side].append(f0)
-        side = 0 if n >= 0 else 1
-        F, fx = self._F[side], self._fx[side]
-        k, m = len(F) - 1, abs(n)
-        if m <= k:
+            self._F, self._fx = np.array([[0.0], [f0]])
+            self._built = range(1)
+        if n in (b := self._built):
             return
-        step = self.h if side == 0 else -self.h
-        nodes = self.x_base + np.arange(k, m + 1) * step
+        up = n >= b.stop
+        k = b[-1] if up else b[0]   # the end node n lies beyond
+        nodes = self.x_base + np.arange(abs(k), abs(n) + 1) * (self.h if up else -self.h)
         f_mid, f_node = self._pairs(0.5 * (nodes[:-1] + nodes[1:]), nodes[1:])
-        f_near = np.concatenate(([fx[k]], f_node[:-1]))
+        f_near = np.concatenate(([self._fx[k - self._lo]], f_node[:-1]))
         panels = (self.h / 6.0) * (f_near + 4.0 * f_mid + f_node)
-        cum = np.cumsum(np.concatenate(([F[k]], panels if side == 0 else -panels)))
+        cum = np.cumsum(np.concatenate(([self._F[k - self._lo]], panels if up else -panels)))
         if not np.isfinite(cum).all():
             raise QuadratureFailure(
                 f"non-finite antiderivative between {self.var} = {nodes[0]} and "
                 f"{self.var} = {nodes[-1]}")
-        F.extend(cum[1:].tolist())
-        fx.extend(f_node.tolist())
-        if self._arrays is not None:
-            self._arrays = [np.concatenate((a, v) if side == 0 else (v[::-1], a))
-                            for a, v in zip(self._arrays, (cum[1:], f_node))]
+        self._built = range(min(b.start, n), max(b.stop, n + 1))
+        if not 0 <= n - self._lo < self._F.size:   # full: room for half as many again each end
+            lo = self._built.start - len(self._built) // 2
+            grown = np.empty((2, 2 * len(self._built)))
+            for row, v in zip(grown, (self._F, self._fx)):
+                row[b.start - lo:b.stop - lo] = v[b.start - self._lo:b.stop - self._lo]
+            self._F, self._fx, self._lo = *grown, lo
+        i = (k + 1 if up else n) - self._lo   # the lowest new node
+        new = slice(i, i + f_node.size)
+        self._F[new], self._fx[new] = (cum[1:], f_node) if up else (cum[:0:-1], f_node[::-1])
 
     def _pairs(self, mid, hi):   # f at mid[i], then at hi[i], for each i in turn
         pts = np.empty(2 * mid.size)
@@ -126,16 +129,14 @@ class CumulativeIntegral:
             n = math.floor(t)
         except (OverflowError, ValueError):   # t is inf or nan
             raise self._past_limit(x, t) from None
-        side, i = (0, n) if n >= 0 else (1, -n)
-        F = self._F[side]
-        if i >= len(F):
-            if i > MAX_LATTICE_NODES:
+        if n not in self._built:
+            if abs(n) > MAX_LATTICE_NODES:
                 raise self._past_limit(x, t)
             self._grow(n)
-        a = self.x_base + n * self.h
+        i, a = n - self._lo, self.x_base + n * self.h
         if x == a:
-            return F[i]
-        out = F[i] + simpson_panel(self.f, a, x, self._fx[side][i])
+            return self._F.item(i)
+        out = self._F.item(i) + simpson_panel(self.f, a, x, self._fx.item(i))
         if not math.isfinite(out):
             raise QuadratureFailure(f"non-finite antiderivative at {self.var} = {x}")
         return out
@@ -154,14 +155,12 @@ class CumulativeIntegral:
             raise self._past_limit(x[i].item(), t[i].item())   # past the last node, inf or nan
         for end in (n.max(), n.min()):
             self._grow(int(end))
-        if self._arrays is None:
-            self._arrays = [np.array(v[1][:0:-1] + v[0]) for v in (self._F, self._fx)]
-        k = n.astype(np.intp) + (len(self._F[1]) - 1)
-        F, a = self._arrays[0][k], self.x_base + n * self.h
+        k = n.astype(np.intp) - self._lo
+        F, a = self._F[k], self.x_base + n * self.h
         if (off := x != a).any():
             lo, hi = a[off], x[off]
             f_mid, f_hi = self._pairs(0.5 * (lo + hi), hi)
-            F[off] += (hi - lo) / 6.0 * (self._arrays[1][k[off]] + 4.0 * f_mid + f_hi)
+            F[off] += (hi - lo) / 6.0 * (self._fx[k[off]] + 4.0 * f_mid + f_hi)
             if (bad := first_where(~np.isfinite(F), x)) is not None:
                 raise QuadratureFailure(f"non-finite antiderivative at {self.var} = {bad}")
         return F.reshape(xs.shape)
