@@ -233,6 +233,12 @@ class SingularReport:
         }
 
 
+def _pow2_scale(m):
+    """The power of two at or below m, at least 1 (1 where m is not finite): J / s
+    with s = _pow2_scale(max |J|) is exact, and no product of its entries overflows."""
+    return np.maximum(1.0, np.ldexp(1.0, np.frexp(m)[1] - 1))
+
+
 def _newton_zero(g: GraphSurface, x0, y0):
     """Gauss-Newton on F = 0 from every seed (x0[i], y0[i]) at once.
 
@@ -256,11 +262,10 @@ def _newton_zero(g: GraphSurface, x0, y0):
             p, q = u_x - ya, u_y + xa
             r = np.maximum(np.abs(p), np.abs(q))
             b, c = u_xy - 1.0, u_xy + 1.0
-            # J / s, with s the power of two at or below max |J| (at least 1,
-            # as |u_xy - 1| or |u_xy + 1| is), is exact: the step keeps the
-            # bits of the unscaled formulas, and no square overflows
+            # J / s is exact (|u_xy - 1| or |u_xy + 1| is at least 1): the step
+            # keeps the bits of the unscaled formulas, and no square overflows
             m = np.max(np.abs([a, b, c, d]), axis=0)
-            s = np.ldexp(1.0, np.frexp(m)[1] - 1)
+            s = _pow2_scale(m)
             a, b, c, d = a / s, b / s, c / s, d / s
             n2 = a * a + b * b + c * c + d * d
             det = a * d - b * c
@@ -301,11 +306,10 @@ def _kernel(J: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_is_singular(J: np.ndarray) -> bool:
-    """|det J| <= JACOBIAN_RANK_TOL max(1, max |J|^2), tested on J / s with s
-    the power of two at or below max |J|, and at least 1: exact, and no
-    product overflows."""
+    """|det J| <= JACOBIAN_RANK_TOL max(1, max |J|^2), tested on J / s with
+    s = _pow2_scale(max |J|)."""
     scale = float(np.max(np.abs(J)))
-    s = max(1.0, math.ldexp(1.0, math.frexp(scale)[1] - 1))
+    s = float(_pow2_scale(scale))
     [(a, b), (c, d)], r = (J / s).tolist(), scale / s
     return abs(a * d - b * c) <= JACOBIAN_RANK_TOL * max(1.0 / (s * s), r * r)
 
@@ -412,8 +416,9 @@ def go_through_check(g: GraphSurface, p: tuple,
     are the closed forms +-(J d)_2/|J d|, + on the side of +d; a d tangent
     to the curve, |J d| <= JACOBIAN_RANK_TOL max |J|, is refused.  Each is
     extrapolated by richardson_limit from the distances 0.1 RICHARDSON_RATIO^-k,
-    k = 1..20; one partials call reads the 40 points, the + side first.  The
-    characteristic direction goes through the curve when the limits are opposite.
+    k = 1..20; one partials call reads the 40 points, the + side first.  e1 =
+    (q, -p)/D goes through the curve when its limits, each component extrapolated
+    alike, are opposite within FLIP_TOL, also where e1 is perpendicular to X_x.
     """
     x0, y0 = float(p[0]), float(p[1])
     if not _max_abs_F(g, [x0], [y0]) <= NEWTON_ACCEPT:
@@ -446,12 +451,13 @@ def go_through_check(g: GraphSurface, p: tuple,
         fp, fq = u_x - ys, u_y + xs
         D = pointwise(math.hypot)(fp, fq)   # np.hypot differs from it in the last bit
         cos = fq / (D * np.sqrt(1.0 + fp * fp))
+        e1 = np.array([fq, -fp]) / D
     if (i := first_where(D <= EPS_SINGULAR, np.arange(D.size))) is not None:
         raise SingularPoint(f"({xs[i]}, {ys[i]}) is singular")
     plus, minus = richardson_limit(cos[:20]), richardson_limit(cos[20:])
     expected = float(Jd[1] / size)
-    flip = (abs(plus + minus) <= FLIP_TOL
-            and min(abs(plus), abs(minus)) > FLIP_TOL)
+    e1_sum = [richardson_limit(c[:20]) + richardson_limit(c[20:]) for c in e1]
+    flip = math.hypot(*e1_sum) <= FLIP_TOL
     passed = flip and abs(plus - expected) <= FLIP_TOL and abs(minus + expected) <= FLIP_TOL
     return GoThroughResult(plus, minus, expected, -expected, flip, FLIP_TOL, passed)
 

@@ -139,14 +139,17 @@ def test_go_through_saddle_with_g():
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(theta=st.floats(-math.pi, math.pi).filter(lambda t: abs(math.cos(t)) >= 0.1),
+@given(theta=st.floats(-math.pi, math.pi),
        coef=st.tuples(*[st.floats(-2.0, 2.0)] * 3), Y=st.floats(-1.0, 1.0),
        turn=st.none() | st.floats(0.2, math.pi - 0.2))
+@example(theta=math.pi / 2, coef=(0.5, -1.0, 0.3), Y=0.4, turn=None)
+@example(theta=-math.pi / 2, coef=(-1.5, 0.2, 1.0), Y=-0.7, turn=1.0)
 def test_go_through_flips_on_rotated_saddles(theta, coef, Y, turn):
     # u = XY + g(Y) in the coordinates X = Ax + By, Y = -Bx + Ay is singular on
-    # X = -g'(Y)/2; the limits of cos(e1, X_x) are +-A, the flip invisible where
-    # A = cos(theta) vanishes, so theta keeps |A| >= 0.1.  turn is the angle from
-    # the curve's tangent to the approach direction, None for go-through's own
+    # X = -g'(Y)/2; the limits of cos(e1, X_x) are +-A, and e1 flips for every
+    # theta, also where A = cos(theta) vanishes and the cosines cannot show it.
+    # turn is the angle from the curve's tangent to the approach direction,
+    # None for go-through's own
     A, B = math.cos(theta), math.sin(theta)
     a, b, c = coef
     X = -(a * Y + 0.5 * b)
@@ -190,12 +193,12 @@ def test_go_through_array_read_keeps_the_bits_of_a_loop_over_the_points(
     assert res.passed
 
 
-def test_go_through_cannot_see_a_flip_perpendicular_to_X_x():
+def test_go_through_sees_a_flip_perpendicular_to_X_x():
     # u = -xy + x^2: q = u_y + x vanishes, so cos(e1, X_x) is 0 on both sides of
-    # the curve x = y although e1 = (0, -sign p) flips; the verdict says so
+    # the curve x = y, while e1 = (0, -sign p) flips; e1's own limits show it
     res = verify.go_through_check(graph("-x*y + x^2"), (0.5, 0.5))
     assert (res.cos_limit_plus, res.cos_limit_minus, res.expected_plus) == (0.0, 0.0, 0.0)
-    assert not res.flip_detected and not res.passed
+    assert res.flip_detected and res.passed
 
 
 def test_go_through_preconditions():
