@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: every import in the package
-names the standard library, numpy or heismin itself."""
+names the standard library, numpy or heismin itself.  And no module of
+the package, its tests or the benchmark imports a name it never reads."""
 import ast
 import pathlib
 import sys
@@ -7,20 +8,39 @@ import sys
 import heismin
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "heismin"}
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def imported_modules(path):
-    """(line, top-level module) of every absolute import in the file."""
+def imports(path):
+    """(line, top-level module, names bound) of every import in the file; the
+    module is None for a relative import, and __future__ binds no name."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
-            yield from ((node.lineno, a.name.split(".")[0]) for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.lineno, node.module.split(".")[0]
+            for a in node.names:
+                top = a.name.split(".")[0]
+                yield node.lineno, top, [a.asname or top]
+        elif isinstance(node, ast.ImportFrom):
+            yield (node.lineno, node.module.split(".")[0] if node.level == 0 else None,
+                   [] if node.module == "__future__" else [a.asname or a.name for a in node.names])
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
     files = sorted(pathlib.Path(heismin.__file__).parent.rglob("*.py"))
     assert len(files) > 10
     outside = [f"{f.name}:{line}: {name}" for f in files
-               for line, name in imported_modules(f) if name not in ALLOWED]
+               for line, name, _ in imports(f) if name not in ALLOWED | {None}]
     assert outside == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a package's __init__ imports to re-export, so it is left out
+    files = [f for d in ("src/heismin", "tests", "bench") for f in sorted((ROOT / d).rglob("*.py"))
+             if f.name != "__init__.py"]
+    assert len(files) > 25
+    unused = []
+    for f in files:
+        read = {n.id for n in ast.walk(ast.parse(f.read_text(), str(f)))
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{f.relative_to(ROOT)}:{line}: {name}" for line, _, names in imports(f)
+                   for name in names if name not in read]
+    assert unused == []

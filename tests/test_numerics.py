@@ -9,13 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heismin import construct, integrability, lienard, numerics
 from heismin.errors import EvaluationError, QuadratureFailure
 from heismin.expr import pointwise
 from heismin.integrability import Field2D
-from heismin.models import YFunction
 from heismin.numerics import (CumulativeIntegral, Window, YFunction,
                               invert_monotone)
 
@@ -173,6 +172,29 @@ def test_array_query_is_the_float_call_bit_for_bit(xs, arrays):
     assert lattice.over(grid).shape == (2, 4)
     assert lattice.over(xs[0] if xs else X_BASE) == CumulativeIntegral(SMOOTH, X_BASE)(
         xs[0] if xs else X_BASE)
+
+
+BATCHES = st.lists(st.tuples(st.booleans(), st.lists(
+    st.one_of(NODES, st.floats(X_BASE - 3.0, X_BASE + 3.0)), min_size=1, max_size=6)),
+    min_size=1, max_size=8)
+
+
+@given(BATCHES, st.booleans())
+@example([(k % 2 == 0, [X_BASE + sign * r, X_BASE + sign * r / 3.0])
+          for k, (sign, r) in enumerate([(1, 0.01), (-1, 0.02), (1, 0.3), (-1, 0.5),
+                                         (1, 1.1), (-1, 2.2), (1, 2.9), (-1, 3.0)])],
+         False)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_float_and_array_queries_share_one_lattice(batches, arrays):
+    # float calls (False) and over calls (True) take turns on one lattice as it
+    # grows on both sides of the base: each answer has the bits of a fresh
+    # lattice's float call, and is the dict reference's within its rounding
+    lattice = CumulativeIntegral(SMOOTH.over if arrays else SMOOTH, X_BASE, arrays=arrays)
+    ref = DictSimpson(SMOOTH, X_BASE, PPU)
+    for as_array, q in batches:
+        got = lattice.over(np.array(q)) if as_array else [lattice(x) for x in q]
+        assert _bits_of(got) == _bits_of([CumulativeIntegral(SMOOTH, X_BASE)(x) for x in q])
+        assert np.max(np.abs(np.asarray(got) - [ref(x) for x in q])) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [1.0, -1.0, math.inf, -math.inf, math.nan])
