@@ -11,10 +11,14 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "heismin"}
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def imports(path):
-    """(line, top-level module, names bound) of every import in the file; the
+def parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def imports(tree):
+    """(line, top-level module, names bound) of every import in the tree; the
     module is None for a relative import, and __future__ binds no name."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
                 top = a.name.split(".")[0]
@@ -28,7 +32,7 @@ def test_package_imports_only_the_standard_library_and_numpy():
     files = sorted(pathlib.Path(heismin.__file__).parent.rglob("*.py"))
     assert len(files) > 10
     outside = [f"{f.name}:{line}: {name}" for f in files
-               for line, name, _ in imports(f) if name not in ALLOWED | {None}]
+               for line, name, _ in imports(parse(f)) if name not in ALLOWED | {None}]
     assert outside == []
 
 
@@ -39,8 +43,9 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(files) > 25
     unused = []
     for f in files:
-        read = {n.id for n in ast.walk(ast.parse(f.read_text(), str(f)))
+        tree = parse(f)
+        read = {n.id for n in ast.walk(tree)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        unused += [f"{f.relative_to(ROOT)}:{line}: {name}" for line, _, names in imports(f)
+        unused += [f"{f.relative_to(ROOT)}:{line}: {name}" for line, _, names in imports(tree)
                    for name in names if name not in read]
     assert unused == []
