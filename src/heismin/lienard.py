@@ -1,14 +1,18 @@
 """The Codazzi-like Lienard ODE  a'' + 6 a a' + 4 a^3 + c^2 a = 0.
 
-For c = 0 the equation has a complete closed-form solution set,
+Put a = w'/(2w): the ODE becomes w''' + c^2 w' = 0, the linearisation of
+the modified Emden equation.  For c = 0, w is a polynomial of degree at
+most 2, and its cases w = 1, (x + c1)^2, 2x + c1 and (x + c1)^2 + c2 give
+the complete closed-form solution set
 
     0,   1/(x + c1),   1/(2x + c1),   (x + c1)/((x + c1)^2 + c2),
 
-implemented here as tagged solution families, together with a residual
-evaluator, a fixed-step RK4 initial-value oracle, solution fitting from
-phase data, the conserved quantity of the Abel reduction, and phase-plane
-sampling.  The special type II family is parametrized as 1/(2x + c1); the
-equivalent form 1/(2(x + c1)) differs only by rescaling the constant.
+implemented here as tagged solution families, each written as its w,
+together with a residual evaluator, a fixed-step RK4 initial-value oracle,
+solution fitting from phase data, the conserved quantity of the Abel
+reduction, and phase-plane sampling.  The special type II family is
+parametrized as 1/(2x + c1); the equivalent form 1/(2(x + c1)) differs
+only by rescaling the constant.
 """
 from __future__ import annotations
 
@@ -49,45 +53,55 @@ class PhaseState:
 
 
 class AlphaSolution:
-    """Base class of the closed-form solution families (c = 0).  scale is
-    the coefficient of x next to c1, so x -> x + g moves c1 by scale * g.
-    Each family writes its geometry once, as y_speed(x) = sqrt(g22): the
-    first fundamental form in normal coordinates is diag(1, y_speed^2),
-    and metric_factor = 1/y_speed is the x-profile that the
-    induced-metric coefficients a and b share.  types are the surface
-    types a family member can have; each type belongs to one family.
-    alpha, y_speed and metric_factor take a float or an array of x (Zero
-    gives floats for either), and a guard raises SingularPoint at the first
-    x, in order, that it rejects."""
+    """Base class of the closed-form solution families (c = 0).  A family
+    writes only _profile(x): the factor g of w that its guard tests, then
+    w, h = w'/2 and k = w''/2.  alpha = h/w, alpha_x, alpha_xx, y_speed,
+    metric_factor and the guard are derived here, once, for a float or an
+    array of x; the guard raises SingularPoint at the first x, in order,
+    where |g| <= EPS_DEN.  y_speed(x) = sqrt(g22): the first fundamental
+    form in normal coordinates is diag(1, y_speed^2), and metric_factor =
+    1/y_speed is the x-profile that the induced-metric coefficients a and
+    b share.  scale is the coefficient of x next to c1, so x -> x + g
+    moves c1 by scale * g.  types are the surface types a family member
+    can have; each type belongs to one family."""
 
     scale = 1.0
     types = ()
 
-    def alpha(self, x: float) -> float:
-        raise NotImplementedError
+    def _guard(self, x):
+        """(w, h, k) at x; SingularPoint where the guarded factor vanishes."""
+        g, w, h, k = self._profile(x)
+        if (at := first_where(abs(g) <= EPS_DEN, x)) is not None:
+            raise SingularPoint(f"{self._name} solution singular at x = {at}")
+        return w, h, k
 
-    def alpha_x(self, x: float) -> float:
-        raise NotImplementedError
+    def alpha(self, x):
+        w, h, _ = self._guard(x)
+        return h / w
 
-    def alpha_xx(self, x: float) -> float:
-        raise NotImplementedError
+    def alpha_x(self, x):
+        w, h, k = self._guard(x)
+        return k / w - 2.0 * (h / w)**2
 
-    def y_speed(self, x: float) -> float:
-        """sqrt(g22) = sqrt(1 + alpha^2) e^{int 2 alpha dx}.  Raises nothing:
-        it is 0 on the special I singular line and |x + c1| on the general
-        singular curves."""
-        raise NotImplementedError
+    def alpha_xx(self, x):
+        w, h, k = self._guard(x)   # and w''' = 0
+        a = h / w
+        return a * (8.0 * a**2 - 6.0 * k / w)
 
-    def metric_factor(self, x: float) -> float:
+    def y_speed(self, x):
+        """sqrt(g22) = |w| sqrt(1 + alpha^2) = hypot(w, h), as
+        e^{int 2 alpha dx} = |w|.  Raises nothing: it is 0 on the special I
+        singular line and |x + c1| on the general singular curves."""
+        _, w, h, _ = self._profile(x)
+        return _hypot(w, h)
+
+    def metric_factor(self, x):
         """e^{-int 2 alpha dx} / sqrt(1 + alpha^2), where alpha exists."""
         self._guard(x)   # (a, b) exists where alpha does; the alpha row is not needed
         return 1.0 / self.y_speed(x)
 
-    def _guard(self, x):
-        """alpha's denominator at x (Zero has none); SingularPoint where it vanishes."""
-
     def singular_x(self):
-        """x-values where the closed form blows up (possibly empty)."""
+        """The real zeros of w, where the closed form blows up (possibly none)."""
         return ()
 
     def surface_type(self, x_window=None) -> SurfaceType:
@@ -98,105 +112,64 @@ class AlphaSolution:
 
 @dataclass(frozen=True)
 class Zero(AlphaSolution):
+    """alpha = 0: w = 1, which no guard rejects."""
+
     types = (SurfaceType.VERTICAL,)
 
-    def alpha(self, x):
-        return 0.0
-
-    def alpha_x(self, x):
-        return 0.0
-
-    def alpha_xx(self, x):
-        return 0.0
-
-    def y_speed(self, x):
-        return 1.0
+    def _profile(self, x):
+        return 1.0, 1.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
-class _Special(AlphaSolution):
-    """alpha = 1/(s x + c1), s = scale; characterized by alpha' = -s alpha^2."""
+class SpecialI(AlphaSolution):
+    """alpha = 1/(x + c1): w = (x + c1)^2, guarded at its double root's factor."""
 
     c1: float
+    _name = "special I"
+    types = (SurfaceType.SPECIAL_I,)
 
-    def _guard(self, x):
-        d = self.scale * x + self.c1
-        if (at := first_where(abs(d) <= EPS_DEN, x)) is not None:
-            raise SingularPoint(f"special {self._roman} solution singular at x = {at}")
-        return d
+    def _profile(self, x):
+        X = x + self.c1
+        return X, X * X, X, 1.0
 
-    def alpha(self, x):
-        return 1.0 / self._guard(x)
+    def singular_x(self):
+        return (-self.c1,)
 
-    def alpha_x(self, x):
-        return -self.scale * self.alpha(x) ** 2
 
-    def alpha_xx(self, x):
-        return 2.0 * self.scale * self.scale * self.alpha(x) ** 3
+@dataclass(frozen=True)
+class SpecialII(AlphaSolution):
+    """alpha = 1/(2x + c1): w = 2x + c1."""
+
+    c1: float
+    scale = 2.0
+    _name = "special II"
+    types = (SurfaceType.SPECIAL_II,)
+
+    def _profile(self, x):
+        w = self.scale * x + self.c1
+        return w, w, 1.0, 0.0
 
     def singular_x(self):
         return (-self.c1 / self.scale,)
 
 
 @dataclass(frozen=True)
-class SpecialI(_Special):
-    """alpha = 1/(x + c1); characterized by alpha' = -alpha^2."""
-
-    _roman = "I"
-    types = (SurfaceType.SPECIAL_I,)
-
-    def y_speed(self, x):
-        X = x + self.c1   # e^{int 2 alpha} = X^2
-        return abs(X) * _hypot(1.0, X)
-
-
-@dataclass(frozen=True)
-class SpecialII(_Special):
-    """alpha = 1/(2x + c1); characterized by alpha' = -2 alpha^2."""
-
-    scale = 2.0
-    _roman = "II"
-    types = (SurfaceType.SPECIAL_II,)
-
-    def y_speed(self, x):
-        # e^{int 2 alpha} = |2x + c1|
-        return _hypot(1.0, self.scale * x + self.c1)
-
-
-@dataclass(frozen=True)
 class General(AlphaSolution):
-    """alpha = (x + c1)/((x + c1)^2 + c2), c2 != 0."""
+    """alpha = (x + c1)/((x + c1)^2 + c2), c2 != 0: w = (x + c1)^2 + c2."""
 
     c1: float
     c2: float
+    _name = "general"
     types = (SurfaceType.TYPE_I, SurfaceType.TYPE_II, SurfaceType.TYPE_III)
 
     def __post_init__(self):
         if self.c2 == 0.0:
             raise ValueError("general family requires c2 != 0")
 
-    def _guard(self, x):
+    def _profile(self, x):
         X = x + self.c1
-        den = X * X + self.c2
-        if (at := first_where(abs(den) <= EPS_DEN, x)) is not None:
-            raise SingularPoint(f"general solution singular at x = {at}")
-        return X, den
-
-    def alpha(self, x):
-        X, den = self._guard(x)
-        return X / den
-
-    def alpha_x(self, x):
-        X, den = self._guard(x)
-        return (self.c2 - X * X) / den**2
-
-    def alpha_xx(self, x):
-        X, den = self._guard(x)
-        return 2.0 * X * (X * X - 3.0 * self.c2) / den**3
-
-    def y_speed(self, x):
-        X = x + self.c1   # e^{int 2 alpha} = |X^2 + c2|
-        return _hypot(X, X * X + self.c2)
+        w = X * X + self.c2
+        return w, w, X, 1.0
 
     def singular_x(self):
         if self.c2 > 0:

@@ -5,7 +5,7 @@ resulting (type, zeta1, zeta2) data, and the first fundamental form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,11 +22,10 @@ Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the typ
 @dataclass
 class AlphaModel:
     """A lienard solution family whose constants are functions of y,
-    such as AlphaModel(lienard.General, c1, c2, y_domain).
-
-    Families: Zero (the vertical model, alpha == 0), special I
-    1/(x + c1(y)), special II  1/(2x + c1(y)), general
-    (x + c1(y))/((x + c1(y))^2 + c2(y)) with c2(y) != 0 on the domain.
+    such as AlphaModel(lienard.General, c1, c2, y_domain).  At each y,
+    alpha = w'/(2w) in x, with w = 1 (Zero, the vertical model),
+    (x + c1(y))^2 (special I), 2x + c1(y) (special II) or
+    (x + c1(y))^2 + c2(y) (general, with c2(y) != 0 on the domain).
     """
 
     family: type
@@ -35,14 +34,11 @@ class AlphaModel:
     y_domain: tuple = (0.0, 1.0)
 
     def slice_at(self, y: float) -> lienard.AlphaSolution:
-        """The x-solution obtained by freezing y."""
-        family = self.family
-        if family is lienard.Zero:
-            return family()
-        if family is not lienard.General:
-            return family(self.c1(y))
+        """The x-solution obtained by freezing y: the family built from
+        its constants, which are its dataclass fields, at y."""
+        cs = [getattr(self, f.name)(y) for f in fields(self.family)]
         try:
-            return family(self.c1(y), self.c2(y))
+            return self.family(*cs)
         except ValueError as exc:
             raise SingularPoint(f"c2 vanishes at y = {y}: {exc}") from exc
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from heismin import lienard
 from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
                             SingularPoint, StepLimit)
-from heismin.numerics import central_d1
+from heismin.numerics import EPS_DEN, central_d1
 
 
 def safe_xs(sol, lo=-3.0, hi=3.0, n=30, margin=0.2):
@@ -80,6 +81,56 @@ def test_y_speed_on_the_singular_locus():
     assert lienard.SpecialI(c1=0.0).metric_factor(1e100) == 1e-200
 
 
+def hand_forms(sol, x):
+    """alpha, alpha' and alpha'' of the paper's hand-derived closed forms,
+    exact at the float x, and X = x + c1/scale, the sum that rounds first."""
+    s, c1 = Fraction(sol.scale), Fraction(getattr(sol, "c1", 0.0))
+    X = Fraction(x) + c1 / s
+    if isinstance(sol, lienard.Zero):
+        return (Fraction(0),) * 3, X
+    if isinstance(sol, lienard.General):
+        c2 = Fraction(sol.c2)
+        den = X * X + c2
+        return (X / den, (c2 - X * X) / den**2, 2 * X * (X * X - 3 * c2) / den**3), X
+    a = 1 / (s * X)   # 1/(x + c1) and 1/(2x + c1)
+    return (a, -s * a**2, 2 * s * s * a**3), X
+
+
+def condition(forms, X):
+    """kappa of alpha, alpha' and alpha'': the magnitudes of the terms of
+    alpha = h/w, alpha' = k/w - 2 alpha^2 and alpha'' = alpha (8 alpha^2 -
+    6 k/w), each plus |X| times the next derivative, which a rounding of X
+    moves it by; alpha''' = alpha' (8 alpha^2 - 6 k/w) + alpha (16 alpha
+    alpha' + 12 k alpha/w), as w''' = 0 and (k/w)' = -2 alpha k/w."""
+    a, da, dda = forms
+    kw = da + 2 * a * a   # k/w
+    ddda = da * (8 * a * a - 6 * kw) + a * (16 * a * da + 12 * kw * a)
+    return (abs(a) + abs(X * da), abs(kw) + 2 * a * a + abs(X * dda),
+            abs(a) * (8 * a * a + 6 * abs(kw)) + abs(X * ddda))
+
+
+EXACT_FAMILIES = [*FAMILIES, lienard.SpecialI(c1=-0.37), lienard.SpecialII(c1=0.37),
+                  lienard.General(c1=0.37, c2=1.9), lienard.General(c1=0.37, c2=-1.9)]
+
+
+@pytest.mark.parametrize("sol", EXACT_FAMILIES, ids=repr)
+def test_closed_forms_match_the_exact_hand_derived_forms(sol):
+    # within 4 eps kappa of the exact values at the float x, singular
+    # neighbourhoods included: the w-derived forms measure at most 1.02 eps
+    # kappa here and the per-family forms they replaced 1.68, while a
+    # coefficient perturbed by one (6 -> 5 in alpha'') misses by far more
+    near = [z + d for z in (*sol.singular_x(), -getattr(sol, "c1", 0.0)) for d in (-1e-5, 1e-5)]
+    xs = [x for x in np.linspace(-3.0, 3.0, 601).tolist() + near
+          if all(abs(x - z) > 1e-6 for z in sol.singular_x())]
+    for x in xs:
+        forms, X = hand_forms(sol, x)
+        got = (sol.alpha(x), sol.alpha_x(x), sol.alpha_xx(x))
+        for name, g, exact, kappa in zip(("alpha", "alpha_x", "alpha_xx"), got, forms,
+                                         condition(forms, X)):
+            err = abs(Fraction(g) - exact)
+            assert err <= 4 * Fraction(sys.float_info.epsilon) * kappa, (name, x, float(err))
+
+
 def test_residual_with_fd_fallback():
     sol = lienard.General(c1=0.0, c2=2.0)
     r = lienard.lienard_residual(sol.alpha, 0.8)
@@ -94,12 +145,25 @@ def test_nonzero_H_residual():
 
 
 def test_singular_evaluation_raises():
-    with pytest.raises(SingularPoint):
+    with pytest.raises(SingularPoint, match=r"^special I solution singular at x = 1\.0$"):
         lienard.SpecialI(c1=-1.0).alpha(1.0)
-    with pytest.raises(SingularPoint):
+    with pytest.raises(SingularPoint, match=r"^special II solution singular at x = 1\.0$"):
         lienard.SpecialII(c1=-2.0).alpha(1.0)
-    with pytest.raises(SingularPoint):
+    with pytest.raises(SingularPoint, match=r"^general solution singular at x = 1\.0$"):
         lienard.General(c1=0.0, c2=-1.0).alpha(1.0)
+    # special I guards its double root's factor x + c1, not w = (x + c1)^2,
+    # which a guard |w| <= EPS_DEN would reject out to |x + c1| = 1e-6
+    sol = lienard.SpecialI(c1=0.0)
+    assert sol.alpha(1e-7) == pytest.approx(1e7, rel=1e-15)
+    assert math.isfinite(sol.metric_factor(1e-7))
+    # special II and general guard w itself: |w| = 8e-13 <= EPS_DEN, first x in order
+    x = 1.0 + 4e-13
+    for sol, msg, w in [(lienard.SpecialII(c1=-2.0), "special II", 2.0 * x - 2.0),
+                        (lienard.General(c1=0.0, c2=-1.0), "general", x * x - 1.0)]:
+        assert abs(w) <= EPS_DEN
+        for f in (sol.alpha, sol.alpha_x, sol.alpha_xx, sol.metric_factor):
+            with pytest.raises(SingularPoint, match=rf"^{msg} solution singular at x = {x}$"):
+                f(np.array([3.0, x, 1.0]))
 
 
 def test_general_requires_nonzero_c2():
@@ -461,3 +525,8 @@ def test_general_surface_type_ignores_endpoint_order_and_keeps_the_endpoint_rule
 def test_each_surface_type_belongs_to_one_family():
     owners = {t: [f for f in lienard.FAMILIES if t in f.types] for t in T}
     assert all(len(fs) == 1 for fs in owners.values()), owners
+    # a family's constants are its dataclass fields, which the CLI and
+    # the fit's JSON read: the base class gives none
+    assert {f.__name__: [c.name for c in dataclasses.fields(f)] for f in lienard.FAMILIES} \
+        == {"Zero": [], "SpecialI": ["c1"], "SpecialII": ["c1"], "General": ["c1", "c2"]}
+    assert not hasattr(lienard.SpecialI(c1=0.5), "c2")
