@@ -255,8 +255,17 @@ def cmd_normalize(args):
     nf, change = models.normalize(m, YFunction.from_expr(args.k),
                                   YFunction.from_expr(args.h), x_window=args.x_window)
     ys = m.y_domain.linspace(args.samples)
-    y_new = [change.psi(y) for y in ys]
-    zs = [nf.at_y(y) for y in ys]
+    try:   # Psi, then zeta1 and zeta2, each over the samples in one call
+        with np.errstate(all="ignore"):   # an overflow is inf, as in float arithmetic
+            row = np.array(ys)
+            y_new = change.psi.over(row).tolist()
+            z1, z2 = (z.tolist() if z is not None else [None] * len(ys)
+                      for z in nf.at_y(row))
+            zs = list(zip(z1, z2))
+    except (ValueError, ArithmeticError, HeisminError):
+        # sample by sample, for the first error in that order
+        y_new = [change.psi(y) for y in ys]
+        zs = [nf.at_y(y) for y in ys]
     # a steep gauge makes Psi flat to the last bit: samples with different
     # zetas that share a y~ cannot be told apart in normal coordinates
     for y0, y1, yn0, yn1, z0, z1 in zip(ys, ys[1:], y_new, y_new[1:], zs, zs[1:]):
@@ -279,7 +288,9 @@ def cmd_integrability(args):
     k, h = YFunction.from_expr(args.k), YFunction.from_expr(args.h)
     if args.alpha0 is not None:
         # constant H != 0: the profile is integrated by RK4 (its closed
-        # form alpha = w'/(2w) is ROADMAP item 2)
+        # form alpha = w'/(2w) is ROADMAP item 2), its states stored on the
+        # multiples of 1/1024: where lo is one (0, 0.5, 1, ...), every node
+        # and midpoint of the lattices from lo reads a stored state
         curve = lienard.OdeSolutionCurve(args.alpha0, args.v0, wx.lo - 0.01,
                                          wx.hi + 0.01, H_const=args.hconst)
         alpha = Field2D.from_x_profile(curve.alpha, curve.alpha_x)

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, QuadratureFailure, SingularPoint
+from .errors import EvaluationError, HeisminError, QuadratureFailure, SingularPoint
+from .expr import pointwise
 from .lienard import _rhs
 from .models import MetricRep, exp_of
-from .numerics import CumulativeIntegral, Field2D, YFunction, memoized
+from .numerics import (CumulativeIntegral, Field2D, YFunction, exp_over, first_where,
+                       memoized)
+
+_sqrt = pointwise(math.sqrt, None, np.sqrt)   # math.sqrt's bits; a float stays a float
 
 
 def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
@@ -29,39 +33,41 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
             * (h(y) - int H alpha e^{int 2 alpha dx} dx)
 
     with both anti-derivatives cumulative from x_base (lattice Simpson,
-    one pair of lattices per y-line).  When neither alpha nor H depends on
-    y, every y shares a single pair.  a and b are Field2Ds whose lines
-    read h(y) and e^{k(y)} once each.
+    one pair of lattices per y-line, grown over arrays: J's integrand reads
+    I over its nodes).  When neither alpha nor H depends on y, every y
+    shares a single pair.  a and b are Field2Ds whose lines read h(y) and
+    e^{k(y)} once each and take an x-row.
     """
     ek = exp_of(k)
 
     def quadrature(y: float):
         """The y-line's e^{-I} / sqrt(1 + alpha^2) and J, each memoized in
         x: a and b and their x-differences revisit the same points."""
-        al, Hy = memoized(alpha.line(y)), H.line(y)
-        I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base)
-        J = CumulativeIntegral(lambda x: Hy(x) * al(x) * math.exp(I(x)), x_base)
+        al, Hy = memoized(alpha.line(y).over), H.line(y).over
+        I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base, arrays=True)
+        J = CumulativeIntegral(lambda x: Hy(x) * al(x) * exp_over(I.over(x)), x_base,
+                               arrays=True)
 
         def common(x):
             a = al(x)
-            val = math.exp(-I(x)) / math.sqrt(1.0 + a * a)
-            if not math.isfinite(val):
-                raise QuadratureFailure(f"non-finite integrand at ({x}, {y})")
+            val = exp_over(-I.over(x)) / _sqrt(1.0 + a * a)
+            if (at := first_where(~np.isfinite(val), x)) is not None:
+                raise QuadratureFailure(f"non-finite integrand at ({at}, {y})")
             return val
 
-        return memoized(common), memoized(J)
+        return memoized(common), memoized(J.over)
 
     quad = memoized(quadrature, alpha.y_free and H.y_free)
 
     def b_line(y):
         common, _ = quad(y)
         eky = ek(y)
-        return YFunction(lambda x: eky * common(x), var="x")
+        return YFunction(lambda x: eky * common(x), var="x", arrays=True)
 
     def a_line(y):
         common, J = quad(y)
         hy = h(y)
-        return YFunction(lambda x: common(x) * (hy - J(x)), var="x")
+        return YFunction(lambda x: common(x) * (hy - J(x)), var="x", arrays=True)
 
     return MetricRep(Field2D(a_line), Field2D(b_line))
 
@@ -81,33 +87,55 @@ class ResidualStats:
         return max(self.max.values())
 
 
+def _residuals(alpha: Field2D, H: Field2D, rep: MetricRep, x, y: float):
+    """(r1, r2, r3) at (x, y), x a float or an x-row, each value read in
+    the point loop's order."""
+    al = alpha(x, y)
+    al_x = alpha.dx(x, y)
+    al_xx = alpha.dxx(x, y)
+    Hv = H(x, y)
+    a = rep.a(x, y)
+    b = rep.b(x, y)
+    if (at := first_where(b == 0.0, x)) is not None:
+        raise SingularPoint(f"metric coefficient b = 0 at (x, y) = ({at}, {y})")
+    a_x = rep.a_x(x, y)
+    b_x = rep.b_x(x, y)
+    H_x = H.dx(x, y)
+    H_y = H.dy(x, y)
+    root = _sqrt(1.0 + al * al)
+    return (-a_x + a * b_x / b - Hv * al / root,
+            -b_x / b - 2.0 * al - al * al_x / (1.0 + al * al),
+            a * H_x + b * H_y - (al_xx - _rhs(al, al_x, Hv)[1]) / root)
+
+
 def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
                            grid) -> ResidualStats:
     """Max and mean absolute residuals of the three integrability
     equations over the grid.  The grid must stay a couple of
-    finite-difference steps away from singular loci."""
-    r = {1: [], 2: [], 3: []}
-    try:
-        for x, y in expand_grid(grid):
-            al = alpha(x, y)
-            al_x = alpha.dx(x, y)
-            al_xx = alpha.dxx(x, y)
-            Hv = H(x, y)
-            a = rep.a(x, y)
-            b = rep.b(x, y)
-            if b == 0.0:
-                raise SingularPoint(f"metric coefficient b = 0 at (x, y) = ({x}, {y})")
-            a_x = rep.a_x(x, y)
-            b_x = rep.b_x(x, y)
-            H_x = H.dx(x, y)
-            H_y = H.dy(x, y)
-            root = math.sqrt(1.0 + al * al)
-            r[1].append(-a_x + a * b_x / b - Hv * al / root)
-            r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
-            r[3].append(a * H_x + b * H_y - (al_xx - _rhs(al, al_x, Hv)[1]) / root)
-    except OverflowError as exc:   # ** raises where * overflows quietly to inf
-        raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
+    finite-difference steps away from singular loci.
+
+    Each y is read as one x-row.  A row that raises, or whose residuals
+    are not all finite, is read again point by point in expand_grid's
+    order, so its values and its first error are the point loop's."""
+    xs, ys = grid
+    row = np.array(xs, dtype=float).ravel()
+    r = np.empty((3, len(ys), row.size))
+    for j, y in enumerate(ys):
+        y = float(y)
+        try:
+            with np.errstate(all="ignore"):
+                r[:, j] = _residuals(alpha, H, rep, row, y)
+            if np.isfinite(r[:, j]).all():
+                continue
+        except (ValueError, ArithmeticError, HeisminError):
+            pass
+        for i, (x, y) in enumerate(expand_grid((row, [y]))):
+            try:
+                r[:, j, i] = _residuals(alpha, H, rep, x, y)
+            except OverflowError as exc:   # ** raises where * overflows quietly to inf
+                raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
+    r = r.reshape(3, -1)
     return ResidualStats(
-        max={i: float(np.max(np.abs(v))) for i, v in r.items()},
-        mean={i: float(np.mean(np.abs(v))) for i, v in r.items()},
+        max={i: float(np.max(np.abs(v))) for i, v in enumerate(r, 1)},
+        mean={i: float(np.mean(np.abs(v))) for i, v in enumerate(r, 1)},
     )

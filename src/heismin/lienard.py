@@ -212,8 +212,17 @@ def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
     return dda - _rhs(a, da, H_const)[1]
 
 
-def _rhs(alpha: float, v: float, H_const: float):
-    return v, -(6.0 * alpha * v + 4.0 * alpha**3 + H_const**2 * alpha)
+def _pow(a, p):
+    """a ** p, over an array as float ** at each element: numpy's ** differs
+    from it in the last bit, for squares and cubes too."""
+    if isinstance(a, np.ndarray):
+        return np.array([e ** p for e in a.ravel().tolist()]).reshape(a.shape)
+    return a ** p
+
+
+def _rhs(alpha, v, H_const):
+    """(alpha', v') at floats or arrays; an array's powers are float **'s."""
+    return v, -(6.0 * alpha * v + 4.0 * _pow(alpha, 3) + _pow(H_const, 2) * alpha)
 
 
 def _rk4_step(alpha: float, v: float, h: float, H_const: float):
@@ -227,6 +236,16 @@ def _rk4_step(alpha: float, v: float, h: float, H_const: float):
     )
 
 
+def _step_count(width: float, step: float) -> int:
+    """The whole number of steps nearest |width| / step, at least 1;
+    StepLimit where that is more than MAX_RK4_STEPS."""
+    steps = abs(width) / step
+    if not steps <= MAX_RK4_STEPS:
+        raise StepLimit(f"the window needs {steps:.6g} RK4 steps, more than "
+                        f"the limit of {MAX_RK4_STEPS}")
+    return max(1, round(steps))
+
+
 def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
            H_const: float) -> Trajectory:
     """The RK4 states (alpha, v) at x0 + i h, i = 0..n, where h is the
@@ -238,11 +257,7 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
         if not (abs(alpha0) <= BLOWUP_GUARD and abs(v0) <= BLOWUP_GUARD):
             raise BlowUp(x0)
         return Trajectory(x0, 0.0, array("d", [alpha0]), array("d", [v0]))
-    steps = abs(x1 - x0) / step
-    if not steps <= MAX_RK4_STEPS:
-        raise StepLimit(f"the window needs {steps:.6g} RK4 steps, more than "
-                        f"the limit of {MAX_RK4_STEPS}")
-    n = max(1, round(steps))
+    n = _step_count(x1 - x0, step)
     h = (x1 - x0) / n
     alphas, vs = array("d", [alpha0]), array("d", [v0])
     put_a, put_v = alphas.append, vs.append
@@ -323,39 +338,71 @@ def integrate_ivp(alpha0: float, v0: float, x0: float, x1: float,
 
 class OdeSolutionCurve:
     """A smooth x -> (alpha, alpha_x) obtained by one high-resolution RK4
-    sweep, evaluable anywhere in [x0, x1].
+    sweep, evaluable anywhere in [x0, x1], at a float or an array of x.
 
-    States are stored at x0 + i h, where h is the divisor of [x0, x1]
-    nearest the quadrature lattice's node and midpoint spacing
-    0.5 / PANELS_PER_UNIT (2.02 / 2068 on [0.49, 2.51], not 1 / 1024), so
-    the quadrature lattice's points in general fall between stored states.
-    An x off the stored states takes a single partial RK4 step from the
-    stored state below it, so values at nearby points share the same
-    integration history and finite differencing across them is well
-    conditioned.  Used for constant H != 0, whose
-    closed form alpha = w'/(2w), w = A + B cos H(x - x0) + C sin H(x - x0),
-    is not implemented yet (ROADMAP item 2).
+    States are stored at the multiples k s of s = 0.5 / PANELS_PER_UNIT
+    that lie in [x0, x1], the node and midpoint spacing of a quadrature
+    lattice: one RK4 step reaches the first of them from x0 and the sweep
+    runs on from there.  Every node and midpoint of a lattice whose base is
+    a multiple of s is then a stored state and costs a read.  A window that
+    holds no multiple of s stores its states at x0 + i h instead, h the
+    divisor of [x0, x1] nearest s.  Any other x takes a single partial RK4
+    step from the stored state below it, or from the first state where x
+    lies below that, so values at nearby points share the same integration
+    history and finite differencing across them is well conditioned.  Used for constant
+    H != 0, whose closed form alpha = w'/(2w), w = A + B cos H(x - x0)
+    + C sin H(x - x0), is not implemented yet (ROADMAP item 2).
     """
 
     def __init__(self, alpha0, v0, x0, x1, H_const=0.0):
         self.x0, self.x1 = float(x0), float(x1)
         self.H_const = float(H_const)
-        traj = _sweep(alpha0, v0, x0, x1, 0.5 / PANELS_PER_UNIT, H_const)
-        self.h, self._alpha, self._v = traj.h, traj.alpha, traj.v
+        s = 0.5 / PANELS_PER_UNIT
+        try:
+            first, last = math.ceil(self.x0 / s) * s, math.floor(self.x1 / s) * s
+        except (OverflowError, ValueError):   # x / s is inf or nan
+            first, last = math.inf, -math.inf
+        if first <= last:
+            _step_count(last - first, s)   # StepLimit before the first step
+            start = _sweep(alpha0, v0, self.x0, first, s, H_const)
+            traj = _sweep(start.alpha[-1], start.v[-1], first, last, s, H_const)
+        else:
+            traj = _sweep(alpha0, v0, self.x0, self.x1, s, H_const)
+        self._base, self.h = traj.x0, traj.h
+        self._alpha, self._v = np.frombuffer(traj.alpha), np.frombuffer(traj.v)
 
-    def state(self, x: float):
-        t = (x - self.x0) / self.h if self.h else 0.0   # x0 == x1: one node
-        k = min(len(self._alpha) - 1, max(0, math.floor(t)))
-        a, v = self._alpha[k], self._v[k]
-        dx = x - (self.x0 + k * self.h)
+    def state(self, x):
+        """(alpha, alpha_x) at x; over an array, one index of the stored
+        states and one partial step for the points between them, with the
+        float call's bits and, where that raises, its first error."""
+        return pointwise(self._state_at, 2, self._states_over)(x)
+
+    def _state_at(self, x: float):
+        t = (x - self._base) / self.h if self.h else 0.0   # x0 == x1: one node
+        k = min(self._alpha.size - 1, max(0, math.floor(t)))
+        a, v = self._alpha.item(k), self._v.item(k)
+        dx = x - (self._base + k * self.h)
         if dx != 0.0:
             a, v = _rk4_step(a, v, dx, self.H_const)
         return a, v
 
-    def alpha(self, x: float) -> float:
+    def _states_over(self, xs):
+        x = xs.ravel()
+        t = (x - self._base) / self.h if self.h else np.zeros(x.size)
+        k = np.clip(np.floor(t), 0, self._alpha.size - 1)
+        if not np.isfinite(k).all():   # t is nan: the float call's error
+            raise ValueError("cannot index the stored states")
+        k = k.astype(np.intp)
+        a, v = self._alpha[k], self._v[k]
+        dx = x - (self._base + k * self.h)
+        if (off := dx != 0.0).any():
+            a[off], v[off] = _rk4_step(a[off], v[off], dx[off], self.H_const)
+        return a.reshape(xs.shape), v.reshape(xs.shape)
+
+    def alpha(self, x):
         return self.state(x)[0]
 
-    def alpha_x(self, x: float) -> float:
+    def alpha_x(self, x):
         return self.state(x)[1]
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from . import lienard
 from .errors import EvaluationError, MixedType, SingularPoint
 from .lienard import SurfaceType
-from .numerics import (CumulativeIntegral, Field2D, Window, YFunction, first_where,
-                       invert_monotone, memoized)
+from .numerics import (CumulativeIntegral, Field2D, Window, YFunction, exp_over,
+                       first_where, invert_monotone, memoized)
 
 Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the type
 
@@ -136,8 +136,8 @@ class CoordChange:
 @dataclass
 class NormalForm:
     """zeta1 and zeta2 are functions of y~; at_y(y), where normalize sets
-    it, gives (zeta1, zeta2) read at the model's own y instead, None for a
-    missing c-function."""
+    it, gives (zeta1, zeta2) read at the model's own y instead, at a float
+    or over an array of y, None for a missing c-function."""
 
     surface_type: SurfaceType
     zeta1: Optional[YFunction]
@@ -155,12 +155,17 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     coincide with the model's c-functions.
     """
     w = Window(*m.y_domain)
+    # Gamma's and Psi's lattices share their nodes: one e^{-k} a point serves both
+    emk = memoized(lambda y: exp_over(-k.over(y)))
 
-    gamma_int = CumulativeIntegral(lambda y: -h(y) * math.exp(-k(y)), w.lo, var="y")
-    gamma = YFunction(gamma_int, lambda y: -h(y) * math.exp(-k(y)))
+    gamma_int = CumulativeIntegral(lambda y: -h.over(y) * emk(y), w.lo, var="y",
+                                   arrays=True)
+    gamma = YFunction(gamma_int, lambda y: -h(y) * emk(y),
+                      arrays=(gamma_int.over, None, None))
 
-    psi_int = CumulativeIntegral(lambda y: math.exp(-k(y)), w.lo, var="y")
-    psi = YFunction(lambda y: w.lo + psi_int(y), lambda y: math.exp(-k(y)))
+    psi_int = CumulativeIntegral(emk, w.lo, var="y", arrays=True)
+    psi = YFunction(lambda y: w.lo + psi_int(y), emk,
+                    arrays=(lambda y: w.lo + psi_int.over(y), None, None))
     # Psi is inverted from a bracket on the y-domain, where k is read; a
     # zero-width domain keeps a bracket of width 1
     hi = w.hi if w.width else w.lo + 1.0
@@ -170,7 +175,7 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     s = m.family.scale
 
     def zeta1_at(y):
-        return m.c1(y) - s * gamma(y)
+        return m.c1.over(y) - s * gamma.over(y)
 
     zeta1 = (change.pull(zeta1_at, lambda y: m.c1.d(y) - s * gamma.d(y))
              if m.c1 is not None else None)
@@ -178,7 +183,7 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
 
     def at_y(y):
         return (None if m.c1 is None else zeta1_at(y),
-                None if m.c2 is None else m.c2(y))
+                None if m.c2 is None else m.c2.over(y))
 
     return NormalForm(classify(m, x_window), zeta1, zeta2, at_y), change
 

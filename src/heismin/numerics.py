@@ -26,6 +26,7 @@ PANELS_PER_UNIT = 512    # Simpson panels per unit length of every quadrature la
 # nodes either side of a lattice's base (16 to 32 MB a side); an --alpha0 window
 # at the RK4 step limit, 2e6 profile steps of 1/1024, needs just under it
 MAX_LATTICE_NODES = 1_000_000
+exp_over = expr_mod.pointwise(math.exp)   # at a float or an array; np.exp differs in the last bit
 
 
 def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:
@@ -258,7 +259,7 @@ class YFunction:
 
     @staticmethod
     def constant(c: float) -> "YFunction":
-        return YFunction(lambda y: c, lambda y: 0.0, lambda y: 0.0)
+        return YFunction(lambda y: c, lambda y: 0.0, lambda y: 0.0, arrays=True)
 
     @staticmethod
     def from_expr(src: str, var: str = "y") -> "YFunction":
@@ -274,8 +275,8 @@ class Field2D:
     the x-profile at y, a YFunction in x, built once per y, or once for
     every y when the field is y_free.
 
-    The x-partials dx and dxx are the line's d and d2, and f(xs, y) for an
-    array xs is the line over that x-row (YFunction.over).  dy is 0.0 for
+    The x-partials dx and dxx are the line's d and d2; f, dx and dxx at an
+    array xs are the line over that x-row (YFunction.over).  dy is 0.0 for
     a y_free field, else a central difference across lines at FD_STEP."""
 
     def __init__(self, line, y_free: bool = False):
@@ -286,16 +287,18 @@ class Field2D:
         line = self.line(y)
         return line.over(x) if isinstance(x, np.ndarray) else line(x)
 
-    def dx(self, x: float, y: float) -> float:
-        return self.line(y).d(x)
+    def dx(self, x, y: float):
+        line = self.line(y)
+        return line.over(x, 1) if isinstance(x, np.ndarray) else line.d(x)
 
-    def dxx(self, x: float, y: float) -> float:
-        return self.line(y).d2(x)
+    def dxx(self, x, y: float):
+        line = self.line(y)
+        return line.over(x, 2) if isinstance(x, np.ndarray) else line.d2(x)
 
-    def dy(self, x: float, y: float) -> float:
+    def dy(self, x, y: float):
         if self.y_free:
             return 0.0
-        return central_d1(lambda s: self.line(s)(x), y, FD_STEP)
+        return central_d1(lambda s: self(x, s), y, FD_STEP)
 
     @staticmethod
     def of(f) -> "Field2D":
@@ -308,10 +311,11 @@ class Field2D:
 
     @staticmethod
     def from_x_profile(alpha_of_x, alpha_x_of_x) -> "Field2D":
-        """A y-independent field from an x-profile (e.g. the RK4 solution
-        curve of a constant H != 0)."""
-        return Field2D(lambda y: YFunction(alpha_of_x, alpha_x_of_x, var="x"),
-                       y_free=True)
+        """A y-independent field from an x-profile that takes arrays of x
+        too (e.g. the RK4 solution curve of a constant H != 0), memoized
+        in x, as every y reads the same x-row."""
+        return Field2D(lambda y: YFunction(memoized(alpha_of_x), memoized(alpha_x_of_x),
+                                           var="x", arrays=True), y_free=True)
 
     @staticmethod
     def from_model(m) -> "Field2D":

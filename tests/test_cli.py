@@ -519,6 +519,38 @@ def test_normalize_command_never_inverts_psi(monkeypatch, capsys):
     assert (code, calls) == (0, [])
 
 
+def test_normalize_reads_k_once_a_point(monkeypatch, capsys):
+    # the grid workload's normalize shape: Gamma's and Psi's integrands share one
+    # e^{-k} at each of the 5,021 points of their lattices (513 nodes, 512
+    # midpoints and 2 a residual panel for each of the 1,998 samples off a node)
+    points = Counter()
+    parse = YFunction.from_expr
+
+    def counted(src, var="y"):
+        f = parse(src, var)
+        at, over = f.f, f.arrays[0]
+        f.f = lambda y: points.update({src: 1}) or at(y)
+        f.arrays = [lambda y: points.update({src: np.size(y)}) or over(y), *f.arrays[1:]]
+        return f
+
+    monkeypatch.setattr(YFunction, "from_expr", staticmethod(counted))
+    code, _ = run_cli(["normalize", "--alpha", "general", "--c1", "0.3+0.1*sin(y)",
+                       "--c2", "0.7+0.2*y", "--k", "0.5*y", "--h", "0.3",
+                       "--samples", "2000"], capsys)
+    assert code == 0
+    assert (points["0.5*y"], points["0.3"]) == (5021, 5021)
+
+
+@pytest.mark.parametrize("h, y", [("log(y-0.3)", "0.0"), ("log(0.5-y)", "0.5")])
+def test_normalize_names_the_first_failing_sample(h, y, capfd):
+    # c1 fails from y = 0.875 on, Gamma's h earlier: a sample loop meets h first,
+    # and so must the reads over all samples at once
+    code = cli.main(["normalize", "--alpha", "special2", "--c1", "log(0.8-y)",
+                     "--h", h, "--k", "y"])
+    assert (code, capfd.readouterr().err) == (
+        2, f"error: cannot evaluate at y = {y}: math domain error\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "21", "--ny", "11"],
     ["integrability", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--k", "y",

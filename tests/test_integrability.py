@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from heismin import integrability, lienard, models
 from heismin.errors import QuadratureFailure, SingularPoint
 from heismin.integrability import Field2D
 from heismin.models import AlphaModel, YFunction
+from heismin.numerics import PANELS_PER_UNIT
 
 
 def yconst(c):
@@ -169,3 +171,61 @@ def test_reps_and_fields_are_freed_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def point_loop_residual(alpha, H, rep, grid):
+    """The reference: the residual one point at a time, in expand_grid's order."""
+    r = {1: [], 2: [], 3: []}
+    for x, y in integrability.expand_grid(grid):
+        al, al_x, al_xx = alpha(x, y), alpha.dx(x, y), alpha.dxx(x, y)
+        Hv, a, b = H(x, y), rep.a(x, y), rep.b(x, y)
+        a_x, b_x, H_x, H_y = rep.a_x(x, y), rep.b_x(x, y), H.dx(x, y), H.dy(x, y)
+        root = math.sqrt(1.0 + al * al)
+        r[1].append(-a_x + a * b_x / b - Hv * al / root)
+        r[2].append(-b_x / b - 2.0 * al - al * al_x / (1.0 + al * al))
+        r[3].append(a * H_x + b * H_y - (al_xx - lienard._rhs(al, al_x, Hv)[1]) / root)
+    return ({i: float(np.max(np.abs(v))) for i, v in r.items()},
+            {i: float(np.mean(np.abs(v))) for i, v in r.items()})
+
+
+@pytest.mark.parametrize("model", ["special1", "general", "general-type-ii", "h2-quadrature"])
+def test_x_row_residual_has_the_point_loops_bits(model):
+    k, h = YFunction.from_expr("0.5*y"), YFunction.from_expr("0.1+0.2*y")
+    grid = (np.linspace(0.5, 2.5, 50), np.linspace(0.05, 0.95, 20))
+    if model == "h2-quadrature":
+        curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.49, 2.51, H_const=2.0)
+        alpha, H = Field2D.from_x_profile(curve.alpha, curve.alpha_x), Field2D.constant(2.0)
+        rep = integrability.metric_from_alpha_H(alpha, H, k, h, x_base=0.5)
+    else:
+        m = {"special1": AlphaModel(lienard.SpecialI, YFunction.from_expr("0.4+y")),
+             "general": AlphaModel(lienard.General, YFunction.from_expr("0.3+0.1*sin(y)"),
+                                   YFunction.from_expr("1.5")),
+             "general-type-ii": AlphaModel(lienard.General, YFunction.from_expr("-3-y"),
+                                           YFunction.from_expr("-0.2"))}[model]
+        alpha, H = Field2D.from_model(m), Field2D.constant(0.0)
+        rep = models.metric_rep(m, k, h)
+    stats = integrability.integrability_residual(alpha, H, rep, grid)
+    assert (stats.max, stats.mean) == point_loop_residual(alpha, H, rep, grid)
+
+
+def test_h2_profile_takes_partial_steps_only_off_the_lattice(monkeypatch):
+    # the benchmark's H = 2 shape: the profile on [0.49, 2.51], the lattices
+    # from x_base = 0.5, the residual on 50 x 20 points and (a, b) at samples
+    s = 0.5 / PANELS_PER_UNIT
+    curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.49, 2.51, H_const=2.0)
+    queried, steps = [], []
+    state, step = curve.state, lienard._rk4_step
+    monkeypatch.setattr(curve, "state", lambda x: queried.extend(np.ravel(x)) or state(x))
+    monkeypatch.setattr(lienard, "_rk4_step",
+                        lambda a, v, dx, H: steps.append(np.size(dx)) or step(a, v, dx, H))
+    alpha, H = Field2D.from_x_profile(curve.alpha, curve.alpha_x), Field2D.constant(2.0)
+    rep = integrability.metric_from_alpha_H(alpha, H, YFunction.from_expr("0.1*y"),
+                                            YFunction.from_expr("0.3+0.1*y"), x_base=0.5)
+    grid = (np.linspace(0.5, 2.5, 50), np.linspace(0.05, 0.95, 20))
+    assert integrability.integrability_residual(alpha, H, rep, grid).overall_max() <= 1e-6
+    for x in (0.5, 1.0, 2.5):
+        rep.a(x, 0.5), rep.b(x, 0.5)
+    lattice = {0.5 + i * s for i in range(4 * PANELS_PER_UNIT + 1)}   # nodes, midpoints
+    assert lattice <= set(queried)
+    off = [x for x in queried if not ((x - 0.5) / s).is_integer()]
+    assert sum(steps) == len(off) > 0   # one partial step for each x off the lattice

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from heismin import lienard
 from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
                             SingularPoint, StepLimit)
-from heismin.numerics import EPS_DEN, central_d1
+from heismin.numerics import EPS_DEN, PANELS_PER_UNIT, central_d1
 
 
 def safe_xs(sol, lo=-3.0, hi=3.0, n=30, margin=0.2):
@@ -271,6 +271,42 @@ def test_profile_at_h2_matches_the_fine_sweep():
     ref = lienard.integrate_ivp(0.3, 0.1, 0.3, 2.8, 1e-4, H_const=2.0)
     assert max(abs(curve.alpha(x) - s.alpha) for x, s in ref) <= 1e-11
     assert max(abs(curve.alpha_x(x) - s.v) for x, s in ref) <= 1e-11
+
+
+S = 0.5 / PANELS_PER_UNIT   # the profile's state spacing: a lattice's node and midpoint step
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["wide", "zero-width", "no-grid-point"]),
+       k0=st.integers(-3000, 3000), width=st.floats(S, 2.0),
+       start=st.floats(0.01, 0.49), H=st.floats(-3.0, 3.0),
+       alpha0=st.floats(-0.4, 0.4), v0=st.floats(-0.4, 0.4),
+       ks=st.lists(st.integers(-50, 2100), min_size=1, max_size=40),
+       offs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+def test_profile_state_over_an_array_has_the_float_calls_bits(
+        kind, k0, width, start, H, alpha0, v0, ks, offs):
+    # windows that hold many multiples of S, none (a part of one step) and a
+    # single point, some on S; queries on S, off it and outside [x0, x1]
+    x0 = k0 * S + start * S
+    x1 = {"wide": x0 + width, "zero-width": x0, "no-grid-point": x0 + 0.5 * S}[kind]
+    if kind == "zero-width" and k0 % 2:
+        x0 = x1 = k0 * S
+    curve = lienard.OdeSolutionCurve(alpha0, v0, x0, x1, H_const=H)
+    xs = np.array([x0 + k * S for k in ks] + [(k0 + k) * S for k in ks]
+                  + [x0 + o * (x1 - x0 + S) for o in offs])
+    a, v = curve.state(xs)
+    ref = np.array([curve.state(x) for x in xs.tolist()])
+    assert a.tobytes() == ref[:, 0].tobytes() and v.tobytes() == ref[:, 1].tobytes()
+    assert curve.alpha(xs[:1].reshape(1, 1)).tolist() == [[ref[0, 0]]]   # the shape is kept
+
+
+def test_profile_state_over_an_array_raises_the_float_calls_first_error():
+    curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.49, 2.51, H_const=2.0)
+    for bad in (math.nan, math.inf, 1e300):   # floor(nan), floor(inf), a**3 overflows
+        with pytest.raises((ValueError, OverflowError)) as float_err:
+            curve.state(bad)
+        with pytest.raises(float_err.type, match=re.escape(str(float_err.value))):
+            curve.state(np.array([1.0, bad, math.nan]))
 
 
 def test_conserved_quantity_branches():

@@ -342,8 +342,8 @@ def test_shared_y_line_matches_per_y_path(monkeypatch):
     built = []
 
     class Counted(CumulativeIntegral):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self)
 
     monkeypatch.setattr(integrability, "CumulativeIntegral", Counted)
