@@ -18,11 +18,10 @@ import math
 import os
 import re
 import sys
-from itertools import chain, islice
 
 import numpy as np
 
-from . import construct, expr, integrability, lienard, models, verify
+from . import construct, expr, g17, integrability, lienard, models, verify
 from .errors import ExprSyntaxError, HeisminError, NonFiniteResult, QuadratureFailure
 from .models import AlphaModel, YFunction
 from .numerics import PANELS_PER_UNIT, Field2D, Window
@@ -35,7 +34,7 @@ EXIT_PARSE = 3
 INTEGRABILITY_TOL = 1e-6
 PMGE_TOL = 1e-8
 SPECIAL_I_TOL = 1e-10   # max |zeta2| of a special type I curve
-_BLOCK_ROWS = 1024   # rows per % call of the CSV/OBJ writer
+_BLOCK_VALUES = 3072   # values per g17.rows call of the CSV/OBJ writers
 
 
 class _UsageError(Exception):
@@ -116,34 +115,45 @@ def _emit_json(payload):
     sys.stdout.write(text + "\n")
 
 
-def _write_rows(out, row_format: str, rows) -> None:
-    """Write the rows formatted by row_format, a %-format with one field per
-    value and a trailing newline; each block of rows is one % call and write."""
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        _write_text(out, (row_format * len(block)) % tuple(chain.from_iterable(block)))
+def _write_rows(out, columns, seps) -> None:
+    """Write the rows of the equal-length float columns, seps as in g17.rows:
+    _BLOCK_VALUES values' rows a g17.rows call and a write."""
+    step = _BLOCK_VALUES // len(columns)
+    for a in range(0, len(columns[0]), step):
+        _write_text(out, g17.rows([c[a:a + step] for c in columns], seps))
 
 
-def _csv(path, header, rows) -> None:
-    """Write a CSV of the rows to path (stdout when None), 17 significant
-    digits a value."""
+def _csv(path, header, columns) -> None:
+    """Write a CSV of the equal-length float columns to path (stdout when
+    None), 17 significant digits a value."""
     with _open(path) as out:
         _write_text(out, ",".join(header) + "\n")
-        _write_rows(out, ",".join(["%.17g"] * len(header)) + "\n", rows)
+        _write_rows(out, columns, ["", *[","] * (len(columns) - 1), "\n"])
 
 
 def _grid_csv(path, header, cell, outer, inner, values) -> None:
     """Write a CSV over the outer x inner grid, inner fastest, to path (stdout
-    when None); cell is a row's %-format with {inner} and one {outer}, and
-    values[k] the kth outer row's values.  Each coordinate is formatted once
-    with %.17g, and each outer row is one % call and one write."""
+    when None); cell is a row's format with {inner}, one {outer} and
+    {values}, the cell's values, and values[k] the kth outer row's value
+    columns.  Each coordinate is formatted once.  The values of as many
+    outer rows as hold at most _BLOCK_VALUES values (one row at least) are
+    one g17.rows call, and each outer row is one % call and one write."""
+    def texts(xs):
+        return g17.rows([xs], ["", "\n"]).splitlines()
+
     left, right = cell.split("{outer}")
-    ls, rs = ([p.format(inner="%.17g" % x) for x in inner] for p in (left, right))
-    pieces = [ls[0], *(r + l for r, l in zip(rs, ls[1:])), rs[-1]]   # row = o.join(pieces)
+    ls, rs = ([p.format(inner=x, values="%s") for x in texts(inner)] for p in (left, right))
+    pieces = [ls[0], *(r + l for r, l in zip(rs, ls[1:])), rs[-1]]   # row = o.join(pieces) % cells
+    n, m = len(inner), len(values[0])
+    step, seps = max(1, _BLOCK_VALUES // (n * m)), ["", *[","] * (m - 1), "\n"]
+    outer = texts(outer)
     with _open(path) as out:
         _write_text(out, ",".join(header) + "\n")
-        for o, vs in zip(outer, values):
-            _write_text(out, ("%.17g" % o).join(pieces) % tuple(vs))
+        for a in range(0, len(outer), step):
+            cells = g17.rows([np.concatenate(c) for c in zip(*values[a:a + step])],
+                             seps).splitlines()
+            for k, o in enumerate(outer[a:a + step]):
+                _write_text(out, o.join(pieces) % tuple(cells[k * n:(k + 1) * n]))
 
 
 def mesh_obj(path, chart, nu: int, nv: int) -> None:
@@ -154,10 +164,9 @@ def mesh_obj(path, chart, nu: int, nv: int) -> None:
     us, vs = (Window(*d).linspace(n) for d, n in zip(chart.domain, (nu, nv)))
     with np.errstate(all="ignore"):   # overflow is inf, as in float arithmetic
         p = chart.point(np.repeat(us, nv), np.tile(vs, nu))
-    points = zip(p.x.tolist(), p.y.tolist(), p.z.tolist())
     first = (np.arange(1, nv)[:, None] + [0, nv, nv + 1, 1]).ravel()   # mesh row 0's faces
     with _open(path) as out:
-        _write_rows(out, "v %.17g %.17g %.17g\n", points)
+        _write_rows(out, [p.x, p.y, p.z], ["v ", " ", " ", "\n"])
         for i in range(nu - 1):
             _write_text(out, "f %d %d %d %d\n" * (nv - 1) % tuple((first + i * nv).tolist()))
 
@@ -220,13 +229,13 @@ def cmd_solve_lienard(args):
         return {"family": type(sol).__name__, **dataclasses.asdict(sol)}
     traj = lienard.integrate_ivp(args.alpha0, args.v0, args.x0, args.x1,
                                  args.step, H_const=args.hconst)
-    _csv(args.out, ["x", "alpha", "v"], zip(*traj.columns()))
+    _csv(args.out, ["x", "alpha", "v"], traj.columns())
 
 
 def cmd_phase_field(args):
     field = lienard.phase_field(*_windows(args, "alpha", "v"), args.nx, args.nv)
-    _grid_csv(args.out, ["x", "v", "dx", "dv"], "{outer},{inner},{inner},%.17g\n",
-              field.alpha, field.v, field.dv)
+    _grid_csv(args.out, ["x", "v", "dx", "dv"], "{outer},{inner},{inner},{values}\n",
+              field.alpha, field.v, [[dv] for dv in field.dv])
 
 
 def cmd_classify(args):
@@ -242,11 +251,10 @@ def cmd_metric(args):
     alpha, row = Field2D.from_model(m), np.array(xs)
 
     def line(y):
-        cols = expr.pointwise(lambda x: (alpha(x, y), rep.a(x, y), rep.b(x, y)), 3,
+        return expr.pointwise(lambda x: (alpha(x, y), rep.a(x, y), rep.b(x, y)), 3,
                               lambda row: [f(row, y) for f in (alpha, rep.a, rep.b)])(row)
-        return np.stack(cols, axis=1).ravel().tolist()
 
-    _grid_csv(args.out, ["x", "y", "alpha", "a", "b"], "{inner},{outer},%.17g,%.17g,%.17g\n",
+    _grid_csv(args.out, ["x", "y", "alpha", "a", "b"], "{inner},{outer},{values}\n",
               ys, xs, [line(y) for y in ys])
 
 

@@ -57,8 +57,9 @@ class AlphaSolution:
     writes only _profile(x): the factor g of w that its guard tests, then
     w, h = w'/2 and k = w''/2.  alpha = h/w, alpha_x, alpha_xx, y_speed,
     metric_factor and the guard are derived here, once, for a float or an
-    array of x; the guard raises SingularPoint at the first x, in order,
-    where |g| <= EPS_DEN.  y_speed(x) = sqrt(g22): the first fundamental
+    array of x, squares as float ** (_pow) on both (SpecialI replaces alpha
+    and its partials where its w overflows); the guard raises SingularPoint
+    at the first x, in order, where |g| <= EPS_DEN.  y_speed(x) = sqrt(g22): the first fundamental
     form in normal coordinates is diag(1, y_speed^2), and metric_factor =
     1/y_speed is the x-profile that the induced-metric coefficients a and
     b share.  scale is the coefficient of x next to c1, so x -> x + g
@@ -81,12 +82,12 @@ class AlphaSolution:
 
     def alpha_x(self, x):
         w, h, k = self._guard(x)
-        return k / w - 2.0 * (h / w)**2
+        return k / w - 2.0 * _pow(h / w, 2)
 
     def alpha_xx(self, x):
         w, h, k = self._guard(x)   # and w''' = 0
         a = h / w
-        return a * (8.0 * a**2 - 6.0 * k / w)
+        return a * (8.0 * _pow(a, 2) - 6.0 * k / w)
 
     def y_speed(self, x):
         """sqrt(g22) = |w| sqrt(1 + alpha^2) = hypot(w, h), as
@@ -122,7 +123,9 @@ class Zero(AlphaSolution):
 
 @dataclass(frozen=True)
 class SpecialI(AlphaSolution):
-    """alpha = 1/(x + c1): w = (x + c1)^2, guarded at its double root's factor."""
+    """alpha = 1/(x + c1): w = (x + c1)^2, guarded at its double root's factor.
+    Where w = X^2 overflows (|X| > 1.34e154, X = x + c1), alpha, alpha_x and
+    alpha_xx are 1/X, -1/X^2 and 2/X^3 rounded from X itself."""
 
     c1: float
     _name = "special I"
@@ -131,6 +134,27 @@ class SpecialI(AlphaSolution):
     def _profile(self, x):
         X = x + self.c1
         return X, X * X, X, 1.0
+
+    def alpha(self, x):
+        return self._past_square(super().alpha(x), x, lambda X: 1.0 / X)
+
+    def alpha_x(self, x):
+        return self._past_square(super().alpha_x(x), x, lambda X: _over_power(-1, X, 2))
+
+    def alpha_xx(self, x):
+        return self._past_square(super().alpha_xx(x), x, lambda X: _over_power(2, X, 3))
+
+    def _past_square(self, value, x, exact):
+        """value, with exact(X) where X = x + c1 is finite and X * X is not."""
+        X = x + self.c1
+        with np.errstate(over="ignore"):
+            far = np.isfinite(X) & np.isinf(X * X)
+        if not np.any(far):
+            return value
+        if not isinstance(value, np.ndarray):
+            return exact(X)
+        value[far] = [exact(t) for t in X[far].tolist()]
+        return value
 
     def singular_x(self):
         return (-self.c1,)
@@ -196,6 +220,13 @@ class General(AlphaSolution):
 
 
 FAMILIES = (Zero, SpecialI, SpecialII, General)
+
+
+def _over_power(c: int, X: float, n: int) -> float:
+    """c / X^n correctly rounded, from X's exact ratio p/q: an int's true
+    division rounds once, into the subnormals too."""
+    p, q = X.as_integer_ratio()
+    return c * q**n / p**n
 
 
 def lienard_residual(f, x: float, H_const: float = 0.0) -> float:

@@ -320,10 +320,11 @@ class Field2D:
     @staticmethod
     def from_model(m) -> "Field2D":
         """alpha of an AlphaModel, one slice_at per y, with its analytic
-        x-partial."""
+        x-partial (and YFunction's central difference of that); each takes
+        an x-row."""
         def line(y):
             sol = m.slice_at(y)
-            return YFunction(sol.alpha, sol.alpha_x, var="x", arrays=(sol.alpha, None, None))
+            return YFunction(sol.alpha, sol.alpha_x, var="x", arrays=True)
         return Field2D(line)
 
 

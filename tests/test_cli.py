@@ -137,24 +137,42 @@ def reference_obj(chart, nu, nv):
     return "\n".join(lines) + "\n"
 
 
-SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
-           -1e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e22,
+# %g's switch points between fixed and exponent form and their float
+# neighbours; a value whose integer part ends in a zero; one whose 18th
+# significant digit is an exact tie, which rounds half-even to ...0.2
+SWITCHES = [1e-5, 1e-4, 1e16, 1e17]
+SPECIAL = [0.0, -0.0, 2.0**-1074, -2.5e-310, 2.2250738585072014e-308, 1e308,
+           -1e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22,
            0.1, 1.0 / 3.0, math.pi, -2.718281828459045, 123456789.01234567,
-           math.inf, -math.inf, math.nan, 0]
+           math.inf, -math.inf, math.nan, 0,
+           *SWITCHES, *(math.nextafter(x, to) for x in SWITCHES for to in (0.0, math.inf)),
+           3.989057095361532e16, 1000000000000000.25]
 
 
-def test_csv_matches_per_value_writer(tmp_path, capsys):
+def test_csv_matches_per_value_writer(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(5)
-    # more rows than one block, so block edges are crossed
-    n = 2 * cli._BLOCK_ROWS + 7
-    cols = [(SPECIAL * (n // len(SPECIAL) + 1))[k:k + n] for k in range(3)]
-    cols.append((rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist())
     header = ["x", "alpha", "v", "w"]
     path = tmp_path / "t.csv"
-    cli._csv(str(path), header, zip(*cols))
-    assert path.read_text() == reference_csv(header, zip(*cols))
-    one = [[v] for v in SPECIAL[:1]]
-    cli._csv(None, ["x"], one)
+    writes = []
+    write_text = cli._write_text
+
+    def counted(out, text):
+        writes.append(text)
+        write_text(out, text)
+
+    monkeypatch.setattr(cli, "_write_text", counted)
+    # one row short of a block, a block, one row over, and several blocks
+    block = cli._BLOCK_VALUES // len(header)
+    for n in (block - 1, block, block + 1, 2 * block + 7):
+        cols = [(SPECIAL * (n // len(SPECIAL) + 2))[k:k + n] for k in range(3)]
+        cols.append((rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist())
+        writes.clear()
+        cli._csv(str(path), header, cols)
+        assert path.read_text() == reference_csv(header, zip(*cols))
+        assert [t.count("\n") for t in writes] == [1, *(min(block, n - a)
+                                                      for a in range(0, n, block))]
+    one = [[v] for v in SPECIAL]
+    cli._csv(None, ["x"], [SPECIAL])
     assert capsys.readouterr().out == reference_csv(["x"], one)
 
 

@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: every import in the package
 names the standard library, numpy or heismin itself.  And no module of
-the package, its tests or the benchmark imports a name it never reads."""
+the package, its tests or the benchmark imports a name it never reads,
+and none of the package names numpy's platform-wide long double types."""
 import ast
 import pathlib
 import sys
@@ -49,3 +50,19 @@ def test_no_module_imports_a_name_it_never_reads():
         unused += [f"{f.relative_to(ROOT)}:{line}: {name}" for line, _, names in imports(tree)
                    for name in names if name not in read]
     assert unused == []
+
+
+def test_no_module_names_a_platform_long_double():
+    # the width of numpy's long double depends on the platform, so output
+    # bytes computed through it could too; names and dtype strings both count
+    banned = {"longdouble", "clongdouble", "float96", "float128", "complex192", "complex256"}
+    files = sorted(pathlib.Path(heismin.__file__).parent.rglob("*.py"))
+    named = []
+    for f in files:
+        for node in ast.walk(parse(f)):
+            words = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [node.value] if isinstance(node, ast.Constant) else [])
+            named += [f"{f.name}:{node.lineno}: {w}" for w in words if w in banned]
+    assert named == []

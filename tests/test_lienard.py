@@ -131,6 +131,43 @@ def test_closed_forms_match_the_exact_hand_derived_forms(sol):
             assert err <= 4 * Fraction(sys.float_info.epsilon) * kappa, (name, x, float(err))
 
 
+@pytest.mark.parametrize("sol", EXACT_FAMILIES, ids=repr)
+def test_the_forms_over_an_array_have_the_float_calls_bits(sol):
+    # alpha_x and alpha_xx square with float ** over an array too: numpy's
+    # square differs from it in the last bit (for General(c1=0.37, c2=1.9) on
+    # 100,001 points of [-3, 3], at 73 and 65 of them)
+    xs = np.array([x for x in np.linspace(-3.0, 3.0, 6001).tolist()
+                   if all(abs(x - z) > 1e-6 for z in sol.singular_x())])
+    for name in ("alpha", "alpha_x", "alpha_xx", "y_speed"):
+        got = np.broadcast_to(getattr(sol, name)(xs), xs.shape)
+        want = np.array([getattr(sol, name)(x) for x in xs.tolist()])
+        assert (got.view(np.uint64) == want.view(np.uint64)).all(), name
+
+
+def test_special_i_past_the_overflow_of_w_is_one_over_x():
+    # w = X^2 (X = x + c1) overflows for |X| > 1.34e154, where h/w read 0;
+    # alpha, alpha_x and alpha_xx there are 1/X, -1/X^2 and 2/X^3 rounded
+    # from X itself, and every bit where X * X is finite is unchanged
+    sol = lienard.SpecialI(c1=0.4)
+    xs = [1e154, 1.34e154, 1.35e154, 2e154, 4e161, 1e200, -2e154, -1e300, 1.7e308]
+    for x in xs:
+        X = x + 0.4
+        if math.isfinite(X * X):
+            a = X / (X * X)
+            want = (a, 1.0 / (X * X) - 2.0 * a**2, a * (8.0 * a**2 - 6.0 / (X * X)))
+        else:
+            want = tuple(float(c * Fraction(X)**-p) for c, p in ((1, 1), (-1, 2), (2, 3)))
+        got = (sol.alpha(x), sol.alpha_x(x), sol.alpha_xx(x))
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert lienard.SpecialI(c1=0.0).alpha(1e200) == 1e-200
+    assert sol.alpha_x(2e154) == -2.5e-309   # subnormal
+    with np.errstate(over="ignore"):
+        for name in ("alpha", "alpha_x", "alpha_xx", "y_speed"):
+            got = getattr(sol, name)(np.array(xs))
+            want = np.array([getattr(sol, name)(x) for x in xs])
+            assert (got.view(np.uint64) == want.view(np.uint64)).all(), name
+
+
 def test_residual_with_fd_fallback():
     sol = lienard.General(c1=0.0, c2=2.0)
     r = lienard.lienard_residual(sol.alpha, 0.8)
