@@ -115,12 +115,25 @@ def _emit_json(payload):
     sys.stdout.write(text + "\n")
 
 
-def _write_rows(out, columns, seps) -> None:
-    """Write the rows of the equal-length float columns, seps as in g17.rows:
-    _BLOCK_VALUES values' rows a g17.rows call and a write."""
+def _blocks(columns, seps):
+    """g17.rows of the equal-length float columns, seps as there, in texts
+    of _BLOCK_VALUES values' rows."""
     step = _BLOCK_VALUES // len(columns)
     for a in range(0, len(columns[0]), step):
-        _write_text(out, g17.rows([c[a:a + step] for c in columns], seps))
+        yield g17.rows([c[a:a + step] for c in columns], seps)
+
+
+def _write_rows(out, columns, seps) -> None:
+    """Write the rows of the equal-length float columns, seps as in g17.rows,
+    one write a block of _BLOCK_VALUES values."""
+    for text in _blocks(columns, seps):
+        _write_text(out, text)
+
+
+def _lines(columns, seps):
+    """The rows of the equal-length float columns, seps as in g17.rows
+    (seps[-1] a newline), as a list of strings, _BLOCK_VALUES values a call."""
+    return [line for text in _blocks(columns, seps) for line in text.splitlines()]
 
 
 def _csv(path, header, columns) -> None:
@@ -136,24 +149,30 @@ def _grid_csv(path, header, cell, outer, inner, values) -> None:
     when None); cell is a row's format with {inner}, one {outer} and
     {values}, the cell's values, and values[k] the kth outer row's value
     columns.  Each coordinate is formatted once.  The values of as many
-    outer rows as hold at most _BLOCK_VALUES values (one row at least) are
-    one g17.rows call, and each outer row is one % call and one write."""
-    def texts(xs):
-        return g17.rows([xs], ["", "\n"]).splitlines()
-
-    left, right = cell.split("{outer}")
-    ls, rs = ([p.format(inner=x, values="%s") for x in texts(inner)] for p in (left, right))
-    pieces = [ls[0], *(r + l for r, l in zip(rs, ls[1:])), rs[-1]]   # row = o.join(pieces) % cells
+    outer rows as hold at most _BLOCK_VALUES values are one g17.rows call
+    (a wider row takes several), and each outer row is one % call and one
+    write."""
+    pieces = _row_pieces(cell, _lines([inner], ["", "\n"]))
     n, m = len(inner), len(values[0])
     step, seps = max(1, _BLOCK_VALUES // (n * m)), ["", *[","] * (m - 1), "\n"]
-    outer = texts(outer)
+    outer = _lines([outer], ["", "\n"])
     with _open(path) as out:
         _write_text(out, ",".join(header) + "\n")
         for a in range(0, len(outer), step):
-            cells = g17.rows([np.concatenate(c) for c in zip(*values[a:a + step])],
-                             seps).splitlines()
+            cells = _lines([np.concatenate(c) for c in zip(*values[a:a + step])], seps)
             for k, o in enumerate(outer[a:a + step]):
                 _write_text(out, o.join(pieces) % tuple(cells[k * n:(k + 1) * n]))
+
+
+def _row_pieces(cell, inner):
+    """The texts between a grid row's outer coordinates, for the row format
+    cell of _grid_csv and the inner coordinates' texts: the row of outer
+    text o is o.join(pieces) % its cells' texts."""
+    left, right = cell.split("{outer}")
+    return [left.format(inner=inner[0], values="%s"),
+            *(right.format(inner=a, values="%s") + left.format(inner=b, values="%s")
+              for a, b in zip(inner, inner[1:])),
+            right.format(inner=inner[-1], values="%s")]
 
 
 def mesh_obj(path, chart, nu: int, nv: int) -> None:

@@ -58,7 +58,7 @@ class AlphaSolution:
     w, h = w'/2 and k = w''/2.  alpha = h/w, alpha_x, alpha_xx, y_speed,
     metric_factor and the guard are derived here, once, for a float or an
     array of x, squares as float ** (_pow) on both (SpecialI replaces alpha
-    and its partials where its w overflows); the guard raises SingularPoint
+    and alpha_x where its w overflows); the guard raises SingularPoint
     at the first x, in order, where |g| <= EPS_DEN.  y_speed(x) = sqrt(g22): the first fundamental
     form in normal coordinates is diag(1, y_speed^2), and metric_factor =
     1/y_speed is the x-profile that the induced-metric coefficients a and
@@ -124,8 +124,9 @@ class Zero(AlphaSolution):
 @dataclass(frozen=True)
 class SpecialI(AlphaSolution):
     """alpha = 1/(x + c1): w = (x + c1)^2, guarded at its double root's factor.
-    Where w = X^2 overflows (|X| > 1.34e154, X = x + c1), alpha, alpha_x and
-    alpha_xx are 1/X, -1/X^2 and 2/X^3 rounded from X itself."""
+    Where w = X^2 overflows (|X| > 1.34e154, X = x + c1), alpha and alpha_x
+    are 1/X and -1/X^2 rounded from X itself; alpha_xx there is already the
+    rounded 2/X^3, a zero with X's sign."""
 
     c1: float
     _name = "special I"
@@ -139,21 +140,18 @@ class SpecialI(AlphaSolution):
         return self._past_square(super().alpha(x), x, lambda X: 1.0 / X)
 
     def alpha_x(self, x):
-        return self._past_square(super().alpha_x(x), x, lambda X: _over_power(-1, X, 2))
-
-    def alpha_xx(self, x):
-        return self._past_square(super().alpha_xx(x), x, lambda X: _over_power(2, X, 3))
+        return self._past_square(super().alpha_x(x), x, _minus_inverse_square)
 
     def _past_square(self, value, x, exact):
         """value, with exact(X) where X = x + c1 is finite and X * X is not."""
         X = x + self.c1
+        if not isinstance(X, np.ndarray):
+            t = float(X)
+            return exact(X) if math.isinf(t * t) and math.isfinite(t) else value
         with np.errstate(over="ignore"):
             far = np.isfinite(X) & np.isinf(X * X)
-        if not np.any(far):
-            return value
-        if not isinstance(value, np.ndarray):
-            return exact(X)
-        value[far] = [exact(t) for t in X[far].tolist()]
+        if far.any():
+            value[far] = [exact(t) for t in X[far].tolist()]
         return value
 
     def singular_x(self):
@@ -222,11 +220,11 @@ class General(AlphaSolution):
 FAMILIES = (Zero, SpecialI, SpecialII, General)
 
 
-def _over_power(c: int, X: float, n: int) -> float:
-    """c / X^n correctly rounded, from X's exact ratio p/q: an int's true
+def _minus_inverse_square(X: float) -> float:
+    """-1/X^2 correctly rounded, from X's exact ratio p/q: an int's true
     division rounds once, into the subnormals too."""
     p, q = X.as_integer_ratio()
-    return c * q**n / p**n
+    return -(q * q) / (p * p)
 
 
 def lienard_residual(f, x: float, H_const: float = 0.0) -> float:

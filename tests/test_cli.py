@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import heismin
-from heismin import cli, construct, lienard, models, numerics
+from heismin import cli, construct, g17, lienard, models, numerics
 from heismin.errors import NonFiniteResult
 from heismin.numerics import YFunction
 
@@ -404,6 +404,28 @@ def test_metric_matches_the_point_by_point_reference(name, tmp_path, capsys):
     if name == "vertical-negative-x":
         # alpha is +0.0 at every x: 0.0 * x would print -0 at negative x
         assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"0"}
+
+
+@pytest.mark.parametrize("command, argv, reference", [
+    ("phase-field", ["--nx", "2", "--nv", "3100"], reference_phase_field),
+    ("metric", ["--alpha", "vertical", "--nx", "1100", "--ny", "2"], reference_metric),
+], ids=["phase-field", "metric"])
+def test_wide_grid_rows_are_formatted_a_block_at_a_time(command, argv, reference,
+                                                        monkeypatch, capsys):
+    # an outer row of more than _BLOCK_VALUES values, and more than that many
+    # coordinates (phase-field), take several formatter calls of at most
+    # _BLOCK_VALUES values each, and still write the same text
+    sizes, rows = [], g17.rows
+
+    def counted(columns, seps):
+        sizes.append(sum(len(c) for c in columns))
+        return rows(columns, seps)
+
+    monkeypatch.setattr(g17, "rows", counted)
+    code, out = run_cli([command, *argv], capsys)
+    assert code == 0
+    assert max(sizes) <= cli._BLOCK_VALUES < sum(sizes)
+    assert out == reference(argv)
 
 
 @pytest.mark.parametrize("argv, err", [

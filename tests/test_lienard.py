@@ -147,7 +147,8 @@ def test_the_forms_over_an_array_have_the_float_calls_bits(sol):
 def test_special_i_past_the_overflow_of_w_is_one_over_x():
     # w = X^2 (X = x + c1) overflows for |X| > 1.34e154, where h/w read 0;
     # alpha, alpha_x and alpha_xx there are 1/X, -1/X^2 and 2/X^3 rounded
-    # from X itself, and every bit where X * X is finite is unchanged
+    # from X itself (the last a zero with X's sign, which the profile's
+    # arithmetic already gives), and every bit where X * X is finite is unchanged
     sol = lienard.SpecialI(c1=0.4)
     xs = [1e154, 1.34e154, 1.35e154, 2e154, 4e161, 1e200, -2e154, -1e300, 1.7e308]
     for x in xs:
