@@ -57,14 +57,13 @@ class AlphaSolution:
     writes only _profile(x): the factor g of w that its guard tests, then
     w, h = w'/2 and k = w''/2.  alpha = h/w, alpha_x, alpha_xx, y_speed,
     metric_factor and the guard are derived here, once, for a float or an
-    array of x, squares as float ** (_pow) on both (SpecialI replaces alpha
-    and alpha_x where its w overflows); the guard raises SingularPoint
-    at the first x, in order, where |g| <= EPS_DEN.  y_speed(x) = sqrt(g22): the first fundamental
-    form in normal coordinates is diag(1, y_speed^2), and metric_factor =
-    1/y_speed is the x-profile that the induced-metric coefficients a and
-    b share.  scale is the coefficient of x next to c1, so x -> x + g
-    moves c1 by scale * g.  types are the surface types a family member
-    can have; each type belongs to one family."""
+    array of x, squares as float ** (_pow) on both; the guard raises
+    SingularPoint at the first x, in order, where |g| <= EPS_DEN.  y_speed(x)
+    = sqrt(g22): the first fundamental form in normal coordinates is diag(1,
+    y_speed^2), and metric_factor = 1/y_speed is the x-profile that the
+    induced-metric coefficients a and b share.  scale is the coefficient of
+    x next to c1, so x -> x + g moves c1 by scale * g.  types are the
+    surface types a family member can have; each type belongs to one family."""
 
     scale = 1.0
     types = ()
@@ -78,11 +77,11 @@ class AlphaSolution:
 
     def alpha(self, x):
         w, h, _ = self._guard(x)
-        return h / w
+        return self._past_square(h / w, x, 0)
 
     def alpha_x(self, x):
         w, h, k = self._guard(x)
-        return k / w - 2.0 * _pow(h / w, 2)
+        return self._past_square(k / w - 2.0 * _pow(h / w, 2), x, 1)
 
     def alpha_xx(self, x):
         w, h, k = self._guard(x)   # and w''' = 0
@@ -99,7 +98,10 @@ class AlphaSolution:
     def metric_factor(self, x):
         """e^{-int 2 alpha dx} / sqrt(1 + alpha^2), where alpha exists."""
         self._guard(x)   # (a, b) exists where alpha does; the alpha row is not needed
-        return 1.0 / self.y_speed(x)
+        return self._past_square(1.0 / self.y_speed(x), x, 2)
+
+    def _past_square(self, value, x, i):   # value, where w is finite at every finite x
+        return value
 
     def singular_x(self):
         """The real zeros of w, where the closed form blows up (possibly none)."""
@@ -121,38 +123,36 @@ class Zero(AlphaSolution):
         return 1.0, 1.0, 0.0, 0.0
 
 
+class _SquareW(AlphaSolution):
+    """A family whose w is X^2 + c2, X = x + c1, c2 = _c2.  Where X is finite
+    and w overflows (|X| > 1.34e154 or so), h/w reads 0: there alpha,
+    alpha_x and metric_factor are rounded from X and c2 (_far), and alpha_xx
+    is already the rounded 2X(X^2 - 3 c2)/w^3, a zero with X's sign."""
+
+    def _past_square(self, value, x, i):
+        """value, with _far(X, c2)[i] where X is finite and w is not."""
+        if isinstance(x, np.ndarray):   # value reads 0 wherever w overflows, as h/w does
+            if np.count_nonzero(value) < value.size:
+                zero = np.flatnonzero(value == 0.0)
+                for k, t in zip(zero.tolist(), np.ravel(x)[zero].tolist()):
+                    value.flat[k] = self._past_square(value.flat[k], t, i)
+            return value
+        X, c2 = float(x + self.c1), self._c2
+        return _far(X, c2)[i] if math.isinf(X * X + c2) and math.isfinite(X) else value
+
+
 @dataclass(frozen=True)
-class SpecialI(AlphaSolution):
-    """alpha = 1/(x + c1): w = (x + c1)^2, guarded at its double root's factor.
-    Where w = X^2 overflows (|X| > 1.34e154, X = x + c1), alpha and alpha_x
-    are 1/X and -1/X^2 rounded from X itself; alpha_xx there is already the
-    rounded 2/X^3, a zero with X's sign."""
+class SpecialI(_SquareW):
+    """alpha = 1/(x + c1): w = (x + c1)^2, guarded at its double root's factor."""
 
     c1: float
+    _c2 = 0.0
     _name = "special I"
     types = (SurfaceType.SPECIAL_I,)
 
     def _profile(self, x):
         X = x + self.c1
         return X, X * X, X, 1.0
-
-    def alpha(self, x):
-        return self._past_square(super().alpha(x), x, lambda X: 1.0 / X)
-
-    def alpha_x(self, x):
-        return self._past_square(super().alpha_x(x), x, _minus_inverse_square)
-
-    def _past_square(self, value, x, exact):
-        """value, with exact(X) where X = x + c1 is finite and X * X is not."""
-        X = x + self.c1
-        if not isinstance(X, np.ndarray):
-            t = float(X)
-            return exact(X) if math.isinf(t * t) and math.isfinite(t) else value
-        with np.errstate(over="ignore"):
-            far = np.isfinite(X) & np.isinf(X * X)
-        if far.any():
-            value[far] = [exact(t) for t in X[far].tolist()]
-        return value
 
     def singular_x(self):
         return (-self.c1,)
@@ -176,13 +176,14 @@ class SpecialII(AlphaSolution):
 
 
 @dataclass(frozen=True)
-class General(AlphaSolution):
+class General(_SquareW):
     """alpha = (x + c1)/((x + c1)^2 + c2), c2 != 0: w = (x + c1)^2 + c2."""
 
     c1: float
     c2: float
     _name = "general"
     types = (SurfaceType.TYPE_I, SurfaceType.TYPE_II, SurfaceType.TYPE_III)
+    _c2 = property(lambda self: self.c2)
 
     def __post_init__(self):
         if self.c2 == 0.0:
@@ -220,11 +221,13 @@ class General(AlphaSolution):
 FAMILIES = (Zero, SpecialI, SpecialII, General)
 
 
-def _minus_inverse_square(X: float) -> float:
-    """-1/X^2 correctly rounded, from X's exact ratio p/q: an int's true
-    division rounds once, into the subnormals too."""
-    p, q = X.as_integer_ratio()
-    return -(q * q) / (p * p)
+def _far(X: float, c2: float):
+    """(alpha, alpha_x, metric_factor) of w = X^2 + c2 > 0, rounded once from
+    the exact X = p/q and c2 = r/s by an int's true division, subnormals too;
+    where X * X + c2 overflows, hypot(w, X) = w to a relative 1e-300: metric_factor is 1/w."""
+    (p, q), (r, s) = X.as_integer_ratio(), c2.as_integer_ratio()
+    n, P, Q = s * q * q, p * p * s, r * q * q   # X^2 = P/n, c2 = Q/n
+    return p * q * s / (P + Q), (Q - P) * n / ((P + Q) * (P + Q)), n / (P + Q)
 
 
 def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
@@ -242,16 +245,18 @@ def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
 
 
 def _pow(a, p):
-    """a ** p, over an array as float ** at each element: numpy's ** differs
-    from it in the last bit, for squares and cubes too."""
+    """a ** p, over an array as float ** at each element, where numpy's **
+    differs from it in the last bit; at a float an overflow raises OverflowError."""
     if isinstance(a, np.ndarray):
         return np.array([e ** p for e in a.ravel().tolist()]).reshape(a.shape)
     return a ** p
 
 
 def _rhs(alpha, v, H_const):
-    """(alpha', v') at floats or arrays; an array's powers are float **'s."""
-    return v, -(6.0 * alpha * v + 4.0 * _pow(alpha, 3) + _pow(H_const, 2) * alpha)
+    """(alpha', v') at floats or arrays.  alpha's terms are + and * alone, on
+    which numpy and float agree bit for bit, so an array has the float calls'
+    bits and an overflow reads inf or nan; only c^2, _pow's, can raise."""
+    return v, -(6.0 * alpha * v + alpha * (4.0 * (alpha * alpha) + _pow(H_const, 2)))
 
 
 def _rk4_step(alpha: float, v: float, h: float, H_const: float):
@@ -292,28 +297,25 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
     put_a, put_v = alphas.append, vs.append
     # _rk4_step written out, _rhs in its order: 0.5 * h * k is (0.5 * h) * k
     # and h / 6.0 * s is (h / 6.0) * s, so the hoisted factors change no bit
-    hh, h6, guard = 0.5 * h, h / 6.0, BLOWUP_GUARD   # guard: a local, read every step
+    hh, h6, guard, low = 0.5 * h, h / 6.0, BLOWUP_GUARD, -BLOWUP_GUARD   # locals, read every step
+    with np.errstate(over="ignore"):   # libm's pow, as _rhs's c^2 (not H * H); inf where
+        c2 = float(np.float_power(H_const, 2.0))   # ** raises trips the guard at the first step
     a, v = alpha0, v0
-    i = 0
-    try:
-        c2 = H_const**2   # inside the try: an overflow is a blow-up at the first step
-        for i in range(n):
-            a2, v2 = a + hh * v, v + hh * (
-                k1v := -(6.0 * a * v + 4.0 * a**3 + c2 * a))
-            a3, v3 = a + hh * v2, v + hh * (
-                k2v := -(6.0 * a2 * v2 + 4.0 * a2**3 + c2 * a2))
-            a4, v4 = a + h * v3, v + h * (
-                k3v := -(6.0 * a3 * v3 + 4.0 * a3**3 + c2 * a3))
-            k4v = -(6.0 * a4 * v4 + 4.0 * a4**3 + c2 * a4)
-            a, v = (a + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
-                    v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
-            # false on nan and +-inf too, as the guard is finite
-            if not (-guard <= a <= guard and -guard <= v <= guard):
-                raise BlowUp(x0 + (i + 1) * h)
-            put_a(a)
-            put_v(v)
-    except OverflowError:   # ** raises where * overflows quietly to inf
-        raise BlowUp(x0 + (i + 1) * h) from None
+    for i in range(n):
+        a2, v2 = a + hh * v, v + hh * (
+            k1v := -(6.0 * a * v + a * (4.0 * (a * a) + c2)))
+        a3, v3 = a + hh * v2, v + hh * (
+            k2v := -(6.0 * a2 * v2 + a2 * (4.0 * (a2 * a2) + c2)))
+        a4, v4 = a + h * v3, v + h * (
+            k3v := -(6.0 * a3 * v3 + a3 * (4.0 * (a3 * a3) + c2)))
+        k4v = -(6.0 * a4 * v4 + a4 * (4.0 * (a4 * a4) + c2))
+        a, v = (a + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+        # false on nan and +-inf too, as the guard is finite
+        if not (low <= a <= guard and low <= v <= guard):
+            raise BlowUp(x0 + (i + 1) * h)
+        put_a(a)
+        put_v(v)
     return Trajectory(x0, h, alphas, vs)
 
 
@@ -413,6 +415,8 @@ class OdeSolutionCurve:
         dx = x - (self._base + k * self.h)
         if dx != 0.0:
             a, v = _rk4_step(a, v, dx, self.H_const)
+            if not (math.isfinite(a) and math.isfinite(v)):
+                raise BlowUp(x)
         return a, v
 
     def _states_over(self, xs):
@@ -503,7 +507,7 @@ def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
 
     Returns a row-major sequence of (PhaseState, (dalpha, dv)).  Raises
     EvaluationError, naming the first (alpha, v) in row-major order, where
-    a value overflows or is not finite.
+    a field value is not finite.
     """
     if nx < 2 or nv < 2:
         raise ValueError("need at least a 2 x 2 grid")
@@ -512,18 +516,13 @@ def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     vs = [v_lo + (v_hi - v_lo) * j / (nv - 1) for j in range(nv)]
     v_column = np.array(vs)
-    v_finite = np.isfinite(v_column)
     dvs = []
     for a in alphas:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                dv = _rhs(a, v_column, 0.0)[1]
-        except OverflowError as exc:
-            raise EvaluationError(f"(alpha, v) = ({a}, {vs[0]})", exc) from exc
-        bad = ~(v_finite & np.isfinite(dv))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dv = _rhs(a, v_column, 0.0)[1]
+        bad = ~np.isfinite(dv)   # where v is not finite too, as 6 alpha v is then inf or nan
         if bad.any():
-            j = int(np.argmax(bad))
-            raise EvaluationError(f"(alpha, v) = ({a}, {vs[j]})",
+            raise EvaluationError(f"(alpha, v) = ({a}, {vs[int(np.argmax(bad))]})",
                                   "the field value is not finite")
         dvs.append(dv.tolist())
     return PhaseField(alphas, vs, dvs)

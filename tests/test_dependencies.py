@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: every import in the package
 names the standard library, numpy or heismin itself.  And no module of
 the package, its tests or the benchmark imports a name it never reads,
-and none of the package names numpy's platform-wide long double types."""
+none of the package names numpy's platform-wide long double types, and
+the Lienard operator and its RK4 loop take no power of the state."""
 import ast
 import pathlib
 import sys
@@ -66,3 +67,29 @@ def test_no_module_names_a_platform_long_double():
                      else [node.value] if isinstance(node, ast.Constant) else [])
             named += [f"{f.name}:{node.lineno}: {w}" for w in words if w in banned]
     assert named == []
+
+
+POWERS = {"_pow", "pow", "power", "float_power"}   # functions that call libm's pow
+
+
+def test_the_lienard_operator_and_the_rk4_loop_take_no_power_of_the_state():
+    # + and * are the arithmetic on which numpy and float agree bit for bit:
+    # a power of alpha in _rhs or in _sweep's loop brings back libm's pow,
+    # and over an array _pow's per-element loop.  _rhs's c^2, _pow(H_const,
+    # 2), and the sweep's c^2 hoisted before the loop are allowed
+    funcs = {f.name: f for f in parse(ROOT / "src/heismin/lienard.py").body
+             if isinstance(f, ast.FunctionDef)}
+    rhs, loops = funcs["_rhs"], [n for n in ast.walk(funcs["_sweep"]) if isinstance(n, ast.For)]
+    assert loops != []   # the probe sees the sweep's loop
+    state = {a.arg for a in rhs.args.args[:2]}   # alpha and v
+    found = []
+    for where, region in [("_rhs", rhs)] + [("_sweep's loop", n) for n in loops]:
+        for node in ast.walk(region):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                found.append(f"{where}:{node.lineno}: **")
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in POWERS:
+                names = {n.id for a in node.args for n in ast.walk(a) if isinstance(n, ast.Name)}
+                if where != "_rhs" or names & state:
+                    found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
