@@ -32,7 +32,6 @@ def _by_type(scalar, array):   # array keeps scalar's bits: tests/test_expr.py p
 
 
 _cos, _sin = _by_type(math.cos, np.cos), _by_type(math.sin, np.sin)
-_sq = _by_type(lambda v: v ** 2, lambda v: np.float_power(v, 2.0))   # pow, as v ** 2; not v * v
 
 
 class GeneratingCurve:
@@ -190,7 +189,7 @@ def zeta_from_curve(c: GeneratingCurve):
         return ypp * _cos(t) - xpp * _sin(t) - 2.0 * c.Q(t)
 
     def z2(t):
-        return c.contact_speed(t) - _sq(c.D(t))
+        return c.contact_speed(t) - (D := c.D(t)) * D
 
     def dz2(t):
         x, y, _ = c._jet(0, t)
@@ -228,7 +227,7 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     y_int = CumulativeIntegral(yp, t0, var="theta", arrays=True)
 
     def zp(t):
-        return (zeta2.over(t) + _sq(z1.over(t))
+        return (zeta2.over(t) + (z := z1.over(t)) * z
                 + y_int.over(t) * xp(t) - x_int.over(t) * yp(t))
 
     z_int = CumulativeIntegral(zp, t0, var="theta", arrays=True)

@@ -114,9 +114,9 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     equations over the grid.  The grid must stay a couple of
     finite-difference steps away from singular loci.
 
-    Each y is read as one x-row.  A row that raises, or whose residuals
-    are not all finite, is read again point by point in expand_grid's
-    order, so its values and its first error are the point loop's."""
+    Each y is read as one x-row; a row that raises or is not all finite is
+    read again point by point in expand_grid's order, for the point loop's
+    first error, or EvaluationError at the first non-finite point."""
     xs, ys = grid
     row = np.array(xs, dtype=float).ravel()
     r = np.empty((3, len(ys), row.size))
@@ -130,10 +130,9 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
         except (ValueError, ArithmeticError, HeisminError):
             pass
         for i, (x, y) in enumerate(expand_grid((row, [y]))):
-            try:
-                r[:, j, i] = _residuals(alpha, H, rep, x, y)
-            except OverflowError as exc:   # ** raises where * overflows quietly to inf
-                raise EvaluationError(f"(x, y) = ({x}, {y})", exc) from exc
+            r[:, j, i] = _residuals(alpha, H, rep, x, y)
+            if not np.isfinite(r[:, j, i]).all():
+                raise EvaluationError(f"(x, y) = ({x}, {y})", "the residuals are not finite")
     r = r.reshape(3, -1)
     return ResidualStats(
         max={i: float(np.max(np.abs(v))) for i, v in enumerate(r, 1)},

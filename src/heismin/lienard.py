@@ -57,13 +57,13 @@ class AlphaSolution:
     writes only _profile(x): the factor g of w that its guard tests, then
     w, h = w'/2 and k = w''/2.  alpha = h/w, alpha_x, alpha_xx, y_speed,
     metric_factor and the guard are derived here, once, for a float or an
-    array of x, squares as float ** (_pow) on both; the guard raises
-    SingularPoint at the first x, in order, where |g| <= EPS_DEN.  y_speed(x)
-    = sqrt(g22): the first fundamental form in normal coordinates is diag(1,
-    y_speed^2), and metric_factor = 1/y_speed is the x-profile that the
-    induced-metric coefficients a and b share.  scale is the coefficient of
-    x next to c1, so x -> x + g moves c1 by scale * g.  types are the
-    surface types a family member can have; each type belongs to one family."""
+    array of x, a square as x * x on both; the guard raises SingularPoint
+    at the first x, in order, where |g| <= EPS_DEN.  y_speed(x) = sqrt(g22):
+    the first fundamental form in normal coordinates is diag(1, y_speed^2),
+    and metric_factor = 1/y_speed is the x-profile that the induced-metric
+    coefficients a and b share.  scale is the coefficient of x next to c1,
+    so x -> x + g moves c1 by scale * g.  types are the surface types a
+    family member can have; each type belongs to one family."""
 
     scale = 1.0
     types = ()
@@ -81,24 +81,25 @@ class AlphaSolution:
 
     def alpha_x(self, x):
         w, h, k = self._guard(x)
-        return self._past_square(k / w - 2.0 * _pow(h / w, 2), x, 1)
+        a = h / w
+        return self._past_square(k / w - 2.0 * (a * a), x, 1)
 
     def alpha_xx(self, x):
         w, h, k = self._guard(x)   # and w''' = 0
         a = h / w
-        return a * (8.0 * _pow(a, 2) - 6.0 * k / w)
+        return a * (8.0 * (a * a) - 6.0 * k / w)
 
     def y_speed(self, x):
         """sqrt(g22) = |w| sqrt(1 + alpha^2) = hypot(w, h), as
         e^{int 2 alpha dx} = |w|.  Raises nothing: it is 0 on the special I
         singular line and |x + c1| on the general singular curves."""
         _, w, h, _ = self._profile(x)
-        return _hypot(w, h)
+        return self._past_square(_hypot(w, h), x, 3)
 
     def metric_factor(self, x):
         """e^{-int 2 alpha dx} / sqrt(1 + alpha^2), where alpha exists."""
-        self._guard(x)   # (a, b) exists where alpha does; the alpha row is not needed
-        return self._past_square(1.0 / self.y_speed(x), x, 2)
+        w, h, _ = self._guard(x)   # 1/hypot(w, h): the alpha row is not needed
+        return self._past_square(1.0 / _hypot(w, h), x, 2)
 
     def _past_square(self, value, x, i):   # value, where w is finite at every finite x
         return value
@@ -125,20 +126,20 @@ class Zero(AlphaSolution):
 
 class _SquareW(AlphaSolution):
     """A family whose w is X^2 + c2, X = x + c1, c2 = _c2.  Where X is finite
-    and w overflows (|X| > 1.34e154 or so), h/w reads 0: there alpha,
-    alpha_x and metric_factor are rounded from X and c2 (_far), and alpha_xx
+    and w overflows (|X| > 1.34e154 or so), h/w reads 0 and hypot(w, h) inf:
+    there all forms but alpha_xx are rounded from X and c2 (_far); alpha_xx
     is already the rounded 2X(X^2 - 3 c2)/w^3, a zero with X's sign."""
 
     def _past_square(self, value, x, i):
-        """value, with _far(X, c2)[i] where X is finite and w is not."""
-        if isinstance(x, np.ndarray):   # value reads 0 wherever w overflows, as h/w does
-            if np.count_nonzero(value) < value.size:
-                zero = np.flatnonzero(value == 0.0)
-                for k, t in zip(zero.tolist(), np.ravel(x)[zero].tolist()):
+        """value, with _far(X, c2, i) where X is finite and w is not."""
+        if isinstance(x, np.ndarray):   # value reads 0 (y_speed inf) wherever w overflows
+            if (np.isinf(value).any() if i == 3 else np.count_nonzero(value) < value.size):
+                far = np.flatnonzero(value == (math.inf if i == 3 else 0.0))
+                for k, t in zip(far.tolist(), np.ravel(x)[far].tolist()):
                     value.flat[k] = self._past_square(value.flat[k], t, i)
             return value
         X, c2 = float(x + self.c1), self._c2
-        return _far(X, c2)[i] if math.isinf(X * X + c2) and math.isfinite(X) else value
+        return _far(X, c2, i) if math.isinf(X * X + c2) and math.isfinite(X) else value
 
 
 @dataclass(frozen=True)
@@ -221,13 +222,17 @@ class General(_SquareW):
 FAMILIES = (Zero, SpecialI, SpecialII, General)
 
 
-def _far(X: float, c2: float):
-    """(alpha, alpha_x, metric_factor) of w = X^2 + c2 > 0, rounded once from
-    the exact X = p/q and c2 = r/s by an int's true division, subnormals too;
-    where X * X + c2 overflows, hypot(w, X) = w to a relative 1e-300: metric_factor is 1/w."""
+def _far(X: float, c2: float, i: int) -> float:
+    """Form i of (alpha, alpha_x, metric_factor, y_speed) of w = X^2 + c2 > 0, rounded
+    once from the exact X = p/q and c2 = r/s by an int's true division, subnormals
+    too; where X * X + c2 overflows, hypot(w, X) = w to a relative 1e-300."""
     (p, q), (r, s) = X.as_integer_ratio(), c2.as_integer_ratio()
     n, P, Q = s * q * q, p * p * s, r * q * q   # X^2 = P/n, c2 = Q/n
-    return p * q * s / (P + Q), (Q - P) * n / ((P + Q) * (P + Q)), n / (P + Q)
+    num, den = ((p * q * s, P + Q), ((Q - P) * n, (P + Q) * (P + Q)), (n, P + Q), (P + Q, n))[i]
+    try:
+        return num / den
+    except OverflowError:   # only w can pass the float range
+        return math.inf
 
 
 def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
@@ -244,19 +249,11 @@ def lienard_residual(f, x: float, H_const: float = 0.0) -> float:
     return dda - _rhs(a, da, H_const)[1]
 
 
-def _pow(a, p):
-    """a ** p, over an array as float ** at each element, where numpy's **
-    differs from it in the last bit; at a float an overflow raises OverflowError."""
-    if isinstance(a, np.ndarray):
-        return np.array([e ** p for e in a.ravel().tolist()]).reshape(a.shape)
-    return a ** p
-
-
 def _rhs(alpha, v, H_const):
-    """(alpha', v') at floats or arrays.  alpha's terms are + and * alone, on
-    which numpy and float agree bit for bit, so an array has the float calls'
-    bits and an overflow reads inf or nan; only c^2, _pow's, can raise."""
-    return v, -(6.0 * alpha * v + alpha * (4.0 * (alpha * alpha) + _pow(H_const, 2)))
+    """(alpha', v') at floats or arrays (H_const too), from + and * alone, on
+    which numpy and float agree bit for bit: an array has the float calls'
+    bits, and an overflow reads inf or nan, raising nothing."""
+    return v, -(6.0 * alpha * v + alpha * (4.0 * (alpha * alpha) + H_const * H_const))
 
 
 def _rk4_step(alpha: float, v: float, h: float, H_const: float):
@@ -298,8 +295,7 @@ def _sweep(alpha0: float, v0: float, x0: float, x1: float, step: float,
     # _rk4_step written out, _rhs in its order: 0.5 * h * k is (0.5 * h) * k
     # and h / 6.0 * s is (h / 6.0) * s, so the hoisted factors change no bit
     hh, h6, guard, low = 0.5 * h, h / 6.0, BLOWUP_GUARD, -BLOWUP_GUARD   # locals, read every step
-    with np.errstate(over="ignore"):   # libm's pow, as _rhs's c^2 (not H * H); inf where
-        c2 = float(np.float_power(H_const, 2.0))   # ** raises trips the guard at the first step
+    c2 = (H := float(H_const)) * H   # float arithmetic in the loop; inf trips the guard
     a, v = alpha0, v0
     for i in range(n):
         a2, v2 = a + hh * v, v + hh * (

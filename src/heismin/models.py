@@ -199,4 +199,4 @@ def first_fundamental_form(nf: NormalForm, x: float, y: float) -> np.ndarray:
     """diag(1, 1/b^2) in normal coordinates, 1/b^2 = y_speed(x)^2 of the
     family at (zeta1(y), zeta2(y)); degenerates on the special I singular line."""
     sol = _normal_model(nf.surface_type, nf.zeta1, nf.zeta2).slice_at(y)
-    return np.array([[1.0, 0.0], [0.0, sol.y_speed(x) ** 2]])
+    return np.array([[1.0, 0.0], [0.0, (s := sol.y_speed(x)) * s]])

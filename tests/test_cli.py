@@ -474,8 +474,8 @@ def test_metric_reads_a_row_and_obj_a_mesh_a_call(monkeypatch, tmp_path, capsys)
                      "--c2", "1+0.2*cos(y)", "--k", "0.2*y", "--h", "0.4+0.1*y",
                      "--nx", "201", "--ny", "101", "--out", str(tmp_path / "m.csv")]) == 0
     # per row: alpha once, then a and b, each metric_factor reading the
-    # family's guard and y_speed but not the alpha row
-    assert calls == {"alpha": 101, "metric_factor": 2 * 101, "y_speed": 2 * 101}
+    # family's guard, but neither y_speed nor the alpha row
+    assert calls == {"alpha": 101, "metric_factor": 2 * 101}
     calls.clear()
     for maker in ("conicoid_chart", "ruled_surface"):
         monkeypatch.setattr(construct, maker, _counting_chart(getattr(construct, maker), calls))

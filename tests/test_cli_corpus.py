@@ -120,6 +120,8 @@ CASES = {
     "integrability-800y": ["integrability", "--alpha", "special1", "--c1", "0.4", "--k=800*y"],
     "integrability-b-zero": ["integrability", "--alpha", "special1", "--c1", "0.3",
                              "--x-min", "0", "--x-max", "1e200", "--nx", "3", "--ny", "2"],
+    "integrability-hconst-overflow": ["integrability", "--alpha", "special1", "--c1", "0.4",
+                                      "--hconst=1e200", "--nx", "3", "--ny", "2"],
     "integrability-no-model": ["integrability"],
     "integrability-profile-step-limit": ["integrability", "--alpha0", "0.3", "--x-max", "1e200"],
     # construct

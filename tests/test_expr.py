@@ -365,23 +365,6 @@ def test_array_arithmetic_keeps_pythons_bits_and_errors(op):
                 assert got == "raises", (x, y)
 
 
-def test_float_power_keeps_pythons_square():
-    # construct's array closures square with np.float_power(v, 2.0), which
-    # calls libm's pow as Python's v ** 2 does.  v ** 2, np.square and
-    # np.power(v, 2.0) over an array compute v * v, and where libm's pow is
-    # not correctly rounded (glibc on an Intel Xeon, numpy 2.4.6: 55 of
-    # these 99,978 doubles) they fail this check; float_power passes.
-    xs = _random_doubles(np.random.default_rng(9), 50_000).tolist() + EDGES
-    with np.errstate(over="ignore"):
-        got = np.float_power(np.array(xs), 2.0).tolist()
-    for v, g in zip(xs, got):
-        try:
-            want = v ** 2
-        except OverflowError:   # Python raises where the array overflows to inf
-            want = math.inf
-        assert _bits(g) == _bits(want), v
-
-
 GRAMMAR = st.recursive(LEAVES, lambda kids: st.one_of(
     kids.map(expr.Neg),
     st.builds(expr.BinOp, st.sampled_from("+-*/^"), kids, kids),

@@ -207,6 +207,32 @@ def test_past_the_overflow_of_w_the_forms_are_rounded_from_exact_values(sol):
             assert bits(got) == bits([getattr(sol, name)(x) for x in xs]), name
 
 
+@pytest.mark.parametrize("sol", [
+    lienard.SpecialI(c1=0.4), lienard.General(c1=0.3, c2=1e308),
+    lienard.General(c1=0.0, c2=-1.7e308), lienard.General(c1=-0.0, c2=-1.797e308)], ids=repr)
+def test_past_the_overflow_of_w_y_speed_is_w_rounded_once(sol):
+    # hypot(w, X) is w to a relative 1e-300 there: y_speed is the exact w
+    # rounded once, inf only where the true w is out of the float range;
+    # metric_factor keeps 1/w rounded once, not 1/y_speed
+    xs = [1e154, 1.34e154, 1.35e154, 1.3407807929942596e154, 2e154, 1e200, -2e154, 1.7e308]
+    c2 = getattr(sol, "c2", 0.0)
+    for x in xs:
+        X = x + sol.c1
+        if math.isfinite(X * X + c2):
+            assert sol.y_speed(x) == math.hypot(X * X + c2, X)
+            continue
+        w = Fraction(X) ** 2 + Fraction(c2)
+        try:
+            want = float(w)
+        except OverflowError:
+            want = math.inf
+        assert bits([sol.y_speed(x)]) == bits([want]), x
+        assert sol.metric_factor(x) == float(1 / w)
+    with np.errstate(over="ignore"):
+        got = sol.y_speed(np.array(xs))
+    assert bits(got) == bits([sol.y_speed(x) for x in xs])
+
+
 def test_an_array_keeps_the_zeros_below_the_overflow_of_w():
     # past the overflow the forms read 0, so an array call looks there only
     # where a value is 0; a zero below the overflow keeps its bits, its sign too
@@ -224,6 +250,7 @@ def test_an_array_keeps_the_zeros_below_the_overflow_of_w():
 def test_the_overflow_examples_read_their_true_values():
     assert lienard.General(c1=0.0, c2=1.0).alpha(2e154) == 5e-155   # was 0.0
     assert lienard.SpecialI(c1=0.4).metric_factor(1.5e154) == 4.444444444444445e-309   # was 0.0
+    assert 1.2249e307 < lienard.General(c1=0.0, c2=-1.7e308).y_speed(1.35e154) < 1.2251e307   # inf
 
 
 def test_residual_with_fd_fallback():
@@ -346,6 +373,17 @@ def test_ode_solution_curve_of_zero_width_holds_one_node():
     curve = lienard.OdeSolutionCurve(0.1, 0.2, 1.0, 1.0)
     assert curve.state(1.0) == (0.1, 0.2)
     assert curve.state(1.5) == lienard._rk4_step(0.1, 0.2, 0.5, 0.0)
+
+
+def test_a_zero_width_profile_blows_up_where_c_squared_overflows():
+    # the zero-width sweep squares no H; the partial step's c^2 is inf, so
+    # its state is not finite: BlowUp at x, float and array alike
+    curve = lienard.OdeSolutionCurve(0.1, 0.2, 1.0, 1.0, H_const=1e200)
+    assert curve.state(1.0) == (0.1, 0.2)
+    for x in (1.5, np.array([1.0, 1.5, 2.0])):
+        with pytest.raises(BlowUp) as blowup:
+            curve.state(x)
+        assert type(blowup.value) is BlowUp and blowup.value.x == 1.5
 
 
 def test_ode_solution_curve_interpolates_smoothly():
@@ -481,10 +519,7 @@ def reference_ivp(alpha0, v0, x0, x1, step, H_const=0.0, guard=lienard.BLOWUP_GU
     out = [(x0, lienard.PhaseState(alpha0, v0))]
     a, v = alpha0, v0
     for i in range(n):
-        try:
-            a, v = lienard._rk4_step(a, v, h, H_const)
-        except OverflowError:
-            raise BlowUp(x0 + (i + 1) * h) from None
+        a, v = lienard._rk4_step(a, v, h, H_const)
         if not (math.isfinite(a) and math.isfinite(v)) or abs(a) > guard or abs(v) > guard:
             raise BlowUp(x0 + (i + 1) * h)
         out.append((x0 + (i + 1) * h, lienard.PhaseState(a, v)))
@@ -542,6 +577,14 @@ def test_trajectory_blowup_x_matches_list_of_tuples(args):
     assert got.value.x == ref.value.x
 
 
+def test_the_sweep_squares_a_numpy_h_as_a_float():
+    # a numpy scalar c^2 would carry numpy arithmetic, and its overflow
+    # warning, into every step; as a float, inf trips the guard at x0 + h
+    with pytest.raises(BlowUp) as blowup:
+        lienard.integrate_ivp(0.1, 0.0, 0.0, 1.0, 0.5, np.float64(1e200))
+    assert blowup.value.x == 0.5
+
+
 @st.composite
 def ivp_cases(draw):
     """Subnormal and ordinary starts, both directions, H = 0 and H != 0 (up
@@ -597,25 +640,34 @@ def same_bits(got, want):
                  | (np.isnan(got) & np.isnan(want))).all())
 
 
-@given(st.lists(st.tuples(ANY, ANY, st.one_of(st.floats(-1, 1), EDGE)), min_size=1, max_size=30),
-       st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0, 5e-324, 1e150, 1.473822])))
+H_VALUES = st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0, 5e-324, 1e150, 1e200,
+                                                        1.473822]))
+
+
+@given(st.lists(st.tuples(ANY, ANY, st.one_of(st.floats(-1, 1), EDGE), H_VALUES),
+                min_size=1, max_size=30), H_VALUES, st.booleans())
 @settings(derandomize=True, max_examples=300, deadline=None)
-def test_rhs_and_rk4_step_over_an_array_have_the_float_calls_bits(points, H):
-    # + and * are the only arithmetic on alpha and v, where numpy and float
-    # agree bit for bit, overflow included: no per-element loop is needed
-    alpha, v, h = (np.array(c) for c in zip(*points))
+def test_rhs_and_rk4_step_over_an_array_have_the_float_calls_bits(points, H, h_row):
+    # + and * are the only arithmetic, c^2 = H * H included, where numpy and
+    # float agree bit for bit, overflow included: no per-element loop is
+    # needed; H is one float or, as integrability._residuals passes it, a row
+    alpha, v, h, row = (np.array(c) for c in zip(*points))
+    H = row if h_row else H
+    Hs = np.broadcast_to(H, alpha.shape)   # the float calls' H, one a point
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         rhs, step = lienard._rhs(alpha, v, H), lienard._rk4_step(alpha, v, h, H)
-    for got, fn, args in ((rhs, lienard._rhs, (alpha, v)),
-                          (step, lienard._rk4_step, (alpha, v, h))):
-        want = [fn(*p, H) for p in zip(*(a.tolist() for a in args))]
+    for got, fn, args in ((rhs, lienard._rhs, (alpha, v, Hs)),
+                          (step, lienard._rk4_step, (alpha, v, h, Hs))):
+        want = [fn(*p) for p in zip(*(a.tolist() for a in args))]
         assert same_bits(got[0], [w[0] for w in want]) and same_bits(got[1], [w[1] for w in want])
 
 
-def test_rhs_raises_only_where_c_squared_overflows():
-    for alpha in (0.3, np.array([0.3, 1e200])):
-        with pytest.raises(OverflowError), np.errstate(over="ignore"):
-            lienard._rhs(alpha, 0.1, 1e200)
+def test_rhs_raises_nothing_and_an_overflowing_c_squared_reads_inf():
+    assert lienard._rhs(0.3, 0.1, 1e200) == (0.1, -math.inf)
+    assert lienard._rhs(-0.3, 0.1, 1e200) == (0.1, math.inf)
+    with np.errstate(over="ignore"):
+        dv = lienard._rhs(np.array([0.3, 1e200]), 0.1, np.array([1e200, 0.0]))[1]
+    assert dv.tolist() == [-math.inf, -math.inf]
     assert lienard._rhs(1e200, 1e200, 0.0) == (1e200, -math.inf)   # a float overflow is inf
 
 
@@ -627,7 +679,7 @@ MODERATE = st.one_of(st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-
 def test_rhs_is_within_four_eps_of_the_exact_operator(alpha, v, H):
     # no term overflows or underflows here; the bound is about twice what
     # the rounding of 6 alpha v, alpha (4 alpha^2 + c^2) and their sum
-    # (c^2 within 0.52 ulp, as libm's pow) can reach
+    # (c^2 = H * H correctly rounded) can reach
     assume(all(math.isfinite(t) and (t == 0.0 or abs(t) > 1e-290)
                for t in (6.0 * alpha * v, 4.0 * alpha**3, H * H * alpha)))
     a, b, c = Fraction(alpha), Fraction(v), Fraction(H)

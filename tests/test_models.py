@@ -106,9 +106,9 @@ def test_metric_rep_x_partials_check_the_closed_form(monkeypatch):
         return integrability.integrability_residual(alpha, H, rep, grid).max
 
     assert max(residual().values()) <= 1e-7
-    y_speed = lienard.General.y_speed
-    monkeypatch.setattr(lienard.General, "y_speed",
-                        lambda self, x: y_speed(self, x) * (1.0 + 0.1 * x))
+    metric_factor = lienard.General.metric_factor   # 1/y_speed, y_speed scaled by 1 + 0.1 x
+    monkeypatch.setattr(lienard.General, "metric_factor",
+                        lambda self, x: metric_factor(self, x) / (1.0 + 0.1 * x))
     assert residual()[2] > 1e-3
 
 
