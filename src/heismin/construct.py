@@ -19,19 +19,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadRotation, DegenerateChart, SingularPoint
-from .expr import pointwise
+from .expr import cos, pointwise, sin
 from .heis import HPoint
 from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
 from .verify import GraphSurface
 
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
-
-
-def _by_type(scalar, array):   # array keeps scalar's bits: tests/test_expr.py pins it
-    return lambda v: array(v) if isinstance(v, np.ndarray) else scalar(v)
-
-
-_cos, _sin = _by_type(math.cos, np.cos), _by_type(math.sin, np.sin)
 
 
 class GeneratingCurve:
@@ -85,12 +78,12 @@ class GeneratingCurve:
     def D(self, t):
         """D = y' cos t - x' sin t."""
         xp, yp, _ = self._jet(1, t)
-        return yp * _cos(t) - xp * _sin(t)
+        return yp * cos(t) - xp * sin(t)
 
     def Q(self, t):
         """Q = x' cos t + y' sin t."""
         xp, yp, _ = self._jet(1, t)
-        return xp * _cos(t) + yp * _sin(t)
+        return xp * cos(t) + yp * sin(t)
 
     def contact_speed(self, t):
         """Theta(C'(t)) = z' + x y' - y x'."""
@@ -186,7 +179,7 @@ def zeta_from_curve(c: GeneratingCurve):
 
     def dz1(t):
         xpp, ypp, _ = c._jet(2, t)
-        return ypp * _cos(t) - xpp * _sin(t) - 2.0 * c.Q(t)
+        return ypp * cos(t) - xpp * sin(t) - 2.0 * c.Q(t)
 
     def z2(t):
         return c.contact_speed(t) - (D := c.D(t)) * D
@@ -195,7 +188,7 @@ def zeta_from_curve(c: GeneratingCurve):
         x, y, _ = c._jet(0, t)
         xpp, ypp, zpp = c._jet(2, t)
         dtc = zpp + x * ypp - y * xpp
-        dD = ypp * _cos(t) - xpp * _sin(t) - c.Q(t)
+        dD = ypp * cos(t) - xpp * sin(t) - c.Q(t)
         return dtc - 2.0 * c.D(t) * dD
 
     return YFunction(z1, dz1, None, "theta", True), YFunction(z2, dz2, None, "theta", True)
@@ -218,10 +211,10 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
                    zeta1.arrays and [f and memoized(f) for f in zeta1.arrays])
 
     def xp(t):
-        return -z1.over(t) * _sin(t)
+        return -z1.over(t) * sin(t)
 
     def yp(t):
-        return z1.over(t) * _cos(t)
+        return z1.over(t) * cos(t)
 
     x_int = CumulativeIntegral(xp, t0, var="theta", arrays=True)
     y_int = CumulativeIntegral(yp, t0, var="theta", arrays=True)
@@ -233,10 +226,10 @@ def curve_from_zeta(zeta1: YFunction, zeta2: YFunction,
     z_int = CumulativeIntegral(zp, t0, var="theta", arrays=True)
 
     def xpp(t):
-        return -z1.over(t, 1) * _sin(t) - z1.over(t) * _cos(t)
+        return -z1.over(t, 1) * sin(t) - z1.over(t) * cos(t)
 
     def ypp(t):
-        return z1.over(t, 1) * _cos(t) - z1.over(t) * _sin(t)
+        return z1.over(t, 1) * cos(t) - z1.over(t) * sin(t)
 
     def zpp(t):
         # the x'y' cross terms cancel in d/dt of z'

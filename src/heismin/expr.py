@@ -24,23 +24,65 @@ import numpy as np
 
 from .errors import ExprSyntaxError, HeisminError
 
+
+def _numpy(ufunc, raises=True):
+    """ufunc at numbers (a float) or arrays with the same bits, warnings off;
+    if raises, with math's errors: a nan from arguments that are not nan, or
+    an inf from finite ones at a zero one (a pole: log(0), 0^-1), is a domain
+    error, and any other inf from finite arguments a range error."""
+    def call(*args):
+        with np.errstate(all="ignore"):
+            out, a, b = ufunc(*args, dtype=float), args[0], args[-1]   # b is a for one argument
+            out = out if out.ndim else float(out)
+            if raises and not (math.isfinite(out) if type(out) is float   # 50 times faster
+                               else np.isfinite(out).all()):
+                inf = np.isinf(out) & np.isfinite(a) & np.isfinite(b)
+                if (inf & ((a == 0.0) | (b == 0.0))
+                        | np.isnan(out) & ~np.isnan(a) & ~np.isnan(b)).any():
+                    raise ValueError("math domain error")
+                if inf.any():
+                    raise OverflowError("math range error")
+        return out
+    return call
+
+
+def _by_type(scalar, array):   # math's call on a float is the faster where the bits agree
+    return lambda v: array(v) if isinstance(v, np.ndarray) else scalar(v)
+
+
+def _power(a, b, dtype):
+    """np.power, with an array of exponents as with each alone: where the
+    exponent is one number, numpy gives x^2, x^-1 and x^0.5 as x*x, 1/x and
+    sqrt(x), which round otherwise than its pow."""
+    out = np.power(a, b, dtype=dtype)
+    if isinstance(b, np.ndarray) and b.ndim:
+        a, b = np.broadcast_arrays(a, b)
+        for c, short in ((2.0, np.square), (-1.0, np.reciprocal), (0.5, np.sqrt)):
+            out[b == c] = short(a[b == c], dtype=dtype)
+    return out
+
+
+exp, log, tan, power = map(_numpy, (np.exp, np.log, np.tan, _power))
+hypot = _numpy(np.hypot, raises=False)
+sin, cos, sqrt = (_by_type(getattr(math, f), getattr(np, f)) for f in ("sin", "cos", "sqrt"))
+
 # FUNC name -> (the function, its derivative d func(u)/du as a tree in u)
 FUNCS = {
-    "sin": (math.sin, lambda u: Call("cos", u)),
-    "cos": (math.cos, lambda u: Neg(Call("sin", u))),
-    "tan": (math.tan, lambda u: BinOp("/", Num(1.0), BinOp("^", Call("cos", u), Num(2.0)))),
-    "exp": (math.exp, lambda u: Call("exp", u)),
-    "log": (math.log, lambda u: BinOp("/", Num(1.0), u)),
-    "sqrt": (math.sqrt, lambda u: BinOp("/", Num(1.0), BinOp("*", Num(2.0), Call("sqrt", u)))),
+    "sin": (sin, lambda u: Call("cos", u)),
+    "cos": (cos, lambda u: Neg(Call("sin", u))),
+    "tan": (tan, lambda u: BinOp("/", Num(1.0), BinOp("^", Call("cos", u), Num(2.0)))),
+    "exp": (exp, lambda u: Call("exp", u)),
+    "log": (log, lambda u: BinOp("/", Num(1.0), u)),
+    "sqrt": (sqrt, lambda u: BinOp("/", Num(1.0), BinOp("*", Num(2.0), Call("sqrt", u)))),
     "abs": (abs, lambda u: Sign(u)),   # sign(0) = 0 by convention
 }
 
 CONSTS = {"pi": math.pi, "e": math.e}
 MAX_DEPTH = 1000   # deepest tree that parse_expr accepts
 
-# names compiled code calls: math.pow raises ValueError for a negative base and a
+# names compiled code calls: power raises ValueError for a negative base and a
 # fractional power, where ** gives a complex; sign is an int for numpy scalars too
-_CALLS = {"pow": math.pow, "sign": lambda v: int(v > 0) - int(v < 0),
+_CALLS = {"pow": power, "sign": lambda v: int(v > 0) - int(v < 0),
           **{name: fn for name, (fn, _) in FUNCS.items()}}
 
 
@@ -80,13 +122,8 @@ def _divide(a, b):
     return a / b
 
 
-# names compiled array code calls: ufuncs where numpy gives math's bits and
-# errors (tests/test_expr.py pins them), math's own function over the elements
-# where it does not (exp, log, tan and pow differ in the last bit on some hosts)
-_ARRAY_CALLS = {**{name: pointwise(fn) for name, (fn, _) in FUNCS.items()},
-                "pow": pointwise(math.pow), "div": _divide,
-                "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs,
-                "sign": lambda v: (v > 0.0) * 1.0 - (v < 0.0) * 1.0}
+# names compiled array code calls: _CALLS, which take arrays too, but / and sign
+_ARRAY_CALLS = {**_CALLS, "div": _divide, "sign": lambda v: (v > 0.0) * 1.0 - (v < 0.0) * 1.0}
 
 
 class Node:
@@ -232,10 +269,9 @@ def _compile(root: Node, array: bool = False):
     """root as a function of a number or a dict name -> value: one assignment
     per distinct subtree in _postorder's order, so it computes the walk's values
     and raises its first error; no line nests parentheses, so any size is safe.
-    The array form calls _ARRAY_CALLS, divides through div, writes a power
-    with the constant exponent 1 or 0 as its base or 1.0 (C99 makes pow(v, 1)
-    = v and pow(v, 0) = 1 exact, nan included), and deletes each temporary
-    after its last reader, so that it holds only the arrays still needed."""
+    The array form calls _ARRAY_CALLS, divides through div and deletes each
+    temporary after its last reader, so that it holds only the arrays still
+    needed."""
     env = dict(_ARRAY_CALLS if array else _CALLS)
     variables, names, assigned, operands = {}, {}, {}, {}
     for node in _postorder(root):
@@ -248,9 +284,6 @@ def _compile(root: Node, array: bool = False):
             if not (type(value) is float and math.isfinite(value)):
                 text = f"k{len(env)}"
                 env[text] = value
-        elif array and isinstance(node, BinOp) and node.op == "^" \
-                and node.right in (Num(1.0), Num(0.0)):
-            text = a[0] if node.right.value else "1.0"
         else:
             if isinstance(node, BinOp):
                 rhs = (f"pow({a[0]}, {a[1]})" if node.op == "^" else

@@ -9,19 +9,15 @@ coordinate integrability equations numerically,
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, HeisminError, QuadratureFailure, SingularPoint
-from .expr import pointwise
+from .expr import exp, sqrt
 from .lienard import _rhs
 from .models import MetricRep, exp_of
-from .numerics import (CumulativeIntegral, Field2D, YFunction, exp_over, first_where,
-                       memoized)
-
-_sqrt = pointwise(math.sqrt, None, np.sqrt)   # math.sqrt's bits; a float stays a float
+from .numerics import CumulativeIntegral, Field2D, YFunction, first_where, memoized
 
 
 def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
@@ -45,12 +41,12 @@ def metric_from_alpha_H(alpha: Field2D, H: Field2D, k: YFunction,
         x: a and b and their x-differences revisit the same points."""
         al, Hy = memoized(alpha.line(y).over), H.line(y).over
         I = CumulativeIntegral(lambda x: 2.0 * al(x), x_base, arrays=True)
-        J = CumulativeIntegral(lambda x: Hy(x) * al(x) * exp_over(I.over(x)), x_base,
+        J = CumulativeIntegral(lambda x: Hy(x) * al(x) * exp(I.over(x)), x_base,
                                arrays=True)
 
         def common(x):
             a = al(x)
-            val = exp_over(-I.over(x)) / _sqrt(1.0 + a * a)
+            val = exp(-I.over(x)) / sqrt(1.0 + a * a)
             if (at := first_where(~np.isfinite(val), x)) is not None:
                 raise QuadratureFailure(f"non-finite integrand at ({at}, {y})")
             return val
@@ -102,7 +98,7 @@ def _residuals(alpha: Field2D, H: Field2D, rep: MetricRep, x, y: float):
     b_x = rep.b_x(x, y)
     H_x = H.dx(x, y)
     H_y = H.dy(x, y)
-    root = _sqrt(1.0 + al * al)
+    root = sqrt(1.0 + al * al)
     return (-a_x + a * b_x / b - Hv * al / root,
             -b_x / b - 2.0 * al - al * al_x / (1.0 + al * al),
             a * H_x + b * H_y - (al_xx - _rhs(al, al_x, Hv)[1]) / root)

@@ -20,19 +20,18 @@ import enum
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
                      SingularPoint, StepLimit)
-from .expr import pointwise
+from .expr import hypot, pointwise
 from .numerics import EPS_DEN, PANELS_PER_UNIT, Window, YFunction, first_where
 
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
 MAX_RK4_STEPS = 2_000_000   # steps one sweep may take (16 MB a column)
-_hypot = pointwise(math.hypot)   # np.hypot differs from it in the last bit
 
 
 class SurfaceType(enum.Enum):
@@ -68,6 +67,11 @@ class AlphaSolution:
     scale = 1.0
     types = ()
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(c := getattr(self, f.name)):
+                raise ValueError(f"{self._name} family requires a finite {f.name}, not {c}")
+
     def _guard(self, x):
         """(w, h, k) at x; SingularPoint where the guarded factor vanishes."""
         g, w, h, k = self._profile(x)
@@ -94,12 +98,12 @@ class AlphaSolution:
         e^{int 2 alpha dx} = |w|.  Raises nothing: it is 0 on the special I
         singular line and |x + c1| on the general singular curves."""
         _, w, h, _ = self._profile(x)
-        return self._past_square(_hypot(w, h), x, 3)
+        return self._past_square(hypot(w, h), x, 3)
 
     def metric_factor(self, x):
         """e^{-int 2 alpha dx} / sqrt(1 + alpha^2), where alpha exists."""
         w, h, _ = self._guard(x)   # 1/hypot(w, h): the alpha row is not needed
-        return self._past_square(1.0 / _hypot(w, h), x, 2)
+        return self._past_square(1.0 / hypot(w, h), x, 2)
 
     def _past_square(self, value, x, i):   # value, where w is finite at every finite x
         return value
@@ -187,6 +191,7 @@ class General(_SquareW):
     _c2 = property(lambda self: self.c2)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.c2 == 0.0:
             raise ValueError("general family requires c2 != 0")
 
@@ -437,29 +442,33 @@ class OdeSolutionCurve:
 
 def fit_solution(alpha0: float, v0: float, x0: float) -> AlphaSolution:
     """The unique closed-form family member with alpha(x0) = alpha0 and
-    alpha'(x0) = v0.  Total on the phase plane; raises EvaluationError
-    when alpha0^2 overflows."""
-    if alpha0 == 0.0 and abs(v0) <= EPS_FIT:
+    alpha'(x0) = v0; EvaluationError off the finite phase plane and where
+    alpha0^2 or a constant of the member overflows."""
+    state = f"(alpha, v) = ({alpha0}, {v0})"
+    if not (math.isfinite(alpha0) and math.isfinite(v0)):
+        raise EvaluationError(state, "not a finite state")
+    # alpha0 = 0, or so near it that special II's c1 = 1/alpha0 - 2 x0 is not finite
+    if abs(v0) <= EPS_FIT and (alpha0 == 0.0 or math.isinf(1.0 / alpha0)):
         return Zero()
     try:
         a2 = alpha0**2
-    except OverflowError as exc:
-        raise EvaluationError(f"(alpha, v) = ({alpha0}, {v0})", exc) from exc
-    s = SpecialII.scale
-    den = v0 + s * a2
-    if abs(den) <= EPS_FIT * max(1.0, a2):
-        # alpha' = -2 alpha^2 characterizes special type II
-        return SpecialII(c1=1.0 / alpha0 - s * x0)
-    if alpha0 == 0.0:
-        # zero crossing of a general solution: X(x0) = 0
-        return General(c1=-x0, c2=1.0 / v0)
-    X0 = alpha0 / den
-    c1 = X0 - x0
-    # X0/alpha0 simplifies to 1/den, which stays accurate when alpha0 is tiny
-    c2 = 1.0 / den - X0 * X0
-    if abs(c2) <= EPS_FIT * max(1.0, X0 * X0):
-        return SpecialI(c1=c1)
-    return General(c1=c1, c2=c2)
+        s = SpecialII.scale
+        den = v0 + s * a2
+        if abs(den) <= EPS_FIT * max(1.0, a2):
+            # alpha' = -2 alpha^2 characterizes special type II
+            return SpecialII(c1=1.0 / alpha0 - s * x0)
+        if alpha0 == 0.0:
+            # zero crossing of a general solution: X(x0) = 0
+            return General(c1=-x0, c2=1.0 / v0)
+        X0 = alpha0 / den
+        c1 = X0 - x0
+        # X0/alpha0 simplifies to 1/den, which stays accurate when alpha0 is tiny
+        c2 = 1.0 / den - X0 * X0
+        if abs(c2) <= EPS_FIT * max(1.0, X0 * X0):
+            return SpecialI(c1=c1)
+        return General(c1=c1, c2=c2)
+    except (OverflowError, ValueError) as exc:   # alpha0^2, or a constant, not finite
+        raise EvaluationError(state, exc) from exc
 
 
 def conserved_quantity(s: PhaseState) -> float:
@@ -467,18 +476,23 @@ def conserved_quantity(s: PhaseState) -> float:
 
     Constant along general-family orbits; raises DegenerateBranch on the
     excluded loci w in {0, -1/3, -2/3} (the special families) and at v = 0
-    or alpha = 0 where w is undefined or zero.
+    or alpha = 0 where w is undefined or zero; raises EvaluationError where
+    w or C is not finite.
     """
     if s.v == 0.0 or s.alpha == 0.0:
         raise DegenerateBranch("w = 2 alpha^2 / (3 v) undefined or zero")
-    w = 2.0 * s.alpha**2 / (3.0 * s.v)
+    a2 = s.alpha * s.alpha
+    w = 2.0 * a2 / (3.0 * s.v)
     for bad in (-1.0 / 3.0, -2.0 / 3.0):
-        if abs(w - bad) <= 1e-12 * max(1.0, abs(w)):
+        if abs(w - bad) <= 1e-12:   # within 1e-12 max(1, |w|) at a finite w; never at inf
             raise DegenerateBranch(f"degenerate branch w = {bad}")
-    denom = (3.0 * w + 1.0) ** 2 * s.alpha**2
+    t = 3.0 * w + 1.0
+    denom = t * t * a2
     if denom == 0.0:
         raise DegenerateBranch("w = -1/3 branch")
-    return w * (3.0 * w + 2.0) / denom
+    if not math.isfinite(C := w * (3.0 * w + 2.0) / denom):   # nan where w is not finite
+        raise EvaluationError(f"(alpha, v) = ({s.alpha}, {s.v})", "w or C is not finite")
+    return C
 
 
 class PhaseField(_Rows):

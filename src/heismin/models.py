@@ -4,7 +4,6 @@ resulting (type, zeta1, zeta2) data, and the first fundamental form.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -12,9 +11,10 @@ import numpy as np
 
 from . import lienard
 from .errors import EvaluationError, MixedType, SingularPoint
+from .expr import exp
 from .lienard import SurfaceType
-from .numerics import (CumulativeIntegral, Field2D, Window, YFunction, exp_over,
-                       first_where, invert_monotone, memoized)
+from .numerics import (CumulativeIntegral, Field2D, Window, YFunction, first_where,
+                       invert_monotone, memoized)
 
 Y_SAMPLES = 33   # y-samples of a model's domain on which classify reads the type
 
@@ -39,8 +39,9 @@ class AlphaModel:
         cs = [getattr(self, f.name)(y) for f in fields(self.family)]
         try:
             return self.family(*cs)
-        except ValueError as exc:
-            raise SingularPoint(f"c2 vanishes at y = {y}: {exc}") from exc
+        except ValueError as exc:   # c2 = 0, or a constant is not finite
+            raise (SingularPoint(f"c2 vanishes at y = {y}: {exc}") if np.isfinite(cs).all()
+                   else EvaluationError(f"y = {y}", exc)) from exc
 
 
 def classify(m: AlphaModel, x_window=None) -> SurfaceType:
@@ -79,7 +80,7 @@ class MetricRep:
 
 def exp_of(k: YFunction) -> YFunction:
     """e^k as a YFunction, so an overflow names its y."""
-    return YFunction(lambda y: math.exp(k(y)))
+    return YFunction(lambda y: exp(k(y)))
 
 
 def metric_rep(m: AlphaModel, k: YFunction, h: YFunction) -> MetricRep:
@@ -156,7 +157,7 @@ def normalize(m: AlphaModel, k: YFunction, h: YFunction, x_window=None):
     """
     w = Window(*m.y_domain)
     # Gamma's and Psi's lattices share their nodes: one e^{-k} a point serves both
-    emk = memoized(lambda y: exp_over(-k.over(y)))
+    emk = memoized(lambda y: exp(-k.over(y)))
 
     gamma_int = CumulativeIntegral(lambda y: -h.over(y) * emk(y), w.lo, var="y",
                                    arrays=True)

@@ -26,7 +26,6 @@ PANELS_PER_UNIT = 512    # Simpson panels per unit length of every quadrature la
 # nodes either side of a lattice's base (16 to 32 MB a side); an --alpha0 window
 # at the RK4 step limit, 2e6 profile steps of 1/1024, needs just under it
 MAX_LATTICE_NODES = 1_000_000
-exp_over = expr_mod.pointwise(math.exp)   # at a float or an array; np.exp differs in the last bit
 
 
 def simpson_panel(f, lo: float, hi: float, f_lo: float) -> float:

@@ -449,7 +449,7 @@ def go_through_check(g: GraphSurface, p: tuple,
     u_x, u_y = g.partials(xs, ys)[:2]
     with np.errstate(all="ignore"):   # float arithmetic: nan and inf, as Python's
         fp, fq = u_x - ys, u_y + xs
-        D = pointwise(math.hypot)(fp, fq)   # np.hypot differs from it in the last bit
+        D = expr_mod.hypot(fp, fq)
         cos = fq / (D * np.sqrt(1.0 + fp * fp))
         e1 = np.array([fq, -fp]) / D
     if (i := first_where(D <= EPS_SINGULAR, np.arange(D.size))) is not None:

@@ -96,6 +96,8 @@ CASES = {
     "metric-not-finite": ["metric", "--alpha", "general", "--c1", "0", "--c2", "1e-300",
                           "--h", "1e306", "--x-min", "1e-5", "--x-max", "1e-5",
                           "--nx", "1", "--ny", "1"],
+    "metric-c2-not-finite": ["metric", "--alpha", "general", "--c1", "0", "--c2", "1e400",
+                             "--nx", "3", "--ny", "2"],
     "metric-width": ["metric", "--alpha", "special1", "--c1", "0.4", "--x-min=-1e308",
                      "--x-max=1e308", "--nx", "3", "--ny", "2"],
     "metric-syntax-error": ["metric", "--alpha", "special1", "--c1", "1+", *SMALL],

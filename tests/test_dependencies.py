@@ -1,8 +1,9 @@
 """numpy is the only runtime dependency: every import in the package
 names the standard library, numpy or heismin itself.  And no module of
 the package, its tests or the benchmark imports a name it never reads,
-none of the package names numpy's platform-wide long double types, and
-the Lienard operator and its RK4 sweep take no power at all."""
+none of the package names numpy's platform-wide long double types, the
+Lienard operator and its RK4 sweep take no power at all, and no module
+maps one of math's functions over an array by pointwise."""
 import ast
 import pathlib
 import sys
@@ -92,4 +93,22 @@ def test_the_lienard_operator_and_the_rk4_loop_take_no_power_of_the_state():
             elif isinstance(node, ast.Call) and getattr(
                     node.func, "id", getattr(node.func, "attr", None)) in POWERS:
                 found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_no_module_hands_a_math_function_to_pointwise():
+    # exp, log, tan, power and hypot are defined once, on numpy, for a float
+    # and an array alike (expr), so no module maps one of math's functions
+    # over an array's elements one at a time
+    found = []
+    for f in sorted(pathlib.Path(heismin.__file__).parent.rglob("*.py")):
+        tree = parse(f)
+        from_math = {n for line, top, names in imports(tree) if top == "math" for n in names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "pointwise":
+                found += [f"{f.name}:{node.lineno}: {ast.unparse(node)}"
+                          for a in [*node.args, *(k.value for k in node.keywords)]
+                          if getattr(a, "id", None) in from_math
+                          or getattr(getattr(a, "value", None), "id", None) == "math"]
     assert found == []

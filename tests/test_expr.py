@@ -122,8 +122,10 @@ def test_abs_derivative_of_numpy_scalars_is_an_int_sign():
 
 # ------------------------------------------------- the tree walk as reference
 
-REF_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-             "log": math.log, "sqrt": math.sqrt, "abs": abs}
+# tan, exp, log and ^ are the library's one definition on numpy, whose
+# outcomes test_shared_definitions_raise_as_math_does holds to math's
+REF_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": expr.tan, "exp": expr.exp,
+             "log": expr.log, "sqrt": math.sqrt, "abs": abs}
 
 
 def walk(node, x):
@@ -147,7 +149,7 @@ def walk(node, x):
             return a * b
         if node.op == "/":
             return a / b
-        return math.pow(a, b)
+        return expr.power(a, b)
     if isinstance(node, expr.Call):
         return REF_FUNCS[node.func](walk(node.arg, x))
     v = walk(node.arg, x)
@@ -345,6 +347,82 @@ def test_array_ufuncs_keep_maths_bits(name):
         # raise (the closures then run) or agree
         want, got = _math_outcome(fn, v), _array_outcome(ufunc, v)
         assert got == want or (got == "raises" and name != "neg"), (v, got, want)
+
+
+# name -> (the library's one definition, the numpy call it makes, math's function)
+SHARED = {"exp": (expr.exp, np.exp, math.exp), "log": (expr.log, np.log, math.log),
+          "tan": (expr.tan, np.tan, math.tan),
+          "power": (expr.power, lambda a, b: expr._power(a, b, float), math.pow),
+          "hypot": (expr.hypot, np.hypot, math.hypot)}
+
+
+def _arity(name):
+    return 2 if name in ("power", "hypot") else 1
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_numpy_gives_a_float_an_arrays_bits(name):
+    # a float and an array share one definition of each of these, so its
+    # numpy call on floats must round as on a contiguous array, a strided
+    # one and one of one element, with an array of exponents as with one
+    call = SHARED[name][1]
+    rng = np.random.default_rng(9)
+    xs = _random_doubles(rng, 50_000)
+    if _arity(name) == 1:
+        args = [(xs,)]
+    else:
+        ys = rng.uniform(-10.0, 10.0, xs.size)
+        ys[::2] = rng.choice([2.0, -1.0, 0.5, 0.0, 1.0, 3.0, -2.0], ys[::2].size)
+        args = [(xs, ys), (rng.permutation(xs), xs)] + [(xs, c) for c in (2.0, 0.5, -1.0, 3.0)]
+    with np.errstate(all="ignore"):
+        for arg in args:
+            each = [_bits(call(*p)) for p in zip(*(np.broadcast_to(a, xs.shape).tolist()
+                                                    for a in arg))]
+            assert [_bits(v) for v in call(*arg).tolist()] == each
+            strided = call(*(a[::3] if np.ndim(a) else a for a in arg))
+            assert [_bits(v) for v in strided.tolist()] == each[::3]
+        points = zip(EDGES) if _arity(name) == 1 else ((x, y) for x in EDGES for y in EDGES)
+        for p in points:
+            assert _bits(call(*p)) == _bits(call(*(np.array([v]) for v in p))[0]), p
+
+
+def test_a_power_over_arrays_of_exponents_has_the_float_calls_bits():
+    # numpy rounds x^2, x^-1 and x^0.5 one way for a single exponent and
+    # another for an array of them; sqrt(-0.0) is -0.0 and sqrt(-inf) nan
+    rng = np.random.default_rng(10)
+    ys = rng.choice([2.0, -1.0, 0.5], 3_000)
+    xs = rng.uniform(-10.0, 10.0, ys.size)
+    xs = np.concatenate([np.where(ys == 0.5, np.abs(xs), xs), [-0.0, 5e-324, math.inf]])
+    ys = np.concatenate([ys, [0.5, 0.5, 0.5]])
+    node = expr.parse_expr_multi("x^y")
+    got = node.eval_array({"x": xs, "y": ys})
+    assert [_bits(v) for v in got.tolist()] == \
+        [_bits(node.eval({"x": x, "y": y})) for x, y in zip(xs.tolist(), ys.tolist())]
+    with pytest.raises(ValueError, match="^math domain error$"):
+        node.eval_array({"x": np.array([4.0, -math.inf]), "y": np.array([0.5, 0.5])})
+
+
+def _outcome_class(fn, *args):
+    """The class and message of the error raised, or the class returned."""
+    try:
+        return type(fn(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# (name, arguments) where the outcome is not math's: numpy's power(-inf, 0.5)
+# is sqrt(-inf) = nan, on which power raises, where math.pow gives inf
+DIFFERS_FROM_MATH = {("power", -math.inf, 0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_definitions_raise_as_math_does(name):
+    # math's error and message where it raises, a float where it returns
+    fn, _, math_fn = SHARED[name]
+    points = zip(SPECIALS) if _arity(name) == 1 else ((x, y) for x in SPECIALS for y in SPECIALS)
+    differ = {p for p in points if _outcome_class(fn, *p) != _outcome_class(math_fn, *p)}
+    assert differ == {p[1:] for p in DIFFERS_FROM_MATH if p[0] == name}
+    assert _outcome_class(fn, *[0.5] * _arity(name)) is float
 
 
 @pytest.mark.parametrize("op", sorted(BINARY))

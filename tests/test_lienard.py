@@ -293,6 +293,42 @@ def test_general_requires_nonzero_c2():
         lienard.General(c1=0.0, c2=0.0)
 
 
+@pytest.mark.parametrize("family, cs, message", [
+    (lienard.General, (0.0, math.inf), "general family requires a finite c2, not inf"),
+    (lienard.General, (math.inf, 1.0), "general family requires a finite c1, not inf"),
+    (lienard.General, (math.nan, 0.0), "general family requires a finite c1, not nan"),
+    (lienard.SpecialI, (-math.inf,), "special I family requires a finite c1, not -inf"),
+    (lienard.SpecialII, (math.nan,), "special II family requires a finite c1, not nan"),
+])
+def test_families_reject_a_constant_that_is_not_finite(family, cs, message):
+    # rejected when built: General(0, inf) would overflow in _far at its first
+    # alpha, and General(inf, 1) would read alpha = nan
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        family(*cs)
+
+
+@pytest.mark.parametrize("alpha0, v0, x0, message", [
+    (0.0, math.inf, 0.0, r"\(0\.0, inf\): not a finite state"),
+    (math.nan, 1.0, 0.0, r"\(nan, 1\.0\): not a finite state"),
+    (-math.inf, 0.0, 0.0, r"\(-inf, 0\.0\): not a finite state"),
+    (1e-300, 0.0, -1.7e308, r"\(1e-300, 0\.0\): special II family requires a finite c1, "
+                            r"not inf"),
+    (0.3, 0.1, math.inf, r"\(0\.3, 0\.1\): general family requires a finite c1, not -inf"),
+])
+def test_fit_solution_rejects_a_state_or_constant_that_is_not_finite(alpha0, v0, x0, message):
+    # (0, inf) would otherwise fit General(c1=0, c2=1/inf = 0)
+    with pytest.raises(EvaluationError, match=rf"^cannot evaluate at \(alpha, v\) = {message}$"):
+        lienard.fit_solution(alpha0, v0, x0)
+
+
+@pytest.mark.parametrize("alpha0", [5e-324, -2.225073858507e-311, 5.5e-309])
+def test_fit_solution_reads_a_state_whose_special_ii_c1_overflows_as_zero(alpha0):
+    # below 2^-1024, special II's c1 = 1/alpha0 - 2 x0 passes the float range;
+    # Zero reads alpha = 0 as SpecialII(c1=inf) would, with finite constants
+    assert lienard.fit_solution(alpha0, 0.0, 0.0) == lienard.Zero()
+    assert isinstance(lienard.fit_solution(6e-309, 0.0, 0.0), lienard.SpecialII)
+
+
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-1, 1))
 @settings(max_examples=200)
 def test_fit_solution_reproduces_phase_data(alpha0, v0, x0):
@@ -470,6 +506,19 @@ def test_conserved_quantity_branches():
     val = lienard.conserved_quantity(
         lienard.PhaseState(g.alpha(0.5), g.alpha_x(0.5)))
     assert math.isfinite(val)
+
+
+@pytest.mark.parametrize("alpha, v", [
+    (1e200, 1.0), (-1.4e154, 5e-324), (1e100, 1.0), (1e150, 1e-10), (1e-161, 1e-310),
+    (math.nan, 1.0),
+])
+def test_conserved_quantity_names_a_state_whose_w_or_c_is_not_finite(alpha, v):
+    # w is inf in the first, second and fourth (alpha^2 or 2 alpha^2/(3v)
+    # overflows), (3w + 1)^2 overflows in the third, and C is inf in the
+    # fifth and nan in the last
+    message = f"cannot evaluate at (alpha, v) = ({alpha}, {v}): w or C is not finite"
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        lienard.conserved_quantity(lienard.PhaseState(alpha, v))
 
 
 def test_conserved_quantity_constant_along_general_orbits():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heismin import integrability, lienard, models
-from heismin.errors import MixedType, SingularPoint
+from heismin.errors import EvaluationError, MixedType, SingularPoint
 from heismin.models import AlphaModel, SurfaceType, YFunction
 from heismin.numerics import Field2D
 
@@ -69,6 +69,17 @@ def test_classify_errors_name_the_y(c2, window, needle):
     with pytest.raises((MixedType, SingularPoint)) as info:
         models.classify(m, x_window=window)
     assert needle in str(info.value)
+
+
+@pytest.mark.parametrize("family, cs, name", [
+    (lienard.General, ("0", "1e400"), "general family requires a finite c2, not inf"),
+    (lienard.SpecialI, ("1e400*(y - 0.25)",), "special I family requires a finite c1, not -inf"),
+])
+def test_a_slice_with_a_constant_that_is_not_finite_names_it_and_the_y(family, cs, name):
+    # the error names the constant and the y, not a point x of the slice
+    m = AlphaModel(family, *map(YFunction.from_expr, cs))
+    with pytest.raises(EvaluationError, match=f"^cannot evaluate at y = 0.0: {name}$"):
+        m.slice_at(0.0)
 
 
 def test_metric_rep_gauge_ratio():
