@@ -57,7 +57,6 @@ from .integrability import (
 )
 from .construct import (
     GeneratingCurve,
-    SurfaceChart,
     bernstein_plane,
     bernstein_saddle,
     conicoid_chart,
@@ -70,6 +69,7 @@ from .construct import (
 from .verify import (
     GraphSurface,
     SingularReport,
+    SurfaceChart,
     go_through_check,
     legendrian_line_check,
     numeric_H_on_chart,

@@ -282,17 +282,13 @@ def cmd_normalize(args):
     nf, change = models.normalize(m, YFunction.from_expr(args.k),
                                   YFunction.from_expr(args.h), x_window=args.x_window)
     ys = m.y_domain.linspace(args.samples)
-    try:   # Psi, then zeta1 and zeta2, each over the samples in one call
+    y_new = change.psi.over(row := np.array(ys)).tolist()   # a loop's values and first error
+    try:   # zeta1 and zeta2, each over the samples in one call
         with np.errstate(all="ignore"):   # an overflow is inf, as in float arithmetic
-            row = np.array(ys)
-            y_new = change.psi.over(row).tolist()
-            z1, z2 = (z.tolist() if z is not None else [None] * len(ys)
-                      for z in nf.at_y(row))
-            zs = list(zip(z1, z2))
+            zs = list(zip(*(z.tolist() if z is not None else [None] * len(ys)
+                            for z in nf.at_y(row))))
     except (ValueError, ArithmeticError, HeisminError):
-        # sample by sample, for the first error in that order
-        y_new = [change.psi(y) for y in ys]
-        zs = [nf.at_y(y) for y in ys]
+        zs = [nf.at_y(y) for y in ys]   # sample by sample, for the first error in that order
     # a steep gauge makes Psi flat to the last bit: samples with different
     # zetas that share a y~ cannot be told apart in normal coordinates
     for y0, y1, yn0, yn1, z0, z1 in zip(ys, ys[1:], y_new, y_new[1:], zs, zs[1:]):

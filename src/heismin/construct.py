@@ -13,8 +13,6 @@ u = 0, hence a Legendrian straight line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .errors import BadRotation, DegenerateChart, SingularPoint
 from .expr import cos, pointwise, sin
 from .heis import HPoint
 from .numerics import EPS_DEN, CumulativeIntegral, Window, YFunction, memoized
-from .verify import GraphSurface
+from .verify import GraphSurface, SurfaceChart
 
 ROTATION_TOL = 1e-12    # allowed |A^2 + B^2 - 1| of a saddle's rotation
 
@@ -90,26 +88,6 @@ class GeneratingCurve:
         x, y, _ = self._jet(0, t)
         xp, yp, zp = self._jet(1, t)
         return zp + x * yp - y * xp
-
-
-@dataclass
-class SurfaceChart:
-    """A parametrized surface (u, v) -> H1 with first partials.  point
-    takes floats, or arrays of one shape and gives an HPoint of arrays.
-
-    e1_index marks which parameter direction spans the characteristic
-    foliation when the chart is built in compatible coordinates (the
-    corresponding partial is then a unit horizontal vector).
-    """
-
-    point: Callable[[float, float], HPoint]
-    du: Callable[[float, float], np.ndarray]
-    dv: Callable[[float, float], np.ndarray]
-    domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))
-    e1_index: Optional[int] = None
-    name: str = "chart"
-    graph_u: Optional[object] = None  # verify.GraphSurface when applicable
-    extras: dict = field(default_factory=dict)
 
 
 def ruled_surface(c: GeneratingCurve,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, HeisminError, QuadratureFailure, SingularPoint
-from .expr import exp, sqrt
+from .errors import EvaluationError, QuadratureFailure, SingularPoint
+from .expr import exp, pointwise, sqrt
 from .lienard import _rhs
 from .models import MetricRep, exp_of
 from .numerics import CumulativeIntegral, Field2D, YFunction, first_where, memoized
@@ -110,26 +110,20 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     equations over the grid.  The grid must stay a couple of
     finite-difference steps away from singular loci.
 
-    Each y is read as one x-row; a row that raises or is not all finite is
-    read again point by point in expand_grid's order, for the point loop's
-    first error, or EvaluationError at the first non-finite point."""
-    xs, ys = grid
-    row = np.array(xs, dtype=float).ravel()
-    r = np.empty((3, len(ys), row.size))
-    for j, y in enumerate(ys):
-        y = float(y)
-        try:
-            with np.errstate(all="ignore"):
-                r[:, j] = _residuals(alpha, H, rep, row, y)
-            if np.isfinite(r[:, j]).all():
-                continue
-        except (ValueError, ArithmeticError, HeisminError):
-            pass
-        for i, (x, y) in enumerate(expand_grid((row, [y]))):
-            r[:, j, i] = _residuals(alpha, H, rep, x, y)
-            if not np.isfinite(r[:, j, i]).all():
-                raise EvaluationError(f"(x, y) = ({x}, {y})", "the residuals are not finite")
-    r = r.reshape(3, -1)
+    Each y is read as one x-row; where one raises or is not all finite,
+    pointwise reads every point again in expand_grid's order, for the point
+    loop's first error, or EvaluationError at the first non-finite point."""
+    def at(x, y):
+        r = _residuals(alpha, H, rep, x, y)
+        if not np.isfinite(r).all():
+            raise EvaluationError(f"(x, y) = ({x}, {y})", "the residuals are not finite")
+        return r
+
+    def rows(x, _):   # one x-row per y, y a float
+        return np.hstack([_residuals(alpha, H, rep, row, float(y))
+                          for row, y in zip(x.reshape(len(grid[1]), -1), grid[1])])
+
+    r = pointwise(at, 3, rows)(*np.array(expand_grid(grid)).reshape(-1, 2).T.copy())
     return ResidualStats(
         max={i: float(np.max(np.abs(v))) for i, v in enumerate(r, 1)},
         mean={i: float(np.mean(np.abs(v))) for i, v in enumerate(r, 1)},

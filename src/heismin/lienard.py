@@ -32,6 +32,7 @@ from .numerics import EPS_DEN, PANELS_PER_UNIT, Window, YFunction, first_where
 EPS_FIT = 1e-10   # branch tolerance in fit_solution
 BLOWUP_GUARD = 1e12
 MAX_RK4_STEPS = 2_000_000   # steps one sweep may take (16 MB a column)
+_TINY = 2.0 ** -1022   # the least normal float
 
 
 class SurfaceType(enum.Enum):
@@ -234,9 +235,13 @@ def _far(X: float, c2: float, i: int) -> float:
     (p, q), (r, s) = X.as_integer_ratio(), c2.as_integer_ratio()
     n, P, Q = s * q * q, p * p * s, r * q * q   # X^2 = P/n, c2 = Q/n
     num, den = ((p * q * s, P + Q), ((Q - P) * n, (P + Q) * (P + Q)), (n, P + Q), (P + Q, n))[i]
+    return _quotient(num, den)   # only w can pass the float range
+
+
+def _quotient(num: int, den: int) -> float:   # rounded once; inf past the float range
     try:
         return num / den
-    except OverflowError:   # only w can pass the float range
+    except OverflowError:
         return math.inf
 
 
@@ -406,11 +411,15 @@ class OdeSolutionCurve:
     def state(self, x):
         """(alpha, alpha_x) at x; over an array, one index of the stored
         states and one partial step for the points between them, with the
-        float call's bits and, where that raises, its first error."""
+        float call's bits and, where that raises, its first error:
+        EvaluationError at a non-finite x, BlowUp where the state is not finite."""
         return pointwise(self._state_at, 2, self._states_over)(x)
 
     def _state_at(self, x: float):
-        t = (x - self._base) / self.h if self.h else 0.0   # x0 == x1: one node
+        t = (x - self._base) / (self.h or 1.0)   # x0 == x1 (h = 0): one node
+        if not math.isfinite(t):   # x is not finite, or so far out that no step reaches it
+            raise (BlowUp(x) if math.isfinite(x) else
+                   EvaluationError(f"x = {x}", "not a finite point"))
         k = min(self._alpha.size - 1, max(0, math.floor(t)))
         a, v = self._alpha.item(k), self._v.item(k)
         dx = x - (self._base + k * self.h)
@@ -477,22 +486,32 @@ def conserved_quantity(s: PhaseState) -> float:
     Constant along general-family orbits; raises DegenerateBranch on the
     excluded loci w in {0, -1/3, -2/3} (the special families) and at v = 0
     or alpha = 0 where w is undefined or zero; raises EvaluationError where
-    w or C is not finite.
+    the state is not finite or C overflows.  C is the float form where alpha^2,
+    w, (3w + 1)^2 alpha^2 and C are normal, else rounded once from the exact state.
     """
     if s.v == 0.0 or s.alpha == 0.0:
         raise DegenerateBranch("w = 2 alpha^2 / (3 v) undefined or zero")
     a2 = s.alpha * s.alpha
     w = 2.0 * a2 / (3.0 * s.v)
+    if _TINY <= a2 and _TINY <= abs(w) < math.inf:   # w is 2 alpha^2/(3v) to an ulp or two
+        _off_branches(w)
+        t = 3.0 * w + 1.0
+        C = w * (3.0 * w + 2.0) / (denom := t * t * a2)
+        if _TINY <= denom < math.inf and _TINY <= abs(C) < math.inf:
+            return C
+    if math.isfinite(s.alpha) and math.isfinite(s.v):   # alpha^2 = A/n, v = B/n, n = q^2 u
+        (p, q), (r, u) = s.alpha.as_integer_ratio(), s.v.as_integer_ratio()
+        A, B = p * p * u, r * q * q
+        _off_branches(_quotient(2 * A, 3 * B))   # w, rounded once
+        if not math.isinf(C := _quotient(4 * (A + B) * q * q * u, 3 * (2 * A + B) ** 2)):
+            return C
+    raise EvaluationError(f"(alpha, v) = ({s.alpha}, {s.v})", "w or C is not finite")
+
+
+def _off_branches(w: float) -> None:
     for bad in (-1.0 / 3.0, -2.0 / 3.0):
         if abs(w - bad) <= 1e-12:   # within 1e-12 max(1, |w|) at a finite w; never at inf
             raise DegenerateBranch(f"degenerate branch w = {bad}")
-    t = 3.0 * w + 1.0
-    denom = t * t * a2
-    if denom == 0.0:
-        raise DegenerateBranch("w = -1/3 branch")
-    if not math.isfinite(C := w * (3.0 * w + 2.0) / denom):   # nan where w is not finite
-        raise EvaluationError(f"(alpha, v) = ({s.alpha}, {s.v})", "w or C is not finite")
-    return C
 
 
 class PhaseField(_Rows):
@@ -513,7 +532,7 @@ class PhaseField(_Rows):
 def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
     """Sample the phase-plane direction field V = (v, -(6 alpha v + 4 alpha^3)),
     the Lienard operator at c = 0, on a regular nx x nv grid; (0, 0) is its
-    only zero.  One _rhs call per alpha row evaluates the whole v column.
+    only zero.  One _rhs call evaluates the whole grid.
 
     Returns a row-major sequence of (PhaseState, (dalpha, dv)).  Raises
     EvaluationError, naming the first (alpha, v) in row-major order, where
@@ -525,14 +544,10 @@ def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
     v_lo, v_hi = v_range
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     vs = [v_lo + (v_hi - v_lo) * j / (nv - 1) for j in range(nv)]
-    v_column = np.array(vs)
-    dvs = []
-    for a in alphas:
-        with np.errstate(over="ignore", invalid="ignore"):
-            dv = _rhs(a, v_column, 0.0)[1]
-        bad = ~np.isfinite(dv)   # where v is not finite too, as 6 alpha v is then inf or nan
-        if bad.any():
-            raise EvaluationError(f"(alpha, v) = ({a}, {vs[int(np.argmax(bad))]})",
-                                  "the field value is not finite")
-        dvs.append(dv.tolist())
-    return PhaseField(alphas, vs, dvs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = _rhs(*np.meshgrid(alphas, vs, indexing="ij"), 0.0)[1]
+    if (bad := ~np.isfinite(dv)).any():   # where v is not finite too: 6 alpha v is inf or nan
+        i, j = divmod(int(np.argmax(bad)), nv)
+        raise EvaluationError(f"(alpha, v) = ({alphas[i]}, {vs[j]})",
+                              "the field value is not finite")
+    return PhaseField(alphas, vs, dv.tolist())

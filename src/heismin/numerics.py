@@ -274,25 +274,22 @@ class Field2D:
     the x-profile at y, a YFunction in x, built once per y, or once for
     every y when the field is y_free.
 
-    The x-partials dx and dxx are the line's d and d2; f, dx and dxx at an
-    array xs are the line over that x-row (YFunction.over).  dy is 0.0 for
-    a y_free field, else a central difference across lines at FD_STEP."""
+    f and its x-partials dx and dxx are the line's f, d and d2 over x, a
+    float or an x-row (YFunction.over).  dy is 0.0 for a y_free field,
+    else a central difference across lines at FD_STEP."""
 
     def __init__(self, line, y_free: bool = False):
         self.line = memoized(line, y_free)
         self.y_free = y_free
 
     def __call__(self, x, y: float):
-        line = self.line(y)
-        return line.over(x) if isinstance(x, np.ndarray) else line(x)
+        return self.line(y).over(x)
 
     def dx(self, x, y: float):
-        line = self.line(y)
-        return line.over(x, 1) if isinstance(x, np.ndarray) else line.d(x)
+        return self.line(y).over(x, 1)
 
     def dxx(self, x, y: float):
-        line = self.line(y)
-        return line.over(x, 2) if isinstance(x, np.ndarray) else line.d2(x)
+        return self.line(y).over(x, 2)
 
     def dy(self, x, y: float):
         if self.y_free:

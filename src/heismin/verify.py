@@ -6,7 +6,7 @@ go-through limits across singular curves, and Legendrian-ruling checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +30,26 @@ H_STEP = 1e-4          # numeric_H_on_chart's central-difference step
 RULING_STEP = 0.1      # legendrian_line_check's second-difference step in r
 BLOCK = 16384          # points per array evaluation
 RANK_EPS = 2.0 * np.finfo(float).eps   # Gauss-Newton: |det J| <= this * |J|_F^2 is rank one
+
+
+@dataclass
+class SurfaceChart:
+    """A parametrized surface (u, v) -> H1 with first partials.  point
+    takes floats, or arrays of one shape and gives an HPoint of arrays.
+
+    e1_index marks which parameter direction spans the characteristic
+    foliation when the chart is built in compatible coordinates (the
+    corresponding partial is then a unit horizontal vector).
+    """
+
+    point: Callable[[float, float], HPoint]
+    du: Callable[[float, float], np.ndarray]
+    dv: Callable[[float, float], np.ndarray]
+    domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))
+    e1_index: Optional[int] = None
+    name: str = "chart"
+    graph_u: Optional[GraphSurface] = None   # when the chart is a graph's
+    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -76,7 +96,6 @@ class GraphSurface:
         return np.array([[u_xx, u_xy - 1.0], [u_xy + 1.0, u_yy]])
 
     def chart(self, name: str = "graph", extras: Optional[dict] = None):
-        from .construct import SurfaceChart
         u = pointwise(self.u)
         return SurfaceChart(point=lambda x, y: HPoint(x, y, u(x, y)),
                             du=lambda x, y: np.array([1.0, 0.0, self.at(x, y)[0]]),

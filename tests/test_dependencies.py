@@ -2,8 +2,9 @@
 names the standard library, numpy or heismin itself.  And no module of
 the package, its tests or the benchmark imports a name it never reads,
 none of the package names numpy's platform-wide long double types, the
-Lienard operator and its RK4 sweep take no power at all, and no module
-maps one of math's functions over an array by pointwise."""
+Lienard operator and its RK4 sweep take no power at all, no module
+maps one of math's functions over an array by pointwise, and no two
+modules of the package import each other, directly or through others."""
 import ast
 import pathlib
 import sys
@@ -112,3 +113,40 @@ def test_no_module_hands_a_math_function_to_pointwise():
                           if getattr(a, "id", None) in from_math
                           or getattr(getattr(a, "value", None), "id", None) == "math"]
     assert found == []
+
+
+def package_imports(tree):
+    """The modules of the package that the tree imports, in a function
+    body too: from .m import ..., from . import m, and their absolute forms."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "heismin":
+                    continue
+                parts = parts[1:] or [""]
+            found |= {parts[0]} if parts[0] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("heismin.")}
+    return found
+
+
+def test_the_package_import_graph_has_no_cycle():
+    # every path of imports from a module ends without coming back to it,
+    # so each module can be read, and loaded, after the ones it imports
+    package = pathlib.Path(heismin.__file__).parent
+    graph = {f.stem: package_imports(parse(f)) for f in sorted(package.glob("*.py"))}
+    assert len(graph) > 10 and graph["cli"] >= {"lienard", "verify"}
+    cycles = []
+    for start in graph:
+        paths, seen = [[start, m] for m in sorted(graph[start])], set()
+        while paths:
+            path = paths.pop()
+            if path[-1] == start:
+                cycles.append(" -> ".join(path))
+                break
+            if path[-1] not in seen:
+                seen.add(path[-1])
+                paths += [path + [m] for m in sorted(graph.get(path[-1], ()))]
+    assert cycles == []

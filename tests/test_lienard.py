@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heismin import lienard
-from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, MixedType,
-                            SingularPoint, StepLimit)
+from heismin.errors import (BlowUp, DegenerateBranch, EvaluationError, HeisminError,
+                            MixedType, SingularPoint, StepLimit)
 from heismin.numerics import EPS_DEN, PANELS_PER_UNIT, central_d1
 
 
@@ -474,12 +474,16 @@ def test_profile_state_over_an_array_has_the_float_calls_bits(
 
 def test_profile_state_over_an_array_raises_the_float_calls_first_error():
     curve = lienard.OdeSolutionCurve(0.3, 0.1, 0.49, 2.51, H_const=2.0)
-    for bad, error in ((math.nan, ValueError),    # floor(nan)
-                       (math.inf, OverflowError),  # floor(inf)
-                       (1e300, BlowUp)):           # the partial step's state is not finite
+    for bad, error in ((math.nan, EvaluationError),   # not a finite point
+                       (math.inf, EvaluationError),
+                       (-math.inf, EvaluationError),
+                       (1e308, BlowUp),    # (x - x0)/h is not finite
+                       (1e300, BlowUp)):   # the partial step's state is not finite
         with pytest.raises(error) as float_err:
             curve.state(bad)
         assert type(float_err.value) is error
+        assert (float_err.value.x == bad if error is BlowUp else
+                str(float_err.value) == f"cannot evaluate at x = {bad}: not a finite point")
         with pytest.raises(error, match=re.escape(str(float_err.value))) as array_err:
             curve.state(np.array([1.0, bad, math.nan]))
         assert type(array_err.value) is error
@@ -508,17 +512,52 @@ def test_conserved_quantity_branches():
     assert math.isfinite(val)
 
 
-@pytest.mark.parametrize("alpha, v", [
-    (1e200, 1.0), (-1.4e154, 5e-324), (1e100, 1.0), (1e150, 1e-10), (1e-161, 1e-310),
-    (math.nan, 1.0),
-])
+@pytest.mark.parametrize("alpha, v", [(1e-161, 1e-310), (math.nan, 1.0)])
 def test_conserved_quantity_names_a_state_whose_w_or_c_is_not_finite(alpha, v):
-    # w is inf in the first, second and fourth (alpha^2 or 2 alpha^2/(3v)
-    # overflows), (3w + 1)^2 overflows in the third, and C is inf in the
-    # fifth and nan in the last
+    # C = 1.3e310 overflows in the first; the second is not a state
     message = f"cannot evaluate at (alpha, v) = ({alpha}, {v}): w or C is not finite"
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
         lienard.conserved_quantity(lienard.PhaseState(alpha, v))
+
+
+def exact_conserved_quantity(alpha, v):
+    """C at (alpha, v) as an exact rational, and its w."""
+    a, b = Fraction(alpha), Fraction(v)
+    w = 2 * a * a / (3 * b)
+    return w * (3 * w + 2) / ((3 * w + 1) ** 2 * a * a), w
+
+
+@pytest.mark.parametrize("alpha, v", [
+    (1e200, 1.0),          # alpha^2 overflows: C = 3.3e-401 rounds to 0
+    (-1.4e154, 5e-324),    # alpha^2 and w overflow: C = 1.7e-309, subnormal
+    (1e100, 1.0),          # (3w + 1)^2 overflows: C = 3.3e-201
+    (1e150, 1e-10),        # w overflows: C = 3.3e-301
+    (5e-324, 1e308),       # alpha^2 underflows to 0, not the w = -1/3 branch: C = 1.3e-308
+    (1e-100, 1e200),       # w underflows to 0: C = 1.3e-200, not 0
+    (1e-160, 1.0),         # alpha^2 is subnormal: C = 1.33333, not 1.33300
+    (1.0, 9.5e-155),       # (3w + 1)^2 alpha^2 overflows, C not: C = 1/3, not 0
+    (1.0, 1e-160),         # w(3w + 2) and (3w + 1)^2 overflow: C = 1/3, not nan
+])
+def test_conserved_quantity_is_exact_where_its_float_form_fails(alpha, v):
+    assert lienard.conserved_quantity(lienard.PhaseState(alpha, v)) == \
+        float(exact_conserved_quantity(alpha, v)[0])
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+       st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_conserved_quantity_is_within_a_few_ulps_of_the_exact_c_or_names_its_overflow(alpha, v):
+    # at random finite states, near the float range's ends too: C is the
+    # exact value to four ulps, or EvaluationError where that is past the range
+    exact, w = exact_conserved_quantity(alpha, v)
+    assume(min(abs(w + Fraction(1, 3)), abs(w + Fraction(2, 3))) > Fraction(1, 10**11))
+    if abs(exact) >= 2**1024 - 2**970:   # rounds to inf
+        with pytest.raises(EvaluationError):
+            lienard.conserved_quantity(lienard.PhaseState(alpha, v))
+        return
+    got = lienard.conserved_quantity(lienard.PhaseState(alpha, v))
+    assert got == float(exact) or \
+        abs(Fraction(got) - exact) <= 4 * sys.float_info.epsilon * abs(exact)
 
 
 def test_conserved_quantity_constant_along_general_orbits():
@@ -860,3 +899,55 @@ def test_each_surface_type_belongs_to_one_family():
     assert {f.__name__: [c.name for c in dataclasses.fields(f)] for f in lienard.FAMILIES} \
         == {"Zero": [], "SpecialI": ["c1"], "SpecialII": ["c1"], "General": ["c1", "c2"]}
     assert not hasattr(lienard.SpecialI(c1=0.5), "c2")
+
+
+# ROADMAP item 12's extreme floats
+EXTREMES = [0.0, -0.0, 5e-324, 1.0, -2.5, 1e154, -1.4e154, 1e200, 1e308, -1.7e308,
+            math.inf, -math.inf, math.nan]
+FAMILY_CHECK = r"(special I|special II|general) family requires (a finite c[12], not .*|c2 != 0)"
+
+
+def library_outcome(check, f, *args):
+    """f(*args); None where it raises a library error, or a ValueError whose
+    message fullmatches check, the documented argument check of f."""
+    try:
+        return f(*args)
+    except HeisminError:
+        return None
+    except ValueError as exc:
+        if check is None or not re.fullmatch(check, str(exc)):
+            raise
+        return None
+
+
+@given(st.lists(st.sampled_from(EXTREMES) | st.floats(), min_size=6, max_size=6),
+       st.integers(0, 3), st.integers(0, 3))
+@example([0.3, 0.1, 0.49, 2.51, 2.0, 1e308], 2, 2)   # (x - x0)/h overflows at a finite x
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_lienard_raises_only_library_errors_and_its_argument_checks(a, nx, nv):
+    # every public function of lienard that takes floats, at extreme and
+    # random doubles; the step limit is lowered so that no sweep runs long,
+    # and numpy's overflow warnings are silenced: an array form reads an
+    # overflow as inf, as float arithmetic does, and a warning is no error
+    x, row = a[5], np.array([a[5], a[2], a[3]])
+    with mock.patch.object(lienard, "MAX_RK4_STEPS", 4096), np.errstate(all="ignore"):
+        for family, consts in ((lienard.Zero, ()), (lienard.SpecialI, a[:1]),
+                               (lienard.SpecialII, a[:1]), (lienard.General, a[:2])):
+            sol = library_outcome(FAMILY_CHECK, family, *consts)
+            if sol is None:
+                continue
+            for form in (sol.alpha, sol.alpha_x, sol.alpha_xx, sol.y_speed, sol.metric_factor):
+                library_outcome(None, form, x)
+                library_outcome(None, form, row)
+            library_outcome(None, sol.singular_x)
+            library_outcome(None, sol.surface_type, (a[2], a[3]))
+            library_outcome(None, lienard.lienard_residual, sol, x, a[4])
+        library_outcome(None, lienard.fit_solution, *a[:3])
+        library_outcome(None, lienard.conserved_quantity, lienard.PhaseState(*a[:2]))
+        library_outcome("step must be positive", lienard.integrate_ivp, *a)
+        curve = library_outcome(None, lienard.OdeSolutionCurve, *a[:5])
+        if curve is not None:
+            library_outcome(None, curve.state, x)
+            library_outcome(None, curve.state, row)
+            library_outcome(None, lienard.lienard_residual, curve.alpha, x, a[4])
+        library_outcome("need at least a 2 x 2 grid", lienard.phase_field, a[:2], a[2:4], nx, nv)
