@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ EXIT_PARSE = 3
 INTEGRABILITY_TOL = 1e-6
 PMGE_TOL = 1e-8
 SPECIAL_I_TOL = 1e-10   # max |zeta2| of a special type I curve
-_BLOCK_VALUES = 3072   # values per g17.rows call of the CSV/OBJ writers
+_BLOCK_VALUES = 6144   # values a block of the CSV/OBJ writers' g17.Writer
 
 
 class _UsageError(Exception):
@@ -106,9 +107,39 @@ def _non_finite(obj, key=""):
     return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
 
 
+def _floats(n, pad):
+    """The %r template of a list of n floats nested at pad, as json.dumps
+    lays it out with indent=2."""
+    return "[" + ",".join([pad + "  %r"] * n) + pad + "]" if n else "[]"
+
+
+def _indented(obj, pad="\n"):
+    """json.dumps(obj, indent=2, allow_nan=False) nested at pad, a newline and
+    its indent.  A list of floats, or of lists of floats, is one %r template,
+    as json writes a float as float.__repr__; a dict or another list goes
+    member by member, and anything else through json.dumps."""
+    inner = pad + "  "
+    if type(obj) in (list, tuple) and obj:
+        rows = obj if set(map(type, obj)) <= {list, tuple} else [obj]
+        values = list(itertools.chain.from_iterable(rows))
+        if set(map(type, values)) <= {float}:
+            if not all(map(math.isfinite, values)):
+                raise ValueError("a float is not finite")
+            if rows is not obj:
+                return _floats(len(obj), pad) % tuple(values)
+            row = {n: inner + _floats(n, inner) for n in set(map(len, rows))}
+            return ("[" + ",".join(map(row.__getitem__, map(len, rows))) + pad + "]"
+                    ) % tuple(values)
+        return "[" + ",".join(inner + _indented(x, inner) for x in obj) + pad + "]"
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_indented(v, inner)}"
+                              for k, v in obj.items()) + pad + "}"
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", pad)
+
+
 def _emit_json(payload):
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = _indented(payload)
     except ValueError:
         key, value = _non_finite(payload)
         raise NonFiniteResult(f"{key} = {value} is not finite") from None
@@ -117,10 +148,11 @@ def _emit_json(payload):
 
 def _blocks(columns, seps):
     """g17.rows of the equal-length float columns, seps as there, in texts
-    of _BLOCK_VALUES values' rows."""
-    step = _BLOCK_VALUES // len(columns)
+    of _BLOCK_VALUES values' rows, from one g17.Writer."""
+    writer = g17.Writer(min(_BLOCK_VALUES, len(columns) * len(columns[0])))
+    step = max(1, writer.values // len(columns))
     for a in range(0, len(columns[0]), step):
-        yield g17.rows([c[a:a + step] for c in columns], seps)
+        yield writer.rows([c[a:a + step] for c in columns], seps)
 
 
 def _write_rows(out, columns, seps) -> None:
@@ -156,10 +188,12 @@ def _grid_csv(path, header, cell, outer, inner, values) -> None:
     n, m = len(inner), len(values[0])
     step, seps = max(1, _BLOCK_VALUES // (n * m)), ["", *[","] * (m - 1), "\n"]
     outer = _lines([outer], ["", "\n"])
+    writer = g17.Writer(min(_BLOCK_VALUES, n * m * len(outer)))
     with _open(path) as out:
         _write_text(out, ",".join(header) + "\n")
         for a in range(0, len(outer), step):
-            cells = _lines([np.concatenate(c) for c in zip(*values[a:a + step])], seps)
+            cells = writer.rows([np.concatenate(c) for c in zip(*values[a:a + step])],
+                                seps).splitlines()
             for k, o in enumerate(outer[a:a + step]):
                 _write_text(out, o.join(pieces) % tuple(cells[k * n:(k + 1) * n]))
 

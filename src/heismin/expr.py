@@ -90,27 +90,27 @@ def pointwise(fn, arity=None, array_fn=None):
     """fn over the elements of its (broadcast) array arguments, point by
     point in order, so that each value has fn's own bits and the first
     error is fn's own at the first point where it raises; array_fn, fn over
-    arrays, runs first and stands where it raises nothing and every value
-    is finite.  Tuples of arity numbers give arity arrays, over no points
-    too; numbers alone give fn's own value."""
+    arrays, runs first and stands where it raises nothing, fn replaying, in
+    order, only the points where one of its values is not finite (each
+    array_fn gives a finite value only where fn returns that value).
+    Tuples of arity numbers give arity arrays, over no points too; numbers
+    alone give fn's own value."""
     def mapped(*args):
         if all(isinstance(a, (int, float)) for a in args):
             return fn(*args)
         cols = np.broadcast_arrays(*args) if args[1:] else [np.asarray(args[0])]
+        out, replay = np.empty((arity or 1, *cols[0].shape)), slice(None)   # every point
         if array_fn is not None:
             try:
                 with np.errstate(all="ignore"):
                     vals = array_fn(*cols)
-                    out = [np.full(cols[0].shape, v, dtype=float)
-                           for v in (vals if arity else [vals])]
-                if all(np.isfinite(v).all() for v in out):
-                    return tuple(out) if arity else out[0]
+                    out[:] = [np.broadcast_to(v, cols[0].shape) for v in (vals if arity else [vals])]
+                replay = np.flatnonzero(~np.isfinite(out).all(axis=0))
             except (ValueError, ArithmeticError, HeisminError):
                 pass
-        vals = np.array(list(map(fn, *(c.ravel().tolist() for c in cols))), dtype=float)
-        if arity:
-            return tuple(vals.reshape(-1, arity).T.reshape(arity, *cols[0].shape))
-        return vals.reshape(cols[0].shape)
+        vals = list(map(fn, *(c.ravel()[replay].tolist() for c in cols)))
+        out.reshape(len(out), -1)[:, replay] = np.array(vals, dtype=float).reshape(-1, len(out)).T
+        return tuple(out) if arity else out[0]
     return mapped
 
 

@@ -20,6 +20,7 @@ import enum
 import math
 from array import array
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -73,9 +74,14 @@ class AlphaSolution:
             if not math.isfinite(c := getattr(self, f.name)):
                 raise ValueError(f"{self._name} family requires a finite {f.name}, not {c}")
 
+    def _terms(self, x):
+        """_profile(x), over an array as silent as over a float where w overflows."""
+        with np.errstate(over="ignore") if isinstance(x, np.ndarray) else nullcontext():
+            return self._profile(x)
+
     def _guard(self, x):
         """(w, h, k) at x; SingularPoint where the guarded factor vanishes."""
-        g, w, h, k = self._profile(x)
+        g, w, h, k = self._terms(x)
         if (at := first_where(abs(g) <= EPS_DEN, x)) is not None:
             raise SingularPoint(f"{self._name} solution singular at x = {at}")
         return w, h, k
@@ -98,7 +104,7 @@ class AlphaSolution:
         """sqrt(g22) = |w| sqrt(1 + alpha^2) = hypot(w, h), as
         e^{int 2 alpha dx} = |w|.  Raises nothing: it is 0 on the special I
         singular line and |x + c1| on the general singular curves."""
-        _, w, h, _ = self._profile(x)
+        _, w, h, _ = self._terms(x)
         return self._past_square(hypot(w, h), x, 3)
 
     def metric_factor(self, x):
@@ -432,9 +438,9 @@ class OdeSolutionCurve:
     def _states_over(self, xs):
         x = xs.ravel()
         t = (x - self._base) / self.h if self.h else np.zeros(x.size)
-        k = np.clip(np.floor(t), 0, self._alpha.size - 1)
-        if not np.isfinite(k).all():   # t is nan: the float call's error
+        if not np.isfinite(t).all():   # the float call's error
             raise ValueError("cannot index the stored states")
+        k = np.clip(np.floor(t), 0, self._alpha.size - 1)
         k = k.astype(np.intp)
         a, v = self._alpha[k], self._v[k]
         dx = x - (self._base + k * self.h)

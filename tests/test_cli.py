@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heismin
 from heismin import cli, construct, g17, lienard, models, numerics
@@ -415,13 +418,13 @@ def test_wide_grid_rows_are_formatted_a_block_at_a_time(command, argv, reference
     # an outer row of more than _BLOCK_VALUES values, and more than that many
     # coordinates (phase-field), take several formatter calls of at most
     # _BLOCK_VALUES values each, and still write the same text
-    sizes, rows = [], g17.rows
+    sizes, rows = [], g17.Writer.rows
 
-    def counted(columns, seps):
+    def counted(writer, columns, seps):
         sizes.append(sum(len(c) for c in columns))
-        return rows(columns, seps)
+        return rows(writer, columns, seps)
 
-    monkeypatch.setattr(g17, "rows", counted)
+    monkeypatch.setattr(g17.Writer, "rows", counted)
     code, out = run_cli([command, *argv], capsys)
     assert code == 0
     assert max(sizes) <= cli._BLOCK_VALUES < sum(sizes)
@@ -827,6 +830,34 @@ def test_negative_number_in_exponent_form_is_a_value(argv, exponent_form, capsys
 def test_emit_json_names_the_non_finite_figure():
     with pytest.raises(NonFiniteResult, match=r"^singular\.window\[1\]\[0\] = -inf"):
         cli._emit_json({"passed": True, "singular": {"window": [[0.0, 1.0], [-math.inf, 1.0]]}})
+
+
+JSON_FLOATS = st.sampled_from([-0.0, 5e-324, 1e308, 1e16, 1e-5]) | st.floats(allow_nan=False,
+                                                                          allow_infinity=False)
+JSON_SCALARS = (JSON_FLOATS | st.integers() | st.booleans() | st.none()
+                | st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=4))
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=4)
+    | st.lists(st.lists(JSON_FLOATS, max_size=3), max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+
+
+@given(JSON_PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 5))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_emit_json_writes_the_indented_encoders_bytes(payload, bad, where):
+    # lists of floats, and lists of such lists, are written from templates,
+    # the rest by json.dumps: the bytes are indent=2's; a figure that is not
+    # finite raises NonFiniteResult naming its key, as json.dumps did
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    rows = [[1.0, 2.0], [3.0, bad]] if where % 2 else [1.0, bad]
+    payload = {"ok": payload, "figures": [{"list": rows}][:where % 3] or rows}
+    with pytest.raises(NonFiniteResult, match="^figures(\\[0\\]\\.list)?(\\[1\\])?\\[1\\] = "):
+        cli._emit_json(payload)
 
 
 @pytest.mark.parametrize("command", [

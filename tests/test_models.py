@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heismin import integrability, lienard, models
+from heismin import construct, integrability, lienard, models
 from heismin.errors import EvaluationError, MixedType, SingularPoint
 from heismin.models import AlphaModel, SurfaceType, YFunction
 from heismin.numerics import Field2D
+from test_lienard import EXTREMES, library_outcome
 
 
 def yconst(c):
@@ -216,3 +219,48 @@ def test_first_fundamental_form_shapes():
     nf0 = models.NormalForm(SurfaceType.TYPE_I, yconst(0.0), yconst(0.0))
     with pytest.raises(SingularPoint, match="c2 vanishes"):
         models.first_fundamental_form(nf0, 1.0, 0.0)
+
+
+@given(st.lists(st.sampled_from(EXTREMES) | st.floats(), min_size=6, max_size=6),
+       st.sampled_from(lienard.FAMILIES))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_models_integrability_construct_raise_only_library_errors(a, family):
+    # the public functions of models, integrability and construct that take
+    # floats, at ROADMAP item 12's extreme and at random doubles; numpy's
+    # overflow warnings are silenced, as in the lienard property
+    x, y, row = a[4], a[5], np.array([a[4], a[2], 0.5])
+    cs = [yconst(c) for c in a[:2]][:len(dataclasses.fields(family))]
+    with np.errstate(all="ignore"):
+        m = AlphaModel(family, *cs, y_domain=(0.0, 1.0))
+        library_outcome(None, m.slice_at, y)
+        library_outcome(None, models.classify, m, (a[2], a[3]))
+        rep = models.metric_rep(m, yconst(a[2]), yconst(a[3]))
+        for f in (rep.a, rep.b):
+            library_outcome(None, f, x, y)
+            library_outcome(None, f, row, 0.5)
+        out = library_outcome(None, models.normalize, m, yconst(a[2]), yconst(a[3]))
+        if out is not None:
+            nf, change = out
+            library_outcome(None, nf.at_y, y)
+            library_outcome(None, change.psi, y)
+            library_outcome(None, models.first_fundamental_form, nf, x, 0.5)
+        alpha, H = Field2D.from_model(m), Field2D.constant(a[3])
+        rep = library_outcome(None, integrability.metric_from_alpha_H, alpha, H,
+                              yconst(a[2]), yconst(0.0), a[4])
+        if rep is not None:
+            library_outcome(None, rep.a, 0.5, 0.5)
+            library_outcome(None, integrability.integrability_residual, alpha, H, rep,
+                            ([0.5, 1.0], [0.25, 0.75]))
+        for chart in (lambda: construct.bernstein_plane(*a[:3]),
+                      lambda: construct.bernstein_saddle(a[0], a[1], yconst(a[2])),
+                      lambda: construct.helicoid_chart(yconst(a[2])),
+                      lambda: construct.conicoid_chart(((a[0], a[1]), (a[2], a[3])))):
+            c = library_outcome(None, chart)
+            if c is not None:
+                library_outcome(None, c.point, x, y)
+        curve = construct.curve_from_zeta(yconst(a[0]), yconst(a[1]), (0.0, 1.0))
+        library_outcome(None, curve.point, x)
+        library_outcome(None, construct.curve_invariants, curve, a[2], x)
+        for z in construct.zeta_from_curve(curve):
+            library_outcome(None, z, x)
+        library_outcome(None, construct.ruled_surface(curve, (a[2], a[3])).point, 0.5, x)
