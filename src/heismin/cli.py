@@ -146,10 +146,10 @@ def _emit_json(payload):
     sys.stdout.write(text + "\n")
 
 
-def _blocks(columns, seps):
+def _blocks(columns, seps, writer=None):
     """g17.rows of the equal-length float columns, seps as there, in texts
-    of _BLOCK_VALUES values' rows, from one g17.Writer."""
-    writer = g17.Writer(min(_BLOCK_VALUES, len(columns) * len(columns[0])))
+    of _BLOCK_VALUES values' rows, from writer (a new one when None)."""
+    writer = writer or g17.Writer(min(_BLOCK_VALUES, len(columns) * len(columns[0])))
     step = max(1, writer.values // len(columns))
     for a in range(0, len(columns[0]), step):
         yield writer.rows([c[a:a + step] for c in columns], seps)
@@ -162,10 +162,10 @@ def _write_rows(out, columns, seps) -> None:
         _write_text(out, text)
 
 
-def _lines(columns, seps):
+def _lines(columns, seps, writer=None):
     """The rows of the equal-length float columns, seps as in g17.rows
     (seps[-1] a newline), as a list of strings, _BLOCK_VALUES values a call."""
-    return [line for text in _blocks(columns, seps) for line in text.splitlines()]
+    return [line for text in _blocks(columns, seps, writer) for line in text.splitlines()]
 
 
 def _csv(path, header, columns) -> None:
@@ -181,19 +181,18 @@ def _grid_csv(path, header, cell, outer, inner, values) -> None:
     when None); cell is a row's format with {inner}, one {outer} and
     {values}, the cell's values, and values[k] the kth outer row's value
     columns.  Each coordinate is formatted once.  The values of as many
-    outer rows as hold at most _BLOCK_VALUES values are one g17.rows call
-    (a wider row takes several), and each outer row is one % call and one
-    write."""
+    outer rows as hold at most _BLOCK_VALUES values are one block of one
+    g17.Writer (a wider row takes several), and each outer row is one % call
+    and one write."""
     pieces = _row_pieces(cell, _lines([inner], ["", "\n"]))
     n, m = len(inner), len(values[0])
     step, seps = max(1, _BLOCK_VALUES // (n * m)), ["", *[","] * (m - 1), "\n"]
     outer = _lines([outer], ["", "\n"])
-    writer = g17.Writer(min(_BLOCK_VALUES, n * m * len(outer)))
+    writer = g17.Writer(min(_BLOCK_VALUES, n * m * len(outer)))   # for every block
     with _open(path) as out:
         _write_text(out, ",".join(header) + "\n")
         for a in range(0, len(outer), step):
-            cells = writer.rows([np.concatenate(c) for c in zip(*values[a:a + step])],
-                                seps).splitlines()
+            cells = _lines([np.concatenate(c) for c in zip(*values[a:a + step])], seps, writer)
             for k, o in enumerate(outer[a:a + step]):
                 _write_text(out, o.join(pieces) % tuple(cells[k * n:(k + 1) * n]))
 

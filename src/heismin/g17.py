@@ -2,29 +2,23 @@
 arithmetic over whole arrays.
 
 A finite v whose 17-digit rounding has decimal exponent E is written from
-D = |v| 10^k, k = 16 - E, rounded half-even: an integer in [10^16, 10^17).
-With 10^k = P_hi + P_lo, P_hi of 26 bits, and |v| = a_hi + a_lo, a_hi its
-top 26 bits, the product a_hi P_hi is exact and an integer, and the rest
-a_hi P_lo + a_lo 10^k is computed within 2^-20, so D = a_hi P_hi +
-rint(rest) wherever rest is more than 2^-17 from a half (the splitting of
-Dekker, "A floating-point technique for extending the available
-precision", 1971).
-
-The characters are built in four 64-bit words a value, first character in
-the lowest byte: the sign, "0.000" and the first digit; the other 16
-digits, split into bytes from two 8-digit groups by multiplying by
-reciprocals in lanes (4 + 4 digits, 2 + 2, 1 + 1), with the point
+D = |v| 10^k, k = 16 - E, rounded half-even, in [10^16, 10^17).  With
+10^k = P_hi + P_lo and |v| = a_hi + a_lo, P_hi and a_hi of 26 bits, a_hi
+P_hi is exact and an integer and the rest a_hi P_lo + a_lo 10^k is within
+2^-20, so D = a_hi P_hi + rint(rest) where rest is over 2^-17 from a half
+(Dekker's splitting, Numer. Math. 18, 1971).  The text of a value is four
+64-bit words, first character in the lowest byte, 0 bytes dropped: the
+sign, "0.000" and the first digit; 16 digits from two 8-digit groups, split
+by multiplying by reciprocals in lanes (4 + 4, 2 + 2, 1 + 1), the point
 inserted by moving the digits after it up a byte; the digit moved out,
-"e-XX" and the separator after the value.  A 0 byte is no character.
-Zero, subnormals, nan, infinities, values outside [1e-11, 1e17), where
-the table of powers ends, and those whose rest lies near a half take
-'%.17g' % v itself.
+"e-XX" and the separator.  Zero, subnormals, nan, infinities, values
+outside [1e-11, 1e17), where the table of powers ends, and a rest near a
+half take '%.17g' % v itself.
 
-A Writer keeps its work arrays (about 216 bytes a value) across the
-blocks it formats, so that no block allocates or faults in large
-temporaries; on 8,192-value blocks of a 3-column trajectory it takes
-80-90 ns a value (2-vCPU Xeon, Python 3.11, numpy 2.4), about 20 of them
-in bytes.translate, which drops the 0 bytes.
+A Writer fills the same work arrays, 128 bytes a value, for every block,
+so that a block allocates no large temporary and faults no page in; on
+6,144-value blocks of a 3-column trajectory it takes 80-95 ns a value,
+some 20 of them in bytes.translate (2-vCPU Xeon, Python 3.11, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -35,11 +29,12 @@ _TOP26 = 2**64 - 2**27    # a float's top 26 significant bits
 _HI = [p >> max(0, p.bit_length() - 26) << max(0, p.bit_length() - 26)
        for p in (10**k for k in range(28))]
 _P_HI, _P_LO = np.array(_HI, float), np.array([10**k - h for k, h in enumerate(_HI)], float)
-# (lane bits, multiplier, shift, mask, divisor): the quotient of each lane
-# by divisor is (lane * multiplier) >> shift, and each lane splits in two
-_LANES = ((32, 112589990685, 50, 2**14 - 1, 10**4),
-          (16, 10486, 20, 0x0000007F0000007F, 100),
-          (8, 103, 10, 0x000F000F000F000F, 10))
+# (multiplier, shift, mask, 2^bits - divisor): the quotient q of each lane
+# by divisor is (lane * multiplier) >> shift, and adding q (2^bits - divisor)
+# splits the lane in two, q in the upper half: digits big-endian
+_LANES = ((112589990685, 50, 2**14 - 1, 2**32 - 10**4),
+          (10486, 20, 0x0000007F0000007F, 2**16 - 100),
+          (103, 10, 0x000F000F000F000F, 2**8 - 10))
 
 
 def _words_of(k):
@@ -84,9 +79,8 @@ def _scaled(a, k, D, f, i):
 
 
 class Writer:
-    """rows(columns, seps) a block of at most `values` values (at least a
-    row's) at a time, reusing the work arrays allocated here and its text
-    buffer."""
+    """rows(columns, seps) a block of at most `values` values at a time,
+    reusing the work arrays allocated here and its text buffer."""
 
     def __init__(self, values):
         self.values, self.seps, self.buf = values, None, bytearray()
@@ -94,12 +88,8 @@ class Writer:
         self.w = np.empty((4, values), np.uint64)
 
     def rows(self, columns, seps) -> str:
-        """rows(columns, seps), `values` values at a time."""
+        """rows(columns, seps) of at most `values` values."""
         C, m = len(columns), len(columns[0])
-        if C * m > self.values and m > 1:
-            step = max(1, self.values // C)
-            return "".join(self.rows([c[a:a + step] for c in columns], seps)
-                           for a in range(0, m, step))
         if not m:
             return ""
         if seps != self.seps:
@@ -117,8 +107,7 @@ class Writer:
         for c, col in enumerate(columns):
             v[c * m:(c + 1) * m] = col
         with np.errstate(all="ignore"):
-            ok = self._digits(v, w[0], w[1:3])
-        self._text(v, w)
+            ok = self._words(v, w)
         if (fallback := np.flatnonzero(~ok)).size:   # NUL-padded, as the words are
             texts = np.array(["%.17g" % x for x in v[fallback].tolist()], dtype="S24")
             w[:3, fallback] = texts.view(np.uint64).reshape(-1, 3).T
@@ -131,17 +120,17 @@ class Writer:
         body = text.translate(None, b"\0").decode("ascii")
         return seps[0] + body[:len(body) - len(seps[0])]
 
-    def _digits(self, v, d0, G):
-        """ok, filling self.k with k, d0 with the first digit of D and G
-        with the other 16 as bytes, first digit lowest."""
+    def _words(self, v, w):
+        """ok, filling the words w of the values v where ok."""
         N = len(v)
-        (a, x, *f), k, D = self.f[1:, :N], self.k[:N], self.w[3, :N].view(np.int64)
+        (a, *f), k, D = self.f[1:, :N], self.k[:N], w[3].view(np.int64)
+        (L, S, T), d0, G = self.f[1:, :N].view(np.uint64).reshape(3, 2, N), w[0], w[1:3]
         np.abs(v, out=a)
-        np.log10(a, out=x)
-        np.floor(x, out=x)
-        np.subtract(16, x, out=x)
-        np.copyto(k, x, casting="unsafe")
-        ok = _scaled(a, k, D, [x, *f], d0.view(np.int64))
+        np.log10(a, out=f[0])
+        np.floor(f[0], out=f[0])
+        np.subtract(16, f[0], out=f[0])
+        np.copyto(k, f[0], casting="unsafe")
+        ok = _scaled(a, k, D, f, d0.view(np.int64))
         if (redo := np.flatnonzero(~ok)).size:
             # log10 was one off near a power of ten, D rounded up to 10^17, or
             # v is outside the table, which the second try leaves not ok
@@ -150,40 +139,35 @@ class Writer:
             ok[redo] = _scaled(a[redo], k[redo], Dr, np.empty((5, redo.size)), Dr.copy())
             D[redo] = Dr
         ok &= (k >= 0) & (k <= 27)
-        D, T = D.view(np.uint64), self.f[3:5, :N].view(np.uint64)
+        # the first digit, and the other 16 as bytes of two words, big-endian
+        D = D.view(np.uint64)
         np.floor_divide(D, 10**16, out=d0)
         np.multiply(d0, 10**16, out=T[0])
         np.subtract(D, T[0], out=T[1])
         np.floor_divide(T[1], 10**8, out=G[0])
         np.multiply(G[0], 10**8, out=T[0])
         np.subtract(T[1], T[0], out=G[1])
-        for lane, multiplier, shift, mask, divisor in _LANES:
+        for multiplier, shift, mask, spread in _LANES:
             np.multiply(G, multiplier, out=T)
             T >>= shift
             T &= mask
-            G <<= lane
-            T *= (divisor << lane) - 1
-            G -= T
-        return ok
-
-    def _text(self, v, w):
-        """Fills the words w from the digits that _digits left in them."""
-        N, k = len(v), self.k[:len(v)]
-        (L, S, T), G = self.f[1:7, :N].view(np.uint64).reshape(3, 2, N), w[1:3]
-        np.take(_TABLE[2:4], k, axis=1, out=L, mode="clip")
-        # every digit before the point, and each up to the last nonzero one
-        np.bitwise_and(L, _B, out=S)
-        S |= G
-        for shift in (8, 16, 32):
-            np.right_shift(S, shift, out=T)
-            S |= T
-        np.bitwise_and(S[1], 0xFF, out=T[0])
+            T *= spread
+            G += T
+        # every digit up to the last nonzero one, whose byte's prefix sum in
+        # the big-endian words is not 0, or the second word's sum for the
+        # first word; then every digit before the point
+        np.multiply(G, _B, out=S)
+        np.right_shift(S[1], 56, out=T[0])
         T[0] *= _B
         S[0] |= T[0]
         S += 0x7F * _B
         S &= 0x80 * _B
         S >>= 7
         S *= 0x30
+        G |= S
+        G.byteswap(inplace=True)
+        np.take(_TABLE[2:4], k, axis=1, out=L, mode="clip")
+        np.bitwise_and(L, 0x30 * _B, out=S)
         G |= S
         # the characters after the point, S, move up a byte: G - S + 256 S
         np.bitwise_and(G, L, out=T)
@@ -198,13 +182,14 @@ class Writer:
         np.take(_TABLE[4:6], k, axis=1, out=S, mode="clip")
         S *= point
         G |= S
-        w[0] |= 0x30
-        w[0] <<= 56
+        d0 |= 0x30
+        d0 <<= 56
         np.take(_TABLE[0], k, out=T[0], mode="clip")
-        w[0] |= T[0]
+        d0 |= T[0]
         np.right_shift(v.view(np.uint64), 63, out=T[0])
         T[0] *= 0x2D
-        w[0] |= T[0]
+        d0 |= T[0]
+        return ok
 
 
 def rows(columns, seps) -> str:

@@ -110,9 +110,10 @@ def integrability_residual(alpha: Field2D, H: Field2D, rep: MetricRep,
     equations over the grid.  The grid must stay a couple of
     finite-difference steps away from singular loci.
 
-    Each y is read as one x-row; where one raises or is not all finite,
-    pointwise reads every point again in expand_grid's order, for the point
-    loop's first error, or EvaluationError at the first non-finite point."""
+    Each y is read as one x-row; where one raises, pointwise reads every
+    point again in expand_grid's order, for the point loop's first error,
+    and where residuals are not finite, those points, for EvaluationError
+    at the first of them."""
     def at(x, y):
         r = _residuals(alpha, H, rep, x, y)
         if not np.isfinite(r).all():

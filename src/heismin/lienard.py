@@ -20,7 +20,6 @@ import enum
 import math
 from array import array
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,14 +73,10 @@ class AlphaSolution:
             if not math.isfinite(c := getattr(self, f.name)):
                 raise ValueError(f"{self._name} family requires a finite {f.name}, not {c}")
 
-    def _terms(self, x):
-        """_profile(x), over an array as silent as over a float where w overflows."""
-        with np.errstate(over="ignore") if isinstance(x, np.ndarray) else nullcontext():
-            return self._profile(x)
-
+    @np.errstate(over="ignore")   # where w overflows, an array is inf silently, as a float is
     def _guard(self, x):
         """(w, h, k) at x; SingularPoint where the guarded factor vanishes."""
-        g, w, h, k = self._terms(x)
+        g, w, h, k = self._profile(x)
         if (at := first_where(abs(g) <= EPS_DEN, x)) is not None:
             raise SingularPoint(f"{self._name} solution singular at x = {at}")
         return w, h, k
@@ -100,11 +95,12 @@ class AlphaSolution:
         a = h / w
         return a * (8.0 * (a * a) - 6.0 * k / w)
 
+    @np.errstate(over="ignore")
     def y_speed(self, x):
         """sqrt(g22) = |w| sqrt(1 + alpha^2) = hypot(w, h), as
         e^{int 2 alpha dx} = |w|.  Raises nothing: it is 0 on the special I
         singular line and |x + c1| on the general singular curves."""
-        _, w, h, _ = self._terms(x)
+        _, w, h, _ = self._profile(x)
         return self._past_square(hypot(w, h), x, 3)
 
     def metric_factor(self, x):

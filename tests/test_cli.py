@@ -410,8 +410,8 @@ def test_metric_matches_the_point_by_point_reference(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, argv, reference", [
-    ("phase-field", ["--nx", "2", "--nv", "3100"], reference_phase_field),
-    ("metric", ["--alpha", "vertical", "--nx", "1100", "--ny", "2"], reference_metric),
+    ("phase-field", ["--nx", "2", "--nv", "6200"], reference_phase_field),
+    ("metric", ["--alpha", "vertical", "--nx", "2100", "--ny", "2"], reference_metric),
 ], ids=["phase-field", "metric"])
 def test_wide_grid_rows_are_formatted_a_block_at_a_time(command, argv, reference,
                                                         monkeypatch, capsys):

@@ -535,3 +535,39 @@ def test_nesting_beyond_the_parser_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError):
         expr.parse_expr(src)
     assert expr.parse_expr("(" * 100 + "x" + ")" * 100).eval(3.0) == 3.0
+
+
+@pytest.mark.parametrize("fails", [[], [7], [2, 7, 11], list(range(12))])
+def test_pointwise_replays_only_the_points_whose_array_values_are_not_finite(fails):
+    # fn raises at some points, where array_fn gives nan, and returns inf at
+    # point 5: the values and the first error are the full replay's, from fn
+    # called at those points only
+    calls = []
+
+    def fn(x, y):
+        calls.append(x)
+        if x in fails:
+            raise ZeroDivisionError(f"at {x}")
+        return (x + y, math.inf if x == 5 else x * y)
+
+    def array_fn(x, y):
+        bad = np.isin(x, fails)
+        return np.where(bad, np.nan, x + y), np.where(bad | (x == 5), np.inf, x * y)
+
+    xs, ys = np.arange(12.0).reshape(3, 4), np.full((3, 4), 0.5)
+    replayed = sorted({5, *fails})
+
+    def outcome(array):
+        calls.clear()
+        try:
+            return expr.pointwise(fn, 2, array)(xs, ys)
+        except ZeroDivisionError as exc:
+            return str(exc)
+    full = outcome(None)
+    assert calls == (list(range(fails[0] + 1)) if fails else list(range(12)))
+    got = outcome(array_fn)
+    assert calls == [x for x in replayed if not fails or x <= fails[0]]
+    if fails:
+        assert got == full == f"at {fails[0]}.0"
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, full))

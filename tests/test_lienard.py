@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -951,3 +952,19 @@ def test_lienard_raises_only_library_errors_and_its_argument_checks(a, nx, nv):
             library_outcome(None, curve.state, row)
             library_outcome(None, lienard.lienard_residual, curve.alpha, x, a[4])
         library_outcome("need at least a 2 x 2 grid", lienard.phase_field, a[:2], a[2:4], nx, nv)
+
+
+@pytest.mark.parametrize("family, consts", [(lienard.Zero, ()), (lienard.SpecialI, (0.0,)),
+                                            (lienard.SpecialII, (0.5,)),
+                                            (lienard.General, (0.3, -2.0))])
+def test_derived_forms_over_arrays_are_silent_where_w_overflows(family, consts):
+    # w = X^2 + c2 overflows from |X| ~ 1.34e154: a float's arithmetic is
+    # inf there and warns nothing, and so is an array's; each value is the
+    # float call's, bit for bit
+    sol = family(*consts)
+    x = np.array([1.0, 1e154, -1.4e154, 1e200, 1e308, -1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form in (sol.alpha, sol.alpha_x, sol.y_speed, sol.metric_factor):
+            got = np.broadcast_to(form(x), x.shape)   # Zero's forms are constants
+            assert [v.hex() for v in got.tolist()] == [form(v).hex() for v in x.tolist()]
