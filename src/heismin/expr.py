@@ -99,17 +99,25 @@ def pointwise(fn, arity=None, array_fn=None):
         if all(isinstance(a, (int, float)) for a in args):
             return fn(*args)
         cols = np.broadcast_arrays(*args) if args[1:] else [np.asarray(args[0])]
-        out, replay = np.empty((arity or 1, *cols[0].shape)), slice(None)   # every point
+        out, replay = None, slice(None)   # no array values: every point
         if array_fn is not None:
             try:
                 with np.errstate(all="ignore"):
                     vals = array_fn(*cols)
-                    out[:] = [np.broadcast_to(v, cols[0].shape) for v in (vals if arity else [vals])]
-                replay = np.flatnonzero(~np.isfinite(out).all(axis=0))
+                    out = [np.full(cols[0].shape, v, dtype=float)
+                           for v in (vals if arity else [vals])]
+                if all(np.isfinite(v).all() for v in out):
+                    return tuple(out) if arity else out[0]
+                replay = np.flatnonzero(~np.logical_and.reduce([np.isfinite(v) for v in out]))
             except (ValueError, ArithmeticError, HeisminError):
-                pass
-        vals = list(map(fn, *(c.ravel()[replay].tolist() for c in cols)))
-        out.reshape(len(out), -1)[:, replay] = np.array(vals, dtype=float).reshape(-1, len(out)).T
+                out = None
+        vals = np.array(list(map(fn, *(c.ravel()[replay].tolist() for c in cols))), dtype=float)
+        vals = vals.reshape(-1, arity or 1).T
+        if out is None:
+            out = vals.reshape(len(vals), *cols[0].shape)
+        else:   # only the points whose values are not finite
+            for o, v in zip(out, vals):
+                o.reshape(-1)[replay] = v
         return tuple(out) if arity else out[0]
     return mapped
 
