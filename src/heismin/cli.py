@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -439,6 +440,7 @@ def cmd_go_through(args):
 
 # ----------------------------------------------------------------- parser
 
+@functools.cache   # built on a process's first main, then reused
 def build_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="heismin",
                         description="Constant p-mean curvature surfaces "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,7 +62,20 @@ def _power(a, b, dtype):
     return out
 
 
-exp, log, tan, power = map(_numpy, (np.exp, np.log, np.tan, _power))
+exp, log, tan, _power_of = map(_numpy, (np.exp, np.log, np.tan, _power))
+
+
+def power(a, b):
+    """a^b: at a float base and the exponent 2.0, 1.0 or 0.0, numpy's own
+    scalar results a * a, a and 1.0, without the cost of np.errstate."""
+    if type(a) is float and type(b) is float and b in (2.0, 1.0, 0.0):
+        out = a * a if b == 2.0 else a if b == 1.0 else 1.0
+        if math.isinf(out) and math.isfinite(a):
+            raise OverflowError("math range error")
+        return out
+    return _power_of(a, b)
+
+
 hypot = _numpy(np.hypot, raises=False)
 sin, cos, sqrt = (_by_type(getattr(math, f), getattr(np, f)) for f in ("sin", "cos", "sqrt"))
 
@@ -79,6 +92,7 @@ FUNCS = {
 
 CONSTS = {"pi": math.pi, "e": math.e}
 MAX_DEPTH = 1000   # deepest tree that parse_expr accepts
+CACHE_SIZE = 256   # parsed (source, variables) a process keeps, as re keeps its patterns
 
 # names compiled code calls: power raises ValueError for a negative base and a
 # fractional power, where ** gives a complex; sign is an int for numpy scalars too
@@ -137,7 +151,8 @@ _ARRAY_CALLS = {**_CALLS, "div": _divide, "sign": lambda v: (v > 0.0) * 1.0 - (v
 class Node:
     """AST node.  eval, compiled on first use and kept on the node, takes a
     number (one variable) or a dict name -> value; deriv(var) differentiates
-    in the named variable, by default the only one."""
+    in the named variable, by default the only one; both are kept on the node
+    by identity, outside children(), pretty() and == (parse_expr caches trees)."""
 
     @cached_property
     def eval(self):
@@ -157,10 +172,12 @@ class Node:
         return over_arrays
 
     def deriv(self, var=None) -> "Node":
-        d = {}
-        for node in _postorder(self):
-            d[id(node)] = node._d(var, *(d[id(k)] for k in node.children()))
-        return d[id(self)]
+        if var not in (memo := self.__dict__.setdefault("_derivs", {})):
+            d = {}
+            for node in _postorder(self):
+                d[id(node)] = node._d(var, *(d[id(k)] for k in node.children()))
+            memo[var] = d[id(self)]
+        return memo[var]
 
     def _d(self, var, *dkids) -> "Node":
         """The derivative of this node, given those of its children."""
@@ -443,13 +460,19 @@ class _Parser:
         self._fail(f"variable {names}, function or constant")
 
 
+# (source, variables) -> tree; a syntax error is raised anew, never kept
+_parsed = lru_cache(maxsize=CACHE_SIZE)(lambda src, variables: _Parser(src, variables).parse())
+
+
 def parse_expr(src: str, var: str = "x") -> Node:
     """Parse single-variable source text into an AST; raises
-    ExprSyntaxError with the byte offset on malformed input."""
-    return _Parser(src, (var,)).parse()
+    ExprSyntaxError with the byte offset on malformed input.  The last
+    CACHE_SIZE distinct sources parsed give back the same tree."""
+    return _parsed(src, (var,))
 
 
 def parse_expr_multi(src: str, variables=("x", "y")) -> Node:
     """Parse source text over several variables; the AST then evaluates
-    against a dict name -> value and differentiates via deriv(name)."""
-    return _Parser(src, variables).parse()
+    against a dict name -> value and differentiates via deriv(name);
+    cached as parse_expr is."""
+    return _parsed(src, tuple(variables))

@@ -186,15 +186,16 @@ def run_case(argv):
             "stderr": stderr.splitlines(True), "files": files}
 
 
-def run_corpus(root):
-    """Every case's expectation, each run in its own directory under root."""
+def run_corpus(root, names=tuple(CASES)):
+    """The expectation of each case named, in that order, each run in its
+    own directory under root."""
     here = os.getcwd()
     results = {}
     try:
-        for name, argv in CASES.items():
+        for name in names:
             os.mkdir(os.path.join(root, name))
             os.chdir(os.path.join(root, name))
-            results[name] = run_case(argv)
+            results[name] = run_case(CASES[name])
     finally:
         os.chdir(here)
     return results
@@ -221,8 +222,13 @@ def test_the_cli_corpus_is_byte_identical(tmp_path):
         "the corpus was recorded on another platform, Python or numpy"
     got = run_corpus(str(tmp_path))
     assert list(got) == list(expected["cases"])
+    # a second pass in reverse order, in this process: what main keeps
+    # between calls (one parser, the parsed expressions) changes no byte
+    os.mkdir(tmp_path / "reverse-pass")
+    again = run_corpus(str(tmp_path / "reverse-pass"), reversed(CASES))
     diffs = [d for name, want in expected["cases"].items()
-             if (d := first_difference(name, want, got[name])) is not None]
+             for pass_, result in (("", got), ("reverse pass: ", again))
+             if (d := first_difference(pass_ + name, want, result[name])) is not None]
     if diffs:
         pytest.fail("\n".join(diffs), pytrace=False)   # untruncated, one line a case
 

@@ -402,6 +402,64 @@ def test_a_power_over_arrays_of_exponents_has_the_float_calls_bits():
         node.eval_array({"x": np.array([4.0, -math.inf]), "y": np.array([0.5, 0.5])})
 
 
+@pytest.mark.parametrize("exponent", [2.0, 1.0, 0.0])
+def test_a_float_power_at_a_small_exponent_is_numpys_scalar_power(exponent):
+    # power answers these without numpy: a * a, a and 1.0 must be np.power's
+    # bits at a float base, and raise exactly where its square overflows
+    rng = np.random.default_rng(11)
+    xs = _random_doubles(rng, 20_000).tolist() + EDGES + [1.4e154, -1.4e154, 1.35e154]
+    for x in xs:
+        with np.errstate(all="ignore"):
+            want = float(np.power(x, exponent))
+        if math.isinf(want) and math.isfinite(x):
+            with pytest.raises(OverflowError, match="^math range error$"):
+                expr.power(x, exponent)
+        else:
+            assert _bits(expr.power(x, exponent)) == _bits(want), x
+            assert type(expr.power(x, exponent)) is float
+
+
+def test_equal_sources_parse_to_one_tree():
+    src = "x*y + 0.25*x^2 - sin(y)"
+    tree = expr.parse_expr_multi(src, ("x", "y"))
+    assert expr.parse_expr_multi(src, ["x", "y"]) is tree
+    assert expr.parse_expr_multi(src, ("y", "x")) is not tree
+    assert expr.parse_expr("x^2 + 1") is expr.parse_expr("x^2 + 1", "x")
+    assert expr.parse_expr("x^2 + 1") is not expr.parse_expr_multi("x^2 + 1", ("x", "y"))
+    # so a function built again from its source reuses the compiled code
+    a, b = (YFunction.from_expr("0.3*y + sin(y)") for _ in range(2))
+    assert all(p is q for p, q in zip((a.f, a.df, a.d2f), (b.f, b.df, b.d2f)))
+
+
+def test_a_syntax_error_is_raised_on_every_call():
+    offsets = []
+    for _ in range(3):
+        with pytest.raises(ExprSyntaxError) as info:
+            expr.parse_expr_multi("x*(y + 1", ("x", "y"))
+        offsets.append(info.value.offset)
+    assert offsets == [8, 8, 8]
+
+
+def test_a_derivative_is_kept_on_its_node_and_nowhere_visible():
+    tree = expr.parse_expr_multi("x^3*y + cos(x)", ("x", "y"))
+    fresh = expr._Parser("x^3*y + cos(x)", ("x", "y")).parse()
+    kids, text = tree.children(), tree.pretty()
+    dx, dy = tree.deriv("x"), tree.deriv("y")
+    assert tree.deriv("x") is dx and tree.deriv("y") is dy and dx is not dy
+    assert dx.deriv("y") is dx.deriv("y")
+    assert dx == fresh.deriv("x") and dy == fresh.deriv("y")
+    assert tree.children() == kids and tree.pretty() == text
+    assert tree == fresh and hash(tree) == hash(fresh)
+
+
+def test_the_parse_cache_is_bounded():
+    first = expr.parse_expr("x + 0")
+    for i in range(1, expr.CACHE_SIZE + 1):
+        expr.parse_expr(f"x + {i}")
+    again = expr.parse_expr("x + 0")
+    assert again is not first and again == first
+
+
 def _outcome_class(fn, *args):
     """The class and message of the error raised, or the class returned."""
     try:
