@@ -36,7 +36,7 @@ EXIT_PARSE = 3
 INTEGRABILITY_TOL = 1e-6
 PMGE_TOL = 1e-8
 SPECIAL_I_TOL = 1e-10   # max |zeta2| of a special type I curve
-_BLOCK_VALUES = 6144   # values a block of the CSV/OBJ writers' g17.Writer
+_BLOCK_VALUES = 6144   # the columns' own values a block of the CSV/OBJ writer formats
 
 
 class _UsageError(Exception):
@@ -147,66 +147,35 @@ def _emit_json(payload):
     sys.stdout.write(text + "\n")
 
 
-def _blocks(columns, seps, writer=None):
-    """g17.rows of the equal-length float columns, seps as there, in texts
-    of _BLOCK_VALUES values' rows, from writer (a new one when None)."""
-    writer = writer or g17.Writer(min(_BLOCK_VALUES, len(columns) * len(columns[0])))
-    step = max(1, writer.values // len(columns))
-    for a in range(0, len(columns[0]), step):
-        yield writer.rows([c[a:a + step] for c in columns], seps)
+def _cuts(columns, axis):
+    """The 2-D columns cut along axis into blocks of at least one index and
+    at most _BLOCK_VALUES of the columns' own values where one index holds
+    fewer; a column of extent 1 there goes whole into every block."""
+    n = max(c.shape[axis] for c in columns)
+    per = sum(c.size // n for c in columns if c.shape[axis] > 1)
+    step = max(1, (_BLOCK_VALUES - sum(c.size for c in columns)) // per + n if per else n)
+    slices = [(slice(None),) * axis + (slice(a, a + step),) for a in range(0, n, step)]
+    return [[c[e] if c.shape[axis] > 1 else c for c in columns] for e in slices]
 
 
 def _write_rows(out, columns, seps) -> None:
-    """Write the rows of the equal-length float columns, seps as in g17.rows,
-    one write a block of _BLOCK_VALUES values."""
-    for text in _blocks(columns, seps):
-        _write_text(out, text)
-
-
-def _lines(columns, seps, writer=None):
-    """The rows of the equal-length float columns, seps as in g17.rows
-    (seps[-1] a newline), as a list of strings, _BLOCK_VALUES values a call."""
-    return [line for text in _blocks(columns, seps, writer) for line in text.splitlines()]
+    """Write the rows of the float columns, seps as in g17.rows, one write a
+    block of _cuts along the first axis, then the second, from one g17.Writer;
+    1-D columns are one row of the first axis."""
+    columns = [np.atleast_2d(c) for c in columns]
+    writer = g17.Writer(min(_BLOCK_VALUES, sum(c.size for c in columns)))
+    for rows in _cuts(columns, 0):
+        for block in _cuts(rows, 1):
+            _write_text(out, writer.rows(block, seps))
 
 
 def _csv(path, header, columns) -> None:
-    """Write a CSV of the equal-length float columns to path (stdout when
-    None), 17 significant digits a value."""
+    """Write a CSV of the float columns to path (stdout when None), 17
+    significant digits a value; the columns broadcast as in g17.rows, as a
+    grid's (A, 1) outer and (1, B) inner coordinates and (A, B) values do."""
     with _open(path) as out:
         _write_text(out, ",".join(header) + "\n")
         _write_rows(out, columns, ["", *[","] * (len(columns) - 1), "\n"])
-
-
-def _grid_csv(path, header, cell, outer, inner, values) -> None:
-    """Write a CSV over the outer x inner grid, inner fastest, to path (stdout
-    when None); cell is a row's format with {inner}, one {outer} and
-    {values}, the cell's values, and values[k] the kth outer row's value
-    columns.  Each coordinate is formatted once.  The values of as many
-    outer rows as hold at most _BLOCK_VALUES values are one block of one
-    g17.Writer (a wider row takes several), and each outer row is one % call
-    and one write."""
-    pieces = _row_pieces(cell, _lines([inner], ["", "\n"]))
-    n, m = len(inner), len(values[0])
-    step, seps = max(1, _BLOCK_VALUES // (n * m)), ["", *[","] * (m - 1), "\n"]
-    outer = _lines([outer], ["", "\n"])
-    writer = g17.Writer(min(_BLOCK_VALUES, n * m * len(outer)))   # for every block
-    with _open(path) as out:
-        _write_text(out, ",".join(header) + "\n")
-        for a in range(0, len(outer), step):
-            cells = _lines([np.concatenate(c) for c in zip(*values[a:a + step])], seps, writer)
-            for k, o in enumerate(outer[a:a + step]):
-                _write_text(out, o.join(pieces) % tuple(cells[k * n:(k + 1) * n]))
-
-
-def _row_pieces(cell, inner):
-    """The texts between a grid row's outer coordinates, for the row format
-    cell of _grid_csv and the inner coordinates' texts: the row of outer
-    text o is o.join(pieces) % its cells' texts."""
-    left, right = cell.split("{outer}")
-    return [left.format(inner=inner[0], values="%s"),
-            *(right.format(inner=a, values="%s") + left.format(inner=b, values="%s")
-              for a, b in zip(inner, inner[1:])),
-            right.format(inner=inner[-1], values="%s")]
 
 
 def mesh_obj(path, chart, nu: int, nv: int) -> None:
@@ -287,8 +256,8 @@ def cmd_solve_lienard(args):
 
 def cmd_phase_field(args):
     field = lienard.phase_field(*_windows(args, "alpha", "v"), args.nx, args.nv)
-    _grid_csv(args.out, ["x", "v", "dx", "dv"], "{outer},{inner},{inner},{values}\n",
-              field.alpha, field.v, [[dv] for dv in field.dv])
+    alpha, v = np.array(field.alpha)[:, None], np.array(field.v)[None, :]
+    _csv(args.out, ["x", "v", "dx", "dv"], [alpha, v, v, field.dv])
 
 
 def cmd_classify(args):
@@ -307,8 +276,10 @@ def cmd_metric(args):
         return expr.pointwise(lambda x: (alpha(x, y), rep.a(x, y), rep.b(x, y)), 3,
                               lambda row: [f(row, y) for f in (alpha, rep.a, rep.b)])(row)
 
-    _grid_csv(args.out, ["x", "y", "alpha", "a", "b"], "{inner},{outer},{values}\n",
-              ys, xs, [line(y) for y in ys])
+    values = np.empty((3, len(ys), len(xs)))   # alpha, a and b over (y, x)
+    for i, y in enumerate(ys):
+        values[:, i] = line(y)
+    _csv(args.out, ["x", "y", "alpha", "a", "b"], [row[None, :], np.array(ys)[:, None], *values])
 
 
 def cmd_normalize(args):

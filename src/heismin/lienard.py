@@ -517,10 +517,10 @@ def _off_branches(w: float) -> None:
 
 
 class PhaseField(_Rows):
-    """The direction field on a grid, kept as its axes alpha and v and the rows
-    dv, dv[i][j] at (alpha[i], v[j]); [k] is row-major (PhaseState, (v, dv))."""
+    """The direction field on a grid: its axes alpha and v and the float64 array
+    dv, dv[i, j] at (alpha[i], v[j]); [k] is row-major (PhaseState, (v, dv))."""
 
-    def __init__(self, alpha: list, v: list, dv: list):
+    def __init__(self, alpha: list, v: list, dv: np.ndarray):
         self.alpha, self.v, self.dv = alpha, v, dv
 
     def __len__(self):
@@ -528,7 +528,7 @@ class PhaseField(_Rows):
 
     def _row(self, k):
         i, j = divmod(k, len(self.v))
-        return PhaseState(self.alpha[i], self.v[j]), (self.v[j], self.dv[i][j])
+        return PhaseState(self.alpha[i], self.v[j]), (self.v[j], float(self.dv[i, j]))
 
 
 def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
@@ -552,4 +552,4 @@ def phase_field(alpha_range, v_range, nx: int, nv: int) -> PhaseField:
         i, j = divmod(int(np.argmax(bad)), nv)
         raise EvaluationError(f"(alpha, v) = ({alphas[i]}, {vs[j]})",
                               "the field value is not finite")
-    return PhaseField(alphas, vs, dv.tolist())
+    return PhaseField(alphas, vs, dv)

@@ -239,6 +239,25 @@ def test_writing_a_trajectory_holds_less_than_its_file(tmp_path):
     assert peak < path.stat().st_size
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["phase-field", "--nx", "400", "--nv", "400"], 160_000),
+    (["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "400", "--ny", "300"],
+     120_000),
+], ids=["phase-field", "metric"])
+def test_writing_a_grid_holds_less_than_its_file(argv, rows, tmp_path):
+    # a grid's coordinates are formatted once and broadcast a block at a
+    # time: the heap never holds the whole text, nor repeated coordinates
+    path = tmp_path / "g.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().count("\n") == rows + 1
+    assert peak < path.stat().st_size
+
+
 @pytest.mark.parametrize("argv, out", [
     (["metric", "--alpha", "special1", "--c1", "y-0.5", "--x-min", "0", "--x-max", "1",
       "--nx", "3", "--ny", "3", "--out"], "m.csv"),
@@ -329,17 +348,21 @@ def test_phase_field_matches_the_cell_by_cell_reference(name, capsys):
 
 
 @pytest.mark.parametrize("argv, outer, inner", [
-    (["phase-field", "--nx", "4", "--nv", "3"], 4, 3),
-    (["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "3", "--ny", "5"], 5, 3),
+    (["phase-field", "--nx", "40", "--nv", "301"], 40, 301),
+    (["metric", "--alpha", "general", "--c1", "y", "--c2", "1+y", "--nx", "301", "--ny", "40"],
+     40, 301),
 ], ids=["phase-field", "metric"])
-def test_grid_csv_writes_each_outer_row_on_its_own(argv, outer, inner, monkeypatch, capsys):
-    # the header, then one write per alpha (phase-field) or y (metric) row of
-    # the grid: the text streams out and is never held whole
+def test_grid_csv_writes_whole_outer_rows_a_block_at_a_time(argv, outer, inner, monkeypatch,
+                                                             capsys):
+    # the header, then blocks of whole alpha (phase-field) or y (metric) rows
+    # of the grid: the text streams out and is never held whole
     texts = []
     monkeypatch.setattr(cli, "_write_text", lambda out, text: texts.append(text))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == ("", "")
-    assert [t.count("\n") for t in texts] == [1] + [inner] * outer
+    rows = [t.count("\n") for t in texts]
+    assert rows[0] == 1 and len(rows) > 3 and sum(rows) == 1 + outer * inner
+    assert all(n % inner == 0 for n in rows[1:])
     monkeypatch.undo()
     assert run_cli(argv, capsys) == (0, "".join(texts))
 
@@ -416,12 +439,13 @@ def test_metric_matches_the_point_by_point_reference(name, tmp_path, capsys):
 def test_wide_grid_rows_are_formatted_a_block_at_a_time(command, argv, reference,
                                                         monkeypatch, capsys):
     # an outer row of more than _BLOCK_VALUES values, and more than that many
-    # coordinates (phase-field), take several formatter calls of at most
-    # _BLOCK_VALUES values each, and still write the same text
+    # inner coordinates (phase-field), take several formatter calls of at
+    # most _BLOCK_VALUES of the columns' own values each, and still write the
+    # same text
     sizes, rows = [], g17.Writer.rows
 
     def counted(writer, columns, seps):
-        sizes.append(sum(len(c) for c in columns))
+        sizes.append(sum(np.size(c) for c in columns))
         return rows(writer, columns, seps)
 
     monkeypatch.setattr(g17.Writer, "rows", counted)

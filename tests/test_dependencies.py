@@ -3,8 +3,9 @@ names the standard library, numpy or heismin itself.  And no module of
 the package, its tests or the benchmark imports a name it never reads,
 none of the package names numpy's platform-wide long double types, the
 Lienard operator and its RK4 sweep take no power at all, no module
-maps one of math's functions over an array by pointwise, and no two
-modules of the package import each other, directly or through others."""
+maps one of math's functions over an array by pointwise, no two
+modules of the package import each other, directly or through others, and
+the CLI opens its output files only in its two traced writers."""
 import ast
 import pathlib
 import sys
@@ -150,3 +151,16 @@ def test_the_package_import_graph_has_no_cycle():
                 seen.add(path[-1])
                 paths += [path + [m] for m in sorted(graph.get(path[-1], ()))]
     assert cycles == []
+
+
+def test_only_the_traced_writers_open_an_output_file():
+    # the benchmark's tracer (bench/spans.py) times _csv and mesh_obj in its
+    # cli.format span, so every file the CLI writes is opened by one of them,
+    # through _open, and nothing else in cli.py calls open
+    tree = parse(pathlib.Path(heismin.__file__).parent / "cli.py")
+    callers = {name: set() for name in ("_open", "open")}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(getattr(top, "name", None))
+    assert callers == {"_open": {"_csv", "mesh_obj"}, "open": {"_open"}}
